@@ -2,8 +2,10 @@
 
 Every operation records its inputs and a backward closure on the output
 node; ``backward`` replays the recorded tape in reverse topological order.
-Models keep every tensor 2-D (batch-first) or scalar, double precision by
-default, and all values are required to stay finite.
+Models keep every tensor 2-D (batch-first) or scalar, and all values are
+required to stay finite. A tensor keeps the float32 or float64 dtype of its
+data; a model's ``ParamStore`` fixes the dtype of its parameters, and every
+op result follows the dtype of its operands.
 """
 
 from __future__ import annotations
@@ -14,27 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_DEFAULT_DTYPE = np.float64
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _GRAD_ENABLED = True
-_FINITE_CHECKS = True
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
-def set_default_dtype(dtype) -> None:
-    global _DEFAULT_DTYPE
-    kind = np.dtype(dtype).type
-    if kind not in (np.float32, np.float64):
-        raise ValueError(f"unsupported dtype {dtype!r}; use float32 or float64")
-    _DEFAULT_DTYPE = kind
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle the per-op NaN/Inf guard (on by default)."""
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
 
 
 @contextmanager
@@ -54,7 +37,7 @@ class NonFiniteError(FloatingPointError):
 
 
 def _check_finite(arr: np.ndarray) -> None:
-    if _FINITE_CHECKS and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise NonFiniteError("operation produced a non-finite value")
 
 
@@ -64,7 +47,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        arr = np.asarray(data)
+        if arr.dtype not in _FLOAT_DTYPES:
+            arr = arr.astype(np.float64)
         _check_finite(arr)
         self.data = arr
         self.grad = None
@@ -125,15 +110,18 @@ class Parameter(Tensor):
 
 
 class ParamStore:
-    """Ordered registry of uniquely named parameters."""
+    """Ordered registry of uniquely named parameters, all of one dtype."""
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
+        if self.dtype not in _FLOAT_DTYPES:
+            raise ValueError(f"unsupported dtype {dtype!r}; use float32 or float64")
         self._params: dict[str, Parameter] = {}
 
     def create(self, name: str, data, trainable: bool = True) -> Parameter:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        p = Parameter(name, data, trainable=trainable)
+        p = Parameter(name, np.asarray(data, dtype=self.dtype), trainable=trainable)
         self._params[name] = p
         return p
 
@@ -385,7 +373,7 @@ def masked_softmax(a: Tensor, mask: np.ndarray) -> Tensor:
     keep = mask > 0.5
     if not np.all(keep.any(axis=-1)):
         raise ValueError("masked_softmax: a row is fully masked")
-    neg_inf = np.where(keep, 0.0, -np.inf)
+    neg_inf = np.where(keep, 0.0, -np.inf).astype(a.data.dtype, copy=False)
     shifted = a.data + neg_inf
     shifted = shifted - shifted.max(axis=-1, keepdims=True)
     e = np.exp(shifted)

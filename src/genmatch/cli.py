@@ -26,7 +26,7 @@ from .corpus import (
     write_toy_dataset,
 )
 from .evaluation import EvalReport, evaluate
-from .model_io import apply_precision, load_model_dir, save_model_dir
+from .model_io import load_model_dir, save_model_dir
 from .training import TrainConfig, train_selection_stage, train_synthesis_stage
 
 log = logging.getLogger("genmatch")
@@ -36,7 +36,7 @@ def _config_from_args(args, base: TrainConfig | None = None) -> TrainConfig:
     """Defaults (or the stage-one config) <- config file <- --set overrides."""
     config = base or TrainConfig()
     if getattr(args, "config", None):
-        config = config.with_overrides(_file_values(args.config))
+        config = TrainConfig.from_file(args.config, base=config)
     overrides = {}
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
@@ -44,16 +44,6 @@ def _config_from_args(args, base: TrainConfig | None = None) -> TrainConfig:
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
     return config.with_overrides(overrides) if overrides else config
-
-
-def _file_values(path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
-        stripped = line.split("#", 1)[0].strip()
-        if stripped:
-            key, value = (part.strip() for part in stripped.split("=", 1))
-            values[key] = value
-    return values
 
 
 def _require_splits(splits: dict, *names: str):
@@ -86,7 +76,6 @@ def cmd_gen_toy(args) -> int:
 
 def cmd_train_synthesis(args) -> int:
     config = _config_from_args(args)
-    apply_precision(config)
     splits = load_dataset_dir(args.data)
     _require_splits(splits, "train", "dev")
     train, dev = splits["train"], splits["dev"]

@@ -17,8 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import default_dtype
-
 PAD, UNK, BOS, EOS = 0, 1, 2, 3
 PAD_TOKEN, UNK_TOKEN, BOS_TOKEN, EOS_TOKEN = "<pad>", "<unk>", "<bos>", "<eos>"
 RESERVED_TOKENS = (PAD_TOKEN, UNK_TOKEN, BOS_TOKEN, EOS_TOKEN)
@@ -238,7 +236,7 @@ class EmbeddingTable:
 def random_embeddings(vocab: Vocabulary, dim: int, seed: int,
                       trainable: bool = True) -> EmbeddingTable:
     rng = np.random.default_rng(seed)
-    matrix = rng.uniform(-0.1, 0.1, size=(len(vocab), dim)).astype(default_dtype())
+    matrix = rng.uniform(-0.1, 0.1, size=(len(vocab), dim))
     return EmbeddingTable(matrix=matrix, pretrained=np.zeros(len(vocab), dtype=bool),
                           coverage=0.0, trainable=trainable)
 
@@ -295,7 +293,7 @@ class Batch:
 def _pad_block(sequences: list[list[int]], width: int | None = None):
     width = width or max(len(s) for s in sequences)
     ids = np.zeros((len(sequences), width), dtype=np.int64)
-    mask = np.zeros((len(sequences), width), dtype=default_dtype())
+    mask = np.zeros((len(sequences), width))
     for i, seq in enumerate(sequences):
         ids[i, :len(seq)] = seq
         mask[i, :len(seq)] = 1.0

@@ -62,7 +62,7 @@ class EmbeddedSequence:
 
     def with_extra_channels(self, channels: np.ndarray) -> "EmbeddedSequence":
         """Append constant per-position channels (position-major (T*B, C))."""
-        extra = Tensor(channels)
+        extra = Tensor(channels.astype(self.flat.data.dtype, copy=False))
         return EmbeddedSequence(flat=ad.concat([self.flat, extra], axis=1),
                                 mask=self.mask, batch=self.batch, length=self.length)
 
@@ -169,7 +169,7 @@ def char_embed_tokens(tokens: list[str], params: CharEncoderParams,
         raise ValueError("cannot char-embed an empty token")
     width = max(len(tok) for tok in tokens)
     ids = np.zeros((len(tokens), width), dtype=np.int64)
-    mask = np.zeros((len(tokens), width), dtype=ad.default_dtype())
+    mask = np.zeros((len(tokens), width), dtype=params.table.data.dtype)
     for i, tok in enumerate(tokens):
         ids[i, :len(tok)] = char_vocab.ids(tok)
         mask[i, :len(tok)] = 1.0
@@ -229,9 +229,8 @@ class EvidenceFeatures:
 
     @classmethod
     def from_spans(cls, spans, lengths, width: int) -> "EvidenceFeatures":
-        dtype = ad.default_dtype()
-        start = np.zeros((len(spans), width), dtype=dtype)
-        end = np.zeros((len(spans), width), dtype=dtype)
+        start = np.zeros((len(spans), width))
+        end = np.zeros((len(spans), width))
         for b, (span, n) in enumerate(zip(spans, lengths)):
             s, e = span
             if not 0 <= s <= e < n:

@@ -151,13 +151,13 @@ def oracle_span(passage_tokens, option_tokens,
 def span_loss(distributions: SpanDistributions, targets: list[EvidenceSpan | None]) -> Tensor:
     """Mean negative log-likelihood of the target start and end positions,
     averaged over instances that have a target."""
-    batch = distributions.start.data.shape[0]
+    batch, width = distributions.start.data.shape
     if len(targets) != batch:
         raise ValueError("one target (or None) per instance required")
-    width = distributions.start.data.shape[1]
+    dtype = distributions.start.data.dtype
     start_idx = np.zeros(batch, dtype=np.int64)
     end_idx = np.zeros(batch, dtype=np.int64)
-    valid = np.zeros((batch, 1), dtype=ad.default_dtype())
+    valid = np.zeros((batch, 1), dtype=dtype)
     for b, span in enumerate(targets):
         if span is None:
             continue
@@ -167,7 +167,7 @@ def span_loss(distributions: SpanDistributions, targets: list[EvidenceSpan | Non
         valid[b, 0] = 1.0
     n_valid = valid.sum()
     if n_valid == 0:
-        return Tensor(0.0)
+        return Tensor(np.zeros((), dtype=dtype))
     log_start = ad.log(ad.take_per_row(distributions.start, start_idx))
     log_end = ad.log(ad.take_per_row(distributions.end, end_idx))
     per_instance = ad.neg(ad.add(log_start, log_end))

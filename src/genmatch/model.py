@@ -56,6 +56,7 @@ class ModelDims:
     max_decode_len: int
     option_pooling: str = "final"
     fine_tune_embeddings: bool = False
+    precision: str = "float64"
 
 
 class PipelineModel:
@@ -66,7 +67,7 @@ class PipelineModel:
         self.dims = dims
         self.vocab = vocab
         self.char_vocab = char_vocab
-        store = ParamStore()
+        store = ParamStore(dims.precision)
         self.store = store
         self.embedding = store.create("emb", embedding_matrix,
                                       trainable=dims.fine_tune_embeddings)
@@ -120,6 +121,8 @@ class PipelineModel:
         return self.dims.dropout if rng is not None else 0.0
 
     def _embed(self, ids: np.ndarray, surfaces, mask: np.ndarray, rng):
+        # masks arrive as float64 and enter the graph in the model's dtype
+        mask = mask.astype(self.store.dtype, copy=False)
         return embed_with_chars(self.embedding, self.char_encoder, self.char_vocab,
                                 ids, surfaces, mask, self._dropout_rate(rng), rng)
 
@@ -213,7 +216,7 @@ class PipelineModel:
                      for a in answers]
         width = max(len(s) for s in sequences)
         ids = np.zeros((len(sequences), width), dtype=np.int64)
-        mask = np.zeros((len(sequences), width), dtype=ad.default_dtype())
+        mask = np.zeros((len(sequences), width))
         for b, seq in enumerate(sequences):
             ids[b, :len(seq)] = self.vocab.ids(seq)
             mask[b, :len(seq)] = 1.0

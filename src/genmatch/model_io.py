@@ -14,16 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .checkpoint import read_checkpoint, write_checkpoint
 from .corpus import CharVocabulary, Vocabulary
 from .model import PipelineModel, build_model
-from .training import StageResult, TrainConfig
-
-
-def apply_precision(config: TrainConfig) -> None:
-    """Switch the process-wide array dtype to the config's precision."""
-    ad.set_default_dtype(np.float32 if config.precision == "float32" else np.float64)
+from .training import TrainConfig
 
 CHECKPOINT_NAME = "model.ckpt"
 
@@ -58,7 +52,6 @@ def load_model_dir(path) -> tuple[PipelineModel, TrainConfig]:
     if not ckpt.exists():
         raise FileNotFoundError(f"no checkpoint at {ckpt}")
     config = TrainConfig.from_payload(json.loads((path / "config.json").read_text()))
-    apply_precision(config)
     vocab_payload = json.loads((path / "vocab.json").read_text())
     vocab = Vocabulary.from_payload(vocab_payload["words"])
     char_vocab = CharVocabulary.from_payload(vocab_payload["chars"])
@@ -67,7 +60,3 @@ def load_model_dir(path) -> tuple[PipelineModel, TrainConfig]:
                         np.zeros((dims.vocab_size, dims.embed_dim)), seed=config.seed)
     model.store.load_state_dict(read_checkpoint(ckpt))
     return model, config
-
-
-def stage_history_payload(results: dict[str, StageResult]) -> dict:
-    return {name: result.history_payload() for name, result in results.items()}

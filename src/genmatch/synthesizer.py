@@ -86,7 +86,7 @@ def initial_state(passage: ContextualEncoding, question: ContextualEncoding,
     pooled = ad.concat([question.mean_pooled(), passage.mean_pooled()], axis=1)
     hidden = ad.tanh(ad.add(ad.matmul(pooled, params.init_w), params.init_b))
     bos = ad.gather_rows(word_table, np.full(batch, BOS, dtype=np.int64))
-    context = Tensor(np.zeros((batch, 2 * passage.hidden)))
+    context = Tensor(np.zeros((batch, 2 * passage.hidden), dtype=passage.flat.data.dtype))
     return DecoderState(hidden=hidden, word_embedding=bos, context=context)
 
 
@@ -164,7 +164,7 @@ def teacher_targets(option_ids: list[list[int]]) -> tuple[np.ndarray, np.ndarray
     batch = len(option_ids)
     inputs = np.full((batch, width), PAD, dtype=np.int64)
     targets = np.full((batch, width), PAD, dtype=np.int64)
-    mask = np.zeros((batch, width), dtype=ad.default_dtype())
+    mask = np.zeros((batch, width))
     for b, ids in enumerate(option_ids):
         seq = list(ids) + [EOS]
         inputs[b, 0] = BOS
@@ -180,6 +180,7 @@ def synthesis_loss(passage: ContextualEncoding, question: ContextualEncoding,
     """Teacher-forced mean per-token cross-entropy of the gold sequence,
     averaged per instance and then over the batch."""
     inputs, targets, mask = teacher_targets(target_ids)
+    mask = mask.astype(passage.flat.data.dtype, copy=False)
     batch, width = targets.shape
     memory = DecoderMemory.from_encodings(passage, question)
     state = initial_state(passage, question, word_table, batch, params)

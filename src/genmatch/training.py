@@ -57,7 +57,7 @@ class TrainConfig:
     # matcher matrix alone is enough, so the encoder stays frozen by default.
     train_matcher_encoder: bool = False
     option_pooling: str = "final"
-    # applied process-wide by the CLI and the model-dir loader, not here
+    # dtype of the model's parameters and of every array its passes compute
     precision: str = "float64"
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
@@ -82,6 +82,7 @@ class TrainConfig:
             max_span=self.max_span, max_decode_len=self.max_decode_len,
             option_pooling=self.option_pooling,
             fine_tune_embeddings=self.fine_tune_embeddings,
+            precision=self.precision,
         )
 
     def to_payload(self) -> dict:
@@ -97,8 +98,9 @@ class TrainConfig:
         return TrainConfig(**values)
 
     @classmethod
-    def from_file(cls, path) -> "TrainConfig":
-        """Flat ``key=value`` text; blank lines and ``#`` comments ignored."""
+    def from_file(cls, path, base: "TrainConfig | None" = None) -> "TrainConfig":
+        """Flat ``key=value`` text laid over ``base`` (default: the defaults);
+        blank lines and ``#`` comments ignored."""
         values: dict[str, str] = {}
         for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -108,7 +110,7 @@ class TrainConfig:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, value = (part.strip() for part in stripped.split("=", 1))
             values[key] = value
-        return cls().with_overrides(values)
+        return (base or cls()).with_overrides(values)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}

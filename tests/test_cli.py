@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from genmatch.checkpoint import read_checkpoint
 from genmatch.cli import main
 from genmatch.corpus import load_dataset_dir
 
@@ -103,21 +105,37 @@ def test_structural_drift_rejected(trained_dirs, toy_dir, tmp_path):
     assert rc == 1
 
 
-def test_float32_precision_run_in_subprocess(toy_dir, tmp_path):
-    # float32 switches the process-wide dtype, so exercise it out of process
-    import subprocess
-    import sys
+def test_config_file_lays_over_stage_one_config(trained_dirs, toy_dir, tmp_path):
+    stage1, _ = trained_dirs
+    cfg = tmp_path / "select.cfg"
+    cfg.write_text("# selection only\nmax_epochs = 1\n")
+    out = tmp_path / "model"
+    assert main(["train-selection", "--data", str(toy_dir), "--stage1", str(stage1),
+                 "--out", str(out), "--config", str(cfg)]) == 0
+    saved = json.loads((out / "config.json").read_text())
+    assert saved["max_epochs"] == 1 and saved["hidden"] == 8 and saved["seed"] == 3
+
+
+def test_config_line_without_equals_names_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("hidden = 8\njust words\n")
+    rc = main(["train-synthesis", "--data", str(tmp_path), "--out", str(tmp_path / "m"),
+               "--config", str(cfg)])
+    assert rc == 1
+    assert f"{cfg}:2" in capsys.readouterr().err
+
+
+def test_float32_precision_run_in_process(toy_dir, tmp_path, capsys):
+    # precision belongs to the model, so a float32 run can share the process
+    # with the float64 tests
     out = tmp_path / "model32"
-    cmd = [sys.executable, "-m", "genmatch.cli", "train-synthesis",
-           "--data", str(toy_dir), "--out", str(out),
-           "--set", "precision=float32"] + FAST_TRAIN
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    eval_cmd = [sys.executable, "-m", "genmatch.cli", "eval",
-                "--checkpoint", str(out), "--data", str(toy_dir)]
-    proc = subprocess.run(eval_cmd, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert "overall" in proc.stdout
+    assert main(["train-synthesis", "--data", str(toy_dir), "--out", str(out),
+                 "--set", "precision=float32"] + FAST_TRAIN) == 0
+    params = read_checkpoint(out / "model.ckpt")
+    assert {a.dtype for a in params.values()} == {np.dtype(np.float32)}
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(out), "--data", str(toy_dir)]) == 0
+    assert "overall" in capsys.readouterr().out
 
 
 def test_errors_exit_nonzero(tmp_path):

@@ -7,6 +7,7 @@ from genmatch import autodiff as ad
 from genmatch.checkpoint import param_fingerprints
 from genmatch.extractor import oracle_span
 from genmatch.model import MATCHER_PARAM
+from genmatch.model_io import load_model_dir, save_model_dir
 
 from helpers import build_micro_pipeline
 
@@ -92,6 +93,28 @@ def test_predict_batch_shapes():
     assert chosen.shape == (batch.size,)
     assert len(answers) == len(spans) == batch.size
     np.testing.assert_allclose(scores.probabilities.data.sum(axis=1), 1.0, atol=1e-6)
+
+
+def test_loading_a_float32_model_leaves_new_models_float64(tmp_path):
+    model32, config32, _, _ = build_micro_pipeline(precision="float32")
+    save_model_dir(tmp_path / "m32", model32, config32)
+    loaded, _ = load_model_dir(tmp_path / "m32")
+    model64, config64, _, _ = build_micro_pipeline()
+    assert config64.precision == "float64"
+    assert {p.data.dtype for p in model64.parameters()} == {np.dtype(np.float64)}
+    assert {p.data.dtype for p in loaded.parameters()} == {np.dtype(np.float32)}
+
+
+def test_float32_model_computes_in_float32():
+    model, config, _, batches = build_micro_pipeline(precision="float32")
+    batch = batches[0]
+    loss, _ = model.stage_one_loss(batch, oracle_targets(batch, config.max_span))
+    assert loss.data.dtype == np.float32
+    model.zero_grads()
+    ad.backward(loss)
+    assert {p.grad.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+    _, _, _, scores = model.predict_batch(batch)
+    assert scores.probabilities.data.dtype == np.float32
 
 
 def test_freeze_partition_covers_all_parameters():

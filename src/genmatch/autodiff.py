@@ -37,6 +37,11 @@ class NonFiniteError(FloatingPointError):
 
 
 def _check_finite(arr: np.ndarray) -> None:
+    # A NaN or Inf element makes the sum non-finite, so one reduction clears
+    # almost every array; a sum that overflows on finite data falls through
+    # to the exact elementwise check.
+    if np.isfinite(arr.sum()):
+        return
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError("operation produced a non-finite value")
 
@@ -44,7 +49,7 @@ def _check_finite(arr: np.ndarray) -> None:
 class Tensor:
     """Dense array node. Leaf tensors are constants unless requires_grad."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_owns_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -56,6 +61,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
+        self._owns_grad = False  # True once ``grad`` is an array no one else holds
 
     @property
     def shape(self):
@@ -99,7 +105,7 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=trainable)
         self.name = name
         self.trainable = bool(trainable)
-        self.grad = np.zeros_like(self.data)
+        _own_zero_grad(self)
 
     def set_trainable(self, trainable: bool) -> None:
         self.trainable = bool(trainable)
@@ -153,14 +159,25 @@ class ParamStore:
             if arr.shape != p.data.shape:
                 raise ValueError(f"shape mismatch for {name!r}: {arr.shape} vs {p.data.shape}")
             p.data = arr.astype(p.data.dtype, copy=True)
-            p.grad = np.zeros_like(p.data)
+            _own_zero_grad(p)
+
+
+def _own_zero_grad(t: Tensor) -> None:
+    t.grad = np.zeros_like(t.data)
+    t._owns_grad = True
 
 
 def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
     _check_finite(data)
+    return _record(data, parents, backward)
+
+
+def _record(data: np.ndarray, parents: tuple, backward) -> Tensor:
+    """Tape node without the finite guard, for views of checked data."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
+    out._owns_grad = False
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -173,8 +190,26 @@ def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.requires_grad:
-        t.grad = g if t.grad is None else t.grad + g
+    """Add ``g`` into ``t.grad`` without writing any array someone else holds.
+
+    The first gradient is kept by reference (it may be another node's grad
+    or a read-only broadcast view), the second sum is a fresh array that
+    ``t`` owns, and later ones add into it in place. Parameters own their
+    zeroed grad from the start. A gradient of another dtype takes the
+    allocating path, so type promotion, the order of the adds and every
+    value are the same as summing with ``+``.
+    """
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = g
+        t._owns_grad = False
+    elif t._owns_grad and t.grad.dtype == g.dtype:
+        t.grad += g
+    else:
+        t.grad = t.grad + g
+        # a plain leaf's grad goes back to its caller, who may keep it
+        t._owns_grad = t._backward is not None or isinstance(t, Parameter)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -215,6 +250,8 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            # its parents may hold the grad by reference from here on
+            node._owns_grad = False
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +451,35 @@ def take_per_row(a: Tensor, indices: np.ndarray) -> Tensor:
     return _node(data, (a,), _bw)
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    data = a.data[start:stop]
+def split_rows(a: Tensor, parts: int) -> list[Tensor]:
+    """Cut ``a`` into ``parts`` equal row blocks, each a view of ``a``.
 
-    def _bw(g):
-        buf = np.zeros_like(a.data)
-        buf[start:stop] = g
-        _accum(a, buf)
+    The blocks hang off one hub node. Each block's backward writes its
+    rows of the hub's single (rows, cols) gradient buffer, and the hub
+    hands that buffer to ``a`` in one accumulation, so backward through
+    all blocks costs one pass over ``a`` however many blocks there are.
+    """
+    rows = a.data.shape[0]
+    if parts < 1 or rows % parts:
+        raise ValueError(f"cannot split {rows} rows into {parts} equal blocks")
+    size = rows // parts
 
-    return _node(data, (a,), _bw)
+    def _hub_bw(g):
+        _accum(a, g)
+
+    hub = _record(a.data, (a,), _hub_bw)
+
+    def block(lo: int) -> Tensor:
+        hi = lo + size
+
+        def _bw(g):
+            if not hub._owns_grad:
+                _own_zero_grad(hub)
+            hub.grad[lo:hi] += g
+
+        return _record(a.data[lo:hi], (hub,), _bw)
+
+    return [block(i * size) for i in range(parts)]
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
@@ -637,7 +694,7 @@ def gru_cell(x: Tensor, h_prev: Tensor, params: GRUCellParams) -> Tensor:
 
 def zero_grads(params) -> None:
     for p in params:
-        p.grad = np.zeros_like(p.data)
+        _own_zero_grad(p)
 
 
 def global_grad_norm(params) -> float:
@@ -665,6 +722,9 @@ def clip_global_norm(params, threshold: float = 10.0) -> float:
     return scale
 
 
+_ADAM_CHUNK = 1 << 15  # elements per update pass, so one chunk's arrays stay in cache
+
+
 class Adam:
     """Bias-corrected Adam over a fixed parameter list; frozen entries are skipped."""
 
@@ -680,6 +740,7 @@ class Adam:
         self.t = 0
         self._m = {p.name: np.zeros_like(p.data) for p in self.params}
         self._v = {p.name: np.zeros_like(p.data) for p in self.params}
+        self._scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self) -> None:
         self.t += 1
@@ -688,14 +749,38 @@ class Adam:
         for p in self.params:
             if not p.trainable:
                 continue
-            g = p.grad
-            m = self._m[p.name]
-            v = self._v[p.name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            arrays = [np.atleast_1d(x) for x in (p.data, self._m[p.name],
+                                                 self._v[p.name], p.grad)]
+            rows = max(1, _ADAM_CHUNK // max(1, math.prod(arrays[0].shape[1:])))
+            for lo in range(0, arrays[0].shape[0], rows):
+                self._update(*(x[lo:lo + rows] for x in arrays), bc1, bc2)
+
+    def _update(self, data, m, v, g, bc1: float, bc2: float) -> None:
+        """m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g*g;
+        data -= lr (m/bc1) / (sqrt(v/bc2) + eps), op for op as written,
+        through two reused scratch buffers instead of fresh temporaries."""
+        a, b = self._buffers(data)
+        m *= self.beta1
+        np.multiply(1.0 - self.beta1, g, out=a)
+        m += a
+        v *= self.beta2
+        np.multiply(g, g, out=a)
+        np.multiply(1.0 - self.beta2, a, out=a)
+        v += a
+        np.divide(m, bc1, out=a)
+        np.multiply(self.lr, a, out=a)
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, self.eps, out=b)
+        np.divide(a, b, out=a)
+        data -= a
+
+    def _buffers(self, like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pair = self._scratch.get(like.dtype)
+        if pair is None or pair[0].size < like.size:
+            pair = (np.empty(like.size, like.dtype), np.empty(like.size, like.dtype))
+            self._scratch[like.dtype] = pair
+        return tuple(buf[:like.size].reshape(like.shape) for buf in pair)
 
 
 # ---------------------------------------------------------------------------

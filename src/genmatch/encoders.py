@@ -56,8 +56,7 @@ class EmbeddedSequence:
 
     def step(self, t: int) -> Tensor:
         if not self._steps:
-            self._steps = [ad.slice_rows(self.flat, t * self.batch, (t + 1) * self.batch)
-                           for t in range(self.length)]
+            self._steps = ad.split_rows(self.flat, self.length)
         return self._steps[t]
 
     def with_extra_channels(self, channels: np.ndarray) -> "EmbeddedSequence":

@@ -100,17 +100,21 @@ class TrainConfig:
     @classmethod
     def from_file(cls, path, base: "TrainConfig | None" = None) -> "TrainConfig":
         """Flat ``key=value`` text laid over ``base`` (default: the defaults);
-        blank lines and ``#`` comments ignored."""
-        values: dict[str, str] = {}
+        blank lines and ``#`` comments ignored. Each line is checked as it is
+        read, so every error names ``<path>:<line>``."""
+        config = base or cls()
         for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
-            if "=" not in stripped:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = (part.strip() for part in stripped.split("=", 1))
-            values[key] = value
-        return (base or cls()).with_overrides(values)
+            try:
+                if "=" not in stripped:
+                    raise ValueError("expected key=value")
+                key, value = (part.strip() for part in stripped.split("=", 1))
+                config = config.with_overrides({key: value})
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+        return config
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
@@ -123,10 +127,12 @@ def _coerce_fields(raw: dict[str, str]) -> dict:
             raise ValueError(f"unknown config key {key!r}")
         kind = _FIELD_TYPES[key]
         if isinstance(value, str):
-            if kind in ("int", int):
-                coerced[key] = int(value)
-            elif kind in ("float", float):
-                coerced[key] = float(value)
+            if kind in ("int", int, "float", float):
+                number, noun = (int, "an integer") if kind in ("int", int) else (float, "a number")
+                try:
+                    coerced[key] = number(value)
+                except ValueError:
+                    raise ValueError(f"config key {key!r} needs {noun}, got {value!r}") from None
             elif kind in ("bool", bool):
                 lowered = value.lower()
                 if lowered not in ("true", "false", "1", "0"):

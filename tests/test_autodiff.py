@@ -84,6 +84,26 @@ def test_non_finite_result_raises():
         ad.log(Tensor([[0.0]]))
 
 
+@pytest.mark.parametrize("values", [[1e308, 1e308], np.array([3e38, 3e38], dtype=np.float32)])
+def test_finite_values_whose_sum_overflows_pass_the_guard(values):
+    with np.errstate(over="ignore"):
+        out = Tensor(values)
+    assert np.all(np.isfinite(out.data))
+
+
+def one_nan_in_100k():
+    arr = np.zeros(100_000)
+    arr[61_234] = np.nan
+    return arr
+
+
+@pytest.mark.parametrize("values", [[np.inf, -np.inf], [1.0, -np.inf, 2.0], one_nan_in_100k()],
+                         ids=["inf_minus_inf", "lone_neg_inf", "one_nan_in_100k"])
+def test_guard_catches_every_non_finite_value(values):
+    with np.errstate(invalid="ignore"), pytest.raises(ad.NonFiniteError):
+        Tensor(values)
+
+
 # ---------------------------------------------------------------------------
 # backward correctness
 
@@ -137,7 +157,7 @@ def test_no_grad_suppresses_recording():
 @pytest.mark.parametrize("op_name", [
     "add", "sub", "mul", "matmul", "concat_cols", "concat_rows", "sigmoid",
     "tanh", "log", "softmax", "log_softmax", "masked_softmax", "gather",
-    "take_per_row", "slice_rows", "slice_cols", "reshape", "repeat_rows",
+    "take_per_row", "split_rows", "slice_cols", "reshape", "repeat_rows",
     "sum_groups", "regroup_rows", "binary_select", "sum_last",
 ])
 def test_primitive_gradients_match_central_differences(op_name):
@@ -179,8 +199,11 @@ def test_primitive_gradients_match_central_differences(op_name):
             out = ad.gather_rows(a, np.array([1, 0, 3, 1, 2]))
         elif op_name == "take_per_row":
             out = ad.take_per_row(a, idx)
-        elif op_name == "slice_rows":
-            out = ad.slice_rows(a, 1, 3)
+        elif op_name == "split_rows":
+            # several blocks, block 2 twice, block 1 unused
+            blocks = ad.split_rows(a, 4)
+            out = ad.concat([blocks[2], blocks[0], ad.mul(blocks[2], blocks[3]), blocks[3]],
+                            axis=0)
         elif op_name == "slice_cols":
             out = ad.slice_cols(a, 2, 5)
         elif op_name == "reshape":
@@ -220,6 +243,57 @@ def test_corrupted_backward_rule_fails_gradient_check():
 
     report = check_gradients([a], lambda: tensor_sum(bad_square(a)), tolerance=1e-4)
     assert not report.passed
+
+
+def spy_on_grad(node):
+    """Record the grad ``node`` hands to its parents, and a copy of it."""
+    seen = {}
+    inner = node._backward
+
+    def _bw(g):
+        seen["held"], seen["copy"] = g, g.copy()
+        inner(g)
+
+    node._backward = _bw
+    return seen
+
+
+def test_a_tensor_consumed_twice_leaves_the_upstream_grad_untouched():
+    rng = np.random.default_rng(7)
+    store = ParamStore()
+    a = store.create("a", rand(rng, 3, 4))
+    weights = Tensor(rng.random((3, 4)))
+    u = ad.tanh(a)
+    doubled = ad.add(u, u)                   # u is handed doubled's grad twice
+    v = ad.sigmoid(a)
+    joint = ad.add(v, doubled)               # v and doubled share joint's grad
+    feeds_two = ad.add(joint, ad.tanh(v))    # v takes a second gradient here
+    spies = [spy_on_grad(n) for n in (doubled, joint, feeds_two)]
+    backward(tensor_sum(mul(feeds_two, weights)))
+    for seen in spies:
+        np.testing.assert_array_equal(seen["held"], seen["copy"])
+    np.testing.assert_array_equal(doubled.grad, weights.data)
+    np.testing.assert_array_equal(u.grad, weights.data + weights.data)
+    assert u.grad is not doubled.grad and v.grad is not joint.grad
+
+
+def test_gradients_added_onto_read_only_broadcast_views_stay_correct():
+    # tensor_sum and sum_last hand back read-only broadcast views; a tensor
+    # taking three gradients must copy the view, then add into its own array
+    rng = np.random.default_rng(8)
+    store = ParamStore()
+    a = store.create("a", rand(rng, 3, 4))
+    w = store.create("w", rand(rng, 3, 4))
+
+    def loss_fn():
+        u = ad.tanh(a)
+        total = tensor_sum(u)
+        rows = ad.sum_last(u)
+        squared = ad.mul(total, total)       # the tensor_sum result has two consumers
+        return ad.add(ad.add(squared, tensor_sum(rows)), tensor_sum(ad.mul(u, w)))
+
+    report = check_gradients([a, w], loss_fn, tolerance=1e-4)
+    assert report.passed, report.summary()
 
 
 # ---------------------------------------------------------------------------

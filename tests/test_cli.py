@@ -125,6 +125,17 @@ def test_config_line_without_equals_names_file_and_line(tmp_path, capsys):
     assert f"{cfg}:2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["hiden = 8", "hidden = abc", "fine_tune_embeddings = maybe"],
+                         ids=["unknown_key", "bad_int", "bad_bool"])
+def test_bad_config_value_names_file_and_line(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# stage one\nhidden = 8\n{line}\n")
+    rc = main(["train-synthesis", "--data", str(tmp_path), "--out", str(tmp_path / "m"),
+               "--config", str(cfg)])
+    assert rc == 1
+    assert f"{cfg}:3: " in capsys.readouterr().err
+
+
 def test_float32_precision_run_in_process(toy_dir, tmp_path, capsys):
     # precision belongs to the model, so a float32 run can share the process
     # with the float64 tests

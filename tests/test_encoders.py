@@ -130,6 +130,38 @@ def test_encoder_gradients_pass_check():
     assert report.passed, report.summary()
 
 
+def test_bigru_backward_accumulates_into_the_sequence_once(monkeypatch):
+    # all T steps hand their gradients to the embedded sequence in one add,
+    # so backward stays linear in T
+    rng = np.random.default_rng(11)
+    batch, length, dim = 2, 50, 3
+    params, store = encoder(rng, dim, 2)
+    flat = store.create("seq", rng.standard_normal((length * batch, dim)))
+    mask = np.ones((batch, length))
+    mask[0, 40:] = 0.0
+    readout = rng.random((batch * length, 4))
+
+    def loss_fn():
+        seq = EmbeddedSequence(flat=flat, mask=mask, batch=batch, length=length)
+        return tensor_sum(ad.mul_const(bigru_encode(seq, params).flat, readout))
+
+    calls = []
+    real_accum = ad._accum
+
+    def counting_accum(t, g):
+        if t is flat:
+            calls.append(g.shape)
+        real_accum(t, g)
+
+    loss = loss_fn()
+    monkeypatch.setattr(ad, "_accum", counting_accum)
+    ad.backward(loss)
+    monkeypatch.undo()
+    assert calls == [(length * batch, dim)]
+    report = check_gradients([flat], loss_fn, tolerance=1e-4, max_elements_per_param=12)
+    assert report.passed, report.summary()
+
+
 # ---------------------------------------------------------------------------
 # char features
 

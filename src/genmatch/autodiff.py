@@ -110,6 +110,8 @@ class Parameter(Tensor):
     def set_trainable(self, trainable: bool) -> None:
         self.trainable = bool(trainable)
         self.requires_grad = self.trainable
+        if not self.trainable:
+            _own_zero_grad(self)
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape}, trainable={self.trainable})"
@@ -169,11 +171,6 @@ def _own_zero_grad(t: Tensor) -> None:
 
 def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
     _check_finite(data)
-    return _record(data, parents, backward)
-
-
-def _record(data: np.ndarray, parents: tuple, backward) -> Tensor:
-    """Tape node without the finite guard, for views of checked data."""
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -344,13 +341,15 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     return _node(data, parts, _bw)
 
 
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so no
+    exp overflows. ``out`` may be ``x`` itself."""
+    e = np.exp(np.copysign(x, -1.0))  # exp(-|x|)
+    return np.divide(np.where(x < 0, e, 1.0), 1.0 + e, out=out)
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    y = _sigmoid(a.data)
 
     def _bw(g):
         _accum(a, g * y * (1.0 - y))
@@ -451,37 +450,6 @@ def take_per_row(a: Tensor, indices: np.ndarray) -> Tensor:
     return _node(data, (a,), _bw)
 
 
-def split_rows(a: Tensor, parts: int) -> list[Tensor]:
-    """Cut ``a`` into ``parts`` equal row blocks, each a view of ``a``.
-
-    The blocks hang off one hub node. Each block's backward writes its
-    rows of the hub's single (rows, cols) gradient buffer, and the hub
-    hands that buffer to ``a`` in one accumulation, so backward through
-    all blocks costs one pass over ``a`` however many blocks there are.
-    """
-    rows = a.data.shape[0]
-    if parts < 1 or rows % parts:
-        raise ValueError(f"cannot split {rows} rows into {parts} equal blocks")
-    size = rows // parts
-
-    def _hub_bw(g):
-        _accum(a, g)
-
-    hub = _record(a.data, (a,), _hub_bw)
-
-    def block(lo: int) -> Tensor:
-        hi = lo + size
-
-        def _bw(g):
-            if not hub._owns_grad:
-                _own_zero_grad(hub)
-            hub.grad[lo:hi] += g
-
-        return _record(a.data[lo:hi], (hub,), _bw)
-
-    return [block(i * size) for i in range(parts)]
-
-
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     data = a.data[:, start:stop]
 
@@ -537,26 +505,6 @@ def regroup_rows(a: Tensor, outer: int, inner: int) -> Tensor:
     return _node(data, (a,), _bw)
 
 
-def binary_select(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Exact row selection: where condition holds take ``a``, else ``b``.
-
-    ``condition`` is a constant {0,1} column broadcast over the rows, so
-    unselected values pass through bit-identically (used for mask-carry
-    in recurrent loops).
-    """
-    if a.data.shape != b.data.shape:
-        raise ValueError("binary_select operands must share a shape")
-    keep = condition > 0.5
-    data = np.where(keep, a.data, b.data)
-
-    def _bw(g):
-        zero = np.zeros((), dtype=g.dtype)
-        _accum(a, np.where(keep, g, zero))
-        _accum(b, np.where(keep, zero, g))
-
-    return _node(data, (a, b), _bw)
-
-
 def tensor_sum(a: Tensor) -> Tensor:
     data = np.asarray(a.data.sum())
 
@@ -606,7 +554,8 @@ def masked_mean_positions(flat: Tensor, mask: np.ndarray, length: int) -> Tensor
 
 
 # ---------------------------------------------------------------------------
-# GRU cell
+# GRU: the named cell parameters, the fused sequence op that runs them, and
+# the per-step composite ``gru_cell`` that the tests hold it against
 
 
 @dataclass
@@ -643,6 +592,25 @@ class GRUCellParams:
             self.w_reset, self.u_reset, self.b_reset,
             self.w_cand, self.u_cand, self.b_cand,
         ]
+
+    def pack(self) -> "PackedGRU":
+        """The gate blocks side by side for ``gru_sequence``. The joins are
+        tape concats, so gradients reach the named parameters; pack once
+        per sequence or decode loop, not once per step."""
+        return PackedGRU(
+            w=concat([self.w_update, self.w_reset, self.w_cand], axis=1),
+            u=concat([self.u_update, self.u_reset, self.u_cand], axis=1),
+            b=concat([self.b_update, self.b_reset, self.b_cand], axis=0),
+        )
+
+
+@dataclass
+class PackedGRU:
+    """One cell's weights, gate blocks in the order update | reset | cand."""
+
+    w: Tensor  # (D, 3H)
+    u: Tensor  # (H, 3H)
+    b: Tensor  # (3H,)
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
@@ -686,6 +654,108 @@ def gru_cell(x: Tensor, h_prev: Tensor, params: GRUCellParams) -> Tensor:
     cand = tanh(add(add(matmul(x, params.w_cand), matmul(mul(reset, h_prev), params.u_cand)),
                     params.b_cand))
     return add(h_prev, mul(update, sub(cand, h_prev)))
+
+
+def gru_sequence(x: Tensor, h0: Tensor, packed: PackedGRU, mask: np.ndarray,
+                 reverse: bool = False) -> Tensor:
+    """Run a GRU over a position-major (T*B, D) sequence from the (B, H)
+    state ``h0``; returns the (T*B, H) state after each position.
+
+    Where the (B, T) ``mask`` is 0 the state is carried through bit for
+    bit. ``reverse`` runs from the last position to the first. The input
+    projections of all positions are one matmul; the recurrence runs in
+    numpy and records a single tape node, whose backward runs
+    backpropagation through time and hands ``x`` its gradient in one array.
+    A step does ``gru_cell``'s arithmetic in ``gru_cell``'s order (up to
+    swapping the two operands of a sum or product, which leaves every
+    rounding the same), so the two agree bit for bit wherever BLAS returns
+    the same matrix products.
+    """
+    batch, hidden = h0.data.shape
+    length = mask.shape[1]
+    if mask.shape[0] != batch or x.data.shape[0] != length * batch:
+        raise ValueError(f"sequence of {x.data.shape[0]} rows does not match a "
+                         f"{mask.shape} mask and {batch} initial states")
+    if x.data.shape[1] != packed.w.data.shape[0]:
+        raise ValueError(f"input dim {x.data.shape[1]} != cell dim {packed.w.data.shape[0]}")
+    skip = mask <= 0.5              # positions that carry the state through
+    skip_any = skip.any(axis=0)
+    split = 2 * hidden
+    w = packed.w.data
+    u_ur = np.ascontiguousarray(packed.u.data[:, :split])
+    u_c = np.ascontiguousarray(packed.u.data[:, split:])
+    b_ur, b_c = packed.b.data[:split], packed.b.data[split:]
+    xw = x.data @ w
+    rows_total = length * batch
+    states = np.empty((rows_total, hidden), dtype=xw.dtype)
+    gates_ur = np.empty((rows_total, split), dtype=xw.dtype)  # update | reset
+    gates_c = np.empty_like(states)                           # cand
+    reset_prev = np.empty_like(states)  # reset * h, the candidate's recurrent input
+    order = range(length - 1, -1, -1) if reverse else range(length)
+    h = h0.data
+    for t in order:
+        rows = slice(t * batch, (t + 1) * batch)
+        ur = np.matmul(h, u_ur, out=gates_ur[rows])
+        ur += xw[rows, :split]
+        ur += b_ur
+        _sigmoid(ur, out=ur)
+        update = ur[:, :hidden]
+        rh = np.multiply(ur[:, hidden:], h, out=reset_prev[rows])
+        cand = np.matmul(rh, u_c, out=gates_c[rows])
+        cand += xw[rows, split:]
+        cand += b_c
+        np.tanh(cand, out=cand)
+        new = np.subtract(cand, h, out=states[rows])
+        new *= update
+        new += h
+        if skip_any[t]:
+            np.copyto(new, h, where=skip[:, t:t + 1])
+        h = new
+
+    def _bw(g):
+        prev = np.empty_like(states)  # the state each step started from
+        if reverse:
+            prev[:-batch], prev[-batch:] = states[batch:], h0.data
+        else:
+            prev[batch:], prev[:batch] = states[:-batch], h0.data
+        update, reset = gates_ur[:, :hidden], gates_ur[:, hidden:]
+        # the local derivatives, which do not depend on the incoming gradient
+        to_cand = update * (1.0 - gates_c * gates_c)
+        to_update = (gates_c - prev) * update * (1.0 - update)
+        to_reset = prev * reset * (1.0 - reset)
+        to_prev = 1.0 - update
+        d_ur_all = np.empty_like(gates_ur)  # gradients of the gate pre-activations
+        d_c_all = np.empty_like(gates_c)
+        zero = np.zeros((), dtype=g.dtype)
+        dh = np.zeros((batch, hidden), dtype=g.dtype)
+        for t in reversed(order):
+            rows = slice(t * batch, (t + 1) * batch)
+            dh += g[rows]
+            d_new = np.where(skip[:, t:t + 1], zero, dh) if skip_any[t] else dh
+            d_cand = np.multiply(d_new, to_cand[rows], out=d_c_all[rows])
+            d_rh = d_cand @ u_c.T
+            d_ur = d_ur_all[rows]
+            np.multiply(d_new, to_update[rows], out=d_ur[:, :hidden])
+            np.multiply(d_rh, to_reset[rows], out=d_ur[:, hidden:])
+            d_prev = d_new * to_prev[rows]
+            d_prev += d_rh * reset[rows]
+            d_prev += d_ur @ u_ur.T
+            if skip_any[t]:
+                np.copyto(dh, d_prev, where=~skip[:, t:t + 1])
+            else:
+                dh = d_prev
+        _accum(h0, dh)
+        d_pre = np.concatenate([d_ur_all, d_c_all], axis=1)
+        if x.requires_grad:
+            _accum(x, d_pre @ w.T)
+        if packed.w.requires_grad:
+            _accum(packed.w, x.data.T @ d_pre)
+        if packed.u.requires_grad:
+            _accum(packed.u, np.concatenate([prev.T @ d_ur_all, reset_prev.T @ d_c_all],
+                                            axis=1))
+        _accum(packed.b, d_pre.sum(axis=0))
+
+    return _node(states, (x, h0, packed.w, packed.u, packed.b), _bw)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,15 @@
 contextual encodings.
 
 Sequences travel through the graph as flat 2-D tensors. An embedded
-sequence is laid out position-major, (T*B, D) with row ``t*B + b``, so a
-recurrent loop can slice one (B, D) step at a time; a contextual encoding
-is laid out batch-major, (B*T, 2H) with row ``b*T + t``, which is what the
-attention ops consume.
+sequence is laid out position-major, (T*B, D) with row ``t*B + b``, which
+is the layout ``autodiff.gru_sequence`` runs each direction over, one tape
+node per direction; a contextual encoding is laid out batch-major, (B*T, 2H)
+with row ``b*T + t``, which is what the attention ops consume.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,16 +48,10 @@ class EmbeddedSequence:
     mask: np.ndarray          # (B, T)
     batch: int
     length: int
-    _steps: list = field(default_factory=list, repr=False)
 
     @property
     def dim(self) -> int:
         return self.flat.data.shape[1]
-
-    def step(self, t: int) -> Tensor:
-        if not self._steps:
-            self._steps = ad.split_rows(self.flat, self.length)
-        return self._steps[t]
 
     def with_extra_channels(self, channels: np.ndarray) -> "EmbeddedSequence":
         """Append constant per-position channels (position-major (T*B, C))."""
@@ -111,27 +105,14 @@ def bigru_encode(seq: EmbeddedSequence, params: BiGRUParams,
         raise ValueError(f"input dim {seq.dim} != encoder dim {params.forward.input_dim}")
     batch, length, hidden = seq.batch, seq.length, params.hidden
     zero = Tensor(np.zeros((batch, hidden), dtype=seq.flat.data.dtype))
-
-    fwd_states: list[Tensor] = []
-    h = zero
-    for t in range(length):
-        candidate = ad.gru_cell(seq.step(t), h, params.forward)
-        h = ad.binary_select(seq.mask[:, t:t + 1], candidate, h)
-        fwd_states.append(h)
-    final_forward = h
-
-    bwd_states: list[Tensor] = [None] * length
-    h = zero
-    for t in reversed(range(length)):
-        candidate = ad.gru_cell(seq.step(t), h, params.backward)
-        h = ad.binary_select(seq.mask[:, t:t + 1], candidate, h)
-        bwd_states[t] = h
-    final_backward = h
-
-    outputs = [ad.mul_const(ad.concat([fwd_states[t], bwd_states[t]], axis=1),
-                            seq.mask[:, t:t + 1])
-               for t in range(length)]
-    flat = ad.regroup_rows(ad.concat(outputs, axis=0), length, batch)
+    fwd = ad.gru_sequence(seq.flat, zero, params.forward.pack(), seq.mask)
+    bwd = ad.gru_sequence(seq.flat, zero, params.backward.pack(), seq.mask, reverse=True)
+    # the carried states hold the last unmasked position's state at t = T-1
+    # going forward and the first one's at t = 0 going backward
+    final_forward = ad.gather_rows(fwd, np.arange((length - 1) * batch, length * batch))
+    final_backward = ad.gather_rows(bwd, np.arange(batch))
+    states = ad.mul_const(ad.concat([fwd, bwd], axis=1), seq.mask.T.reshape(-1, 1))
+    flat = ad.regroup_rows(states, length, batch)
     flat = ad.dropout(flat, dropout_rate, rng)
     return ContextualEncoding(flat=flat, mask=seq.mask, batch=batch, length=length,
                               hidden=hidden, final_forward=final_forward,

@@ -91,7 +91,8 @@ class PipelineModel:
         return self.store.all()
 
     def zero_grads(self) -> None:
-        ad.zero_grads(self.parameters())
+        # frozen parameters already hold zeros: no op adds into them
+        ad.zero_grads(self.trainable_parameters())
 
     def trainable_parameters(self):
         return [p for p in self.parameters() if p.trainable]

@@ -90,12 +90,14 @@ def initial_state(passage: ContextualEncoding, question: ContextualEncoding,
     return DecoderState(hidden=hidden, word_embedding=bos, context=context)
 
 
-def decode_step(state: DecoderState, memory: DecoderMemory,
-                params: DecoderParams) -> tuple[Tensor, Tensor, Tensor]:
+def decode_step(state: DecoderState, memory: DecoderMemory, params: DecoderParams,
+                gru: ad.PackedGRU) -> tuple[Tensor, Tensor, Tensor]:
     """One step: returns (vocab logits, new hidden, new context). The caller
-    picks the next input token and builds the next state."""
+    packs ``params.gru`` once for all its steps, picks the next input token
+    and builds the next state."""
     x = ad.concat([state.word_embedding, state.context], axis=1)
-    hidden = ad.gru_cell(x, state.hidden, params.gru)
+    step_mask = np.ones((x.data.shape[0], 1), dtype=x.data.dtype)
+    hidden = ad.gru_sequence(x, state.hidden, gru, step_mask)
     context = attention_context(hidden, memory, params.attention)
     logits = ad.add(ad.matmul(ad.concat([hidden, context], axis=1), params.out_w),
                     params.out_b)
@@ -124,8 +126,9 @@ def generate_answer(passage: ContextualEncoding, question: ContextualEncoding,
     finished = np.zeros(batch, dtype=bool)
     with ad.no_grad():
         state = initial_state(passage, question, word_table, batch, params)
+        gru = params.gru.pack()
         for _ in range(max_length):
-            logits, hidden, context = decode_step(state, memory, params)
+            logits, hidden, context = decode_step(state, memory, params, gru)
             logp = ad.log_softmax(logits).data
             choice = logits.data.copy()
             choice[:, PAD] = -np.inf  # padding and start tokens are never emitted
@@ -184,9 +187,10 @@ def synthesis_loss(passage: ContextualEncoding, question: ContextualEncoding,
     batch, width = targets.shape
     memory = DecoderMemory.from_encodings(passage, question)
     state = initial_state(passage, question, word_table, batch, params)
+    gru = params.gru.pack()
     position_nll = []
     for t in range(width):
-        logits, hidden, context = decode_step(state, memory, params)
+        logits, hidden, context = decode_step(state, memory, params, gru)
         logp = ad.log_softmax(logits)
         position_nll.append(ad.neg(ad.take_per_row(logp, targets[:, t])))
         if t + 1 < width:

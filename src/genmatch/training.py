@@ -205,8 +205,9 @@ def train_synthesis_stage(config: TrainConfig, train: list[Instance],
     dropout_rng, shuffle_rng = _seed_streams(config.seed)
     result = StageResult(model=model)
     started = time.perf_counter()
+    trainable = model.trainable_parameters()
     for span_w, syn_w in phases:
-        optimizer = Adam(model.parameters(), lr=config.lr, beta1=config.adam_beta1,
+        optimizer = Adam(trainable, lr=config.lr, beta1=config.adam_beta1,
                          beta2=config.adam_beta2, eps=config.adam_eps)
         best_loss = _dev_stage_one_loss(model, dev, spans, config, span_w, syn_w)
         best_state = model.store.state_dict()
@@ -214,22 +215,26 @@ def train_synthesis_stage(config: TrainConfig, train: list[Instance],
         since_best = 0
         for epoch in range(1, config.max_epochs + 1):
             epoch_seed = int(shuffle_rng.integers(2**31))
-            epoch_loss, seen = 0.0, 0
+            epoch_loss, span_sum, synthesis_sum, seen = 0.0, 0.0, 0.0, 0
             for batch in make_batches(train, vocab, config.batch_size, epoch_seed):
                 targets = [spans[i.uid] for i in batch.instances]
                 model.zero_grads()
-                loss, _ = model.stage_one_loss(batch, targets, rng=dropout_rng,
-                                               span_weight=span_w, synthesis_weight=syn_w)
+                loss, parts = model.stage_one_loss(batch, targets, rng=dropout_rng,
+                                                   span_weight=span_w, synthesis_weight=syn_w)
                 ad.backward(loss)
-                clip_global_norm(model.parameters(), config.clip_norm)
+                clip_global_norm(trainable, config.clip_norm)
                 result.max_post_clip_norm = max(result.max_post_clip_norm,
-                                                global_grad_norm(model.parameters()))
+                                                global_grad_norm(trainable))
                 optimizer.step()
                 epoch_loss += loss.item() * batch.size
+                span_sum += parts["span"] * batch.size
+                synthesis_sum += parts["synthesis"] * batch.size
                 seen += batch.size
             dev_loss = _dev_stage_one_loss(model, dev, spans, config, span_w, syn_w)
             result.history.append({"stage": "synthesis", "epoch": epoch,
                                    "train_loss": epoch_loss / seen, "dev_loss": dev_loss,
+                                   "span_loss": span_sum / seen,
+                                   "synthesis_loss": synthesis_sum / seen,
                                    "span_weight": span_w, "synthesis_weight": syn_w})
             log.info("synthesis epoch %d train %.4f dev %.4f",
                      epoch, epoch_loss / seen, dev_loss)

@@ -157,8 +157,8 @@ def test_no_grad_suppresses_recording():
 @pytest.mark.parametrize("op_name", [
     "add", "sub", "mul", "matmul", "concat_cols", "concat_rows", "sigmoid",
     "tanh", "log", "softmax", "log_softmax", "masked_softmax", "gather",
-    "take_per_row", "split_rows", "slice_cols", "reshape", "repeat_rows",
-    "sum_groups", "regroup_rows", "binary_select", "sum_last",
+    "take_per_row", "slice_cols", "reshape", "repeat_rows",
+    "sum_groups", "regroup_rows", "sum_last",
 ])
 def test_primitive_gradients_match_central_differences(op_name):
     rng = np.random.default_rng(hash(op_name) % (2**32))
@@ -199,11 +199,6 @@ def test_primitive_gradients_match_central_differences(op_name):
             out = ad.gather_rows(a, np.array([1, 0, 3, 1, 2]))
         elif op_name == "take_per_row":
             out = ad.take_per_row(a, idx)
-        elif op_name == "split_rows":
-            # several blocks, block 2 twice, block 1 unused
-            blocks = ad.split_rows(a, 4)
-            out = ad.concat([blocks[2], blocks[0], ad.mul(blocks[2], blocks[3]), blocks[3]],
-                            axis=0)
         elif op_name == "slice_cols":
             out = ad.slice_cols(a, 2, 5)
         elif op_name == "reshape":
@@ -214,8 +209,6 @@ def test_primitive_gradients_match_central_differences(op_name):
             out = ad.sum_groups(a, 2)
         elif op_name == "regroup_rows":
             out = ad.regroup_rows(a, 2, 2)
-        elif op_name == "binary_select":
-            out = ad.binary_select(np.array([[1.0], [0.0], [1.0], [0.0]]), a, b)
         elif op_name == "sum_last":
             out = ad.sum_last(ad.mul(a, b))
         else:  # pragma: no cover
@@ -369,6 +362,65 @@ def test_gru_encoder_gradients_pass_finite_differences():
         return tensor_sum(mul(h, readout))
 
     report = check_gradients(store.all(), loss_fn, tolerance=1e-4)
+    assert report.passed, report.summary()
+
+
+def gru_cell_loop(x, h0, cell, mask, reverse):
+    """The composite reference: one ``gru_cell`` per position, and padded
+    rows keep their state."""
+    batch, length = mask.shape
+    states = [None] * length
+    h = Tensor(h0)
+    for t in (reversed(range(length)) if reverse else range(length)):
+        step = gru_cell(Tensor(x[t * batch:(t + 1) * batch]), h, cell)
+        h = Tensor(np.where(mask[:, t:t + 1] > 0.5, step.data, h.data))
+        states[t] = h.data
+    return np.concatenate(states, axis=0)
+
+
+# right-padded rows of lengths 5, 3 and 1
+PADDED_MASK = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 0, 0, 0, 0]], dtype=float)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_gru_sequence_matches_a_gru_cell_loop(reverse):
+    rng = np.random.default_rng(21)
+    cell, _ = make_cell(rng, 6, 5)
+    batch, length = PADDED_MASK.shape
+    x = rand(rng, length * batch, 6)
+    h0 = rand(rng, batch, 5)
+    out = ad.gru_sequence(Tensor(x), Tensor(h0), cell.pack(), PADDED_MASK, reverse).data
+    np.testing.assert_allclose(out, gru_cell_loop(x, h0, cell, PADDED_MASK, reverse),
+                               rtol=1e-12, atol=1e-12)
+    states = out.reshape(length, batch, 5)
+    for b, n in enumerate(PADDED_MASK.sum(axis=1).astype(int)):
+        # padding carries the state through bit for bit
+        carried = h0[b] if reverse else states[n - 1, b]
+        for t in range(n, length):
+            np.testing.assert_array_equal(states[t, b], carried)
+    with pytest.raises(ValueError):
+        ad.gru_sequence(Tensor(x[:-1]), Tensor(h0), cell.pack(), PADDED_MASK, reverse)
+    with pytest.raises(ValueError):
+        ad.gru_sequence(Tensor(x[:, :4]), Tensor(h0), cell.pack(), PADDED_MASK, reverse)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_gru_sequence_gradients_match_central_differences(reverse):
+    rng = np.random.default_rng(22)
+    cell, store = make_cell(rng, 3, 4)
+    for p in cell.all():  # nonzero biases, so every gate gradient is exercised
+        p.data[...] = 0.5 * rand(rng, *p.data.shape)
+    batch, length = PADDED_MASK.shape
+    x = store.create("x", rand(rng, length * batch, 3))
+    h0 = store.create("h0", rand(rng, batch, 4))
+    readout = rng.random((length * batch, 4))
+
+    def loss_fn():
+        states = ad.gru_sequence(x, h0, cell.pack(), PADDED_MASK, reverse)
+        return tensor_sum(ad.mul_const(states, readout))
+
+    report = check_gradients(store.all(), loss_fn, tolerance=1e-4)
+    assert len(report.per_param) == 11
     assert report.passed, report.summary()
 
 

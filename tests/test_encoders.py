@@ -41,8 +41,8 @@ def test_length_one_sequence_concatenates_both_directions():
     params, _ = encoder(rng, 3, 4)
     seq = make_sequence(rng, 2, 1, 3)
     enc = bigru_encode(seq, params)
-    fwd = ad.gru_cell(seq.step(0), Tensor(np.zeros((2, 4))), params.forward)
-    bwd = ad.gru_cell(seq.step(0), Tensor(np.zeros((2, 4))), params.backward)
+    fwd = ad.gru_cell(seq.flat, Tensor(np.zeros((2, 4))), params.forward)
+    bwd = ad.gru_cell(seq.flat, Tensor(np.zeros((2, 4))), params.backward)
     np.testing.assert_array_equal(enc.positions()[:, 0, :4], fwd.data)
     np.testing.assert_array_equal(enc.positions()[:, 0, 4:], bwd.data)
     np.testing.assert_array_equal(enc.final_forward.data, fwd.data)
@@ -130,9 +130,30 @@ def test_encoder_gradients_pass_check():
     assert report.passed, report.summary()
 
 
-def test_bigru_backward_accumulates_into_the_sequence_once(monkeypatch):
-    # all T steps hand their gradients to the embedded sequence in one add,
-    # so backward stays linear in T
+def tape_size(loss):
+    """Recorded op nodes reachable from ``loss``, each counted once."""
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node._backward is not None:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_bigru_tape_size_does_not_grow_with_length():
+    rng = np.random.default_rng(15)
+    params, _ = encoder(rng, 3, 2)
+    sizes = []
+    for length in (5, 50):
+        seq = make_sequence(rng, 2, length, 3)
+        sizes.append(tape_size(tensor_sum(bigru_encode(seq, params).flat)))
+    assert sizes[0] == sizes[1]
+
+
+def test_bigru_backward_accumulates_into_the_sequence_once_per_direction(monkeypatch):
+    # each direction hands all T steps' gradients to the embedded sequence
+    # in one add, so backward stays linear in T
     rng = np.random.default_rng(11)
     batch, length, dim = 2, 50, 3
     params, store = encoder(rng, dim, 2)
@@ -157,7 +178,7 @@ def test_bigru_backward_accumulates_into_the_sequence_once(monkeypatch):
     monkeypatch.setattr(ad, "_accum", counting_accum)
     ad.backward(loss)
     monkeypatch.undo()
-    assert calls == [(length * batch, dim)]
+    assert calls == [(length * batch, dim)] * 2
     report = check_gradients([flat], loss_fn, tolerance=1e-4, max_elements_per_param=12)
     assert report.passed, report.summary()
 

@@ -127,6 +127,21 @@ def test_freeze_partition_covers_all_parameters():
     assert all(not model.store[name].trainable for name in frozen)
 
 
+def test_frozen_parameters_stay_out_of_the_gradient_bookkeeping():
+    model, _, _, _ = build_micro_pipeline(fine_tune_embeddings=False)
+    trainable = model.trainable_parameters()
+    assert all(p is not model.embedding for p in trainable)
+    for p in trainable:
+        p.grad[...] = 1.0
+    model.embedding.grad[...] = 1e6  # stale: the norm and zeroing skip it
+    expected = math.sqrt(sum(p.grad.size for p in trainable))
+    assert ad.global_grad_norm(trainable) == pytest.approx(expected, rel=1e-12)
+    model.zero_grads()
+    assert not any(p.grad.any() for p in trainable)
+    model.embedding.set_trainable(False)
+    assert not model.embedding.grad.any()
+
+
 def test_full_pipeline_gradients_on_micro_shapes():
     model, config, instances, _ = build_micro_pipeline(n_passages=1)
     from genmatch.corpus import make_batches

@@ -101,7 +101,7 @@ def test_attention_weights_sum_to_one_each_step():
     from genmatch.attention import _scores
     joint_mask = np.concatenate([passage.mask, question.mask], axis=1)
     for _ in range(3):
-        logits, hidden, context = decode_step(state, memory, params)
+        logits, hidden, context = decode_step(state, memory, params, params.gru.pack())
         scores = ad.concat([_scores(hidden, passage.flat, 4, params.attention),
                             _scores(hidden, question.flat, 2, params.attention)], axis=1)
         weights = ad.masked_softmax(scores, joint_mask)
@@ -132,8 +132,8 @@ def test_decode_step_logits_cover_vocabulary_and_are_deterministic():
     question = make_encoding(rng, 2, 2, 3)
     memory = DecoderMemory.from_encodings(passage, question)
     state = initial_state(passage, question, table, 2, params)
-    logits_a, _, _ = decode_step(state, memory, params)
-    logits_b, _, _ = decode_step(state, memory, params)
+    logits_a, _, _ = decode_step(state, memory, params, params.gru.pack())
+    logits_b, _, _ = decode_step(state, memory, params, params.gru.pack())
     assert logits_a.data.shape == (2, len(vocab))
     np.testing.assert_array_equal(logits_a.data, logits_b.data)
 

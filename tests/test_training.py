@@ -92,6 +92,18 @@ def test_synthesis_stage_trains_and_logs():
         train_synthesis_stage(config, [], dev, vocab, char_vocab, table)
 
 
+@pytest.mark.parametrize("joint", [True, False])
+def test_logged_loss_parts_recombine_to_the_train_loss(joint):
+    config, train, dev, vocab, char_vocab, table = setup_training(
+        max_epochs=2, span_loss_weight=0.5, synthesis_loss_weight=2.0, stage1_joint=joint)
+    result = train_synthesis_stage(config, train, dev, vocab, char_vocab, table)
+    for entry in result.history:
+        assert entry["span_loss"] > 0 and entry["synthesis_loss"] > 0
+        recombined = (entry["span_weight"] * entry["span_loss"]
+                      + entry["synthesis_weight"] * entry["synthesis_loss"])
+        assert recombined == pytest.approx(entry["train_loss"], rel=1e-12)
+
+
 def test_training_trajectory_is_bit_identical_under_fixed_seed():
     losses = []
     for _ in range(2):

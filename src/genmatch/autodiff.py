@@ -165,7 +165,9 @@ class ParamStore:
 
 
 def _own_zero_grad(t: Tensor) -> None:
-    t.grad = np.zeros_like(t.data)
+    # np.zeros, unlike zeros_like, leaves a large array's pages untouched
+    # until something writes them, so a grad nothing reads costs no memory
+    t.grad = np.zeros(t.data.shape, t.data.dtype)
     t._owns_grad = True
 
 
@@ -793,29 +795,29 @@ def clip_global_norm(params, threshold: float = 10.0) -> float:
 
 
 _ADAM_CHUNK = 1 << 15  # elements per update pass, so one chunk's arrays stay in cache
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Bias-corrected Adam over a fixed parameter list; frozen entries are skipped."""
+    """Bias-corrected Adam (betas 0.9 and 0.999, eps 1e-8) over a fixed
+    parameter list; frozen entries are skipped."""
 
-    def __init__(self, params, lr: float = 0.005, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float = 0.005):
         self.params = list(params)
         if not self.params:
             raise ValueError("Adam needs at least one parameter")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
-        self._m = {p.name: np.zeros_like(p.data) for p in self.params}
-        self._v = {p.name: np.zeros_like(p.data) for p in self.params}
+        self._m = {p.name: np.zeros(p.data.shape, p.data.dtype) for p in self.params}
+        self._v = {p.name: np.zeros(p.data.shape, p.data.dtype) for p in self.params}
         self._scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - _ADAM_BETA1 ** self.t
+        bc2 = 1.0 - _ADAM_BETA2 ** self.t
         for p in self.params:
             if not p.trainable:
                 continue
@@ -830,18 +832,18 @@ class Adam:
         data -= lr (m/bc1) / (sqrt(v/bc2) + eps), op for op as written,
         through two reused scratch buffers instead of fresh temporaries."""
         a, b = self._buffers(data)
-        m *= self.beta1
-        np.multiply(1.0 - self.beta1, g, out=a)
+        m *= _ADAM_BETA1
+        np.multiply(1.0 - _ADAM_BETA1, g, out=a)
         m += a
-        v *= self.beta2
+        v *= _ADAM_BETA2
         np.multiply(g, g, out=a)
-        np.multiply(1.0 - self.beta2, a, out=a)
+        np.multiply(1.0 - _ADAM_BETA2, a, out=a)
         v += a
         np.divide(m, bc1, out=a)
         np.multiply(self.lr, a, out=a)
         np.divide(v, bc2, out=b)
         np.sqrt(b, out=b)
-        np.add(b, self.eps, out=b)
+        np.add(b, _ADAM_EPS, out=b)
         np.divide(a, b, out=a)
         data -= a
 

@@ -12,8 +12,8 @@ Parameter layout (prefixes in the store):
   decoder.*          GRU decoder, attention, init/output projections
   select.w_att       bilinear matching matrix (zero-initialized)
 
-The selection stage trains ``select.w_att`` plus (by default) the shared
-``qz.*`` encoder; everything else is the frozen stage-one set.
+The selection stage trains ``select.w_att`` only; everything else, the
+shared ``qz.*`` encoder included, is the frozen stage-one set.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ from .encoders import (
     init_char_encoder,
 )
 from .extractor import EvidenceSpan, init_extractor, pool_question, predict_span, span_loss
-from .selector import bilinear_score, init_bilinear, option_vectors, select_option, selection_loss
+from .selector import bilinear_score, init_bilinear, select_option, selection_loss
 from .synthesizer import generate_answer, init_decoder, synthesis_loss
 
 MATCHER_PARAM = "select.w_att"
-QZ_PREFIX = "qz."
 
 
 @dataclass
@@ -54,7 +53,6 @@ class ModelDims:
     dropout: float
     max_span: int
     max_decode_len: int
-    option_pooling: str = "final"
     fine_tune_embeddings: bool = False
     precision: str = "float64"
 
@@ -97,22 +95,22 @@ class PipelineModel:
     def trainable_parameters(self):
         return [p for p in self.parameters() if p.trainable]
 
-    def matcher_parameters(self, include_encoder: bool = True):
-        params = [self.store[MATCHER_PARAM]]
-        if include_encoder:
-            params += [p for p in self.parameters() if p.name.startswith(QZ_PREFIX)]
-        return params
+    def matcher_parameters(self):
+        return [self.store[MATCHER_PARAM]]
 
-    def stage_one_frozen_names(self, include_encoder: bool = True) -> list[str]:
-        keep = {p.name for p in self.matcher_parameters(include_encoder)}
-        return [name for name in self.store.names() if name not in keep]
+    def stage_one_frozen_names(self) -> list[str]:
+        return [name for name in self.store.names() if name != MATCHER_PARAM]
 
-    def freeze_for_selection_stage(self, include_encoder: bool = True) -> list[str]:
-        """Freeze the stage-one set; returns the frozen names."""
-        frozen = self.stage_one_frozen_names(include_encoder)
+    def freeze_for_selection_stage(self) -> list[str]:
+        """Freeze the stage-one set; returns the frozen names.
+
+        The shared question/option encoder stays frozen too: training it on
+        the selection loss drifts the extractor's question pooling and
+        degrades generation, and the matcher matrix alone is enough."""
+        frozen = self.stage_one_frozen_names()
         for name in frozen:
             self.store[name].set_trainable(False)
-        for p in self.matcher_parameters(include_encoder):
+        for p in self.matcher_parameters():
             p.set_trainable(True)
         return frozen
 
@@ -177,7 +175,7 @@ class PipelineModel:
                 for inst in batch.instances]
 
     def stage_one_loss(self, batch: Batch, oracle_spans: list[EvidenceSpan | None],
-                       rng=None, span_weight: float = 1.0, synthesis_weight: float = 1.0):
+                       rng=None):
         """Joint extraction + synthesis loss for one batch.
 
         Oracle spans provide the indicator features and the span targets;
@@ -194,8 +192,7 @@ class PipelineModel:
         syn_passage, syn_question = self.encode_for_synthesis(batch, feature_spans, rng)
         generation_loss = synthesis_loss(syn_passage, syn_question, self.embedding,
                                          self.decoder, self.gold_option_ids(batch))
-        total = ad.add(ad.mul_const(extraction_loss, span_weight),
-                       ad.mul_const(generation_loss, synthesis_weight))
+        total = ad.add(extraction_loss, generation_loss)
         parts = {"span": extraction_loss.item(), "synthesis": generation_loss.item()}
         return total, parts
 
@@ -229,9 +226,8 @@ class PipelineModel:
                                   rate, rng)
         option_enc = bigru_encode(self._embed_options(batch, rng), self.qz_encoder,
                                   rate, rng)
-        answer_vec = option_vectors(answer_enc, self.dims.option_pooling)
-        option_vec = option_vectors(option_enc, self.dims.option_pooling)
-        return bilinear_score(answer_vec, option_vec, self.store[MATCHER_PARAM])
+        return bilinear_score(answer_enc.final_concat(), option_enc.final_concat(),
+                              self.store[MATCHER_PARAM])
 
     def selection_stage_loss(self, batch: Batch, rng=None):
         answers, _ = self.generate(batch)

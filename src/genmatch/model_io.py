@@ -51,7 +51,11 @@ def load_model_dir(path) -> tuple[PipelineModel, TrainConfig]:
     ckpt = path / CHECKPOINT_NAME
     if not ckpt.exists():
         raise FileNotFoundError(f"no checkpoint at {ckpt}")
-    config = TrainConfig.from_payload(json.loads((path / "config.json").read_text()))
+    config_path = path / "config.json"
+    try:
+        config = TrainConfig.from_payload(json.loads(config_path.read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{config_path}: {exc}") from None
     vocab_payload = json.loads((path / "vocab.json").read_text())
     vocab = Vocabulary.from_payload(vocab_payload["words"])
     char_vocab = CharVocabulary.from_payload(vocab_payload["chars"])

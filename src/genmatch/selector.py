@@ -16,7 +16,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamStore, Parameter, Tensor
 from .corpus import NUM_OPTIONS
-from .encoders import ContextualEncoding
 
 
 @dataclass
@@ -31,16 +30,6 @@ def init_bilinear(store: ParamStore, hidden: int) -> Parameter:
     """The matching matrix starts at zero, which makes every option equally
     likely before the selection stage trains it."""
     return store.create("select.w_att", np.zeros((2 * hidden, 2 * hidden)))
-
-
-def option_vectors(encodings: ContextualEncoding, pooling: str = "final") -> Tensor:
-    """Reduce per-option encodings (flattened batch of option sequences) to
-    one vector per option."""
-    if pooling == "final":
-        return encodings.final_concat()
-    if pooling == "mean":
-        return encodings.mean_pooled()
-    raise ValueError(f"unknown option pooling {pooling!r}")
 
 
 def bilinear_score(answer: Tensor, options_flat: Tensor, w_att: Parameter) -> OptionScores:

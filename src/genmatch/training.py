@@ -49,19 +49,8 @@ class TrainConfig:
     char_dim: int = 16
     char_hidden: int = 25
     patience: int = 5
-    span_loss_weight: float = 1.0
-    synthesis_loss_weight: float = 1.0
-    stage1_joint: bool = True
-    # Training the shared question/option encoder during the selection stage
-    # drifts the extraction question pooling and degrades generation; the
-    # matcher matrix alone is enough, so the encoder stays frozen by default.
-    train_matcher_encoder: bool = False
-    option_pooling: str = "final"
     # dtype of the model's parameters and of every array its passes compute
     precision: str = "float64"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         for name in ("lr", "clip_norm", "batch_size", "vocab_cap", "embed_dim",
@@ -80,7 +69,6 @@ class TrainConfig:
             embed_dim=self.embed_dim, char_dim=self.char_dim,
             char_hidden=self.char_hidden, hidden=self.hidden, dropout=self.dropout,
             max_span=self.max_span, max_decode_len=self.max_decode_len,
-            option_pooling=self.option_pooling,
             fine_tune_embeddings=self.fine_tune_embeddings,
             precision=self.precision,
         )
@@ -90,7 +78,17 @@ class TrainConfig:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "TrainConfig":
-        return cls(**payload)
+        """A saved config. A retired key is dropped when it holds the value
+        now fixed in the code, so older model directories still load; any
+        other value of it, and an unknown key, is an error naming the key."""
+        values = {}
+        for key, value in payload.items():
+            if key not in _RETIRED_KEYS:
+                values[key] = value
+            elif value != _RETIRED_KEYS[key]:
+                raise ValueError(f"config key {key!r} is retired; only "
+                                 f"{_RETIRED_KEYS[key]!r} is supported, got {value!r}")
+        return cls(**_coerce_fields(values))
 
     def with_overrides(self, overrides: dict[str, str]) -> "TrainConfig":
         values = dataclasses.asdict(self)
@@ -118,6 +116,14 @@ class TrainConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
+
+# Keys that config.json files carried before each was fixed at its only
+# used value (joint stage one, unit loss weights, a frozen matcher encoder,
+# final-state option pooling, Adam's standard constants).
+_RETIRED_KEYS = {"stage1_joint": True, "span_loss_weight": 1.0,
+                 "synthesis_loss_weight": 1.0, "train_matcher_encoder": False,
+                 "option_pooling": "final", "adam_beta1": 0.9, "adam_beta2": 0.999,
+                 "adam_eps": 1e-8}
 
 
 def _coerce_fields(raw: dict[str, str]) -> dict:
@@ -175,134 +181,114 @@ def compute_oracle_spans(instances: list[Instance], max_span: int):
 
 
 def _dev_stage_one_loss(model: PipelineModel, dev: list[Instance], spans: dict,
-                        config: TrainConfig, span_w: float, syn_w: float) -> float:
+                        config: TrainConfig) -> float:
     total, count = 0.0, 0
     for batch in make_batches(dev, model.vocab, config.batch_size):
         targets = [spans[i.uid] for i in batch.instances]
-        loss, _ = model.stage_one_loss(batch, targets, rng=None,
-                                       span_weight=span_w, synthesis_weight=syn_w)
+        loss, _ = model.stage_one_loss(batch, targets, rng=None)
         total += loss.item() * batch.size
         count += batch.size
     return total / count
+
+
+def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instance], *,
+                  stage: str, seed: int, batch_loss, dev_metric, metric_name: str,
+                  improved, finished=lambda best: False) -> StageResult:
+    """The epoch loop both stages run over the model's trainable parameters.
+
+    ``batch_loss(batch, rng)`` returns the loss tensor and a dict of loss
+    parts whose epoch means join the history entry; ``dev_metric()`` scores
+    the model on the dev split. An epoch's dev metric that is
+    ``improved(metric, best)`` becomes the snapshot; after ``patience``
+    epochs without one, or once ``finished(best)``, training stops and the
+    best snapshot (epoch 0 when none improved) is restored.
+    """
+    dropout_rng, shuffle_rng = _seed_streams(seed)
+    trainable = model.trainable_parameters()
+    optimizer = Adam(trainable, lr=config.lr)
+    result = StageResult(model=model)
+    started = time.perf_counter()
+    best = dev_metric()
+    best_state = model.store.state_dict()
+    best_epoch = 0
+    since_best = 0
+    for epoch in range(1, config.max_epochs + 1):
+        epoch_seed = int(shuffle_rng.integers(2**31))
+        sums: dict[str, float] = {}
+        seen = steps = clipped = 0
+        epoch_started = time.perf_counter()
+        for batch in make_batches(train, model.vocab, config.batch_size, epoch_seed):
+            model.zero_grads()
+            loss, parts = batch_loss(batch, dropout_rng)
+            ad.backward(loss)
+            clipped += clip_global_norm(trainable, config.clip_norm) < 1.0
+            result.max_post_clip_norm = max(result.max_post_clip_norm,
+                                            global_grad_norm(trainable))
+            optimizer.step()
+            for key, value in {"train_loss": loss.item(), **parts}.items():
+                sums[key] = sums.get(key, 0.0) + value * batch.size
+            seen += batch.size
+            steps += 1
+        train_seconds = time.perf_counter() - epoch_started
+        metric = dev_metric()
+        entry = {"stage": stage, "epoch": epoch,
+                 **{key: total / seen for key, total in sums.items()},
+                 metric_name: metric, "clip_rate": clipped / steps,
+                 "inst_per_s": seen / train_seconds}
+        result.history.append(entry)
+        log.info("%s epoch %d train %.4f %s %.4f",
+                 stage, epoch, entry["train_loss"], metric_name, metric)
+        if improved(metric, best):
+            best, best_epoch, since_best = metric, epoch, 0
+            best_state = model.store.state_dict()
+        else:
+            since_best += 1
+            if since_best >= config.patience:
+                break
+        if finished(best):
+            break
+    model.store.load_state_dict(best_state)
+    result.best_epoch, result.best_metric = best_epoch, best
+    result.wall_time = time.perf_counter() - started
+    return result
 
 
 def train_synthesis_stage(config: TrainConfig, train: list[Instance],
                           dev: list[Instance], vocab: Vocabulary,
                           char_vocab: CharVocabulary,
                           embeddings: EmbeddingTable) -> StageResult:
-    """Stage one: joint span + synthesis loss (or two sequential phases when
-    ``stage1_joint`` is off), gradient clip, Adam, dev-loss early stopping
-    with patience, best-dev snapshot restored at the end."""
+    """Stage one: joint span + synthesis loss, gradient clip, Adam, dev-loss
+    early stopping with patience, best-dev snapshot restored at the end."""
     if not train:
         raise ValueError("empty training set")
     model = build_model(config.dims(vocab, char_vocab), vocab, char_vocab,
                         embeddings.matrix.copy(), config.seed)
     spans = compute_oracle_spans(train + dev, config.max_span)
-    phases = ([(config.span_loss_weight, config.synthesis_loss_weight)]
-              if config.stage1_joint
-              else [(config.span_loss_weight, 0.0), (0.0, config.synthesis_loss_weight)])
 
-    dropout_rng, shuffle_rng = _seed_streams(config.seed)
-    result = StageResult(model=model)
-    started = time.perf_counter()
-    trainable = model.trainable_parameters()
-    for span_w, syn_w in phases:
-        optimizer = Adam(trainable, lr=config.lr, beta1=config.adam_beta1,
-                         beta2=config.adam_beta2, eps=config.adam_eps)
-        best_loss = _dev_stage_one_loss(model, dev, spans, config, span_w, syn_w)
-        best_state = model.store.state_dict()
-        best_epoch = 0
-        since_best = 0
-        for epoch in range(1, config.max_epochs + 1):
-            epoch_seed = int(shuffle_rng.integers(2**31))
-            epoch_loss, span_sum, synthesis_sum, seen = 0.0, 0.0, 0.0, 0
-            for batch in make_batches(train, vocab, config.batch_size, epoch_seed):
-                targets = [spans[i.uid] for i in batch.instances]
-                model.zero_grads()
-                loss, parts = model.stage_one_loss(batch, targets, rng=dropout_rng,
-                                                   span_weight=span_w, synthesis_weight=syn_w)
-                ad.backward(loss)
-                clip_global_norm(trainable, config.clip_norm)
-                result.max_post_clip_norm = max(result.max_post_clip_norm,
-                                                global_grad_norm(trainable))
-                optimizer.step()
-                epoch_loss += loss.item() * batch.size
-                span_sum += parts["span"] * batch.size
-                synthesis_sum += parts["synthesis"] * batch.size
-                seen += batch.size
-            dev_loss = _dev_stage_one_loss(model, dev, spans, config, span_w, syn_w)
-            result.history.append({"stage": "synthesis", "epoch": epoch,
-                                   "train_loss": epoch_loss / seen, "dev_loss": dev_loss,
-                                   "span_loss": span_sum / seen,
-                                   "synthesis_loss": synthesis_sum / seen,
-                                   "span_weight": span_w, "synthesis_weight": syn_w})
-            log.info("synthesis epoch %d train %.4f dev %.4f",
-                     epoch, epoch_loss / seen, dev_loss)
-            if dev_loss < best_loss - 1e-9:
-                best_loss, best_epoch, since_best = dev_loss, epoch, 0
-                best_state = model.store.state_dict()
-            else:
-                since_best += 1
-                if since_best >= config.patience:
-                    break
-        model.store.load_state_dict(best_state)
-        result.best_epoch, result.best_metric = best_epoch, best_loss
-    result.wall_time = time.perf_counter() - started
-    return result
+    def batch_loss(batch, rng):
+        targets = [spans[i.uid] for i in batch.instances]
+        loss, parts = model.stage_one_loss(batch, targets, rng=rng)
+        return loss, {"span_loss": parts["span"], "synthesis_loss": parts["synthesis"]}
 
-
-def _dev_accuracy(model: PipelineModel, dev: list[Instance], batch_size: int) -> float:
-    return evaluate(model, dev, batch_size).accuracy
+    return _train_epochs(config, model, train, stage="synthesis", seed=config.seed,
+                         batch_loss=batch_loss,
+                         dev_metric=lambda: _dev_stage_one_loss(model, dev, spans, config),
+                         metric_name="dev_loss",
+                         improved=lambda loss, best: loss < best - 1e-9)
 
 
 def train_selection_stage(config: TrainConfig, model: PipelineModel,
                           train: list[Instance], dev: list[Instance]) -> StageResult:
     """Stage two: freeze the stage-one parameter set, then train the bilinear
-    matcher (plus, by default, the shared question/option encoder) on
-    selection cross-entropy over freshly generated answers. The best-dev-
-    accuracy snapshot wins."""
+    matcher on selection cross-entropy over freshly generated answers. The
+    best-dev-accuracy snapshot wins; a perfect dev accuracy stops early."""
     if not train:
         raise ValueError("empty training set")
-    model.freeze_for_selection_stage(config.train_matcher_encoder)
-    trainable = model.matcher_parameters(config.train_matcher_encoder)
-    optimizer = Adam(trainable, lr=config.lr, beta1=config.adam_beta1,
-                     beta2=config.adam_beta2, eps=config.adam_eps)
-    dropout_rng, shuffle_rng = _seed_streams(config.seed + 1)
-
-    result = StageResult(model=model)
-    started = time.perf_counter()
-    best_accuracy = _dev_accuracy(model, dev, config.batch_size)
-    best_state = model.store.state_dict()
-    best_epoch = 0
-    since_best = 0
-    for epoch in range(1, config.max_epochs + 1):
-        epoch_seed = int(shuffle_rng.integers(2**31))
-        epoch_loss, seen = 0.0, 0
-        for batch in make_batches(train, model.vocab, config.batch_size, epoch_seed):
-            model.zero_grads()
-            loss, _ = model.selection_stage_loss(batch, rng=dropout_rng)
-            ad.backward(loss)
-            clip_global_norm(trainable, config.clip_norm)
-            result.max_post_clip_norm = max(result.max_post_clip_norm,
-                                            global_grad_norm(trainable))
-            optimizer.step()
-            epoch_loss += loss.item() * batch.size
-            seen += batch.size
-        accuracy = _dev_accuracy(model, dev, config.batch_size)
-        result.history.append({"stage": "selection", "epoch": epoch,
-                               "train_loss": epoch_loss / seen, "dev_accuracy": accuracy})
-        log.info("selection epoch %d train %.4f dev acc %.4f",
-                 epoch, epoch_loss / seen, accuracy)
-        if accuracy > best_accuracy + 1e-12:
-            best_accuracy, best_epoch, since_best = accuracy, epoch, 0
-            best_state = model.store.state_dict()
-        else:
-            since_best += 1
-            if since_best >= config.patience:
-                break
-        if best_accuracy >= 1.0:
-            break
-    model.store.load_state_dict(best_state)
-    result.best_epoch, result.best_metric = best_epoch, best_accuracy
-    result.wall_time = time.perf_counter() - started
-    return result
+    model.freeze_for_selection_stage()
+    return _train_epochs(config, model, train, stage="selection", seed=config.seed + 1,
+                         batch_loss=lambda batch, rng: (
+                             model.selection_stage_loss(batch, rng=rng)[0], {}),
+                         dev_metric=lambda: evaluate(model, dev, config.batch_size).accuracy,
+                         metric_name="dev_accuracy",
+                         improved=lambda accuracy, best: accuracy > best + 1e-12,
+                         finished=lambda best: best >= 1.0)

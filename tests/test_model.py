@@ -57,9 +57,8 @@ def test_identical_options_get_identical_vectors():
                     gold_index=0, question_style=base.question_style)
     batch = make_batches([twin], model.vocab, 1)[0]
     from genmatch.encoders import bigru_encode
-    from genmatch.selector import option_vectors
     enc = bigru_encode(model._embed_options(batch, None), model.qz_encoder)
-    vectors = option_vectors(enc, model.dims.option_pooling).data
+    vectors = enc.final_concat().data
     np.testing.assert_array_equal(vectors[0], vectors[1])
     assert not np.array_equal(vectors[0], vectors[2])
     assert vectors.shape[1] == 2 * model.dims.hidden
@@ -119,11 +118,9 @@ def test_float32_model_computes_in_float32():
 
 def test_freeze_partition_covers_all_parameters():
     model, _, _, _ = build_micro_pipeline()
-    frozen = model.freeze_for_selection_stage(include_encoder=True)
-    trainable = {p.name for p in model.matcher_parameters(True)}
-    assert set(frozen) | trainable == set(model.store.names())
-    assert set(frozen).isdisjoint(trainable)
-    assert MATCHER_PARAM in trainable
+    frozen = model.freeze_for_selection_stage()
+    assert set(frozen) == set(model.store.names()) - {MATCHER_PARAM}
+    assert [p.name for p in model.trainable_parameters()] == [MATCHER_PARAM]
     assert all(not model.store[name].trainable for name in frozen)
 
 

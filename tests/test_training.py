@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -12,6 +13,7 @@ from genmatch.corpus import (
     random_embeddings,
 )
 from genmatch.evaluation import evaluate
+from genmatch.model import build_model
 from genmatch.model_io import load_model_dir, save_model_dir
 from genmatch.training import (
     StageResult,
@@ -92,15 +94,12 @@ def test_synthesis_stage_trains_and_logs():
         train_synthesis_stage(config, [], dev, vocab, char_vocab, table)
 
 
-@pytest.mark.parametrize("joint", [True, False])
-def test_logged_loss_parts_recombine_to_the_train_loss(joint):
-    config, train, dev, vocab, char_vocab, table = setup_training(
-        max_epochs=2, span_loss_weight=0.5, synthesis_loss_weight=2.0, stage1_joint=joint)
+def test_logged_loss_parts_recombine_to_the_train_loss():
+    config, train, dev, vocab, char_vocab, table = setup_training(max_epochs=2)
     result = train_synthesis_stage(config, train, dev, vocab, char_vocab, table)
     for entry in result.history:
         assert entry["span_loss"] > 0 and entry["synthesis_loss"] > 0
-        recombined = (entry["span_weight"] * entry["span_loss"]
-                      + entry["synthesis_weight"] * entry["synthesis_loss"])
+        recombined = entry["span_loss"] + entry["synthesis_loss"]
         assert recombined == pytest.approx(entry["train_loss"], rel=1e-12)
 
 
@@ -119,8 +118,7 @@ def test_best_dev_checkpoint_never_worse_than_epoch_zero():
     result = train_synthesis_stage(config, train, dev, vocab, char_vocab, table)
     spans = compute_oracle_spans(train + dev, config.max_span)
     from genmatch.training import _dev_stage_one_loss
-    final_dev = _dev_stage_one_loss(result.model, dev, spans, config,
-                                    config.span_loss_weight, config.synthesis_loss_weight)
+    final_dev = _dev_stage_one_loss(result.model, dev, spans, config)
     assert final_dev <= result.best_metric + 1e-9
 
 
@@ -129,7 +127,7 @@ def test_selection_stage_freezes_stage_one_and_starts_at_log4():
     stage1 = train_synthesis_stage(config, train, dev, vocab, char_vocab, table)
     model = stage1.model
     epoch_zero_accuracy = evaluate(model, dev, config.batch_size).accuracy
-    frozen_names = model.stage_one_frozen_names(config.train_matcher_encoder)
+    frozen_names = model.stage_one_frozen_names()
     before = param_fingerprints([model.store[n] for n in frozen_names])
     result = train_selection_stage(config, model, train, dev)
     after = param_fingerprints([model.store[n] for n in frozen_names])
@@ -154,3 +152,81 @@ def test_model_dir_round_trip_reproduces_reports(tmp_path):
     assert (out / "history.json").exists()
     payload = json.loads((out / "history.json").read_text())
     assert payload["history"]
+
+
+def test_history_entries_carry_clip_rate_and_throughput():
+    config, train, dev, vocab, char_vocab, table = setup_training(max_epochs=2,
+                                                                  clip_norm=1e-6)
+    stage1 = train_synthesis_stage(config, train, dev, vocab, char_vocab, table)
+    stage2 = train_selection_stage(config, stage1.model, train, dev)
+    for entry in stage1.history + stage2.history:
+        assert entry["clip_rate"] == 1.0
+        assert entry["inst_per_s"] > 0
+
+
+def test_stage_one_stops_after_patience_holding_its_epoch_zero_snapshot():
+    # steps of 1e-13 move every weight but cannot lower the dev loss by the
+    # 1e-9 an improvement needs
+    config, train, dev, vocab, char_vocab, table = setup_training(
+        max_epochs=10, patience=3, lr=1e-13)
+    initial = build_model(config.dims(vocab, char_vocab), vocab, char_vocab,
+                          table.matrix.copy(), config.seed)
+    result = train_synthesis_stage(config, train, dev, vocab, char_vocab, table)
+    assert [h["epoch"] for h in result.history] == [1, 2, 3]
+    assert result.best_epoch == 0
+    assert (param_fingerprints(result.model.parameters())
+            == param_fingerprints(initial.parameters()))
+
+
+def _identical_options(instances, gold_index):
+    """Dev instances whose four options are one text: every option scores the
+    same under any matcher, so the tie goes to option 0 at every epoch."""
+    return [dataclasses.replace(inst, option_tokens=(inst.option_tokens[0],) * 4,
+                                gold_index=gold_index)
+            for inst in instances]
+
+
+@pytest.mark.parametrize("gold_index, epochs, accuracy", [(1, 3, 0.0), (0, 1, 1.0)])
+def test_stage_two_stops_on_patience_or_perfect_dev_holding_its_epoch_zero_snapshot(
+        gold_index, epochs, accuracy):
+    config, train, dev, vocab, char_vocab, table = setup_training(max_epochs=10, patience=3)
+    model = build_model(config.dims(vocab, char_vocab), vocab, char_vocab,
+                        table.matrix.copy(), config.seed)
+    before = param_fingerprints(model.parameters())
+    result = train_selection_stage(config, model, train,
+                                   _identical_options(dev, gold_index))
+    assert [h["dev_accuracy"] for h in result.history] == [accuracy] * epochs
+    assert result.best_epoch == 0 and result.best_metric == accuracy
+    assert param_fingerprints(model.parameters()) == before
+
+
+def test_config_json_with_retired_keys_at_their_fixed_values_still_loads(tmp_path):
+    config, train, dev, vocab, char_vocab, table = setup_training()
+    model = build_model(config.dims(vocab, char_vocab), vocab, char_vocab,
+                        table.matrix.copy(), config.seed)
+    out = save_model_dir(tmp_path / "model", model, config)
+    report = evaluate(load_model_dir(out)[0], dev, config.batch_size).to_json()
+    payload = json.loads((out / "config.json").read_text())
+    payload.update(stage1_joint=True, span_loss_weight=1.0, synthesis_loss_weight=1.0,
+                   train_matcher_encoder=False, option_pooling="final",
+                   adam_beta1=0.9, adam_beta2=0.999, adam_eps=1e-08)
+    (out / "config.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    loaded, loaded_config = load_model_dir(out)
+    assert loaded_config == config
+    assert evaluate(loaded, dev, config.batch_size).to_json() == report
+
+
+@pytest.mark.parametrize("key, value", [("stage1_joint", False), ("foo", 1)])
+def test_bad_config_json_key_names_the_file_and_key(tmp_path, key, value):
+    config, train, dev, vocab, char_vocab, table = setup_training()
+    model = build_model(config.dims(vocab, char_vocab), vocab, char_vocab,
+                        table.matrix.copy(), config.seed)
+    out = save_model_dir(tmp_path / "model", model, config)
+    payload = json.loads((out / "config.json").read_text())
+    payload[key] = value
+    (out / "config.json").write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as excinfo:
+        load_model_dir(out)
+    message = str(excinfo.value)
+    assert message.startswith(f"{out / 'config.json'}: ")
+    assert repr(key) in message

@@ -1,7 +1,9 @@
-"""Additive attention over batch-major flattened memories.
+"""Additive attention over one or more batch-major flattened memories.
 
-Scores are v . tanh(W_m m_j + W_q q + b), softmax-normalized over unmasked
-positions; the context is the weight-averaged memory.
+Scores are v . tanh(W_m m_j + W_q q + b) for every position j of every
+memory, softmax-normalized jointly over the unmasked positions; the
+context is the weight-averaged memory. The extractor attends over the
+passage alone, the decoder over the passage and the question together.
 """
 
 from __future__ import annotations
@@ -55,42 +57,28 @@ def _scores(query: Tensor, memory_flat: Tensor, length: int,
     return ad.reshape(scores, (batch, length))
 
 
-def additive_attention(query: Tensor, memory_flat: Tensor, mask: np.ndarray,
-                       params: AttentionParams) -> tuple[Tensor, Tensor]:
-    """Attend a (B, S) query over a (B*T, M) memory.
+def additive_attention(query: Tensor, memories, params: AttentionParams) -> tuple[Tensor, Tensor]:
+    """Attend a (B, S) query over one or more memories jointly.
 
-    Returns (context (B, M), weights (B, T)); weights carry zero mass on
-    masked positions and sum to 1 over each row.
+    ``memories`` is a list of (memory_flat, mask) pairs: a batch-major
+    (B*T_i, M) memory and its (B, T_i) mask, all sharing M. One softmax runs
+    across every memory's positions. Returns (context (B, M), weights
+    (B, sum T_i)); the weights carry zero mass on masked positions and sum
+    to 1 over each row.
     """
-    if memory_flat.data.shape[0] == 0:
+    if not memories or any(flat.data.shape[0] == 0 for flat, _ in memories):
         raise ValueError("attention over an empty memory")
-    length = mask.shape[1]
-    weights = ad.masked_softmax(_scores(query, memory_flat, length, params), mask)
-    batch = query.data.shape[0]
-    context = ad.sum_groups(
-        ad.mul(memory_flat, ad.reshape(weights, (batch * length, 1))), length)
-    return context, weights
-
-
-def additive_attention_multi(query: Tensor, memories, params: AttentionParams) -> Tensor:
-    """Attend over several memories jointly (one softmax across all of them).
-
-    ``memories`` is a list of (memory_flat, mask) pairs sharing the memory
-    dimension. Returns the combined context vector.
-    """
-    if not memories:
-        raise ValueError("attention needs at least one memory")
     batch = query.data.shape[0]
     lengths = [mask.shape[1] for _, mask in memories]
     scores = [_scores(query, flat, length, params)
               for (flat, _), length in zip(memories, lengths)]
-    joint = ad.masked_softmax(ad.concat(scores, axis=1),
-                              np.concatenate([mask for _, mask in memories], axis=1))
+    weights = ad.masked_softmax(ad.concat(scores, axis=1),
+                                np.concatenate([mask for _, mask in memories], axis=1))
     context = None
     offset = 0
     for (flat, _), length in zip(memories, lengths):
-        piece = ad.slice_cols(joint, offset, offset + length)
+        piece = ad.slice_cols(weights, offset, offset + length)
         summed = ad.sum_groups(ad.mul(flat, ad.reshape(piece, (batch * length, 1))), length)
         context = summed if context is None else ad.add(context, summed)
         offset += length
-    return context
+    return context, weights

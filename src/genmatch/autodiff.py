@@ -63,37 +63,11 @@ class Tensor:
         self._backward = None
         self._owns_grad = False  # True once ``grad`` is an array no one else holds
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else add_const(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else mul_const(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Parameter(Tensor):
@@ -141,12 +115,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self._params.items()}
@@ -267,25 +235,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), _bw)
 
 
-def add_const(a: Tensor, c) -> Tensor:
-    data = a.data + c
-
-    def _bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-
-    return _node(data, (a,), _bw)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-
-    def _bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return _node(data, (a, b), _bw)
-
-
 def neg(a: Tensor) -> Tensor:
     def _bw(g):
         _accum(a, -g)
@@ -378,9 +327,11 @@ def log(a: Tensor) -> Tensor:
     return _node(data, (a,), _bw)
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax along the last axis, stabilized by max subtraction."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+def _softmax(a: Tensor, logits: np.ndarray) -> Tensor:
+    """Softmax of ``logits`` along the last axis, stabilized by max
+    subtraction, as a node on ``a``; ``logits`` is ``a.data`` plus a
+    constant, so the backward is the softmax Jacobian at ``a``."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
 
@@ -389,6 +340,11 @@ def softmax(a: Tensor) -> Tensor:
         _accum(a, y * (g - inner))
 
     return _node(y, (a,), _bw)
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Softmax along the last axis."""
+    return _softmax(a, a.data)
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -412,16 +368,7 @@ def masked_softmax(a: Tensor, mask: np.ndarray) -> Tensor:
     if not np.all(keep.any(axis=-1)):
         raise ValueError("masked_softmax: a row is fully masked")
     neg_inf = np.where(keep, 0.0, -np.inf).astype(a.data.dtype, copy=False)
-    shifted = a.data + neg_inf
-    shifted = shifted - shifted.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def _bw(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        _accum(a, y * (g - inner))
-
-    return _node(y, (a,), _bw)
+    return _softmax(a, a.data + neg_inf)
 
 
 def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
@@ -541,17 +488,14 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     return mul_const(a, mask)
 
 
-def masked_sum_positions(flat: Tensor, mask: np.ndarray, length: int) -> Tensor:
-    """Sum over positions of a row-major (B*length, M) layout: -> (B, M)."""
-    col = mask.reshape(-1, 1).astype(flat.data.dtype)
-    return sum_groups(mul_const(flat, col), length)
-
-
 def masked_mean_positions(flat: Tensor, mask: np.ndarray, length: int) -> Tensor:
+    """Mean over the unmasked positions of a row-major (B*length, M)
+    layout: -> (B, M)."""
     counts = mask.sum(axis=1)
     if np.any(counts <= 0):
         raise ValueError("masked mean over an empty sequence")
-    total = masked_sum_positions(flat, mask, length)
+    col = mask.reshape(-1, 1).astype(flat.data.dtype)
+    total = sum_groups(mul_const(flat, col), length)
     return mul_const(total, (1.0 / counts)[:, None])
 
 
@@ -615,9 +559,9 @@ class PackedGRU:
     b: Tensor  # (3H,)
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape or (fan_in, fan_out))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
 def init_gru_cell(store: ParamStore, prefix: str, input_dim: int, hidden: int,
@@ -655,7 +599,7 @@ def gru_cell(x: Tensor, h_prev: Tensor, params: GRUCellParams) -> Tensor:
                         params.b_reset))
     cand = tanh(add(add(matmul(x, params.w_cand), matmul(mul(reset, h_prev), params.u_cand)),
                     params.b_cand))
-    return add(h_prev, mul(update, sub(cand, h_prev)))
+    return add(h_prev, mul(update, add(cand, neg(h_prev))))
 
 
 def gru_sequence(x: Tensor, h0: Tensor, packed: PackedGRU, mask: np.ndarray,
@@ -669,9 +613,9 @@ def gru_sequence(x: Tensor, h0: Tensor, packed: PackedGRU, mask: np.ndarray,
     numpy and records a single tape node, whose backward runs
     backpropagation through time and hands ``x`` its gradient in one array.
     A step does ``gru_cell``'s arithmetic in ``gru_cell``'s order (up to
-    swapping the two operands of a sum or product, which leaves every
-    rounding the same), so the two agree bit for bit wherever BLAS returns
-    the same matrix products.
+    swapping the two operands of a sum or product, and ``a - b`` for
+    ``a + (-b)``, which leave every rounding the same), so the two agree bit
+    for bit wherever BLAS returns the same matrix products.
     """
     batch, hidden = h0.data.shape
     length = mask.shape[1]

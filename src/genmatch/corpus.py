@@ -141,9 +141,6 @@ class Vocabulary:
         content = [tok for tok, _ in ranked[:cap]]
         return cls(tokens=list(RESERVED_TOKENS) + content)
 
-    def id_for(self, token: str) -> int:
-        return self.index.get(token, UNK)
-
     def ids(self, tokens) -> list[int]:
         get = self.index.get
         return [get(t, UNK) for t in tokens]
@@ -180,9 +177,6 @@ class CharVocabulary:
             for token in stream:
                 seen.update(token)
         return cls(chars=["<cpad>", "<cunk>"] + sorted(seen))
-
-    def id_for(self, char: str) -> int:
-        return self.index.get(char, CHAR_UNK)
 
     def ids(self, token: str) -> list[int]:
         get = self.index.get

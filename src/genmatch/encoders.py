@@ -78,10 +78,6 @@ class ContextualEncoding:
     def mean_pooled(self) -> Tensor:
         return ad.masked_mean_positions(self.flat, self.mask, self.length)
 
-    def positions(self) -> np.ndarray:
-        """(B, T, 2H) view of the values, for inspection in tests."""
-        return self.flat.data.reshape(self.batch, self.length, 2 * self.hidden)
-
 
 def embed_ids(table: Parameter | Tensor, ids: np.ndarray, mask: np.ndarray,
               dropout_rate: float = 0.0,
@@ -156,12 +152,6 @@ def char_embed_tokens(tokens: list[str], params: CharEncoderParams,
     seq = embed_ids(params.table, ids, mask)
     enc = bigru_encode(seq, params.gru)
     return enc.final_concat()
-
-
-def char_embed(token: str, params: CharEncoderParams,
-               char_vocab: CharVocabulary) -> Tensor:
-    """Character feature vector for a single token."""
-    return char_embed_tokens([token], params, char_vocab)
 
 
 def embed_with_chars(word_table: Parameter, char_params: CharEncoderParams | None,

@@ -56,9 +56,15 @@ def load_model_dir(path) -> tuple[PipelineModel, TrainConfig]:
         config = TrainConfig.from_payload(json.loads(config_path.read_text()))
     except ValueError as exc:
         raise ValueError(f"{config_path}: {exc}") from None
-    vocab_payload = json.loads((path / "vocab.json").read_text())
-    vocab = Vocabulary.from_payload(vocab_payload["words"])
-    char_vocab = CharVocabulary.from_payload(vocab_payload["chars"])
+    vocab_path = path / "vocab.json"
+    try:
+        vocab_payload = json.loads(vocab_path.read_text())
+        vocab = Vocabulary.from_payload(vocab_payload["words"])
+        char_vocab = CharVocabulary.from_payload(vocab_payload["chars"])
+    except KeyError as exc:
+        raise ValueError(f"{vocab_path}: missing key {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{vocab_path}: {exc}") from None
     dims = config.dims(vocab, char_vocab)
     model = build_model(dims, vocab, char_vocab,
                         np.zeros((dims.vocab_size, dims.embed_dim)), seed=config.seed)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .attention import AttentionParams, additive_attention_multi, init_attention
+from .attention import AttentionParams, additive_attention, init_attention
 from .autodiff import ParamStore, Parameter, Tensor
 from .corpus import BOS, EOS, PAD, Vocabulary
 from .encoders import ContextualEncoding
@@ -74,12 +74,6 @@ class DecoderMemory:
         return cls(parts=[(passage.flat, passage.mask), (question.flat, question.mask)])
 
 
-def attention_context(state_hidden: Tensor, memory: DecoderMemory,
-                      params: AttentionParams) -> Tensor:
-    """Context vector for the current decoder state."""
-    return additive_attention_multi(state_hidden, memory.parts, params)
-
-
 def initial_state(passage: ContextualEncoding, question: ContextualEncoding,
                   word_table: Parameter | Tensor, batch: int,
                   params: DecoderParams) -> DecoderState:
@@ -98,7 +92,7 @@ def decode_step(state: DecoderState, memory: DecoderMemory, params: DecoderParam
     x = ad.concat([state.word_embedding, state.context], axis=1)
     step_mask = np.ones((x.data.shape[0], 1), dtype=x.data.dtype)
     hidden = ad.gru_sequence(x, state.hidden, gru, step_mask)
-    context = attention_context(hidden, memory, params.attention)
+    context, _ = additive_attention(hidden, memory.parts, params.attention)
     logits = ad.add(ad.matmul(ad.concat([hidden, context], axis=1), params.out_w),
                     params.out_b)
     return logits, hidden, context

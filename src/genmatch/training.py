@@ -167,7 +167,7 @@ class StageResult:
 
 
 def _seed_streams(seed: int):
-    children = np.random.SeedSequence(seed).spawn(3)
+    children = np.random.SeedSequence(seed).spawn(2)
     return (np.random.default_rng(children[0]),   # dropout
             np.random.default_rng(children[1]))   # batch shuffling
 

@@ -40,3 +40,8 @@ def build_micro_pipeline(n_passages=3, seed=11, **config_overrides):
                         table.matrix, seed=config.seed)
     batches = make_batches(instances, vocab, config.batch_size)
     return model, config, instances, batches
+
+
+def positions(encoding):
+    """(B, T, 2H) view of a contextual encoding's values."""
+    return encoding.flat.data.reshape(encoding.batch, encoding.length, 2 * encoding.hidden)

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -154,12 +156,43 @@ def test_no_grad_suppresses_recording():
     assert not loss.requires_grad
 
 
-@pytest.mark.parametrize("op_name", [
-    "add", "sub", "mul", "matmul", "concat_cols", "concat_rows", "sigmoid",
-    "tanh", "log", "softmax", "log_softmax", "masked_softmax", "gather",
-    "take_per_row", "slice_cols", "reshape", "repeat_rows",
-    "sum_groups", "regroup_rows", "sum_last",
-])
+# One central-difference case per tape op. Each builds its output from the
+# (4, 6) leaves ``a`` and ``b`` and the (6, 3) leaf ``w``.
+MASK = np.array([[1, 1, 0, 1, 0, 1]] * 4, dtype=float)
+IDX = np.array([0, 2, 1, 3])
+GRADIENT_CASES = {
+    "add": lambda a, b, w: ad.add(a, b),
+    "neg": lambda a, b, w: ad.neg(a),
+    "mul": lambda a, b, w: ad.mul(a, b),
+    "mul_const": lambda a, b, w: ad.mul_const(a, np.arange(1.0, 5.0)[:, None]),
+    "matmul": lambda a, b, w: ad.matmul(a, w),
+    "concat_cols": lambda a, b, w: ad.concat([a, b], axis=1),
+    "concat_rows": lambda a, b, w: ad.concat([a, b], axis=0),
+    "sigmoid": lambda a, b, w: ad.sigmoid(a),
+    "tanh": lambda a, b, w: ad.tanh(a),
+    "log": lambda a, b, w: ad.log(ad.sigmoid(a)),
+    "softmax": lambda a, b, w: ad.softmax(a),
+    "log_softmax": lambda a, b, w: ad.log_softmax(a),
+    "masked_softmax": lambda a, b, w: ad.masked_softmax(a, MASK),
+    "gather": lambda a, b, w: ad.gather_rows(a, np.array([1, 0, 3, 1, 2])),
+    "take_per_row": lambda a, b, w: ad.take_per_row(a, IDX),
+    "slice_cols": lambda a, b, w: ad.slice_cols(a, 2, 5),
+    "reshape": lambda a, b, w: ad.reshape(a, (2, 12)),
+    "repeat_rows": lambda a, b, w: ad.repeat_rows(a, 3),
+    "sum_groups": lambda a, b, w: ad.sum_groups(a, 2),
+    "regroup_rows": lambda a, b, w: ad.regroup_rows(a, 2, 2),
+    "tensor_sum": lambda a, b, w: ad.mul(ad.tensor_sum(a), ad.tensor_sum(ad.tanh(b))),
+    "sum_last": lambda a, b, w: ad.sum_last(ad.mul(a, b)),
+    "mean": lambda a, b, w: ad.mul(ad.mean(a), ad.mean(ad.tanh(b))),
+    "dropout": lambda a, b, w: ad.dropout(a, 0.5, np.random.default_rng(3)),
+    "masked_mean_positions": lambda a, b, w: ad.masked_mean_positions(
+        a, np.array([[1.0, 1.0], [1.0, 0.0]]), 2),
+}
+# the op a case checks, where the case is not named after it
+CASE_OPS = {"concat_cols": "concat", "concat_rows": "concat", "gather": "gather_rows"}
+
+
+@pytest.mark.parametrize("op_name", list(GRADIENT_CASES))
 def test_primitive_gradients_match_central_differences(op_name):
     rng = np.random.default_rng(hash(op_name) % (2**32))
     store = ParamStore()
@@ -167,58 +200,43 @@ def test_primitive_gradients_match_central_differences(op_name):
     b = store.create("b", rand(rng, 4, 6))
     w = store.create("w", rand(rng, 6, 3))
     weights = Tensor(rng.random((4, 6)))  # constant positive mixing weights
-    mask = np.array([[1, 1, 0, 1, 0, 1]] * 4, dtype=float)
-    idx = np.array([0, 2, 1, 3])
 
     def build():
-        if op_name == "add":
-            out = ad.add(a, b)
-        elif op_name == "sub":
-            out = ad.sub(a, b)
-        elif op_name == "mul":
-            out = ad.mul(a, b)
-        elif op_name == "matmul":
-            out = ad.matmul(a, w)
-        elif op_name == "concat_cols":
-            out = ad.concat([a, b], axis=1)
-        elif op_name == "concat_rows":
-            out = ad.concat([a, b], axis=0)
-        elif op_name == "sigmoid":
-            out = ad.sigmoid(a)
-        elif op_name == "tanh":
-            out = ad.tanh(a)
-        elif op_name == "log":
-            out = ad.log(ad.add_const(ad.sigmoid(a), 0.1))
-        elif op_name == "softmax":
-            out = ad.softmax(a)
-        elif op_name == "log_softmax":
-            out = ad.log_softmax(a)
-        elif op_name == "masked_softmax":
-            out = ad.masked_softmax(a, mask)
-        elif op_name == "gather":
-            out = ad.gather_rows(a, np.array([1, 0, 3, 1, 2]))
-        elif op_name == "take_per_row":
-            out = ad.take_per_row(a, idx)
-        elif op_name == "slice_cols":
-            out = ad.slice_cols(a, 2, 5)
-        elif op_name == "reshape":
-            out = ad.reshape(a, (2, 12))
-        elif op_name == "repeat_rows":
-            out = ad.repeat_rows(a, 3)
-        elif op_name == "sum_groups":
-            out = ad.sum_groups(a, 2)
-        elif op_name == "regroup_rows":
-            out = ad.regroup_rows(a, 2, 2)
-        elif op_name == "sum_last":
-            out = ad.sum_last(ad.mul(a, b))
-        else:  # pragma: no cover
-            raise AssertionError(op_name)
+        out = GRADIENT_CASES[op_name](a, b, w)
         if out.data.shape == weights.data.shape:
             out = ad.mul(out, weights)
         return tensor_sum(out)
 
     report = check_gradients([a, b, w], build, tolerance=1e-4)
     assert report.passed, report.summary()
+
+
+def tape_ops() -> set[str]:
+    """Public functions of ``autodiff`` that record a tape node, directly or
+    through another function of the module."""
+    tree = ast.parse(inspect.getsource(ad))
+    calls = {node.name: {c.func.id for c in ast.walk(node)
+                         if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+             for node in tree.body if isinstance(node, ast.FunctionDef)}
+    recording = {"_node"}
+    while True:
+        found = {name for name, called in calls.items() if called & recording}
+        if found <= recording:
+            return {name for name in recording if not name.startswith("_")}
+        recording |= found
+
+
+def test_every_tape_op_has_a_central_difference_check():
+    # the GRU ops are checked over whole sequences, in their own tests
+    checked_elsewhere = {
+        "gru_cell": test_gru_encoder_gradients_pass_finite_differences,
+        "gru_sequence": test_gru_sequence_gradients_match_central_differences,
+    }
+    covered = {CASE_OPS.get(case, case) for case in GRADIENT_CASES} | set(checked_elsewhere)
+    ops = tape_ops()
+    assert {"add", "masked_softmax", "mean", "gru_sequence"} <= ops
+    assert sorted(ops - covered) == [], "tape ops without a gradient check"
+    assert sorted(covered - ops) == [], "gradient cases for functions that are no tape op"
 
 
 def test_corrupted_backward_rule_fails_gradient_check():

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -85,6 +86,25 @@ def test_predict_prints_letter_and_answer(trained_dirs, toy_dir, capsys):
         uid, letter, answer = line.split("\t")
         assert letter in "ABCD"
         assert ":" in uid
+
+
+@pytest.mark.parametrize("text, detail", [
+    ('{"words": {"tokens": ["<pad>",\n', "Expecting"),
+    ('{"chars": {"chars": ["<cpad>", "<cunk>"]}}\n', "missing key 'words'"),
+    ('{"words": {"tokens": ["<pad>"]}}\n', "missing key 'chars'"),
+], ids=["truncated", "no_words", "no_chars"])
+def test_broken_vocab_json_error_names_the_file(trained_dirs, tmp_path, capsys, text, detail):
+    _, stage2 = trained_dirs
+    model_dir = tmp_path / "model"
+    shutil.copytree(stage2, model_dir)
+    (model_dir / "vocab.json").write_text(text)
+    record = tmp_path / "record.json"
+    record.write_text("{}")
+    rc = main(["predict", "--checkpoint", str(model_dir), "--input", str(record)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model_dir / 'vocab.json'}: ")
+    assert detail in err
 
 
 def test_config_file_plus_set_overrides(tmp_path, toy_dir):

@@ -114,13 +114,13 @@ def test_instance_requires_four_options():
 def test_vocabulary_cap_and_unk():
     vocab = Vocabulary.build([["a", "a", "b"]], cap=1)
     assert vocab.tokens == [PAD_TOKEN, "<unk>", "<bos>", EOS_TOKEN, "a"]
-    assert vocab.id_for("b") == UNK
+    assert vocab.ids(["b"])[0] == UNK
 
 
 def test_vocabulary_lexicographic_tie_break():
     vocab = Vocabulary.build([["x", "y"]], cap=1)
-    assert vocab.id_for("x") == 4
-    assert vocab.id_for("y") == UNK
+    assert vocab.ids(["x"])[0] == 4
+    assert vocab.ids(["y"])[0] == UNK
 
 
 def test_vocabulary_default_cap_matches_config():
@@ -146,7 +146,7 @@ def test_vocabulary_deterministic(streams, cap):
 def test_char_vocabulary_sorted_and_unk():
     cv = CharVocabulary.build([["ba", "ab"]])
     assert cv.chars == ["<cpad>", "<cunk>", "a", "b"]
-    assert cv.id_for("z") == corpus.CHAR_UNK
+    assert cv.ids(["z"])[0] == corpus.CHAR_UNK
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +159,8 @@ def test_load_embeddings_covered_and_oov(tmp_path):
     values = " ".join(str(0.1 * i) for i in range(300))
     vec_file.write_text(f"the {values}\n")
     table = load_embeddings(vec_file, vocab, dim=300, seed=3)
-    the_id = vocab.id_for("the")
-    dog_id = vocab.id_for("dog")
+    the_id = vocab.ids(["the"])[0]
+    dog_id = vocab.ids(["dog"])[0]
     assert table.matrix.shape == (len(vocab), 300)
     np.testing.assert_allclose(table.matrix[the_id][:3], [0.0, 0.1, 0.2])
     assert table.pretrained[the_id] and not table.pretrained[dog_id]

@@ -9,7 +9,6 @@ from genmatch.encoders import (
     EmbeddedSequence,
     EvidenceFeatures,
     bigru_encode,
-    char_embed,
     char_embed_tokens,
     embed_ids,
     embed_with_chars,
@@ -17,6 +16,8 @@ from genmatch.encoders import (
     init_bigru,
     init_char_encoder,
 )
+
+from helpers import positions
 
 
 def make_sequence(rng, batch, length, dim, mask=None):
@@ -43,8 +44,8 @@ def test_length_one_sequence_concatenates_both_directions():
     enc = bigru_encode(seq, params)
     fwd = ad.gru_cell(seq.flat, Tensor(np.zeros((2, 4))), params.forward)
     bwd = ad.gru_cell(seq.flat, Tensor(np.zeros((2, 4))), params.backward)
-    np.testing.assert_array_equal(enc.positions()[:, 0, :4], fwd.data)
-    np.testing.assert_array_equal(enc.positions()[:, 0, 4:], bwd.data)
+    np.testing.assert_array_equal(positions(enc)[:, 0, :4], fwd.data)
+    np.testing.assert_array_equal(positions(enc)[:, 0, 4:], bwd.data)
     np.testing.assert_array_equal(enc.final_forward.data, fwd.data)
 
 
@@ -61,11 +62,11 @@ def test_reversing_input_swaps_direction_halves():
     # original encoding with halves exchanged and positions reversed.
     swapped = type(params)(forward=params.backward, backward=params.forward)
     senc = bigru_encode(revseq, swapped)
-    orig = enc.positions()[0]
-    mirrored = senc.positions()[0][::-1]
+    orig = positions(enc)[0]
+    mirrored = positions(senc)[0][::-1]
     np.testing.assert_allclose(orig[:, :4], mirrored[:, 4:], atol=1e-12)
     np.testing.assert_allclose(orig[:, 4:], mirrored[:, :4], atol=1e-12)
-    assert not np.allclose(renc.positions(), enc.positions())
+    assert not np.allclose(positions(renc), positions(enc))
 
 
 def test_per_position_dimension_is_twice_hidden():
@@ -73,7 +74,7 @@ def test_per_position_dimension_is_twice_hidden():
     params, _ = encoder(rng, 5, 128)
     seq = make_sequence(rng, 1, 2, 5)
     enc = bigru_encode(seq, params)
-    assert enc.positions().shape == (1, 2, 256)
+    assert positions(enc).shape == (1, 2, 256)
     assert enc.final_concat().data.shape == (1, 256)
 
 
@@ -90,12 +91,12 @@ def test_masked_padding_does_not_change_unmasked_outputs():
     padded = EmbeddedSequence(flat=Tensor(padded_data), mask=mask, batch=1, length=length + 2)
     enc_full = bigru_encode(full, params)
     enc_padded = bigru_encode(padded, params)
-    np.testing.assert_array_equal(enc_full.positions()[0],
-                                  enc_padded.positions()[0][:length])
+    np.testing.assert_array_equal(positions(enc_full)[0],
+                                  positions(enc_padded)[0][:length])
     np.testing.assert_array_equal(enc_full.final_forward.data, enc_padded.final_forward.data)
     np.testing.assert_array_equal(enc_full.final_backward.data, enc_padded.final_backward.data)
     # masked positions emit zero vectors
-    np.testing.assert_array_equal(enc_padded.positions()[0][length:], 0.0)
+    np.testing.assert_array_equal(positions(enc_padded)[0][length:], 0.0)
 
 
 def test_encoding_deterministic():
@@ -104,7 +105,7 @@ def test_encoding_deterministic():
     seq = make_sequence(rng, 2, 3, 3)
     first = bigru_encode(seq, params)
     second = bigru_encode(seq, params)
-    np.testing.assert_array_equal(first.positions(), second.positions())
+    np.testing.assert_array_equal(positions(first), positions(second))
 
 
 def test_dim_mismatch_rejected():
@@ -195,8 +196,8 @@ def test_char_embed_deterministic_and_shaped():
     rng = np.random.default_rng(7)
     store = ParamStore()
     params = init_char_encoder(store, charvocab(), char_dim=3, char_hidden=25, rng=rng)
-    one = char_embed("cat", params, charvocab())
-    two = char_embed("cat", params, charvocab())
+    one = char_embed_tokens(["cat"], params, charvocab())
+    two = char_embed_tokens(["cat"], params, charvocab())
     np.testing.assert_array_equal(one.data, two.data)
     assert one.data.shape == (1, 50)
 
@@ -205,7 +206,7 @@ def test_char_embed_single_character_token():
     rng = np.random.default_rng(8)
     store = ParamStore()
     params = init_char_encoder(store, charvocab(), char_dim=3, char_hidden=25, rng=rng)
-    out = char_embed("a", params, charvocab())
+    out = char_embed_tokens(["a"], params, charvocab())
     assert out.data.shape == (1, 2 * 25)
 
 
@@ -215,7 +216,7 @@ def test_char_embed_zero_weights_zero_output():
     params = init_char_encoder(store, charvocab(), char_dim=3, char_hidden=4, rng=rng)
     for p in params.gru.all():
         p.data[...] = 0.0
-    out = char_embed("dog", params, charvocab())
+    out = char_embed_tokens(["dog"], params, charvocab())
     np.testing.assert_array_equal(out.data, np.zeros((1, 8)))
 
 
@@ -224,7 +225,7 @@ def test_char_embed_rejects_empty_token():
     store = ParamStore()
     params = init_char_encoder(store, charvocab(), char_dim=3, char_hidden=4, rng=rng)
     with pytest.raises(ValueError):
-        char_embed("", params, charvocab())
+        char_embed_tokens([""], params, charvocab())
 
 
 def test_embed_with_chars_identical_tokens_share_vectors():
@@ -273,7 +274,7 @@ def test_changing_features_changes_forward_positions_at_and_after():
     seq = make_sequence(rng, 1, 5, 3)
     enc_a = encode_with_features(seq, EvidenceFeatures.from_spans([(1, 2)], [5], 5), params)
     enc_b = encode_with_features(seq, EvidenceFeatures.from_spans([(2, 2)], [5], 5), params)
-    a, b = enc_a.positions()[0], enc_b.positions()[0]
+    a, b = positions(enc_a)[0], positions(enc_b)[0]
     hidden = 4
     np.testing.assert_array_equal(a[0, :hidden], b[0, :hidden])  # before change
     assert not np.allclose(a[1, :hidden], b[1, :hidden])         # at change

@@ -22,6 +22,8 @@ from genmatch.extractor import (
     span_loss,
 )
 
+from helpers import positions
+
 
 def make_encoding(rng, batch, length, hidden, mask=None):
     mask = mask if mask is not None else np.ones((batch, length))
@@ -47,7 +49,7 @@ def test_pool_length_one_returns_the_position():
     params, _ = extractor(rng, 3)
     enc = make_encoding(rng, 2, 1, 3)
     pooled = pool_question(enc, params)
-    np.testing.assert_allclose(pooled.data, enc.positions()[:, 0, :], atol=1e-12)
+    np.testing.assert_allclose(pooled.data, positions(enc)[:, 0, :], atol=1e-12)
 
 
 def test_pool_uniform_scores_gives_mean():
@@ -56,7 +58,7 @@ def test_pool_uniform_scores_gives_mean():
     params.pool_query.data[...] = 0.0  # all scores equal
     enc = make_encoding(rng, 1, 4, 3)
     pooled = pool_question(enc, params)
-    np.testing.assert_allclose(pooled.data[0], enc.positions()[0].mean(axis=0), atol=1e-12)
+    np.testing.assert_allclose(pooled.data[0], positions(enc)[0].mean(axis=0), atol=1e-12)
 
 
 def test_pool_weights_respect_mask():

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from genmatch import autodiff as ad
-from genmatch.attention import init_attention
+from genmatch.attention import _scores, additive_attention, init_attention
 from genmatch.autodiff import ParamStore, Tensor, check_gradients
 from genmatch.corpus import BOS, EOS, Vocabulary
 from genmatch.encoders import ContextualEncoding
 from genmatch.synthesizer import (
     DecoderMemory,
     DecoderState,
-    attention_context,
     decode_step,
     generate_answer,
     initial_state,
@@ -19,6 +18,8 @@ from genmatch.synthesizer import (
     synthesis_loss,
     teacher_targets,
 )
+
+from helpers import positions
 
 
 def make_encoding(rng, batch, length, hidden, mask=None):
@@ -44,7 +45,7 @@ def setup_decoder(rng, hidden=3, embed=4, vocab=None):
 
 
 # ---------------------------------------------------------------------------
-# attention context
+# additive attention
 
 
 def test_attention_uniform_scores_gives_mean_of_memory():
@@ -53,9 +54,9 @@ def test_attention_uniform_scores_gives_mean_of_memory():
     params = init_attention(store, "attn", memory_dim=4, query_dim=3, proj_dim=2, rng=rng)
     params.v.data[...] = 0.0  # all scores collapse to zero
     memory = make_encoding(rng, 1, 3, 2)
-    out = attention_context(Tensor(rng.standard_normal((1, 3))),
-                            DecoderMemory(parts=[(memory.flat, memory.mask)]), params)
-    np.testing.assert_allclose(out.data[0], memory.positions()[0].mean(axis=0), atol=1e-12)
+    out, _ = additive_attention(Tensor(rng.standard_normal((1, 3))),
+                                [(memory.flat, memory.mask)], params)
+    np.testing.assert_allclose(out.data[0], positions(memory)[0].mean(axis=0), atol=1e-12)
 
 
 def test_attention_single_unmasked_position_returns_it():
@@ -64,9 +65,10 @@ def test_attention_single_unmasked_position_returns_it():
     params = init_attention(store, "attn", 4, 3, 2, rng)
     mask = np.array([[0.0, 1.0, 0.0]])
     memory = make_encoding(rng, 1, 3, 2, mask=mask)
-    out = attention_context(Tensor(rng.standard_normal((1, 3))),
-                            DecoderMemory(parts=[(memory.flat, memory.mask)]), params)
-    np.testing.assert_allclose(out.data[0], memory.positions()[0][1], atol=1e-12)
+    out, weights = additive_attention(Tensor(rng.standard_normal((1, 3))),
+                                      [(memory.flat, memory.mask)], params)
+    np.testing.assert_allclose(out.data[0], positions(memory)[0][1], atol=1e-12)
+    np.testing.assert_array_equal(weights.data, mask)
 
 
 def test_attention_matches_scalar_oracle():
@@ -75,11 +77,8 @@ def test_attention_matches_scalar_oracle():
     params = init_attention(store, "attn", memory_dim=2, query_dim=2, proj_dim=2, rng=rng)
     memory_rows = rng.standard_normal((3, 2))
     query = rng.standard_normal((1, 2))
-    enc = ContextualEncoding(flat=Tensor(memory_rows), mask=np.ones((1, 3)), batch=1,
-                             length=3, hidden=1, final_forward=Tensor(np.zeros((1, 1))),
-                             final_backward=Tensor(np.zeros((1, 1))))
-    out = attention_context(Tensor(query), DecoderMemory(parts=[(enc.flat, enc.mask)]),
-                            params)
+    out, _ = additive_attention(Tensor(query), [(Tensor(memory_rows), np.ones((1, 3)))],
+                                params)
     scores = []
     for j in range(3):
         pre = memory_rows[j] @ params.w_memory.data + query[0] @ params.w_query.data \
@@ -91,6 +90,55 @@ def test_attention_matches_scalar_oracle():
     np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
 
+def test_attention_one_memory_is_bit_identical_to_the_single_softmax_composite():
+    # one memory goes through a one-part concat and a full-width slice; both
+    # are copies, so every forward and backward value equals the composite's
+    rng = np.random.default_rng(30)
+    store = ParamStore()
+    params = init_attention(store, "attn", memory_dim=4, query_dim=3, proj_dim=5, rng=rng)
+    memory = store.create("memory", rng.standard_normal((2 * 4, 4)))
+    query = store.create("query", rng.standard_normal((2, 3)))
+    mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+    readout = rng.standard_normal((2, 4))
+
+    def composite():
+        weights = ad.masked_softmax(_scores(query, memory, 4, params), mask)
+        context = ad.sum_groups(ad.mul(memory, ad.reshape(weights, (2 * 4, 1))), 4)
+        return context, weights
+
+    def grads_of(attend):
+        ad.zero_grads(store.all())
+        context, weights = attend()
+        ad.backward(ad.add(ad.tensor_sum(ad.mul_const(context, readout)),
+                           ad.tensor_sum(ad.mul(weights, weights))))
+        return context.data, weights.data, {p.name: p.grad.copy() for p in store.all()}
+
+    got = grads_of(lambda: additive_attention(query, [(memory, mask)], params))
+    want = grads_of(composite)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    for name in want[2]:
+        np.testing.assert_array_equal(got[2][name], want[2][name], err_msg=name)
+
+
+def test_attention_two_memories_share_one_softmax():
+    rng = np.random.default_rng(31)
+    store = ParamStore()
+    params = init_attention(store, "attn", memory_dim=4, query_dim=3, proj_dim=2, rng=rng)
+    passage = make_encoding(rng, 2, 4, 2, mask=np.array([[1.0] * 4, [1, 1, 0, 0]]))
+    question = make_encoding(rng, 2, 2, 2, mask=np.array([[1.0, 1.0], [1.0, 0.0]]))
+    context, weights = additive_attention(
+        Tensor(rng.standard_normal((2, 3))),
+        [(passage.flat, passage.mask), (question.flat, question.mask)], params)
+    assert weights.data.shape == (2, 6)
+    np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_array_equal(weights.data[1, [2, 3, 5]], 0.0)
+    assert np.all(weights.data[0] > 0)
+    expected = (np.einsum("bt,btm->bm", weights.data[:, :4], positions(passage))
+                + np.einsum("bt,btm->bm", weights.data[:, 4:], positions(question)))
+    np.testing.assert_allclose(context.data, expected, atol=1e-12)
+
+
 def test_attention_weights_sum_to_one_each_step():
     rng = np.random.default_rng(3)
     params, table, vocab, _ = setup_decoder(rng)
@@ -98,13 +146,10 @@ def test_attention_weights_sum_to_one_each_step():
     question = make_encoding(rng, 2, 2, 3)
     memory = DecoderMemory.from_encodings(passage, question)
     state = initial_state(passage, question, table, 2, params)
-    from genmatch.attention import _scores
-    joint_mask = np.concatenate([passage.mask, question.mask], axis=1)
     for _ in range(3):
         logits, hidden, context = decode_step(state, memory, params, params.gru.pack())
-        scores = ad.concat([_scores(hidden, passage.flat, 4, params.attention),
-                            _scores(hidden, question.flat, 2, params.attention)], axis=1)
-        weights = ad.masked_softmax(scores, joint_mask)
+        again, weights = additive_attention(hidden, memory.parts, params.attention)
+        np.testing.assert_array_equal(again.data, context.data)
         np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-6)
         np.testing.assert_array_equal(weights.data[1, 2:4], 0.0)
         state = DecoderState(hidden=hidden,
@@ -116,9 +161,11 @@ def test_attention_empty_memory_rejected():
     rng = np.random.default_rng(4)
     store = ParamStore()
     params = init_attention(store, "attn", 4, 3, 2, rng)
-    from genmatch.attention import additive_attention_multi
+    query = Tensor(np.zeros((1, 3)))
     with pytest.raises(ValueError):
-        additive_attention_multi(Tensor(np.zeros((1, 3))), [], params)
+        additive_attention(query, [], params)
+    with pytest.raises(ValueError):
+        additive_attention(query, [(Tensor(np.zeros((0, 4))), np.zeros((1, 0)))], params)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +201,7 @@ def test_decoder_two_step_gradients_pass_check():
                                       final_forward=Tensor(np.zeros((1, 3))),
                                       final_backward=Tensor(np.zeros((1, 3))))
         return synthesis_loss(passage, question, table, params,
-                              [[vocab.id_for("red"), vocab.id_for("dog")]])
+                              [vocab.ids(["red", "dog"])])
 
     report = check_gradients(store.all(), loss_fn, tolerance=1e-4)
     assert report.passed, report.summary()

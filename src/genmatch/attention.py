@@ -23,9 +23,6 @@ class AttentionParams:
     bias: Parameter       # (A,)
     v: Parameter          # (A, 1)
 
-    def all(self) -> list[Parameter]:
-        return [self.w_memory, self.w_query, self.bias, self.v]
-
 
 # Score layers start 3x wider than plain glorot: with unit-scale inputs the
 # tanh units then sit in their curved region, where the additive query can

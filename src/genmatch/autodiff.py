@@ -71,24 +71,23 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named trainable leaf. Frozen parameters keep an all-zero gradient."""
+    """Named leaf whose ``requires_grad`` is its trainable flag. Frozen
+    parameters keep an all-zero gradient."""
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
     def __init__(self, name: str, data, trainable: bool = True):
         super().__init__(data, requires_grad=trainable)
         self.name = name
-        self.trainable = bool(trainable)
         _own_zero_grad(self)
 
     def set_trainable(self, trainable: bool) -> None:
-        self.trainable = bool(trainable)
-        self.requires_grad = self.trainable
-        if not self.trainable:
+        self.requires_grad = bool(trainable)
+        if not self.requires_grad:
             _own_zero_grad(self)
 
     def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.data.shape}, trainable={self.trainable})"
+        return f"Parameter({self.name!r}, shape={self.data.shape}, trainable={self.requires_grad})"
 
 
 class ParamStore:
@@ -532,13 +531,6 @@ class GRUCellParams:
     def input_dim(self) -> int:
         return self.w_update.data.shape[0]
 
-    def all(self) -> list[Parameter]:
-        return [
-            self.w_update, self.u_update, self.b_update,
-            self.w_reset, self.u_reset, self.b_reset,
-            self.w_cand, self.u_cand, self.b_cand,
-        ]
-
     def pack(self) -> "PackedGRU":
         """The gate blocks side by side for ``gru_sequence``. The joins are
         tape concats, so gradients reach the named parameters; pack once
@@ -763,7 +755,7 @@ class Adam:
         bc1 = 1.0 - _ADAM_BETA1 ** self.t
         bc2 = 1.0 - _ADAM_BETA2 ** self.t
         for p in self.params:
-            if not p.trainable:
+            if not p.requires_grad:
                 continue
             arrays = [np.atleast_1d(x) for x in (p.data, self._m[p.name],
                                                  self._v[p.name], p.grad)]

@@ -12,6 +12,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .baselines import DEFAULT_WINDOW, random_baseline, sliding_window_baseline
@@ -33,17 +34,12 @@ log = logging.getLogger("genmatch")
 
 
 def _config_from_args(args, base: TrainConfig | None = None) -> TrainConfig:
-    """Defaults (or the stage-one config) <- config file <- --set overrides."""
+    """Defaults (or the stage-one config) <- config file <- --set overrides.
+    A --set item is parsed as one config line, and its errors name it."""
     config = base or TrainConfig()
-    if getattr(args, "config", None):
+    if args.config:
         config = TrainConfig.from_file(args.config, base=config)
-    overrides = {}
-    for item in getattr(args, "set", None) or []:
-        if "=" not in item:
-            raise ValueError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
-    return config.with_overrides(overrides) if overrides else config
+    return config.with_lines((f"--set {item}", item) for item in args.set or [])
 
 
 def _require_splits(splits: dict, *names: str):
@@ -100,11 +96,16 @@ def cmd_train_synthesis(args) -> int:
 def cmd_train_selection(args) -> int:
     model, stage1_config = load_model_dir(args.stage1)
     config = _config_from_args(args, base=stage1_config)
-    structural = ("hidden", "embed_dim", "char_dim", "char_hidden", "vocab_cap",
-                  "precision")
-    for name in structural:
-        if getattr(config, name) != getattr(stage1_config, name):
-            raise ValueError(f"cannot change structural key {name!r} after stage one")
+    # stage two trains the stage-one model as built, so a key that would
+    # build it otherwise cannot change
+    dims = config.dims(model.vocab, model.char_vocab)
+    changed = [f.name for f in fields(dims)
+               if getattr(dims, f.name) != getattr(model.dims, f.name)]
+    if config.vocab_cap != stage1_config.vocab_cap:
+        changed.append("vocab_cap")
+    if changed:
+        raise ValueError("cannot change model keys after stage one: "
+                         + ", ".join(repr(name) for name in changed))
     splits = load_dataset_dir(args.data)
     _require_splits(splits, "train", "dev")
     result = train_selection_stage(config, model, splits["train"], splits["dev"])

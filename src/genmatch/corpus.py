@@ -222,10 +222,6 @@ class EmbeddingTable:
     coverage: float
     trainable: bool
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
 
 def random_embeddings(vocab: Vocabulary, dim: int, seed: int,
                       trainable: bool = True) -> EmbeddingTable:
@@ -278,10 +274,6 @@ class Batch:
     @property
     def size(self) -> int:
         return len(self.instances)
-
-    @property
-    def passage_lengths(self) -> np.ndarray:
-        return self.passage_mask.sum(axis=1).astype(np.int64)
 
 
 def _pad_block(sequences: list[list[int]], width: int | None = None):

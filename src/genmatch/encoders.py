@@ -28,9 +28,6 @@ class BiGRUParams:
     def hidden(self) -> int:
         return self.forward.hidden
 
-    def all(self) -> list[Parameter]:
-        return self.forward.all() + self.backward.all()
-
 
 def init_bigru(store: ParamStore, prefix: str, input_dim: int, hidden: int,
                rng: np.random.Generator) -> BiGRUParams:
@@ -52,12 +49,6 @@ class EmbeddedSequence:
     @property
     def dim(self) -> int:
         return self.flat.data.shape[1]
-
-    def with_extra_channels(self, channels: np.ndarray) -> "EmbeddedSequence":
-        """Append constant per-position channels (position-major (T*B, C))."""
-        extra = Tensor(channels.astype(self.flat.data.dtype, copy=False))
-        return EmbeddedSequence(flat=ad.concat([self.flat, extra], axis=1),
-                                mask=self.mask, batch=self.batch, length=self.length)
 
 
 @dataclass
@@ -190,36 +181,22 @@ def embed_with_chars(word_table: Parameter, char_params: CharEncoderParams | Non
 # evidence indicator channels
 
 
-@dataclass(frozen=True)
-class EvidenceFeatures:
-    """Start/end indicator channels over a padded passage block."""
-
-    start_indicators: np.ndarray  # (B, P) of {0,1}
-    end_indicators: np.ndarray
-
-    @classmethod
-    def from_spans(cls, spans, lengths, width: int) -> "EvidenceFeatures":
-        start = np.zeros((len(spans), width))
-        end = np.zeros((len(spans), width))
-        for b, (span, n) in enumerate(zip(spans, lengths)):
-            s, e = span
-            if not 0 <= s <= e < n:
-                raise ValueError(f"span ({s}, {e}) invalid for length {n}")
-            start[b, s] = 1.0
-            end[b, e] = 1.0
-        return cls(start_indicators=start, end_indicators=end)
-
-    def channels_position_major(self) -> np.ndarray:
-        """(T*B, 2) block ready to append to an embedded passage."""
-        return np.stack([self.start_indicators.T.reshape(-1),
-                         self.end_indicators.T.reshape(-1)], axis=1)
-
-
-def encode_with_features(seq: EmbeddedSequence, features: EvidenceFeatures,
-                         params: BiGRUParams, dropout_rate: float = 0.0,
+def encode_with_features(seq: EmbeddedSequence, spans, params: BiGRUParams,
+                         dropout_rate: float = 0.0,
                          rng: np.random.Generator | None = None) -> ContextualEncoding:
-    """Append the two indicator channels to each position and re-encode."""
-    if features.start_indicators.shape != seq.mask.shape:
-        raise ValueError("feature block does not match the sequence layout")
-    augmented = seq.with_extra_channels(features.channels_position_major())
+    """Append a start and an end indicator channel to each position and
+    re-encode. ``spans`` holds one inclusive (start, end) pair per instance,
+    inside that instance's unmasked length."""
+    if len(spans) != seq.batch:
+        raise ValueError(f"{len(spans)} spans for a batch of {seq.batch}")
+    lengths = seq.mask.sum(axis=1).astype(np.int64)
+    channels = np.zeros((seq.length, seq.batch, 2), dtype=seq.flat.data.dtype)
+    for b, ((start, end), n) in enumerate(zip(spans, lengths)):
+        if not 0 <= start <= end < n:
+            raise ValueError(f"span ({start}, {end}) invalid for length {n}")
+        channels[start, b, 0] = 1.0
+        channels[end, b, 1] = 1.0
+    flat = ad.concat([seq.flat, Tensor(channels.reshape(-1, 2))], axis=1)
+    augmented = EmbeddedSequence(flat=flat, mask=seq.mask, batch=seq.batch,
+                                 length=seq.length)
     return bigru_encode(augmented, params, dropout_rate, rng)

@@ -37,10 +37,6 @@ class EvidenceSpan:
         if not 0 <= self.start <= self.end:
             raise ValueError(f"invalid span ({self.start}, {self.end})")
 
-    @property
-    def length(self) -> int:
-        return self.end - self.start + 1
-
 
 @dataclass
 class SpanDistributions:
@@ -55,9 +51,6 @@ class ExtractorParams:
     pool_query: Parameter          # (2H, 1)
     start_attention: AttentionParams
     end_attention: AttentionParams
-
-    def all(self) -> list[Parameter]:
-        return [self.pool_query] + self.start_attention.all() + self.end_attention.all()
 
 
 def init_extractor(store: ParamStore, hidden: int, rng: np.random.Generator) -> ExtractorParams:

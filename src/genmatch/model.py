@@ -26,7 +26,6 @@ from . import autodiff as ad
 from .autodiff import ParamStore
 from .corpus import EOS_TOKEN, Batch, CharVocabulary, Vocabulary
 from .encoders import (
-    EvidenceFeatures,
     bigru_encode,
     embed_with_chars,
     encode_with_features,
@@ -93,25 +92,19 @@ class PipelineModel:
         ad.zero_grads(self.trainable_parameters())
 
     def trainable_parameters(self):
-        return [p for p in self.parameters() if p.trainable]
-
-    def matcher_parameters(self):
-        return [self.store[MATCHER_PARAM]]
-
-    def stage_one_frozen_names(self) -> list[str]:
-        return [name for name in self.store.names() if name != MATCHER_PARAM]
+        return [p for p in self.parameters() if p.requires_grad]
 
     def freeze_for_selection_stage(self) -> list[str]:
-        """Freeze the stage-one set; returns the frozen names.
+        """Freeze every parameter but the matcher matrix; returns the frozen
+        names.
 
         The shared question/option encoder stays frozen too: training it on
         the selection loss drifts the extractor's question pooling and
         degrades generation, and the matcher matrix alone is enough."""
-        frozen = self.stage_one_frozen_names()
+        frozen = [name for name in self.store.names() if name != MATCHER_PARAM]
         for name in frozen:
             self.store[name].set_trainable(False)
-        for p in self.matcher_parameters():
-            p.set_trainable(True)
+        self.store[MATCHER_PARAM].set_trainable(True)
         return frozen
 
     # -- embedding helpers ----------------------------------------------------
@@ -161,10 +154,8 @@ class PipelineModel:
 
     def encode_for_synthesis(self, batch: Batch, spans: list[EvidenceSpan], rng=None):
         rate = self._dropout_rate(rng)
-        features = EvidenceFeatures.from_spans(
-            [(s.start, s.end) for s in spans],
-            batch.passage_lengths, batch.passage_ids.shape[1])
-        passage = encode_with_features(self._embed_passage(batch, rng), features,
+        passage = encode_with_features(self._embed_passage(batch, rng),
+                                       [(s.start, s.end) for s in spans],
                                        self.syn_passage, rate, rng)
         question = bigru_encode(self._embed_question(batch, rng), self.syn_question,
                                 rate, rng)
@@ -182,10 +173,7 @@ class PipelineModel:
         instances without an oracle span fall back to the predicted span
         for features and contribute no span loss.
         """
-        passage, question = self.encode_for_extraction(batch, rng)
-        question_vector = pool_question(question, self.extractor)
-        distributions, predicted = predict_span(passage, question_vector,
-                                                self.extractor, self.dims.max_span)
+        distributions, predicted = self.predict_spans(batch, rng)
         feature_spans = [oracle if oracle is not None else guess
                          for oracle, guess in zip(oracle_spans, predicted)]
         extraction_loss = span_loss(distributions, oracle_spans)

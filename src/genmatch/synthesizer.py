@@ -32,14 +32,6 @@ class DecoderParams:
     out_w: Parameter             # (Hd + 2H, |V|)
     out_b: Parameter
 
-    @property
-    def hidden(self) -> int:
-        return self.gru.hidden
-
-    def all(self) -> list[Parameter]:
-        return (self.gru.all() + self.attention.all()
-                + [self.init_w, self.init_b, self.out_w, self.out_b])
-
 
 def init_decoder(store: ParamStore, embed_dim: int, hidden: int, vocab_size: int,
                  rng: np.random.Generator) -> DecoderParams:

@@ -95,13 +95,12 @@ class TrainConfig:
         values.update(_coerce_fields(overrides))
         return TrainConfig(**values)
 
-    @classmethod
-    def from_file(cls, path, base: "TrainConfig | None" = None) -> "TrainConfig":
-        """Flat ``key=value`` text laid over ``base`` (default: the defaults);
-        blank lines and ``#`` comments ignored. Each line is checked as it is
-        read, so every error names ``<path>:<line>``."""
-        config = base or cls()
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    def with_lines(self, lines) -> "TrainConfig":
+        """Flat ``key=value`` lines laid over this config, from (source, text)
+        pairs; blank lines and ``#`` comments ignored. Each line is checked
+        as it is read, so every error names the source of its line."""
+        config = self
+        for source, line in lines:
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
@@ -111,11 +110,22 @@ class TrainConfig:
                 key, value = (part.strip() for part in stripped.split("=", 1))
                 config = config.with_overrides({key: value})
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+                raise ValueError(f"{source}: {exc}") from None
         return config
 
+    @classmethod
+    def from_file(cls, path, base: "TrainConfig | None" = None) -> "TrainConfig":
+        """A config file laid over ``base`` (default: the defaults); every
+        error names ``<path>:<line>``."""
+        lines = Path(path).read_text().splitlines()
+        return (base or cls()).with_lines(
+            (f"{path}:{lineno}", line) for lineno, line in enumerate(lines, start=1))
 
+
+# field name -> type name; annotations are postponed, so each type is a string
 _FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
+_TYPE_NOUNS = {"int": "an integer", "float": "a number", "bool": "a boolean",
+               "str": "a string"}
 
 # Keys that config.json files carried before each was fixed at its only
 # used value (joint stage one, unit loss weights, a frozen matcher encoder,
@@ -126,29 +136,36 @@ _RETIRED_KEYS = {"stage1_joint": True, "span_loss_weight": 1.0,
                  "adam_eps": 1e-8}
 
 
-def _coerce_fields(raw: dict[str, str]) -> dict:
-    coerced = {}
-    for key, value in raw.items():
-        if key not in _FIELD_TYPES:
-            raise ValueError(f"unknown config key {key!r}")
-        kind = _FIELD_TYPES[key]
-        if isinstance(value, str):
-            if kind in ("int", int, "float", float):
-                number, noun = (int, "an integer") if kind in ("int", int) else (float, "a number")
-                try:
-                    coerced[key] = number(value)
-                except ValueError:
-                    raise ValueError(f"config key {key!r} needs {noun}, got {value!r}") from None
-            elif kind in ("bool", bool):
-                lowered = value.lower()
-                if lowered not in ("true", "false", "1", "0"):
-                    raise ValueError(f"config key {key!r} needs a boolean, got {value!r}")
-                coerced[key] = lowered in ("true", "1")
-            else:
-                coerced[key] = value
+def _coerce_fields(raw: dict) -> dict:
+    """Typed values for config keys, from ``key=value`` strings or from the
+    typed values of a ``config.json``."""
+    return {key: _coerce(key, value) for key, value in raw.items()}
+
+
+def _coerce(key: str, value):
+    if key not in _FIELD_TYPES:
+        raise ValueError(f"unknown config key {key!r}")
+    kind = _FIELD_TYPES[key]
+    if isinstance(value, str):
+        if kind == "str":
+            return value
+        if kind == "bool":
+            lowered = value.lower()
+            if lowered in ("true", "false", "1", "0"):
+                return lowered in ("true", "1")
         else:
-            coerced[key] = value
-    return coerced
+            try:
+                return int(value) if kind == "int" else float(value)
+            except ValueError:
+                pass
+    elif isinstance(value, bool):  # a bool is an int too, so it goes first
+        if kind == "bool":
+            return value
+    elif kind == "int" and isinstance(value, int):
+        return value
+    elif kind == "float" and isinstance(value, (int, float)):
+        return float(value)
+    raise ValueError(f"config key {key!r} needs {_TYPE_NOUNS[kind]}, got {value!r}")
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -194,7 +195,7 @@ CASE_OPS = {"concat_cols": "concat", "concat_rows": "concat", "gather": "gather_
 
 @pytest.mark.parametrize("op_name", list(GRADIENT_CASES))
 def test_primitive_gradients_match_central_differences(op_name):
-    rng = np.random.default_rng(hash(op_name) % (2**32))
+    rng = np.random.default_rng(zlib.crc32(op_name.encode()))
     store = ParamStore()
     a = store.create("a", rand(rng, 4, 6))
     b = store.create("b", rand(rng, 4, 6))
@@ -426,7 +427,7 @@ def test_gru_sequence_matches_a_gru_cell_loop(reverse):
 def test_gru_sequence_gradients_match_central_differences(reverse):
     rng = np.random.default_rng(22)
     cell, store = make_cell(rng, 3, 4)
-    for p in cell.all():  # nonzero biases, so every gate gradient is exercised
+    for p in store.all():  # nonzero biases, so every gate gradient is exercised
         p.data[...] = 0.5 * rand(rng, *p.data.shape)
     batch, length = PADDED_MASK.shape
     x = store.create("x", rand(rng, length * batch, 3))

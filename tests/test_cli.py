@@ -125,6 +125,26 @@ def test_structural_drift_rejected(trained_dirs, toy_dir, tmp_path):
     assert rc == 1
 
 
+def test_stage_two_rejects_changed_model_keys_and_takes_training_keys(
+        trained_dirs, toy_dir, tmp_path, capsys):
+    # keys that build the model are fixed by stage one; saving a changed one
+    # would record a model that was never trained
+    stage1, _ = trained_dirs
+    rc = main(["train-selection", "--data", str(toy_dir), "--stage1", str(stage1),
+               "--out", str(tmp_path / "x"), "--set", "max_decode_len=2",
+               "--set", "dropout=0.3", "--set", "vocab_cap=9"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    for key in ("max_decode_len", "dropout", "vocab_cap"):
+        assert repr(key) in err
+    assert not (tmp_path / "x").exists()
+    out = tmp_path / "model"
+    assert main(["train-selection", "--data", str(toy_dir), "--stage1", str(stage1),
+                 "--out", str(out), "--set", "lr=0.01", "--set", "max_epochs=1"]) == 0
+    saved = json.loads((out / "config.json").read_text())
+    assert saved["lr"] == 0.01 and saved["max_decode_len"] == 30
+
+
 def test_config_file_lays_over_stage_one_config(trained_dirs, toy_dir, tmp_path):
     stage1, _ = trained_dirs
     cfg = tmp_path / "select.cfg"
@@ -154,6 +174,19 @@ def test_bad_config_value_names_file_and_line(tmp_path, capsys, line):
                "--config", str(cfg)])
     assert rc == 1
     assert f"{cfg}:3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("item, detail", [
+    ("hiden=8", "unknown config key 'hiden'"),
+    ("hidden=abc", "needs an integer"),
+    ("hidden", "expected key=value"),
+], ids=["unknown_key", "bad_int", "no_equals"])
+def test_bad_set_item_names_the_set_item(tmp_path, capsys, item, detail):
+    rc = main(["train-synthesis", "--data", str(tmp_path), "--out", str(tmp_path / "m"),
+               "--set", "max_epochs=1", "--set", item])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --set {item}: ") and detail in err
 
 
 def test_float32_precision_run_in_process(toy_dir, tmp_path, capsys):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from genmatch import autodiff as ad
+from genmatch import encoders
 from genmatch.autodiff import ParamStore, Tensor, check_gradients, tensor_sum
 from genmatch.corpus import CharVocabulary
 from genmatch.encoders import (
     ContextualEncoding,
     EmbeddedSequence,
-    EvidenceFeatures,
     bigru_encode,
     char_embed_tokens,
     embed_ids,
@@ -214,7 +214,7 @@ def test_char_embed_zero_weights_zero_output():
     rng = np.random.default_rng(9)
     store = ParamStore()
     params = init_char_encoder(store, charvocab(), char_dim=3, char_hidden=4, rng=rng)
-    for p in params.gru.all():
+    for p in store.all():
         p.data[...] = 0.0
     out = char_embed_tokens(["dog"], params, charvocab())
     np.testing.assert_array_equal(out.data, np.zeros((1, 8)))
@@ -248,23 +248,44 @@ def test_embed_with_chars_identical_tokens_share_vectors():
 # evidence feature channels
 
 
-def test_feature_indicators_basic_span():
-    f = EvidenceFeatures.from_spans([(1, 3)], [5], width=5)
-    np.testing.assert_array_equal(f.start_indicators, [[0, 1, 0, 0, 0]])
-    np.testing.assert_array_equal(f.end_indicators, [[0, 0, 0, 1, 0]])
+def feature_channels(monkeypatch, seq, spans):
+    """The (B, T, 2) indicator channels ``encode_with_features`` appends,
+    read off the augmented sequence it hands to ``bigru_encode``."""
+    seen = []
+    monkeypatch.setattr(encoders, "bigru_encode", lambda augmented, *rest: seen.append(augmented))
+    params, _ = encoder(np.random.default_rng(0), seq.dim + 2, 2)
+    encode_with_features(seq, spans, params)
+    (augmented,) = seen
+    np.testing.assert_array_equal(augmented.flat.data[:, :seq.dim], seq.flat.data)
+    channels = augmented.flat.data[:, seq.dim:]
+    return channels.reshape(seq.length, seq.batch, 2).transpose(1, 0, 2)
 
 
-def test_feature_indicators_single_token_span():
-    f = EvidenceFeatures.from_spans([(2, 2)], [5], width=5)
-    np.testing.assert_array_equal(f.start_indicators, [[0, 0, 1, 0, 0]])
-    np.testing.assert_array_equal(f.end_indicators, [[0, 0, 1, 0, 0]])
+def test_feature_indicators_basic_span(monkeypatch):
+    seq = make_sequence(np.random.default_rng(15), 1, 5, 3)
+    channels = feature_channels(monkeypatch, seq, [(1, 3)])
+    np.testing.assert_array_equal(channels[..., 0], [[0, 1, 0, 0, 0]])
+    np.testing.assert_array_equal(channels[..., 1], [[0, 0, 0, 1, 0]])
+
+
+def test_feature_indicators_single_token_span(monkeypatch):
+    # two rows, so the channels must land at row t*B + b of the position-major block
+    mask = np.array([[1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 0.0, 0.0]])
+    seq = make_sequence(np.random.default_rng(16), 2, 5, 3, mask)
+    channels = feature_channels(monkeypatch, seq, [(2, 2), (0, 2)])
+    np.testing.assert_array_equal(channels[..., 0], [[0, 0, 1, 0, 0], [1, 0, 0, 0, 0]])
+    np.testing.assert_array_equal(channels[..., 1], [[0, 0, 1, 0, 0], [0, 0, 1, 0, 0]])
 
 
 def test_feature_indicators_reject_invalid():
+    rng = np.random.default_rng(17)
+    params, _ = encoder(rng, 3 + 2, 4)
+    mask = np.array([[1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0]])
+    seq = make_sequence(rng, 1, 7, 3, mask)
     with pytest.raises(ValueError):
-        EvidenceFeatures.from_spans([(3, 1)], [5], width=5)
-    with pytest.raises(ValueError):
-        EvidenceFeatures.from_spans([(0, 6)], [5], width=7)
+        encode_with_features(seq, [(3, 1)], params)
+    with pytest.raises(ValueError):  # past the row's unmasked length
+        encode_with_features(seq, [(0, 6)], params)
 
 
 def test_changing_features_changes_forward_positions_at_and_after():
@@ -272,8 +293,8 @@ def test_changing_features_changes_forward_positions_at_and_after():
     store = ParamStore()
     params = init_bigru(store, "syn", 3 + 2, 4, rng)
     seq = make_sequence(rng, 1, 5, 3)
-    enc_a = encode_with_features(seq, EvidenceFeatures.from_spans([(1, 2)], [5], 5), params)
-    enc_b = encode_with_features(seq, EvidenceFeatures.from_spans([(2, 2)], [5], 5), params)
+    enc_a = encode_with_features(seq, [(1, 2)], params)
+    enc_b = encode_with_features(seq, [(2, 2)], params)
     a, b = positions(enc_a)[0], positions(enc_b)[0]
     hidden = 4
     np.testing.assert_array_equal(a[0, :hidden], b[0, :hidden])  # before change
@@ -287,7 +308,7 @@ def test_feature_length_mismatch_rejected():
     params = init_bigru(store, "syn", 5, 4, rng)
     seq = make_sequence(rng, 1, 5, 3)
     with pytest.raises(ValueError):
-        encode_with_features(seq, EvidenceFeatures.from_spans([(0, 1)], [4], 4), params)
+        encode_with_features(seq, [(0, 1), (0, 1)], params)
 
 
 def test_embed_ids_zeroes_masked_positions():

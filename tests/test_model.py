@@ -121,7 +121,7 @@ def test_freeze_partition_covers_all_parameters():
     frozen = model.freeze_for_selection_stage()
     assert set(frozen) == set(model.store.names()) - {MATCHER_PARAM}
     assert [p.name for p in model.trainable_parameters()] == [MATCHER_PARAM]
-    assert all(not model.store[name].trainable for name in frozen)
+    assert all(not model.store[name].requires_grad for name in frozen)
 
 
 def test_frozen_parameters_stay_out_of_the_gradient_bookkeeping():

@@ -127,7 +127,7 @@ def test_selection_stage_freezes_stage_one_and_starts_at_log4():
     stage1 = train_synthesis_stage(config, train, dev, vocab, char_vocab, table)
     model = stage1.model
     epoch_zero_accuracy = evaluate(model, dev, config.batch_size).accuracy
-    frozen_names = model.stage_one_frozen_names()
+    frozen_names = model.freeze_for_selection_stage()
     before = param_fingerprints([model.store[n] for n in frozen_names])
     result = train_selection_stage(config, model, train, dev)
     after = param_fingerprints([model.store[n] for n in frozen_names])
@@ -216,7 +216,12 @@ def test_config_json_with_retired_keys_at_their_fixed_values_still_loads(tmp_pat
     assert evaluate(loaded, dev, config.batch_size).to_json() == report
 
 
-@pytest.mark.parametrize("key, value", [("stage1_joint", False), ("foo", 1)])
+@pytest.mark.parametrize("key, value", [
+    ("stage1_joint", False), ("foo", 1),
+    # a value of the wrong type: an integer key takes neither a float nor a
+    # bool, a number key no bool, a boolean key no integer
+    ("hidden", 8.0), ("hidden", True), ("lr", False), ("fine_tune_embeddings", 1),
+])
 def test_bad_config_json_key_names_the_file_and_key(tmp_path, key, value):
     config, train, dev, vocab, char_vocab, table = setup_training()
     model = build_model(config.dims(vocab, char_vocab), vocab, char_vocab,
@@ -230,3 +235,9 @@ def test_bad_config_json_key_names_the_file_and_key(tmp_path, key, value):
     message = str(excinfo.value)
     assert message.startswith(f"{out / 'config.json'}: ")
     assert repr(key) in message
+
+
+def test_config_json_float_keys_take_integers():
+    config = TrainConfig.from_payload({"lr": 1, "hidden": 8, "fine_tune_embeddings": True})
+    assert config.lr == 1.0 and isinstance(config.lr, float)
+    assert config.hidden == 8 and config.fine_tune_embeddings is True

@@ -2,8 +2,11 @@
 
 Scores are v . tanh(W_m m_j + W_q q + b) for every position j of every
 memory, softmax-normalized jointly over the unmasked positions; the
-context is the weight-averaged memory. The extractor attends over the
-passage alone, the decoder over the passage and the question together.
+context is the weight-averaged memory. The keys W_m m_j do not depend on
+the query, so a caller projects each memory once and passes its keys in;
+the decoder attends with a new query at every step. The extractor attends
+over the passage alone, the decoder over the passage and the question
+together.
 """
 
 from __future__ import annotations
@@ -44,12 +47,10 @@ def init_attention(store: ParamStore, prefix: str, memory_dim: int, query_dim: i
     )
 
 
-def _scores(query: Tensor, memory_flat: Tensor, length: int,
-            params: AttentionParams) -> Tensor:
-    """Unnormalized scores, shape (B, length)."""
+def _scores(query: Tensor, keys: Tensor, length: int, params: AttentionParams) -> Tensor:
+    """Unnormalized scores of projected ``keys``, shape (B, length)."""
     batch = query.data.shape[0]
-    proj = ad.add(ad.matmul(memory_flat, params.w_memory),
-                  ad.repeat_rows(ad.matmul(query, params.w_query), length))
+    proj = ad.add(keys, ad.repeat_rows(ad.matmul(query, params.w_query), length))
     scores = ad.matmul(ad.tanh(ad.add(proj, params.bias)), params.v)
     return ad.reshape(scores, (batch, length))
 
@@ -57,23 +58,24 @@ def _scores(query: Tensor, memory_flat: Tensor, length: int,
 def additive_attention(query: Tensor, memories, params: AttentionParams) -> tuple[Tensor, Tensor]:
     """Attend a (B, S) query over one or more memories jointly.
 
-    ``memories`` is a list of (memory_flat, mask) pairs: a batch-major
-    (B*T_i, M) memory and its (B, T_i) mask, all sharing M. One softmax runs
-    across every memory's positions. Returns (context (B, M), weights
-    (B, sum T_i)); the weights carry zero mass on masked positions and sum
-    to 1 over each row.
+    ``memories`` is a list of (memory_flat, keys, mask) triples: a
+    batch-major (B*T_i, M) memory, its (B*T_i, A) keys
+    ``matmul(memory_flat, params.w_memory)`` and its (B, T_i) mask, all
+    sharing M. One softmax runs across every memory's positions. Returns
+    (context (B, M), weights (B, sum T_i)); the weights carry zero mass on
+    masked positions and sum to 1 over each row.
     """
-    if not memories or any(flat.data.shape[0] == 0 for flat, _ in memories):
+    if not memories or any(flat.data.shape[0] == 0 for flat, _, _ in memories):
         raise ValueError("attention over an empty memory")
     batch = query.data.shape[0]
-    lengths = [mask.shape[1] for _, mask in memories]
-    scores = [_scores(query, flat, length, params)
-              for (flat, _), length in zip(memories, lengths)]
+    lengths = [mask.shape[1] for _, _, mask in memories]
+    scores = [_scores(query, keys, length, params)
+              for (_, keys, _), length in zip(memories, lengths)]
     weights = ad.masked_softmax(ad.concat(scores, axis=1),
-                                np.concatenate([mask for _, mask in memories], axis=1))
+                                np.concatenate([mask for _, _, mask in memories], axis=1))
     context = None
     offset = 0
-    for (flat, _), length in zip(memories, lengths):
+    for (flat, _, _), length in zip(memories, lengths):
         piece = ad.slice_cols(weights, offset, offset + length)
         summed = ad.sum_groups(ad.mul(flat, ad.reshape(piece, (batch * length, 1))), length)
         context = summed if context is None else ad.add(context, summed)

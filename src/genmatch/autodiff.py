@@ -346,15 +346,27 @@ def softmax(a: Tensor) -> Tensor:
     return _softmax(a, a.data)
 
 
-def log_softmax(a: Tensor) -> Tensor:
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    y = shifted - lse
+def softmax_nll(a: Tensor, targets: np.ndarray) -> Tensor:
+    """Negative log-softmax of the (N, V) logits at one target column per
+    row: out[i, 0] = -log(softmax(a)[i, targets[i]]).
+
+    Only the (N, V) softmax is kept for the backward, g * (p - onehot),
+    evaluated as g * p with g subtracted at each target.
+    """
+    idx = np.asarray(targets, dtype=np.int64)
+    rows = np.arange(a.data.shape[0])
+    y = a.data - a.data.max(axis=-1, keepdims=True)
+    p = np.exp(y)
+    y -= np.log(p.sum(axis=-1, keepdims=True))  # y is now the log-softmax of a
+    data = -y[rows, idx][:, None]
+    np.exp(y, out=p)
 
     def _bw(g):
-        _accum(a, g - np.exp(y) * g.sum(axis=-1, keepdims=True))
+        grad = p * g
+        grad[rows, idx] -= g[:, 0]
+        _accum(a, grad)
 
-    return _node(y, (a,), _bw)
+    return _node(data, (a,), _bw)
 
 
 def masked_softmax(a: Tensor, mask: np.ndarray) -> Tensor:

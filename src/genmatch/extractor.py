@@ -92,11 +92,16 @@ def predict_span(passage: ContextualEncoding, question_vector: Tensor,
                  params: ExtractorParams,
                  max_span: int = DEFAULT_MAX_SPAN) -> tuple[SpanDistributions, list[EvidenceSpan]]:
     """Span distributions plus the per-instance argmax span."""
-    memory = [(passage.flat, passage.mask)]
-    summary, start_dist = additive_attention(question_vector, memory,
+    def memory(attention: AttentionParams):
+        keys = ad.matmul(passage.flat, attention.w_memory)
+        return [(passage.flat, keys, passage.mask)]
+
+    summary, start_dist = additive_attention(question_vector,
+                                             memory(params.start_attention),
                                              params.start_attention)
     end_query = ad.concat([question_vector, summary], axis=1)
-    _, end_dist = additive_attention(end_query, memory, params.end_attention)
+    _, end_dist = additive_attention(end_query, memory(params.end_attention),
+                                     params.end_attention)
     lengths = passage.mask.sum(axis=1).astype(int)
     spans = [feasible_span_argmax(start_dist.data[b], end_dist.data[b],
                                   int(lengths[b]), max_span)

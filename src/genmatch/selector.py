@@ -55,5 +55,4 @@ def selection_loss(scores: OptionScores, gold: np.ndarray) -> Tensor:
     gold = np.asarray(gold, dtype=np.int64)
     if gold.min() < 0 or gold.max() >= NUM_OPTIONS:
         raise ValueError("gold index out of range")
-    logp = ad.log_softmax(scores.scores)
-    return ad.neg(ad.mean(ad.take_per_row(logp, gold)))
+    return ad.mean(ad.softmax_nll(scores.scores, gold))

@@ -2,10 +2,12 @@
 feature-augmented passage and question encodings.
 
 Each step reads the previous word embedding and the previous context
-vector, produces a new hidden state, attends over the combined memory,
-and projects [hidden ; context] to vocabulary logits. Decoding is greedy
-and stops at the end token or a length cap; training is teacher-forced
-with mean per-token cross-entropy against the correct option's tokens.
+vector, produces a new hidden state and attends over the combined memory,
+whose attention keys are projected once per sequence. [hidden ; context]
+is projected to vocabulary logits: at every step when decoding, which is
+greedy and stops at the end token or a length cap, and once for all steps
+when training, which is teacher-forced with mean per-token cross-entropy
+against the correct option's tokens.
 """
 
 from __future__ import annotations
@@ -56,14 +58,16 @@ class DecoderState:
 
 @dataclass
 class DecoderMemory:
-    """Concatenated attention memory: passage (feature-augmented) then question."""
+    """Concatenated attention memory: passage (feature-augmented) then
+    question, each with its attention keys, which no decode step changes."""
 
-    parts: list[tuple[Tensor, np.ndarray]]
+    parts: list[tuple[Tensor, Tensor, np.ndarray]]
 
     @classmethod
-    def from_encodings(cls, passage: ContextualEncoding,
-                       question: ContextualEncoding) -> "DecoderMemory":
-        return cls(parts=[(passage.flat, passage.mask), (question.flat, question.mask)])
+    def from_encodings(cls, passage: ContextualEncoding, question: ContextualEncoding,
+                       params: AttentionParams) -> "DecoderMemory":
+        return cls(parts=[(enc.flat, ad.matmul(enc.flat, params.w_memory), enc.mask)
+                          for enc in (passage, question)])
 
 
 def initial_state(passage: ContextualEncoding, question: ContextualEncoding,
@@ -77,17 +81,15 @@ def initial_state(passage: ContextualEncoding, question: ContextualEncoding,
 
 
 def decode_step(state: DecoderState, memory: DecoderMemory, params: DecoderParams,
-                gru: ad.PackedGRU) -> tuple[Tensor, Tensor, Tensor]:
-    """One step: returns (vocab logits, new hidden, new context). The caller
-    packs ``params.gru`` once for all its steps, picks the next input token
-    and builds the next state."""
+                gru: ad.PackedGRU) -> tuple[Tensor, Tensor]:
+    """One step: returns (new hidden, new context). The caller packs
+    ``params.gru`` once for all its steps, projects the output, picks the
+    next input token and builds the next state."""
     x = ad.concat([state.word_embedding, state.context], axis=1)
     step_mask = np.ones((x.data.shape[0], 1), dtype=x.data.dtype)
     hidden = ad.gru_sequence(x, state.hidden, gru, step_mask)
     context, _ = additive_attention(hidden, memory.parts, params.attention)
-    logits = ad.add(ad.matmul(ad.concat([hidden, context], axis=1), params.out_w),
-                    params.out_b)
-    return logits, hidden, context
+    return hidden, context
 
 
 @dataclass(frozen=True)
@@ -106,25 +108,31 @@ def generate_answer(passage: ContextualEncoding, question: ContextualEncoding,
                     max_length: int = DEFAULT_MAX_DECODE) -> list[GeneratedAnswer]:
     """Greedy decoding for a batch; pure function of (parameters, inputs)."""
     batch = passage.batch
-    memory = DecoderMemory.from_encodings(passage, question)
+    rows = np.arange(batch)
     emitted: list[list[int]] = [[] for _ in range(batch)]
     logprobs: list[list[float]] = [[] for _ in range(batch)]
     finished = np.zeros(batch, dtype=bool)
     with ad.no_grad():
+        memory = DecoderMemory.from_encodings(passage, question, params.attention)
         state = initial_state(passage, question, word_table, batch, params)
         gru = params.gru.pack()
         for _ in range(max_length):
-            logits, hidden, context = decode_step(state, memory, params, gru)
-            logp = ad.log_softmax(logits).data
-            choice = logits.data.copy()
-            choice[:, PAD] = -np.inf  # padding and start tokens are never emitted
-            choice[:, BOS] = -np.inf
-            picks = np.argmax(choice, axis=1)
+            hidden, context = decode_step(state, memory, params, gru)
+            logits = ad.add(ad.matmul(ad.concat([hidden, context], axis=1), params.out_w),
+                            params.out_b).data  # a fresh array, free to overwrite
+            # the log-softmax at the picks only: (logit - max) - log(sum(exp(logit - max)))
+            top = logits.max(axis=1, keepdims=True)
+            shifted = logits - top
+            lse = np.log(np.exp(shifted, out=shifted).sum(axis=1))
+            logits[:, PAD] = -np.inf  # padding and start tokens are never emitted
+            logits[:, BOS] = -np.inf
+            picks = np.argmax(logits, axis=1)
+            logp = (logits[rows, picks] - top[:, 0]) - lse
             for b in range(batch):
                 if finished[b]:
                     continue
                 emitted[b].append(int(picks[b]))
-                logprobs[b].append(float(logp[b, picks[b]]))
+                logprobs[b].append(float(logp[b]))
                 if picks[b] == EOS:
                     finished[b] = True
             if finished.all():
@@ -171,19 +179,21 @@ def synthesis_loss(passage: ContextualEncoding, question: ContextualEncoding,
     inputs, targets, mask = teacher_targets(target_ids)
     mask = mask.astype(passage.flat.data.dtype, copy=False)
     batch, width = targets.shape
-    memory = DecoderMemory.from_encodings(passage, question)
+    memory = DecoderMemory.from_encodings(passage, question, params.attention)
     state = initial_state(passage, question, word_table, batch, params)
     gru = params.gru.pack()
-    position_nll = []
+    outputs = []
     for t in range(width):
-        logits, hidden, context = decode_step(state, memory, params, gru)
-        logp = ad.log_softmax(logits)
-        position_nll.append(ad.neg(ad.take_per_row(logp, targets[:, t])))
+        hidden, context = decode_step(state, memory, params, gru)
+        outputs.append(ad.concat([hidden, context], axis=1))
         if t + 1 < width:
             state = DecoderState(hidden=hidden,
                                  word_embedding=ad.gather_rows(word_table, inputs[:, t + 1]),
                                  context=context)
-    nll = ad.concat(position_nll, axis=1)                      # (B, L)
+    # one output projection for all L steps, rows step-major (t * B + b)
+    logits = ad.add(ad.matmul(ad.concat(outputs, axis=0), params.out_w), params.out_b)
+    step_nll = ad.softmax_nll(logits, targets.T.reshape(-1))   # (L*B, 1)
+    nll = ad.reshape(ad.regroup_rows(step_nll, width, batch), (batch, width))
     per_instance = ad.sum_last(ad.mul_const(nll, mask))        # (B, 1)
     lengths = mask.sum(axis=1, keepdims=True)
     return ad.mean(ad.mul_const(per_instance, 1.0 / lengths))

@@ -202,7 +202,8 @@ def _dev_stage_one_loss(model: PipelineModel, dev: list[Instance], spans: dict,
     total, count = 0.0, 0
     for batch in make_batches(dev, model.vocab, config.batch_size):
         targets = [spans[i.uid] for i in batch.instances]
-        loss, _ = model.stage_one_loss(batch, targets, rng=None)
+        with ad.no_grad():
+            loss, _ = model.stage_one_loss(batch, targets, rng=None)
         total += loss.item() * batch.size
         count += batch.size
     return total / count

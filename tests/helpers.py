@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from genmatch import autodiff as ad
 from genmatch.corpus import (
     CharVocabulary,
     Vocabulary,
@@ -12,6 +13,13 @@ from genmatch.corpus import (
     random_embeddings,
 )
 from genmatch.model import build_model
+from genmatch.synthesizer import (
+    DecoderMemory,
+    DecoderState,
+    decode_step,
+    initial_state,
+    teacher_targets,
+)
 from genmatch.training import TrainConfig
 
 
@@ -45,3 +53,29 @@ def build_micro_pipeline(n_passages=3, seed=11, **config_overrides):
 def positions(encoding):
     """(B, T, 2H) view of a contextual encoding's values."""
     return encoding.flat.data.reshape(encoding.batch, encoding.length, 2 * encoding.hidden)
+
+
+def per_step_synthesis_loss(passage, question, word_table, params, target_ids):
+    """Reference for ``synthesis_loss``: the same teacher-forced loss, with
+    the attention keys projected inside every step and one output
+    projection and loss column per step."""
+    inputs, targets, mask = teacher_targets(target_ids)
+    mask = mask.astype(passage.flat.data.dtype, copy=False)
+    batch, width = targets.shape
+    state = initial_state(passage, question, word_table, batch, params)
+    gru = params.gru.pack()
+    columns = []
+    for t in range(width):
+        memory = DecoderMemory.from_encodings(passage, question, params.attention)
+        hidden, context = decode_step(state, memory, params, gru)
+        logits = ad.add(ad.matmul(ad.concat([hidden, context], axis=1), params.out_w),
+                        params.out_b)
+        columns.append(ad.softmax_nll(logits, targets[:, t]))
+        if t + 1 < width:
+            state = DecoderState(hidden=hidden,
+                                 word_embedding=ad.gather_rows(word_table, inputs[:, t + 1]),
+                                 context=context)
+    nll = ad.concat(columns, axis=1)
+    per_instance = ad.sum_last(ad.mul_const(nll, mask))
+    lengths = mask.sum(axis=1, keepdims=True)
+    return ad.mean(ad.mul_const(per_instance, 1.0 / lengths))

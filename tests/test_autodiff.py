@@ -21,7 +21,6 @@ from genmatch.autodiff import (
     global_grad_norm,
     gru_cell,
     init_gru_cell,
-    log_softmax,
     masked_softmax,
     matmul,
     mul,
@@ -173,7 +172,7 @@ GRADIENT_CASES = {
     "tanh": lambda a, b, w: ad.tanh(a),
     "log": lambda a, b, w: ad.log(ad.sigmoid(a)),
     "softmax": lambda a, b, w: ad.softmax(a),
-    "log_softmax": lambda a, b, w: ad.log_softmax(a),
+    "softmax_nll": lambda a, b, w: ad.softmax_nll(a, np.array([4, 1, 4, 4])),  # repeated ids
     "masked_softmax": lambda a, b, w: ad.masked_softmax(a, MASK),
     "gather": lambda a, b, w: ad.gather_rows(a, np.array([1, 0, 3, 1, 2])),
     "take_per_row": lambda a, b, w: ad.take_per_row(a, IDX),
@@ -238,6 +237,22 @@ def test_every_tape_op_has_a_central_difference_check():
     assert {"add", "masked_softmax", "mean", "gru_sequence"} <= ops
     assert sorted(ops - covered) == [], "tape ops without a gradient check"
     assert sorted(covered - ops) == [], "gradient cases for functions that are no tape op"
+
+
+def test_softmax_nll_is_the_negative_log_softmax_at_the_targets():
+    rng = np.random.default_rng(12)
+    store = ParamStore()
+    a = store.create("a", rand(rng, 5, 300) * 6.0)
+    targets = np.array([7, 299, 7, 0, 7])
+    out = ad.softmax_nll(a, targets)
+    shifted = a.data - a.data.max(axis=1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    assert out.data.shape == (5, 1)
+    np.testing.assert_array_equal(out.data[:, 0], -log_p[np.arange(5), targets])
+    backward(ad.mean(out))
+    onehot = np.zeros_like(a.data)
+    onehot[np.arange(5), targets] = 1.0
+    np.testing.assert_allclose(a.grad, (np.exp(log_p) - onehot) / 5, rtol=1e-12, atol=1e-18)
 
 
 def test_corrupted_backward_rule_fails_gradient_check():

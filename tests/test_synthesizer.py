@@ -6,7 +6,7 @@ import pytest
 from genmatch import autodiff as ad
 from genmatch.attention import _scores, additive_attention, init_attention
 from genmatch.autodiff import ParamStore, Tensor, check_gradients
-from genmatch.corpus import BOS, EOS, Vocabulary
+from genmatch.corpus import BOS, EOS, PAD, Vocabulary
 from genmatch.encoders import ContextualEncoding
 from genmatch.synthesizer import (
     DecoderMemory,
@@ -19,7 +19,7 @@ from genmatch.synthesizer import (
     teacher_targets,
 )
 
-from helpers import positions
+from helpers import per_step_synthesis_loss, positions
 
 
 def make_encoding(rng, batch, length, hidden, mask=None):
@@ -34,6 +34,11 @@ def make_encoding(rng, batch, length, hidden, mask=None):
 
 def vocab_fixture():
     return Vocabulary.build([["red", "blue", "green", "dog"]])
+
+
+def with_keys(flat, mask, params):
+    """One attention memory: its rows, their projected keys and its mask."""
+    return (flat, ad.matmul(flat, params.w_memory), mask)
 
 
 def setup_decoder(rng, hidden=3, embed=4, vocab=None):
@@ -55,7 +60,7 @@ def test_attention_uniform_scores_gives_mean_of_memory():
     params.v.data[...] = 0.0  # all scores collapse to zero
     memory = make_encoding(rng, 1, 3, 2)
     out, _ = additive_attention(Tensor(rng.standard_normal((1, 3))),
-                                [(memory.flat, memory.mask)], params)
+                                [with_keys(memory.flat, memory.mask, params)], params)
     np.testing.assert_allclose(out.data[0], positions(memory)[0].mean(axis=0), atol=1e-12)
 
 
@@ -66,7 +71,7 @@ def test_attention_single_unmasked_position_returns_it():
     mask = np.array([[0.0, 1.0, 0.0]])
     memory = make_encoding(rng, 1, 3, 2, mask=mask)
     out, weights = additive_attention(Tensor(rng.standard_normal((1, 3))),
-                                      [(memory.flat, memory.mask)], params)
+                                      [with_keys(memory.flat, memory.mask, params)], params)
     np.testing.assert_allclose(out.data[0], positions(memory)[0][1], atol=1e-12)
     np.testing.assert_array_equal(weights.data, mask)
 
@@ -77,7 +82,8 @@ def test_attention_matches_scalar_oracle():
     params = init_attention(store, "attn", memory_dim=2, query_dim=2, proj_dim=2, rng=rng)
     memory_rows = rng.standard_normal((3, 2))
     query = rng.standard_normal((1, 2))
-    out, _ = additive_attention(Tensor(query), [(Tensor(memory_rows), np.ones((1, 3)))],
+    out, _ = additive_attention(Tensor(query),
+                                [with_keys(Tensor(memory_rows), np.ones((1, 3)), params)],
                                 params)
     scores = []
     for j in range(3):
@@ -102,7 +108,8 @@ def test_attention_one_memory_is_bit_identical_to_the_single_softmax_composite()
     readout = rng.standard_normal((2, 4))
 
     def composite():
-        weights = ad.masked_softmax(_scores(query, memory, 4, params), mask)
+        keys = ad.matmul(memory, params.w_memory)
+        weights = ad.masked_softmax(_scores(query, keys, 4, params), mask)
         context = ad.sum_groups(ad.mul(memory, ad.reshape(weights, (2 * 4, 1))), 4)
         return context, weights
 
@@ -113,7 +120,8 @@ def test_attention_one_memory_is_bit_identical_to_the_single_softmax_composite()
                            ad.tensor_sum(ad.mul(weights, weights))))
         return context.data, weights.data, {p.name: p.grad.copy() for p in store.all()}
 
-    got = grads_of(lambda: additive_attention(query, [(memory, mask)], params))
+    got = grads_of(lambda: additive_attention(query, [with_keys(memory, mask, params)],
+                                              params))
     want = grads_of(composite)
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(got[1], want[1])
@@ -129,7 +137,8 @@ def test_attention_two_memories_share_one_softmax():
     question = make_encoding(rng, 2, 2, 2, mask=np.array([[1.0, 1.0], [1.0, 0.0]]))
     context, weights = additive_attention(
         Tensor(rng.standard_normal((2, 3))),
-        [(passage.flat, passage.mask), (question.flat, question.mask)], params)
+        [with_keys(passage.flat, passage.mask, params),
+         with_keys(question.flat, question.mask, params)], params)
     assert weights.data.shape == (2, 6)
     np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-12)
     np.testing.assert_array_equal(weights.data[1, [2, 3, 5]], 0.0)
@@ -144,16 +153,37 @@ def test_attention_weights_sum_to_one_each_step():
     params, table, vocab, _ = setup_decoder(rng)
     passage = make_encoding(rng, 2, 4, 3, mask=np.array([[1.0] * 4, [1, 1, 0, 0]]))
     question = make_encoding(rng, 2, 2, 3)
-    memory = DecoderMemory.from_encodings(passage, question)
+    memory = DecoderMemory.from_encodings(passage, question, params.attention)
     state = initial_state(passage, question, table, 2, params)
     for _ in range(3):
-        logits, hidden, context = decode_step(state, memory, params, params.gru.pack())
+        hidden, context = decode_step(state, memory, params, params.gru.pack())
         again, weights = additive_attention(hidden, memory.parts, params.attention)
         np.testing.assert_array_equal(again.data, context.data)
         np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-6)
         np.testing.assert_array_equal(weights.data[1, 2:4], 0.0)
         state = DecoderState(hidden=hidden,
                              word_embedding=ad.gather_rows(table, np.array([4, 5])),
+                             context=context)
+
+
+def test_hoisted_keys_give_the_context_and_weights_of_keys_projected_each_step():
+    rng = np.random.default_rng(32)
+    params, table, vocab, _ = setup_decoder(rng)
+    passage = make_encoding(rng, 2, 4, 3, mask=np.array([[1.0] * 4, [1, 1, 1, 0]]))
+    question = make_encoding(rng, 2, 3, 3, mask=np.array([[1.0, 1.0, 0.0], [1.0] * 3]))
+    memory = DecoderMemory.from_encodings(passage, question, params.attention)
+    state = initial_state(passage, question, table, 2, params)
+    gru = params.gru.pack()
+    for step in range(4):
+        hidden, context = decode_step(state, memory, params, gru)
+        _, hoisted_weights = additive_attention(hidden, memory.parts, params.attention)
+        projected_here = [with_keys(enc.flat, enc.mask, params.attention)
+                          for enc in (passage, question)]
+        inside, inside_weights = additive_attention(hidden, projected_here, params.attention)
+        np.testing.assert_array_equal(context.data, inside.data)
+        np.testing.assert_array_equal(hoisted_weights.data, inside_weights.data)
+        state = DecoderState(hidden=hidden,
+                             word_embedding=ad.gather_rows(table, np.array([4 + step, 5])),
                              context=context)
 
 
@@ -165,7 +195,8 @@ def test_attention_empty_memory_rejected():
     with pytest.raises(ValueError):
         additive_attention(query, [], params)
     with pytest.raises(ValueError):
-        additive_attention(query, [(Tensor(np.zeros((0, 4))), np.zeros((1, 0)))], params)
+        additive_attention(query, [with_keys(Tensor(np.zeros((0, 4))), np.zeros((1, 0)), params)],
+                           params)
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +208,16 @@ def test_decode_step_logits_cover_vocabulary_and_are_deterministic():
     params, table, vocab, _ = setup_decoder(rng)
     passage = make_encoding(rng, 2, 3, 3)
     question = make_encoding(rng, 2, 2, 3)
-    memory = DecoderMemory.from_encodings(passage, question)
+    memory = DecoderMemory.from_encodings(passage, question, params.attention)
     state = initial_state(passage, question, table, 2, params)
-    logits_a, _, _ = decode_step(state, memory, params, params.gru.pack())
-    logits_b, _, _ = decode_step(state, memory, params, params.gru.pack())
-    assert logits_a.data.shape == (2, len(vocab))
-    np.testing.assert_array_equal(logits_a.data, logits_b.data)
+
+    def logits():
+        hidden, context = decode_step(state, memory, params, params.gru.pack())
+        return ad.matmul(ad.concat([hidden, context], axis=1), params.out_w).data
+
+    logits_a, logits_b = logits(), logits()
+    assert logits_a.shape == (2, len(vocab))
+    np.testing.assert_array_equal(logits_a, logits_b)
 
 
 def test_decoder_two_step_gradients_pass_check():
@@ -240,6 +275,44 @@ def test_generation_deterministic_and_capped():
     assert 0 not in first[0].token_ids  # no padding emitted
 
 
+def test_greedy_token_logprobs_equal_a_numpy_log_softmax_bit_for_bit():
+    # the decoder reads the log-probability of each pick alone; it must be
+    # the very value the full log-softmax array holds there
+    rng = np.random.default_rng(33)
+    vocab = Vocabulary.build([[f"w{i}" for i in range(300)]])
+    params, table, vocab, _ = setup_decoder(rng, hidden=4, embed=5, vocab=vocab)
+    params.out_w.data *= 4.0
+    passage = make_encoding(rng, 3, 5, 4, mask=np.array([[1.0] * 5, [1.0] * 3 + [0.0] * 2,
+                                                         [1.0] * 4 + [0.0]]))
+    question = make_encoding(rng, 3, 2, 4)
+    answers = generate_answer(passage, question, table, params, vocab, max_length=8)
+
+    with ad.no_grad():
+        memory = DecoderMemory.from_encodings(passage, question, params.attention)
+        state = initial_state(passage, question, table, 3, params)
+        gru = params.gru.pack()
+        picked, logprobs = [], []
+        for _ in range(8):
+            hidden, context = decode_step(state, memory, params, gru)
+            logits = ad.add(ad.matmul(ad.concat([hidden, context], axis=1), params.out_w),
+                            params.out_b).data
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            choice = logits.copy()
+            choice[:, [PAD, BOS]] = -np.inf
+            picks = np.argmax(choice, axis=1)
+            picked.append(picks)
+            logprobs.append(logp[np.arange(3), picks])
+            state = DecoderState(hidden=hidden, word_embedding=ad.gather_rows(table, picks),
+                                 context=context)
+    picked, logprobs = np.array(picked).T, np.array(logprobs).T
+    assert sum(len(a.token_ids) for a in answers) > 3
+    for b, answer in enumerate(answers):
+        steps = len(answer.token_ids)
+        assert answer.token_ids == tuple(int(i) for i in picked[b, :steps])
+        np.testing.assert_array_equal(np.array(answer.token_logprobs), logprobs[b, :steps])
+
+
 # ---------------------------------------------------------------------------
 # synthesis loss
 
@@ -290,3 +363,38 @@ def test_synthesis_loss_decreases_under_adam_on_one_instance():
         ad.backward(loss)
         opt.step()
     assert losses[-1] < losses[0]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_synthesis_loss_matches_the_per_step_composite(dtype):
+    # one projection for all steps and keys projected once reorder sums
+    # only, so the loss and every gradient agree with the per-step form
+    rng = np.random.default_rng(34)
+    vocab = Vocabulary.build([[f"w{i}" for i in range(40)]])
+    store = ParamStore(dtype)
+    table = store.create("emb", rng.standard_normal((len(vocab), 5)) * 0.3)
+    params = init_decoder(store, 5, 4, len(vocab), rng)
+    p_mask = np.array([[1.0] * 6, [1.0] * 4 + [0.0] * 2, [1.0] * 5 + [0.0]])
+    p_flat = store.create("passage", rng.standard_normal((3 * 6, 8)) * p_mask.reshape(-1, 1))
+    q_flat = store.create("question", rng.standard_normal((3 * 3, 8)))
+    targets = [[4, 9, 9, 17], [30], [5, 4, 12]]  # uneven lengths, a repeated id
+
+    def encoding(flat, mask, length):
+        return ContextualEncoding(flat=flat, mask=mask.astype(dtype), batch=3, length=length,
+                                  hidden=4, final_forward=Tensor(np.zeros((3, 4), dtype)),
+                                  final_backward=Tensor(np.zeros((3, 4), dtype)))
+
+    def run(loss_fn):
+        ad.zero_grads(store.all())
+        loss = loss_fn(encoding(p_flat, p_mask, 6), encoding(q_flat, np.ones((3, 3)), 3),
+                       table, params, targets)
+        ad.backward(loss)
+        return loss.item(), {p.name: p.grad.copy() for p in store.all()}
+
+    loss, grads = run(synthesis_loss)
+    want_loss, want_grads = run(per_step_synthesis_loss)
+    loss_rtol, grad_rtol = (1e-12, 1e-10) if dtype == np.float64 else (1e-6, 1e-4)
+    assert loss == pytest.approx(want_loss, rel=loss_rtol, abs=0)
+    for name, want in want_grads.items():
+        assert grads[name].dtype == dtype
+        np.testing.assert_allclose(grads[name], want, rtol=grad_rtol, atol=0, err_msg=name)

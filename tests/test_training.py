@@ -122,6 +122,33 @@ def test_best_dev_checkpoint_never_worse_than_epoch_zero():
     assert final_dev <= result.best_metric + 1e-9
 
 
+def test_dev_loss_records_no_tape_and_keeps_its_value(monkeypatch):
+    from genmatch.corpus import make_batches
+    from genmatch.model import PipelineModel
+    from genmatch.training import _dev_stage_one_loss
+    config, train, dev, vocab, char_vocab, table = setup_training()
+    model = build_model(config.dims(vocab, char_vocab), vocab, char_vocab, table.matrix,
+                        seed=config.seed)
+    spans = compute_oracle_spans(train + dev, config.max_span)
+    recorded_total, count = 0.0, 0
+    for batch in make_batches(dev, vocab, config.batch_size):
+        loss, _ = model.stage_one_loss(batch, [spans[i.uid] for i in batch.instances])
+        assert loss.requires_grad
+        recorded_total += loss.item() * batch.size
+        count += batch.size
+    recording = []
+    original = PipelineModel.stage_one_loss
+
+    def spy(self, *args, **kwargs):
+        loss, parts = original(self, *args, **kwargs)
+        recording.append(loss.requires_grad)
+        return loss, parts
+
+    monkeypatch.setattr(PipelineModel, "stage_one_loss", spy)
+    assert _dev_stage_one_loss(model, dev, spans, config) == recorded_total / count
+    assert recording and not any(recording)
+
+
 def test_selection_stage_freezes_stage_one_and_starts_at_log4():
     config, train, dev, vocab, char_vocab, table = setup_training(max_epochs=2)
     stage1 = train_synthesis_stage(config, train, dev, vocab, char_vocab, table)

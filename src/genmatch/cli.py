@@ -22,11 +22,11 @@ from .corpus import (
     instance_token_streams,
     load_dataset_dir,
     load_embeddings,
-    parse_race_record,
+    parse_record_file,
     random_embeddings,
     write_toy_dataset,
 )
-from .evaluation import EvalReport, evaluate
+from .evaluation import EvalReport, evaluate, predict_records
 from .model_io import load_model_dir, save_model_dir
 from .training import TrainConfig, train_selection_stage, train_synthesis_stage
 
@@ -140,13 +140,8 @@ def cmd_baseline(args) -> int:
 
 def cmd_predict(args) -> int:
     model, _ = load_model_dir(args.checkpoint)
-    path = Path(args.input)
-    instances = parse_race_record(path.read_text(encoding="utf-8"))
-    from .corpus import make_batches
-    for batch in make_batches(instances, model.vocab, 32):
-        chosen, answers, _, _ = model.predict_batch(batch)
-        for inst, pick, answer in zip(batch.instances, chosen, answers):
-            print(f"{inst.uid}\t{'ABCD'[int(pick)]}\t{answer.text}")
+    for record in predict_records(model, parse_record_file(args.input), 32):
+        print(f"{record.uid}\t{'ABCD'[record.predicted_index]}\t{record.answer_text}")
     return 0
 
 

@@ -276,8 +276,10 @@ class Batch:
         return len(self.instances)
 
 
-def _pad_block(sequences: list[list[int]], width: int | None = None):
-    width = width or max(len(s) for s in sequences)
+def pad_block(sequences) -> tuple[np.ndarray, np.ndarray]:
+    """Pad id lists into a (N, longest) int64 block (PAD = 0) and its
+    float64 {0,1} mask."""
+    width = max(len(s) for s in sequences)
     ids = np.zeros((len(sequences), width), dtype=np.int64)
     mask = np.zeros((len(sequences), width))
     for i, seq in enumerate(sequences):
@@ -288,10 +290,10 @@ def _pad_block(sequences: list[list[int]], width: int | None = None):
 
 def make_batch(instances, vocab: Vocabulary) -> Batch:
     instances = tuple(instances)
-    p_ids, p_mask = _pad_block([vocab.ids(i.passage_tokens) for i in instances])
-    q_ids, q_mask = _pad_block([vocab.ids(i.question_tokens) for i in instances])
+    p_ids, p_mask = pad_block([vocab.ids(i.passage_tokens) for i in instances])
+    q_ids, q_mask = pad_block([vocab.ids(i.question_tokens) for i in instances])
     opts = [vocab.ids(opt) for i in instances for opt in i.option_tokens]
-    o_ids, o_mask = _pad_block(opts)
+    o_ids, o_mask = pad_block(opts)
     k = o_ids.shape[1]
     return Batch(
         instances=instances,
@@ -399,6 +401,14 @@ def write_toy_dataset(out_dir, num_passages: int, seed: int,
     return counts
 
 
+def parse_record_file(path, subset: str | None = None) -> list[Instance]:
+    """``parse_race_record`` on one file; its errors name the file."""
+    try:
+        return parse_race_record(Path(path).read_text(encoding="utf-8"), subset=subset)
+    except MalformedRecord as exc:
+        raise MalformedRecord(f"{path}: {exc}") from exc
+
+
 def load_split_dir(split_dir) -> list[Instance]:
     """Parse every record under a split directory (recursively, sorted paths).
     Path components named middle/high become the instance's subset label."""
@@ -408,7 +418,7 @@ def load_split_dir(split_dir) -> list[Instance]:
     for path in paths:
         parts = {part.lower() for part in path.relative_to(split_dir).parts[:-1]}
         subset = "middle" if "middle" in parts else ("high" if "high" in parts else None)
-        instances.extend(parse_race_record(path.read_text(encoding="utf-8"), subset=subset))
+        instances.extend(parse_record_file(path, subset=subset))
     return instances
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Parameter, Tensor
-from .corpus import CharVocabulary
+from .corpus import CharVocabulary, pad_block
 
 
 @dataclass
@@ -70,16 +70,13 @@ class ContextualEncoding:
         return ad.masked_mean_positions(self.flat, self.mask, self.length)
 
 
-def embed_ids(table: Parameter | Tensor, ids: np.ndarray, mask: np.ndarray,
-              dropout_rate: float = 0.0,
-              rng: np.random.Generator | None = None) -> EmbeddedSequence:
+def embed_ids(table: Parameter | Tensor, ids: np.ndarray, mask: np.ndarray) -> EmbeddedSequence:
     """Gather embedding rows for padded (B, T) ids into a position-major
     flat sequence, zeroing masked positions."""
     batch, length = ids.shape
     flat_ids = ids.T.reshape(-1)
     flat = ad.gather_rows(table, flat_ids)
     flat = ad.mul_const(flat, mask.T.reshape(-1, 1))
-    flat = ad.dropout(flat, dropout_rate, rng)
     return EmbeddedSequence(flat=flat, mask=mask, batch=batch, length=length)
 
 
@@ -134,22 +131,17 @@ def char_embed_tokens(tokens: list[str], params: CharEncoderParams,
     of final forward/backward states, one row per token."""
     if any(not tok for tok in tokens):
         raise ValueError("cannot char-embed an empty token")
-    width = max(len(tok) for tok in tokens)
-    ids = np.zeros((len(tokens), width), dtype=np.int64)
-    mask = np.zeros((len(tokens), width), dtype=params.table.data.dtype)
-    for i, tok in enumerate(tokens):
-        ids[i, :len(tok)] = char_vocab.ids(tok)
-        mask[i, :len(tok)] = 1.0
-    seq = embed_ids(params.table, ids, mask)
+    ids, mask = pad_block([char_vocab.ids(tok) for tok in tokens])
+    seq = embed_ids(params.table, ids, mask.astype(params.table.data.dtype))
     enc = bigru_encode(seq, params.gru)
     return enc.final_concat()
 
 
-def embed_with_chars(word_table: Parameter, char_params: CharEncoderParams | None,
-                     char_vocab: CharVocabulary | None, ids: np.ndarray,
-                     surfaces: list, mask: np.ndarray, dropout_rate: float = 0.0,
-                     rng: np.random.Generator | None = None) -> EmbeddedSequence:
-    """Word rows concatenated with per-token character features.
+def embed_with_chars(word_table: Parameter, char_params: CharEncoderParams,
+                     char_vocab: CharVocabulary, ids: np.ndarray,
+                     surfaces: list, mask: np.ndarray) -> EmbeddedSequence:
+    """Word rows concatenated with per-token character features, masked
+    positions zeroed. No dropout: each consumer draws its own.
 
     Character vectors are computed once per distinct surface form in the
     batch (so out-of-vocabulary words still get their own characters) and
@@ -157,23 +149,19 @@ def embed_with_chars(word_table: Parameter, char_params: CharEncoderParams | Non
     """
     batch, length = ids.shape
     word_flat = ad.gather_rows(word_table, ids.T.reshape(-1))
-    pieces = [word_flat]
-    if char_params is not None:
-        distinct: dict[str, int] = {}
-        pointer = np.zeros((length, batch), dtype=np.int64)
-        for b in range(batch):
-            row = surfaces[b]
-            for t in range(length):
-                if mask[b, t] <= 0:
-                    continue
-                tok = row[t]
-                slot = distinct.setdefault(tok, len(distinct))
-                pointer[t, b] = slot
-        char_matrix = char_embed_tokens(list(distinct), char_params, char_vocab)
-        pieces.append(ad.gather_rows(char_matrix, pointer.reshape(-1)))
-    flat = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=1)
+    distinct: dict[str, int] = {}
+    pointer = np.zeros((length, batch), dtype=np.int64)
+    for b in range(batch):
+        row = surfaces[b]
+        for t in range(length):
+            if mask[b, t] <= 0:
+                continue
+            tok = row[t]
+            slot = distinct.setdefault(tok, len(distinct))
+            pointer[t, b] = slot
+    char_matrix = char_embed_tokens(list(distinct), char_params, char_vocab)
+    flat = ad.concat([word_flat, ad.gather_rows(char_matrix, pointer.reshape(-1))], axis=1)
     flat = ad.mul_const(flat, mask.T.reshape(-1, 1))
-    flat = ad.dropout(flat, dropout_rate, rng)
     return EmbeddedSequence(flat=flat, mask=mask, batch=batch, length=length)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .corpus import Batch, Instance, make_batches
+from .corpus import Instance, make_batches
 from .model import PipelineModel
 
 # Reported full-data accuracies for this architecture and the Table-style
@@ -102,20 +102,24 @@ def standard_meta(kind: str, reference: dict | None = None, **extra) -> dict:
     return meta
 
 
-def predict_records(model: PipelineModel, batch: Batch) -> list[PredictionRecord]:
-    chosen, answers, _, _ = model.predict_batch(batch)
-    return [PredictionRecord(uid=inst.uid, predicted_index=int(pick),
-                             gold_index=inst.gold_index, answer_text=answer.text,
-                             subset=inst.subset)
-            for inst, pick, answer in zip(batch.instances, chosen, answers)]
+def predict_records(model: PipelineModel, instances: list[Instance],
+                    batch_size: int) -> list[PredictionRecord]:
+    """One prediction per instance, in input order, in batches of
+    ``batch_size``."""
+    records: list[PredictionRecord] = []
+    for batch in make_batches(instances, model.vocab, batch_size):
+        chosen, answers, _, _ = model.predict_batch(batch)
+        records.extend(PredictionRecord(uid=inst.uid, predicted_index=int(pick),
+                                        gold_index=inst.gold_index,
+                                        answer_text=answer.text, subset=inst.subset)
+                       for inst, pick, answer in zip(batch.instances, chosen, answers))
+    return records
 
 
 def evaluate(model: PipelineModel, instances: list[Instance],
              batch_size: int = 32, meta: dict | None = None) -> EvalReport:
     """Deterministic full-pipeline evaluation (dropout off, input order kept)."""
-    records: list[PredictionRecord] = []
-    for batch in make_batches(instances, model.vocab, batch_size):
-        records.extend(predict_records(model, batch))
+    records = predict_records(model, instances, batch_size)
     base = standard_meta("pipeline", PIPELINE_FULL_SCALE_ACCURACY)
     base.update(meta or {})
     return EvalReport.from_records(records, meta=base)

@@ -18,14 +18,15 @@ shared ``qz.*`` encoder included, is the frozen stage-one set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore
-from .corpus import EOS_TOKEN, Batch, CharVocabulary, Vocabulary
+from .corpus import EOS_TOKEN, Batch, CharVocabulary, Vocabulary, pad_block
 from .encoders import (
+    EmbeddedSequence,
     bigru_encode,
     embed_with_chars,
     encode_with_features,
@@ -107,59 +108,61 @@ class PipelineModel:
         self.store[MATCHER_PARAM].set_trainable(True)
         return frozen
 
-    # -- embedding helpers ----------------------------------------------------
+    # -- embedding and encoding helpers ---------------------------------------
 
-    def _dropout_rate(self, rng):
-        return self.dims.dropout if rng is not None else 0.0
-
-    def _embed(self, ids: np.ndarray, surfaces, mask: np.ndarray, rng):
+    def _embed(self, ids: np.ndarray, surfaces, mask: np.ndarray):
         # masks arrive as float64 and enter the graph in the model's dtype
         mask = mask.astype(self.store.dtype, copy=False)
         return embed_with_chars(self.embedding, self.char_encoder, self.char_vocab,
-                                ids, surfaces, mask, self._dropout_rate(rng), rng)
+                                ids, surfaces, mask)
 
-    def _embed_passage(self, batch: Batch, rng):
-        return self._embed(batch.passage_ids,
-                           [list(i.passage_tokens) for i in batch.instances],
-                           batch.passage_mask, rng)
+    def _embed_batch(self, batch: Batch):
+        """The passage and question embeddings, shared by extraction and
+        synthesis."""
+        passage = self._embed(batch.passage_ids,
+                              [list(i.passage_tokens) for i in batch.instances],
+                              batch.passage_mask)
+        question = self._embed(batch.question_ids,
+                               [list(i.question_tokens) for i in batch.instances],
+                               batch.question_mask)
+        return passage, question
 
-    def _embed_question(self, batch: Batch, rng):
-        return self._embed(batch.question_ids,
-                           [list(i.question_tokens) for i in batch.instances],
-                           batch.question_mask, rng)
-
-    def _embed_options(self, batch: Batch, rng):
+    def _embed_options(self, batch: Batch):
         size, _, width = batch.option_ids.shape
         ids = batch.option_ids.reshape(size * 4, width)
         mask = batch.option_mask.reshape(size * 4, width)
         surfaces = [list(opt) for inst in batch.instances for opt in inst.option_tokens]
-        return self._embed(ids, surfaces, mask, rng)
+        return self._embed(ids, surfaces, mask)
+
+    def _dropped(self, seq: EmbeddedSequence, rng) -> EmbeddedSequence:
+        # identity when rng is None
+        return replace(seq, flat=ad.dropout(seq.flat, self.dims.dropout, rng))
+
+    def _encode(self, seq: EmbeddedSequence, params, rng):
+        """Input dropout, the BiGRU, output dropout."""
+        return bigru_encode(self._dropped(seq, rng), params, self.dims.dropout, rng)
 
     # -- extraction -----------------------------------------------------------
 
-    def encode_for_extraction(self, batch: Batch, rng=None):
-        rate = self._dropout_rate(rng)
-        passage = bigru_encode(self._embed_passage(batch, rng), self.extract_passage,
-                               rate, rng)
-        question = bigru_encode(self._embed_question(batch, rng), self.qz_encoder,
-                                rate, rng)
-        return passage, question
+    def encode_for_extraction(self, passage: EmbeddedSequence,
+                              question: EmbeddedSequence, rng=None):
+        return (self._encode(passage, self.extract_passage, rng),
+                self._encode(question, self.qz_encoder, rng))
 
-    def predict_spans(self, batch: Batch, rng=None):
-        passage, question = self.encode_for_extraction(batch, rng)
+    def predict_spans(self, passage: EmbeddedSequence, question: EmbeddedSequence,
+                      rng=None):
+        passage, question = self.encode_for_extraction(passage, question, rng)
         question_vector = pool_question(question, self.extractor)
         return predict_span(passage, question_vector, self.extractor, self.dims.max_span)
 
     # -- synthesis ------------------------------------------------------------
 
-    def encode_for_synthesis(self, batch: Batch, spans: list[EvidenceSpan], rng=None):
-        rate = self._dropout_rate(rng)
-        passage = encode_with_features(self._embed_passage(batch, rng),
+    def encode_for_synthesis(self, passage: EmbeddedSequence, question: EmbeddedSequence,
+                             spans: list[EvidenceSpan], rng=None):
+        passage = encode_with_features(self._dropped(passage, rng),
                                        [(s.start, s.end) for s in spans],
-                                       self.syn_passage, rate, rng)
-        question = bigru_encode(self._embed_question(batch, rng), self.syn_question,
-                                rate, rng)
-        return passage, question
+                                       self.syn_passage, self.dims.dropout, rng)
+        return passage, self._encode(question, self.syn_question, rng)
 
     def gold_option_ids(self, batch: Batch) -> list[list[int]]:
         return [self.vocab.ids(inst.option_tokens[inst.gold_index])
@@ -173,47 +176,42 @@ class PipelineModel:
         instances without an oracle span fall back to the predicted span
         for features and contribute no span loss.
         """
-        distributions, predicted = self.predict_spans(batch, rng)
+        passage, question = self._embed_batch(batch)
+        distributions, predicted = self.predict_spans(passage, question, rng)
         feature_spans = [oracle if oracle is not None else guess
                          for oracle, guess in zip(oracle_spans, predicted)]
         extraction_loss = span_loss(distributions, oracle_spans)
-        syn_passage, syn_question = self.encode_for_synthesis(batch, feature_spans, rng)
+        syn_passage, syn_question = self.encode_for_synthesis(passage, question,
+                                                              feature_spans, rng)
         generation_loss = synthesis_loss(syn_passage, syn_question, self.embedding,
                                          self.decoder, self.gold_option_ids(batch))
         total = ad.add(extraction_loss, generation_loss)
         parts = {"span": extraction_loss.item(), "synthesis": generation_loss.item()}
         return total, parts
 
-    def generate(self, batch: Batch, spans: list[EvidenceSpan] | None = None):
+    def generate(self, batch: Batch):
         """Greedy answers under inference conditions (predicted spans, no dropout)."""
         with ad.no_grad():
-            if spans is None:
-                _, spans = self.predict_spans(batch)
-            passage, question = self.encode_for_synthesis(batch, spans)
+            passage, question = self._embed_batch(batch)
+            _, spans = self.predict_spans(passage, question)
+            # rebinding frees the embeddings before decoding
+            passage, question = self.encode_for_synthesis(passage, question, spans)
             answers = generate_answer(passage, question, self.embedding, self.decoder,
                                       self.vocab, self.dims.max_decode_len)
         return answers, spans
 
     # -- selection ------------------------------------------------------------
 
-    def _embed_answers(self, answers, rng):
+    def _embed_answers(self, answers):
         # an empty generated answer still encodes as the end token alone
         sequences = [list(a.surface_tokens) if a.surface_tokens else [EOS_TOKEN]
                      for a in answers]
-        width = max(len(s) for s in sequences)
-        ids = np.zeros((len(sequences), width), dtype=np.int64)
-        mask = np.zeros((len(sequences), width))
-        for b, seq in enumerate(sequences):
-            ids[b, :len(seq)] = self.vocab.ids(seq)
-            mask[b, :len(seq)] = 1.0
-        return self._embed(ids, sequences, mask, rng)
+        ids, mask = pad_block([self.vocab.ids(seq) for seq in sequences])
+        return self._embed(ids, sequences, mask)
 
     def score_options(self, batch: Batch, answers, rng=None):
-        rate = self._dropout_rate(rng)
-        answer_enc = bigru_encode(self._embed_answers(answers, rng), self.qz_encoder,
-                                  rate, rng)
-        option_enc = bigru_encode(self._embed_options(batch, rng), self.qz_encoder,
-                                  rate, rng)
+        answer_enc = self._encode(self._embed_answers(answers), self.qz_encoder, rng)
+        option_enc = self._encode(self._embed_options(batch), self.qz_encoder, rng)
         return bilinear_score(answer_enc.final_concat(), option_enc.final_concat(),
                               self.store[MATCHER_PARAM])
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import AttentionParams, additive_attention, init_attention
 from .autodiff import ParamStore, Parameter, Tensor
-from .corpus import BOS, EOS, PAD, Vocabulary
+from .corpus import BOS, EOS, PAD, Vocabulary, pad_block
 from .encoders import ContextualEncoding
 
 DEFAULT_MAX_DECODE = 30
@@ -157,17 +157,8 @@ def teacher_targets(option_ids: list[list[int]]) -> tuple[np.ndarray, np.ndarray
     """
     if any(len(ids) == 0 for ids in option_ids):
         raise ValueError("empty synthesis target")
-    width = max(len(ids) for ids in option_ids) + 1
-    batch = len(option_ids)
-    inputs = np.full((batch, width), PAD, dtype=np.int64)
-    targets = np.full((batch, width), PAD, dtype=np.int64)
-    mask = np.zeros((batch, width))
-    for b, ids in enumerate(option_ids):
-        seq = list(ids) + [EOS]
-        inputs[b, 0] = BOS
-        inputs[b, 1:len(seq)] = seq[:-1]
-        targets[b, :len(seq)] = seq
-        mask[b, :len(seq)] = 1.0
+    inputs, mask = pad_block([[BOS] + list(ids) for ids in option_ids])
+    targets, _ = pad_block([list(ids) + [EOS] for ids in option_ids])
     return inputs, targets, mask
 
 

@@ -1,5 +1,7 @@
 """Shared builders for micro-scale models and toy data in tests."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from genmatch import autodiff as ad
@@ -12,12 +14,15 @@ from genmatch.corpus import (
     parse_race_record,
     random_embeddings,
 )
+from genmatch.encoders import bigru_encode, encode_with_features
+from genmatch.extractor import pool_question, predict_span, span_loss
 from genmatch.model import build_model
 from genmatch.synthesizer import (
     DecoderMemory,
     DecoderState,
     decode_step,
     initial_state,
+    synthesis_loss,
     teacher_targets,
 )
 from genmatch.training import TrainConfig
@@ -79,3 +84,32 @@ def per_step_synthesis_loss(passage, question, word_table, params, target_ids):
     per_instance = ad.sum_last(ad.mul_const(nll, mask))
     lengths = mask.sum(axis=1, keepdims=True)
     return ad.mean(ad.mul_const(per_instance, 1.0 / lengths))
+
+
+def embed_twice_stage_one_loss(model, batch, oracle_spans, rng):
+    """Reference for ``PipelineModel.stage_one_loss``: extraction and
+    synthesis each embed the passage and the question themselves, and each
+    consumer draws its input dropout right after its own embedding."""
+    rate = model.dims.dropout
+
+    def dropped(seq):
+        return replace(seq, flat=ad.dropout(seq.flat, rate, rng))
+
+    passage, question = model._embed_batch(batch)
+    ext_passage = bigru_encode(dropped(passage), model.extract_passage, rate, rng)
+    ext_question = bigru_encode(dropped(question), model.qz_encoder, rate, rng)
+    distributions, predicted = predict_span(ext_passage,
+                                            pool_question(ext_question, model.extractor),
+                                            model.extractor, model.dims.max_span)
+    feature_spans = [oracle if oracle is not None else guess
+                     for oracle, guess in zip(oracle_spans, predicted)]
+    extraction_loss = span_loss(distributions, oracle_spans)
+    passage, question = model._embed_batch(batch)
+    syn_passage = encode_with_features(dropped(passage),
+                                       [(s.start, s.end) for s in feature_spans],
+                                       model.syn_passage, rate, rng)
+    syn_question = bigru_encode(dropped(question), model.syn_question, rate, rng)
+    generation_loss = synthesis_loss(syn_passage, syn_question, model.embedding,
+                                     model.decoder, model.gold_option_ids(batch))
+    total = ad.add(extraction_loss, generation_loss)
+    return total, {"span": extraction_loss.item(), "synthesis": generation_loss.item()}

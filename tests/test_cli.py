@@ -8,6 +8,8 @@ from genmatch.checkpoint import read_checkpoint
 from genmatch.cli import main
 from genmatch.corpus import load_dataset_dir
 
+from test_corpus import BROKEN_RECORDS
+
 
 TOY_ARGS = ["--passages", "12", "--seed", "5"]
 FAST_TRAIN = [
@@ -86,6 +88,22 @@ def test_predict_prints_letter_and_answer(trained_dirs, toy_dir, capsys):
         uid, letter, answer = line.split("\t")
         assert letter in "ABCD"
         assert ":" in uid
+
+
+@pytest.mark.parametrize("kind", sorted(BROKEN_RECORDS))
+def test_broken_record_errors_name_the_file(trained_dirs, toy_dir, tmp_path, capsys, kind):
+    _, stage2 = trained_dirs
+    text, detail = BROKEN_RECORDS[kind]
+    data = tmp_path / "data"
+    shutil.copytree(toy_dir / "test", data / "test")
+    broken = data / "test" / "zz-broken.json"
+    broken.write_text(text)
+    assert main(["eval", "--checkpoint", str(stage2), "--data", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {broken}: ") and detail in err
+    assert main(["predict", "--checkpoint", str(stage2), "--input", str(broken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {broken}: ") and detail in err
 
 
 @pytest.mark.parametrize("text, detail", [

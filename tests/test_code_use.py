@@ -2,7 +2,8 @@
 
 Every public function, class and method of the package must be referenced
 from the package itself or from the benchmark harness, so that each one is
-on a path the pipeline or its measurement runs.
+on a path the pipeline or its measurement runs. The same holds for every
+parameter with a default: some call in the package or the harness passes it.
 """
 
 import ast
@@ -15,6 +16,9 @@ ALLOWED = {
     # the gradient-check suite: the tests and the acceptance gate are its
     # callers, it is the contract every tape op is held to
     "check_gradients",
+    # the command line's test seam: the console script calls main() with
+    # no arguments, so that it parses sys.argv, and the tests pass argv
+    "main",
 }
 
 
@@ -32,17 +36,22 @@ def public_definitions() -> dict[str, str]:
     return found
 
 
+def pipeline_trees():
+    for base in (PACKAGE, ROOT / "perfbench"):
+        for path in sorted(base.rglob("*.py")):
+            yield ast.parse(path.read_text())
+
+
 def referenced_names() -> set[str]:
     names = set()
-    for base in (PACKAGE, ROOT / "perfbench"):
-        for path in base.rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.add(node.name)
+    for tree in pipeline_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
     return names
 
 
@@ -53,3 +62,71 @@ def test_every_public_definition_is_used_outside_the_tests():
     unused = sorted(f"{path}: {name}" for name, path in definitions.items()
                     if name.split(".")[-1] not in used and name not in ALLOWED)
     assert unused == [], "only tests call these; delete them or move them to tests/helpers.py"
+
+
+def defaulted_parameters() -> dict[tuple[str, str], tuple[int | None, str]]:
+    """(callable name, parameter) -> (its position in a call, or None when
+    it is keyword-only; the file that defines it), for every parameter with
+    a default. A method's position skips ``self``/``cls``; ``__init__`` is
+    called through its class name."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {id(item): node.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            name = methods.get(id(node), node.name) if node.name == "__init__" else node.name
+            positional = node.args.posonlyargs + node.args.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            skip = 1 if id(node) in methods and not static else 0
+            for arg in positional[len(positional) - len(node.args.defaults):]:
+                found[(name, arg.arg)] = (positional.index(arg) - skip, path.name)
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    found[(name, arg.arg)] = (None, path.name)
+    return found
+
+
+def passed_parameters() -> set[tuple[str, str | int]]:
+    """(callee name, keyword) and (callee name, positional count) for every
+    call in the package and the harness; ``*``/``**`` pass everything.
+    ``super().__init__(...)`` calls the first base class."""
+    passed = set()
+    for tree in pipeline_trees():
+        supers = {id(call): cls.bases[0].id for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.bases
+                  and isinstance(cls.bases[0], ast.Name)
+                  for call in ast.walk(cls) if isinstance(call, ast.Call)
+                  and ast.unparse(call.func) == "super().__init__"}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            name = supers.get(id(node), name)
+            if any(isinstance(a, ast.Starred) for a in node.args) or \
+                    any(k.arg is None for k in node.keywords):
+                passed.add((name, "*"))
+            passed.add((name, len(node.args)))
+            passed.update((name, k.arg) for k in node.keywords)
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    parameters = defaulted_parameters()
+    assert ("embed_with_chars", "mask") not in parameters
+    assert ("stage_one_loss", "rng") in parameters
+    passed = passed_parameters()
+    most = {}
+    for name, key in passed:
+        if isinstance(key, int):
+            most[name] = max(most.get(name, 0), key)
+    dead = sorted(f"{path}: {name}({param})"
+                  for (name, param), (position, path) in parameters.items()
+                  if name not in ALLOWED
+                  and (name, param) not in passed and (name, "*") not in passed
+                  and (position is None or most.get(name, 0) <= position))
+    assert dead == [], "no call outside the tests passes these; drop the parameter or its default"

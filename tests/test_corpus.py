@@ -287,6 +287,27 @@ def test_load_dataset_dir_subset_labels(tmp_path):
     assert subsets == ["high", "middle"]
 
 
+BROKEN_RECORDS = {
+    "bad_json": ('{"article": "A dog ran.", }', "invalid JSON"),
+    "three_options": (json.dumps(dict(SAMPLE, options=[["dog", "cat", "bird"]])),
+                      "question 0 needs exactly 4 options"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BROKEN_RECORDS))
+def test_broken_record_error_names_its_file(tmp_path, kind):
+    text, detail = BROKEN_RECORDS[kind]
+    split = tmp_path / "data" / "test"
+    split.mkdir(parents=True)
+    (split / "a.json").write_text(json.dumps(SAMPLE))
+    broken = split / "b.json"
+    broken.write_text(text)
+    with pytest.raises(MalformedRecord) as info:
+        load_dataset_dir(tmp_path / "data")
+    assert str(info.value).startswith(f"{broken}: ")
+    assert detail in str(info.value)
+
+
 def test_load_dataset_dir_missing():
     with pytest.raises(FileNotFoundError):
         load_dataset_dir("/nonexistent/path")

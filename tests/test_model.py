@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from genmatch import autodiff as ad
+from genmatch import encoders
 from genmatch.checkpoint import param_fingerprints
 from genmatch.extractor import oracle_span
 from genmatch.model import MATCHER_PARAM
 from genmatch.model_io import load_model_dir, save_model_dir
 
-from helpers import build_micro_pipeline
+from helpers import build_micro_pipeline, embed_twice_stage_one_loss
 
 
 def oracle_targets(batch, max_span):
@@ -47,6 +48,52 @@ def test_batch_composition_does_not_change_predictions():
     assert answers_single[0].token_ids == answers_grouped[0].token_ids
 
 
+def test_passage_and_question_are_embedded_once_per_batch(monkeypatch):
+    model, config, _, batches = build_micro_pipeline()
+    batch = batches[0]
+    calls = []
+    original = encoders.char_embed_tokens
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(encoders, "char_embed_tokens", counted)
+    model.stage_one_loss(batch, oracle_targets(batch, config.max_span),
+                         np.random.default_rng(0))
+    assert len(calls) == 2
+    calls.clear()
+    model.generate(batch)
+    assert len(calls) == 2
+
+
+def test_stage_one_loss_matches_the_embed_twice_reference():
+    """One shared embedding gives the same forward values and rng stream as
+    embedding again for each consumer; only the summation order of the
+    embedding gradients differs."""
+    model, config, _, batches = build_micro_pipeline(dropout=0.3)
+    batch = batches[0]
+    targets = oracle_targets(batch, config.max_span)
+    params = model.trainable_parameters()
+    assert any(p.name == "emb" for p in params)
+
+    def run(loss_fn):
+        rng = np.random.default_rng(5)
+        model.zero_grads()
+        loss, parts = loss_fn(batch, targets, rng)
+        ad.backward(loss)
+        return loss.item(), parts, rng.bit_generator.state, [p.grad.copy() for p in params]
+
+    loss, parts, state, grads = run(model.stage_one_loss)
+    ref_loss, ref_parts, ref_state, ref_grads = run(
+        lambda *args: embed_twice_stage_one_loss(model, *args))
+    assert loss == ref_loss
+    assert parts == ref_parts
+    assert state == ref_state != np.random.default_rng(5).bit_generator.state
+    for p, grad, ref in zip(params, grads, ref_grads):
+        np.testing.assert_allclose(grad, ref, rtol=1e-12, atol=0, err_msg=p.name)
+
+
 def test_identical_options_get_identical_vectors():
     model, _, instances, _ = build_micro_pipeline()
     from genmatch.corpus import Instance, make_batches
@@ -57,7 +104,7 @@ def test_identical_options_get_identical_vectors():
                     gold_index=0, question_style=base.question_style)
     batch = make_batches([twin], model.vocab, 1)[0]
     from genmatch.encoders import bigru_encode
-    enc = bigru_encode(model._embed_options(batch, None), model.qz_encoder)
+    enc = bigru_encode(model._embed_options(batch), model.qz_encoder)
     vectors = enc.final_concat().data
     np.testing.assert_array_equal(vectors[0], vectors[1])
     assert not np.array_equal(vectors[0], vectors[2])

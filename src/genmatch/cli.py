@@ -140,7 +140,7 @@ def cmd_baseline(args) -> int:
 
 def cmd_predict(args) -> int:
     model, _ = load_model_dir(args.checkpoint)
-    for record in predict_records(model, parse_record_file(args.input), 32):
+    for record in predict_records(model, parse_record_file(args.input), 32, {}):
         print(f"{record.uid}\t{'ABCD'[record.predicted_index]}\t{record.answer_text}")
     return 0
 

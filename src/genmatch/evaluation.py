@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .corpus import Instance, make_batches
+from .corpus import Batch, Instance, make_batches
 from .model import PipelineModel
+from .synthesizer import GeneratedAnswer
 
 # Reported full-data accuracies for this architecture and the Table-style
 # baselines; they require the full exam corpus plus long training and are
@@ -102,24 +103,37 @@ def standard_meta(kind: str, reference: dict | None = None, **extra) -> dict:
     return meta
 
 
-def predict_records(model: PipelineModel, instances: list[Instance],
-                    batch_size: int) -> list[PredictionRecord]:
+def batch_answers(model: PipelineModel, batch: Batch,
+                  answers: dict[Instance, GeneratedAnswer]) -> list[GeneratedAnswer]:
+    """The batch's generated answers, taken from ``answers`` (instance ->
+    answer). A batch holding an instance not yet there is generated as a
+    whole and its answers are stored. The stored answers hold only while
+    the generation weights stay as they were."""
+    if not all(inst in answers for inst in batch.instances):
+        answers.update(zip(batch.instances, model.generate(batch)[0]))
+    return [answers[inst] for inst in batch.instances]
+
+
+def predict_records(model: PipelineModel, instances: list[Instance], batch_size: int,
+                    answers: dict[Instance, GeneratedAnswer]) -> list[PredictionRecord]:
     """One prediction per instance, in input order, in batches of
-    ``batch_size``."""
+    ``batch_size``; the generated answers come through ``answers`` as
+    ``batch_answers`` gives them."""
     records: list[PredictionRecord] = []
     for batch in make_batches(instances, model.vocab, batch_size):
-        chosen, answers, _, _ = model.predict_batch(batch)
+        generated = batch_answers(model, batch, answers)
+        chosen, _ = model.predict_batch(batch, generated)
         records.extend(PredictionRecord(uid=inst.uid, predicted_index=int(pick),
                                         gold_index=inst.gold_index,
                                         answer_text=answer.text, subset=inst.subset)
-                       for inst, pick, answer in zip(batch.instances, chosen, answers))
+                       for inst, pick, answer in zip(batch.instances, chosen, generated))
     return records
 
 
 def evaluate(model: PipelineModel, instances: list[Instance],
              batch_size: int = 32, meta: dict | None = None) -> EvalReport:
     """Deterministic full-pipeline evaluation (dropout off, input order kept)."""
-    records = predict_records(model, instances, batch_size)
+    records = predict_records(model, instances, batch_size, {})
     base = standard_meta("pipeline", PIPELINE_FULL_SCALE_ACCURACY)
     base.update(meta or {})
     return EvalReport.from_records(records, meta=base)

@@ -215,18 +215,18 @@ class PipelineModel:
         return bilinear_score(answer_enc.final_concat(), option_enc.final_concat(),
                               self.store[MATCHER_PARAM])
 
-    def selection_stage_loss(self, batch: Batch, rng=None):
-        answers, _ = self.generate(batch)
+    def selection_stage_loss(self, batch: Batch, answers, rng=None):
+        """Selection cross-entropy of the batch's options scored against its
+        generated ``answers``."""
         scores = self.score_options(batch, answers, rng)
-        return selection_loss(scores, batch.gold), answers
+        return selection_loss(scores, batch.gold)
 
-    def predict_batch(self, batch: Batch):
-        """Full pipeline per instance: extract, synthesize, score, select."""
+    def predict_batch(self, batch: Batch, answers):
+        """Score the options against the batch's generated ``answers`` and
+        pick one per instance."""
         with ad.no_grad():
-            answers, spans = self.generate(batch)
             scores = self.score_options(batch, answers)
-            chosen = select_option(scores)
-        return chosen, answers, spans, scores
+        return select_option(scores), scores
 
 
 def build_model(dims: ModelDims, vocab: Vocabulary, char_vocab: CharVocabulary,

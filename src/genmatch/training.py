@@ -20,9 +20,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, clip_global_norm, global_grad_norm
 from .corpus import CharVocabulary, EmbeddingTable, Instance, Vocabulary, make_batches
-from .evaluation import evaluate
+from .evaluation import EvalReport, batch_answers, predict_records
 from .extractor import oracle_span
 from .model import ModelDims, PipelineModel, build_model
+from .synthesizer import GeneratedAnswer
 
 log = logging.getLogger(__name__)
 
@@ -189,11 +190,18 @@ def _seed_streams(seed: int):
             np.random.default_rng(children[1]))   # batch shuffling
 
 
+def _check_splits(train: list[Instance], dev: list[Instance]) -> None:
+    if not train:
+        raise ValueError("empty training set")
+    if not dev:
+        raise ValueError("empty dev set")
+
+
 def compute_oracle_spans(instances: list[Instance], max_span: int):
     """Distant-supervision targets: best bounded-F1 span against the gold
     option; None when the passage shares no token with it."""
-    return {inst.uid: oracle_span(inst.passage_tokens,
-                                  inst.option_tokens[inst.gold_index], max_span)
+    return {inst: oracle_span(inst.passage_tokens,
+                              inst.option_tokens[inst.gold_index], max_span)
             for inst in instances}
 
 
@@ -201,7 +209,7 @@ def _dev_stage_one_loss(model: PipelineModel, dev: list[Instance], spans: dict,
                         config: TrainConfig) -> float:
     total, count = 0.0, 0
     for batch in make_batches(dev, model.vocab, config.batch_size):
-        targets = [spans[i.uid] for i in batch.instances]
+        targets = [spans[i] for i in batch.instances]
         with ad.no_grad():
             loss, _ = model.stage_one_loss(batch, targets, rng=None)
         total += loss.item() * batch.size
@@ -247,12 +255,14 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
                 sums[key] = sums.get(key, 0.0) + value * batch.size
             seen += batch.size
             steps += 1
-        train_seconds = time.perf_counter() - epoch_started
+        dev_started = time.perf_counter()
+        train_seconds = dev_started - epoch_started
         metric = dev_metric()
         entry = {"stage": stage, "epoch": epoch,
                  **{key: total / seen for key, total in sums.items()},
                  metric_name: metric, "clip_rate": clipped / steps,
-                 "inst_per_s": seen / train_seconds}
+                 "inst_per_s": seen / train_seconds, "train_s": train_seconds,
+                 "dev_s": time.perf_counter() - dev_started}
         result.history.append(entry)
         log.info("%s epoch %d train %.4f %s %.4f",
                  stage, epoch, entry["train_loss"], metric_name, metric)
@@ -277,14 +287,13 @@ def train_synthesis_stage(config: TrainConfig, train: list[Instance],
                           embeddings: EmbeddingTable) -> StageResult:
     """Stage one: joint span + synthesis loss, gradient clip, Adam, dev-loss
     early stopping with patience, best-dev snapshot restored at the end."""
-    if not train:
-        raise ValueError("empty training set")
+    _check_splits(train, dev)
     model = build_model(config.dims(vocab, char_vocab), vocab, char_vocab,
                         embeddings.matrix.copy(), config.seed)
     spans = compute_oracle_spans(train + dev, config.max_span)
 
     def batch_loss(batch, rng):
-        targets = [spans[i.uid] for i in batch.instances]
+        targets = [spans[i] for i in batch.instances]
         loss, parts = model.stage_one_loss(batch, targets, rng=rng)
         return loss, {"span_loss": parts["span"], "synthesis_loss": parts["synthesis"]}
 
@@ -298,15 +307,27 @@ def train_synthesis_stage(config: TrainConfig, train: list[Instance],
 def train_selection_stage(config: TrainConfig, model: PipelineModel,
                           train: list[Instance], dev: list[Instance]) -> StageResult:
     """Stage two: freeze the stage-one parameter set, then train the bilinear
-    matcher on selection cross-entropy over freshly generated answers. The
-    best-dev-accuracy snapshot wins; a perfect dev accuracy stops early."""
-    if not train:
-        raise ValueError("empty training set")
+    matcher on selection cross-entropy over generated answers. The best-dev-
+    accuracy snapshot wins; a perfect dev accuracy stops early.
+
+    Each train and dev instance is generated once, in the first batch that
+    holds it, and every later epoch and dev pass scores the stored answer:
+    the generation weights stay frozen for the whole stage and generation
+    draws no dropout. The stored answers are dropped with the stage."""
+    _check_splits(train, dev)
     model.freeze_for_selection_stage()
+    answers: dict[Instance, GeneratedAnswer] = {}
+
+    def batch_loss(batch, rng):
+        return model.selection_stage_loss(batch, batch_answers(model, batch, answers),
+                                          rng=rng), {}
+
+    def dev_accuracy():
+        records = predict_records(model, dev, config.batch_size, answers)
+        return EvalReport.from_records(records).accuracy
+
     return _train_epochs(config, model, train, stage="selection", seed=config.seed + 1,
-                         batch_loss=lambda batch, rng: (
-                             model.selection_stage_loss(batch, rng=rng)[0], {}),
-                         dev_metric=lambda: evaluate(model, dev, config.batch_size).accuracy,
+                         batch_loss=batch_loss, dev_metric=dev_accuracy,
                          metric_name="dev_accuracy",
                          improved=lambda accuracy, best: accuracy > best + 1e-12,
                          finished=lambda best: best >= 1.0)

@@ -127,17 +127,18 @@ def test_selection_loss_is_log4_with_zero_matcher():
     model, config, _, batches = build_micro_pipeline()
     batch = batches[0]
     np.testing.assert_array_equal(model.store[MATCHER_PARAM].data, 0.0)
-    loss, answers = model.selection_stage_loss(batch)
+    answers, _ = model.generate(batch)
+    loss = model.selection_stage_loss(batch, answers)
     assert loss.item() == pytest.approx(math.log(4.0), abs=1e-12)
-    assert len(answers) == batch.size
 
 
 def test_predict_batch_shapes():
     model, _, _, batches = build_micro_pipeline()
     batch = batches[0]
-    chosen, answers, spans, scores = model.predict_batch(batch)
-    assert chosen.shape == (batch.size,)
+    answers, spans = model.generate(batch)
     assert len(answers) == len(spans) == batch.size
+    chosen, scores = model.predict_batch(batch, answers)
+    assert chosen.shape == (batch.size,)
     np.testing.assert_allclose(scores.probabilities.data.sum(axis=1), 1.0, atol=1e-6)
 
 
@@ -159,7 +160,7 @@ def test_float32_model_computes_in_float32():
     model.zero_grads()
     ad.backward(loss)
     assert {p.grad.dtype for p in model.parameters()} == {np.dtype(np.float32)}
-    _, _, _, scores = model.predict_batch(batch)
+    _, scores = model.predict_batch(batch, model.generate(batch)[0])
     assert scores.probabilities.data.dtype == np.float32
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from genmatch.corpus import (
     CharVocabulary,
     Vocabulary,
     instance_token_streams,
+    make_batches,
     random_embeddings,
 )
 from genmatch.evaluation import evaluate
-from genmatch.model import build_model
+from genmatch.extractor import oracle_span
+from genmatch.model import PipelineModel, build_model
 from genmatch.model_io import load_model_dir, save_model_dir
 from genmatch.training import (
     StageResult,
@@ -123,8 +126,6 @@ def test_best_dev_checkpoint_never_worse_than_epoch_zero():
 
 
 def test_dev_loss_records_no_tape_and_keeps_its_value(monkeypatch):
-    from genmatch.corpus import make_batches
-    from genmatch.model import PipelineModel
     from genmatch.training import _dev_stage_one_loss
     config, train, dev, vocab, char_vocab, table = setup_training()
     model = build_model(config.dims(vocab, char_vocab), vocab, char_vocab, table.matrix,
@@ -132,7 +133,7 @@ def test_dev_loss_records_no_tape_and_keeps_its_value(monkeypatch):
     spans = compute_oracle_spans(train + dev, config.max_span)
     recorded_total, count = 0.0, 0
     for batch in make_batches(dev, vocab, config.batch_size):
-        loss, _ = model.stage_one_loss(batch, [spans[i.uid] for i in batch.instances])
+        loss, _ = model.stage_one_loss(batch, [spans[i] for i in batch.instances])
         assert loss.requires_grad
         recorded_total += loss.item() * batch.size
         count += batch.size
@@ -189,6 +190,8 @@ def test_history_entries_carry_clip_rate_and_throughput():
     for entry in stage1.history + stage2.history:
         assert entry["clip_rate"] == 1.0
         assert entry["inst_per_s"] > 0
+        assert entry["train_s"] > 0 and entry["dev_s"] > 0
+        assert entry["inst_per_s"] == len(train) / entry["train_s"]
 
 
 def test_stage_one_stops_after_patience_holding_its_epoch_zero_snapshot():
@@ -268,3 +271,70 @@ def test_config_json_float_keys_take_integers():
     config = TrainConfig.from_payload({"lr": 1, "hidden": 8, "fine_tune_embeddings": True})
     assert config.lr == 1.0 and isinstance(config.lr, float)
     assert config.hidden == 8 and config.fine_tune_embeddings is True
+
+
+def test_both_stages_reject_an_empty_dev_split():
+    config, train, dev, vocab, char_vocab, table = setup_training()
+    with pytest.raises(ValueError, match="empty dev set"):
+        train_synthesis_stage(config, train, [], vocab, char_vocab, table)
+    model = build_model(config.dims(vocab, char_vocab), vocab, char_vocab,
+                        table.matrix.copy(), config.seed)
+    with pytest.raises(ValueError, match="empty dev set"):
+        train_selection_stage(config, model, train, [])
+
+
+def test_oracle_spans_are_keyed_by_instance_not_uid():
+    config, train, dev, *_ = setup_training()
+
+    def own_span(inst):
+        return oracle_span(inst.passage_tokens, inst.option_tokens[inst.gold_index],
+                           config.max_span)
+
+    clash = next(dataclasses.replace(d, uid=train[0].uid) for d in dev
+                 if d.passage_tokens != train[0].passage_tokens
+                 and own_span(d) != own_span(train[0]))
+    spans = compute_oracle_spans(train + [clash], config.max_span)
+    assert spans[train[0]] == own_span(train[0])
+    assert spans[clash] == own_span(clash)
+
+
+def run_selection_stage_with_spies(monkeypatch):
+    """Three selection epochs on a stage-one model, recording each instance
+    handed to ``generate`` and each (instance, answer) pair the stage
+    scores. Returns the model, the train and dev instances, the generation
+    counts, the scored pairs and the unwrapped ``generate``."""
+    config, train, dev, vocab, char_vocab, table = setup_training(max_epochs=3,
+                                                                  patience=5)
+    model = train_synthesis_stage(config, train, dev, vocab, char_vocab, table).model
+    generated, scored = Counter(), []
+    generate = PipelineModel.generate
+
+    def generate_spy(self, batch):
+        generated.update(batch.instances)
+        return generate(self, batch)
+
+    def scoring_spy(original):
+        def spy(self, batch, answers, *args, **kwargs):
+            scored.extend(zip(batch.instances, answers))
+            return original(self, batch, answers, *args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(PipelineModel, "generate", generate_spy)
+    for name in ("selection_stage_loss", "predict_batch"):
+        monkeypatch.setattr(PipelineModel, name, scoring_spy(getattr(PipelineModel, name)))
+    result = train_selection_stage(config, model, train, dev)
+    assert len(result.history) == 3
+    return model, train + dev, generated, scored, generate
+
+
+def test_selection_stage_generates_each_instance_once(monkeypatch):
+    _, instances, generated, scored, _ = run_selection_stage_with_spies(monkeypatch)
+    assert generated == Counter(set(instances))
+    assert {inst for inst, _ in scored} == set(instances)
+
+
+def test_selection_stage_scores_the_answers_a_batch_of_one_generates(monkeypatch):
+    model, _, _, scored, generate = run_selection_stage_with_spies(monkeypatch)
+    for inst, answer in scored:
+        alone = make_batches([inst], model.vocab, 1)[0]
+        assert generate(model, alone)[0][0].token_ids == answer.token_ids

@@ -37,12 +37,12 @@ _SCORE_INIT_GAIN = 3.0
 def init_attention(store: ParamStore, prefix: str, memory_dim: int, query_dim: int,
                    proj_dim: int, rng: np.random.Generator) -> AttentionParams:
     def scaled(fan_in, fan_out):
-        return _SCORE_INIT_GAIN * ad.glorot(rng, fan_in, fan_out)
+        return ad.glorot(rng, fan_in, fan_out, gain=_SCORE_INIT_GAIN)
 
     return AttentionParams(
         w_memory=store.create(f"{prefix}.w_memory", scaled(memory_dim, proj_dim)),
         w_query=store.create(f"{prefix}.w_query", scaled(query_dim, proj_dim)),
-        bias=store.create(f"{prefix}.bias", np.zeros(proj_dim)),
+        bias=store.create(f"{prefix}.bias", ad.zeros(proj_dim)),
         v=store.create(f"{prefix}.v", scaled(proj_dim, 1)),
     )
 

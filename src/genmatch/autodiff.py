@@ -11,6 +11,7 @@ op result follows the dtype of its operands.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -90,21 +91,61 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.data.shape}, trainable={self.requires_grad})"
 
 
-class ParamStore:
-    """Ordered registry of uniquely named parameters, all of one dtype."""
+@dataclass(frozen=True)
+class Initializer:
+    """A parameter's shape and the zero-argument function that draws its
+    first value. A store filled from a checkpoint never calls ``draw``."""
 
-    def __init__(self, dtype=np.float64):
+    shape: tuple
+    draw: Callable[[], np.ndarray]
+
+
+class ParamStore:
+    """Ordered registry of uniquely named parameters, all of one dtype.
+
+    The store takes ownership of the arrays it is given: a parameter holds
+    the given array itself when its dtype is the store's, and one cast copy
+    when it is not. A store filled from a checkpoint ``state`` (name ->
+    array) gives each created parameter the state's array, checked against
+    the parameter's shape, and draws no initial value.
+    """
+
+    def __init__(self, dtype=np.float64, state: dict[str, np.ndarray] | None = None):
         self.dtype = np.dtype(dtype)
         if self.dtype not in _FLOAT_DTYPES:
             raise ValueError(f"unsupported dtype {dtype!r}; use float32 or float64")
         self._params: dict[str, Parameter] = {}
+        self._state = None if state is None else dict(state)
 
-    def create(self, name: str, data, trainable: bool = True) -> Parameter:
+    def create(self, name: str, init, trainable: bool = True) -> Parameter:
+        """Register ``name`` with its first value ``init``: an array, or an
+        ``Initializer`` drawn only when the store has no state."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        p = Parameter(name, np.asarray(data, dtype=self.dtype), trainable=trainable)
+        if self._state is not None:
+            if name not in self._state:
+                raise ValueError(f"missing parameter {name!r}")
+            data = self._state.pop(name)
+        else:
+            data = init.draw() if isinstance(init, Initializer) else init
+        try:
+            p = Parameter(name, self._take(name, data, init.shape), trainable=trainable)
+        except NonFiniteError:
+            raise NonFiniteError(f"non-finite value in parameter {name!r}") from None
         self._params[name] = p
         return p
+
+    def check_state_taken(self) -> None:
+        """Raise when the state holds a parameter that no ``create`` took."""
+        if self._state:
+            raise ValueError(f"unexpected parameters {sorted(self._state)}")
+
+    def _take(self, name: str, data, shape: tuple) -> np.ndarray:
+        data = np.asarray(data)
+        if data.shape != shape:
+            raise ValueError(f"shape mismatch for {name!r}: {data.shape} given, "
+                             f"the model has {shape}")
+        return np.asarray(data, dtype=self.dtype)
 
     def all(self) -> list[Parameter]:
         return list(self._params.values())
@@ -119,15 +160,13 @@ class ParamStore:
         return {name: p.data.copy() for name, p in self._params.items()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Take ``state``'s arrays as the parameters' values."""
         missing = set(self._params) - set(state)
         extra = set(state) - set(self._params)
         if missing or extra:
             raise ValueError(f"state mismatch: missing={sorted(missing)} extra={sorted(extra)}")
         for name, p in self._params.items():
-            arr = np.asarray(state[name])
-            if arr.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {name!r}: {arr.shape} vs {p.data.shape}")
-            p.data = arr.astype(p.data.dtype, copy=True)
+            p.data = self._take(name, state[name], p.data.shape)
             _own_zero_grad(p)
 
 
@@ -563,9 +602,23 @@ class PackedGRU:
     b: Tensor  # (3H,)
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int,
+           gain: float = 1.0) -> Initializer:
+    """Glorot-uniform values times ``gain``, drawn from ``rng`` only when a
+    store asks for them."""
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+    def draw():
+        values = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+        if gain != 1.0:
+            values *= gain
+        return values
+
+    return Initializer((fan_in, fan_out), draw)
+
+
+def zeros(*shape: int) -> Initializer:
+    return Initializer(shape, lambda: np.zeros(shape))
 
 
 def init_gru_cell(store: ParamStore, prefix: str, input_dim: int, hidden: int,
@@ -582,7 +635,7 @@ def init_gru_cell(store: ParamStore, prefix: str, input_dim: int, hidden: int,
         return store.create(f"{prefix}.{name}", glorot(rng, hidden, hidden))
 
     def b(name):
-        return store.create(f"{prefix}.{name}", np.zeros(hidden))
+        return store.create(f"{prefix}.{name}", zeros(hidden))
 
     return GRUCellParams(
         w_update=w("w_update"), u_update=u("u_update"), b_update=b("b_update"),

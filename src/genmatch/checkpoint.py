@@ -5,6 +5,11 @@ then one record per parameter (length-prefixed utf-8 name, dtype code,
 rank, extents, raw row-major values). Round-tripping double-precision
 parameters is bit-exact, so reloaded models reproduce predictions
 byte-identically.
+
+A load makes one allocation per parameter: ``read_checkpoint`` reads each
+record's values straight into an empty array of the stored shape and
+dtype, and the model's ``ParamStore`` takes that array as it is, or casts
+it once when the model's dtype differs (a float64 file in a float32 model).
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ def write_checkpoint(path, params) -> None:
         fh.write(struct.pack("<II", FORMAT_VERSION, len(params)))
         for p in params:
             name = p.name.encode("utf-8")
-            arr = np.ascontiguousarray(p.data)
+            # not ascontiguousarray, which turns a 0-d array into shape (1,)
+            arr = np.asarray(p.data, order="C")
             code = _DTYPE_CODES.get(arr.dtype)
             if code is None:
                 raise CheckpointError(f"unsupported dtype {arr.dtype} for {p.name!r}")
@@ -54,39 +60,50 @@ def write_checkpoint(path, params) -> None:
             fh.write(arr.tobytes())
 
 
-def _read_exactly(fh, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise CorruptCheckpointError("checkpoint file truncated")
-    return buf
-
-
 def read_checkpoint(path) -> dict[str, np.ndarray]:
-    """Parse a checkpoint into a name -> array mapping."""
+    """Parse a checkpoint into a name -> array mapping.
+
+    Each array is allocated once, at its stored shape and dtype, and filled
+    by one ``readinto`` from the file. Every error names the file.
+    """
     path = Path(path)
+
+    def corrupt(message: str) -> CorruptCheckpointError:
+        return CorruptCheckpointError(f"{path}: {message}")
+
+    def read_exactly(n: int) -> bytes:
+        buf = fh.read(n)
+        if len(buf) != n:
+            raise corrupt("checkpoint file truncated")
+        return buf
+
     with open(path, "rb") as fh:
-        if _read_exactly(fh, len(MAGIC)) != MAGIC:
-            raise CorruptCheckpointError(f"{path} is not a checkpoint file")
-        version, count = struct.unpack("<II", _read_exactly(fh, 8))
+        if read_exactly(len(MAGIC)) != MAGIC:
+            raise corrupt("not a checkpoint file")
+        version, count = struct.unpack("<II", read_exactly(8))
         if version != FORMAT_VERSION:
             raise CheckpointVersionError(
-                f"unsupported checkpoint version {version} (expected {FORMAT_VERSION})")
+                f"{path}: unsupported checkpoint version {version} "
+                f"(expected {FORMAT_VERSION})")
         state: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exactly(fh, 2))
-            name = _read_exactly(fh, name_len).decode("utf-8")
-            code, ndim = struct.unpack("<BB", _read_exactly(fh, 2))
+            (name_len,) = struct.unpack("<H", read_exactly(2))
+            name = read_exactly(name_len).decode("utf-8")
+            code, ndim = struct.unpack("<BB", read_exactly(2))
             if code not in _CODE_DTYPES:
-                raise CorruptCheckpointError(f"unknown dtype code {code}")
-            shape = struct.unpack(f"<{ndim}q", _read_exactly(fh, 8 * ndim))
-            dtype = _CODE_DTYPES[code]
-            size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-            raw = _read_exactly(fh, size * dtype.itemsize)
+                raise corrupt(f"unknown dtype code {code} for {name!r}")
+            shape = struct.unpack(f"<{ndim}q", read_exactly(8 * ndim))
+            if min(shape, default=0) < 0:
+                raise corrupt(f"negative extent in the shape {shape} of {name!r}")
+            arr = np.empty(shape, _CODE_DTYPES[code])
+            # a flat byte view: memoryview casts reject zero-size arrays
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                raise corrupt(f"checkpoint file truncated in {name!r}")
             if name in state:
-                raise CorruptCheckpointError(f"duplicate parameter {name!r}")
-            state[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+                raise corrupt(f"duplicate parameter {name!r}")
+            state[name] = arr
         if fh.read(1):
-            raise CorruptCheckpointError("trailing bytes after the last parameter")
+            raise corrupt("trailing bytes after the last parameter")
     return state
 
 

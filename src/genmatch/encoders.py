@@ -119,8 +119,9 @@ class CharEncoderParams:
 
 def init_char_encoder(store: ParamStore, char_vocab: CharVocabulary, char_dim: int,
                       char_hidden: int, rng: np.random.Generator) -> CharEncoderParams:
-    table = store.create("char.table",
-                         rng.uniform(-0.1, 0.1, size=(len(char_vocab), char_dim)))
+    shape = (len(char_vocab), char_dim)
+    table = store.create("char.table", ad.Initializer(
+        shape, lambda: rng.uniform(-0.1, 0.1, size=shape)))
     gru = init_bigru(store, "char.gru", char_dim, char_hidden, rng)
     return CharEncoderParams(table=table, gru=gru)
 

@@ -59,16 +59,16 @@ class ModelDims:
 
 class PipelineModel:
     def __init__(self, dims: ModelDims, vocab: Vocabulary, char_vocab: CharVocabulary,
-                 embedding_matrix: np.ndarray, rng: np.random.Generator):
-        if embedding_matrix.shape != (dims.vocab_size, dims.embed_dim):
-            raise ValueError("embedding matrix does not match the configured dims")
+                 embedding_matrix: np.ndarray | None, rng: np.random.Generator,
+                 state: dict[str, np.ndarray] | None):
         self.dims = dims
         self.vocab = vocab
         self.char_vocab = char_vocab
-        store = ParamStore(dims.precision)
+        store = ParamStore(dims.precision, state)
         self.store = store
-        self.embedding = store.create("emb", embedding_matrix,
-                                      trainable=dims.fine_tune_embeddings)
+        self.embedding = store.create(
+            "emb", ad.Initializer((dims.vocab_size, dims.embed_dim), lambda: embedding_matrix),
+            trainable=dims.fine_tune_embeddings)
         self.char_encoder = init_char_encoder(store, char_vocab, dims.char_dim,
                                               dims.char_hidden, rng)
         token_dim = dims.embed_dim + self.char_encoder.feature_dim
@@ -82,6 +82,7 @@ class PipelineModel:
         self.decoder = init_decoder(store, dims.embed_dim, dims.hidden,
                                     dims.vocab_size, rng)
         self.matcher = init_bilinear(store, dims.hidden)
+        store.check_state_taken()
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -230,6 +231,11 @@ class PipelineModel:
 
 
 def build_model(dims: ModelDims, vocab: Vocabulary, char_vocab: CharVocabulary,
-                embedding_matrix: np.ndarray, seed: int) -> PipelineModel:
+                embedding_matrix: np.ndarray | None, seed: int,
+                state: dict[str, np.ndarray] | None = None) -> PipelineModel:
+    """A new model: the word table is ``embedding_matrix`` and every other
+    parameter is drawn from ``seed``. Given a checkpoint ``state`` that names
+    exactly the model's parameters, each parameter holds the state's array
+    instead, nothing is drawn and ``embedding_matrix`` may be None."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    return PipelineModel(dims, vocab, char_vocab, embedding_matrix, rng)
+    return PipelineModel(dims, vocab, char_vocab, embedding_matrix, rng, state)

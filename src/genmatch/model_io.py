@@ -5,6 +5,14 @@ config sidecars needed to rebuild the pipeline for evaluation.
     <dir>/vocab.json    word + character vocabularies
     <dir>/config.json   the TrainConfig used to build the model
     <dir>/history.json  per-epoch training log (when training wrote the dir)
+
+``load_model_dir`` builds the model over the checkpoint's arrays: each
+parameter is allocated once, by the checkpoint reader, and taken by the
+store without a copy (one cast when the config's precision differs from
+the file's dtype). No initial value is drawn. Every error of the
+checkpoint starts with its path: an unreadable file, or a parameter that is
+missing, unexpected, non-finite or of another shape than the config and
+vocabulary build.
 """
 
 from __future__ import annotations
@@ -12,8 +20,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
+from .autodiff import NonFiniteError
 from .checkpoint import read_checkpoint, write_checkpoint
 from .corpus import CharVocabulary, Vocabulary
 from .model import PipelineModel, build_model
@@ -65,8 +72,10 @@ def load_model_dir(path) -> tuple[PipelineModel, TrainConfig]:
         raise ValueError(f"{vocab_path}: missing key {exc}") from None
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{vocab_path}: {exc}") from None
-    dims = config.dims(vocab, char_vocab)
-    model = build_model(dims, vocab, char_vocab,
-                        np.zeros((dims.vocab_size, dims.embed_dim)), seed=config.seed)
-    model.store.load_state_dict(read_checkpoint(ckpt))
+    state = read_checkpoint(ckpt)
+    try:
+        model = build_model(config.dims(vocab, char_vocab), vocab, char_vocab, None,
+                            config.seed, state)
+    except (ValueError, NonFiniteError) as exc:
+        raise type(exc)(f"{ckpt}: {exc}") from None
     return model, config

@@ -29,7 +29,7 @@ class OptionScores:
 def init_bilinear(store: ParamStore, hidden: int) -> Parameter:
     """The matching matrix starts at zero, which makes every option equally
     likely before the selection stage trains it."""
-    return store.create("select.w_att", np.zeros((2 * hidden, 2 * hidden)))
+    return store.create("select.w_att", ad.zeros(2 * hidden, 2 * hidden))
 
 
 def bilinear_score(answer: Tensor, options_flat: Tensor, w_att: Parameter) -> OptionScores:

@@ -43,9 +43,9 @@ def init_decoder(store: ParamStore, embed_dim: int, hidden: int, vocab_size: int
         attention=init_attention(store, "decoder.attention", memory_dim, hidden,
                                  hidden, rng),
         init_w=store.create("decoder.init_w", ad.glorot(rng, 2 * memory_dim, hidden)),
-        init_b=store.create("decoder.init_b", np.zeros(hidden)),
+        init_b=store.create("decoder.init_b", ad.zeros(hidden)),
         out_w=store.create("decoder.out_w", ad.glorot(rng, hidden + memory_dim, vocab_size)),
-        out_b=store.create("decoder.out_b", np.zeros(vocab_size)),
+        out_b=store.create("decoder.out_b", ad.zeros(vocab_size)),
     )
 
 

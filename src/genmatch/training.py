@@ -227,7 +227,8 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
     the model on the dev split. An epoch's dev metric that is
     ``improved(metric, best)`` becomes the snapshot; after ``patience``
     epochs without one, or once ``finished(best)``, training stops and the
-    best snapshot (epoch 0 when none improved) is restored.
+    store takes the best snapshot's arrays (epoch 0 when none improved)
+    without copying them.
     """
     dropout_rng, shuffle_rng = _seed_streams(seed)
     trainable = model.trainable_parameters()

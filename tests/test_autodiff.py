@@ -553,6 +553,19 @@ def test_param_store_rejects_duplicates_and_roundtrips_state():
         store.load_state_dict({})
 
 
+def test_param_store_takes_the_arrays_it_is_given():
+    store = ParamStore()
+    given = np.ones((2, 3))
+    assert store.create("a", given).data is given
+    state = store.state_dict()
+    store.load_state_dict(state)
+    assert store["a"].data is state["a"]
+    store32 = ParamStore(np.float32)
+    store32.create("a", np.ones((2, 3), np.float32))
+    store32.load_state_dict(state)
+    assert store32["a"].data.dtype == np.float32
+
+
 def test_gather_rows_accumulates_repeated_indices():
     store = ParamStore()
     table = store.create("t", np.zeros((3, 2)))

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from genmatch.autodiff import ParamStore
+from genmatch.autodiff import Initializer, ParamStore
 from genmatch.checkpoint import (
     FORMAT_VERSION,
     CheckpointVersionError,
@@ -24,6 +24,16 @@ def store_fixture():
     return store
 
 
+def assert_names_file(excinfo, path):
+    assert str(excinfo.value).startswith(f"{path}: ")
+
+
+def record_offset(data: bytes, name: str) -> int:
+    """Offset of the named record's dtype code in a checkpoint's bytes."""
+    encoded = name.encode("utf-8")
+    return data.index(struct.pack("<H", len(encoded)) + encoded) + 2 + len(encoded)
+
+
 def test_round_trip_is_bit_exact(tmp_path):
     store = store_fixture()
     path = tmp_path / "model.ckpt"
@@ -41,15 +51,17 @@ def test_truncated_file_is_corrupt(tmp_path):
     write_checkpoint(path, store.all())
     data = path.read_bytes()
     path.write_bytes(data[:len(data) - 7])
-    with pytest.raises(CorruptCheckpointError):
+    with pytest.raises(CorruptCheckpointError) as excinfo:
         read_checkpoint(path)
+    assert_names_file(excinfo, path)
 
 
 def test_wrong_magic_is_corrupt(tmp_path):
     path = tmp_path / "model.ckpt"
     path.write_bytes(b"not a checkpoint at all")
-    with pytest.raises(CorruptCheckpointError):
+    with pytest.raises(CorruptCheckpointError) as excinfo:
         read_checkpoint(path)
+    assert_names_file(excinfo, path)
 
 
 def test_unknown_version_rejected(tmp_path):
@@ -59,8 +71,9 @@ def test_unknown_version_rejected(tmp_path):
     data = bytearray(path.read_bytes())
     data[len(MAGIC):len(MAGIC) + 4] = struct.pack("<I", FORMAT_VERSION + 41)
     path.write_bytes(bytes(data))
-    with pytest.raises(CheckpointVersionError):
+    with pytest.raises(CheckpointVersionError) as excinfo:
         read_checkpoint(path)
+    assert_names_file(excinfo, path)
 
 
 def test_trailing_garbage_rejected(tmp_path):
@@ -68,8 +81,9 @@ def test_trailing_garbage_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     write_checkpoint(path, store.all())
     path.write_bytes(path.read_bytes() + b"junk")
-    with pytest.raises(CorruptCheckpointError):
+    with pytest.raises(CorruptCheckpointError) as excinfo:
         read_checkpoint(path)
+    assert_names_file(excinfo, path)
 
 
 def test_fingerprints_detect_changes():
@@ -80,3 +94,73 @@ def test_fingerprints_detect_changes():
     after = param_fingerprints(store.all())
     assert before["b"] == after["b"]
     assert before["w"] != after["w"]
+
+
+def test_unknown_dtype_code_names_the_file_and_parameter(tmp_path):
+    store = store_fixture()
+    path = tmp_path / "model.ckpt"
+    write_checkpoint(path, store.all())
+    data = bytearray(path.read_bytes())
+    data[record_offset(bytes(data), "b")] = 7
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptCheckpointError) as excinfo:
+        read_checkpoint(path)
+    assert_names_file(excinfo, path)
+    assert "unknown dtype code 7" in str(excinfo.value) and "'b'" in str(excinfo.value)
+
+
+def test_duplicate_parameter_names_the_file_and_parameter(tmp_path):
+    store = store_fixture()
+    path = tmp_path / "model.ckpt"
+    write_checkpoint(path, [store["w"], store["b"], store["w"]])
+    with pytest.raises(CorruptCheckpointError) as excinfo:
+        read_checkpoint(path)
+    assert_names_file(excinfo, path)
+    assert "duplicate parameter 'w'" in str(excinfo.value)
+
+
+def test_file_truncated_inside_a_large_array_is_corrupt(tmp_path):
+    store = ParamStore()
+    store.create("big", np.random.default_rng(1).standard_normal((1000, 100)))
+    store.create("after", np.ones(3))
+    path = tmp_path / "model.ckpt"
+    write_checkpoint(path, store.all())
+    data = path.read_bytes()
+    cut = record_offset(data, "big") + 2 + 16 + 8 * 1000 * 100 // 2
+    path.write_bytes(data[:cut])
+    with pytest.raises(CorruptCheckpointError) as excinfo:
+        read_checkpoint(path)
+    assert_names_file(excinfo, path)
+    assert "truncated in 'big'" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_scalar_and_zero_size_parameters_round_trip_bit_exactly(tmp_path, dtype):
+    store = ParamStore(dtype)
+    store.create("scalar", np.array(-2.75))
+    store.create("empty_rows", np.zeros((0, 3)))
+    store.create("empty_cols", np.zeros((4, 0)))
+    store.create("after", np.arange(5.0))
+    path = tmp_path / "model.ckpt"
+    write_checkpoint(path, store.all())
+    state = read_checkpoint(path)
+    assert list(state) == store.names()
+    for p in store.all():
+        assert state[p.name].shape == p.data.shape
+        assert state[p.name].dtype == np.dtype(dtype)
+        assert state[p.name].tobytes() == p.data.tobytes()
+
+
+def test_store_over_a_state_takes_its_arrays_and_draws_nothing(tmp_path):
+    store = store_fixture()
+    path = tmp_path / "model.ckpt"
+    write_checkpoint(path, store.all())
+    state = read_checkpoint(path)
+
+    def never():
+        raise AssertionError("a store filled from a state drew a value")
+
+    loaded = ParamStore(np.float64, state)
+    for p in store.all():
+        assert loaded.create(p.name, Initializer(p.data.shape, never)).data is state[p.name]
+    loaded.check_state_taken()

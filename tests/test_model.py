@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from genmatch import autodiff as ad
 from genmatch import encoders
-from genmatch.checkpoint import param_fingerprints
+from genmatch.checkpoint import param_fingerprints, write_checkpoint
 from genmatch.extractor import oracle_span
 from genmatch.model import MATCHER_PARAM
 from genmatch.model_io import load_model_dir, save_model_dir
@@ -150,6 +151,102 @@ def test_loading_a_float32_model_leaves_new_models_float64(tmp_path):
     assert config64.precision == "float64"
     assert {p.data.dtype for p in model64.parameters()} == {np.dtype(np.float64)}
     assert {p.data.dtype for p in loaded.parameters()} == {np.dtype(np.float32)}
+
+
+def test_float64_checkpoint_loads_into_a_float32_config_cast_once(tmp_path):
+    model, config, _, _ = build_micro_pipeline()
+    out = save_model_dir(tmp_path / "m", model, config)
+    payload = json.loads((out / "config.json").read_text())
+    payload["precision"] = "float32"
+    (out / "config.json").write_text(json.dumps(payload))
+    loaded, _ = load_model_dir(out)
+    for p, q in zip(model.parameters(), loaded.parameters()):
+        assert q.data.dtype == np.float32
+        assert q.data.tobytes() == p.data.astype(np.float32).tobytes()
+
+
+class _RngSpy:
+    """A generator that logs every draw into ``draws``."""
+
+    def __init__(self, rng, draws):
+        self._rng, self._draws = rng, draws
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def spied(*args, **kwargs):
+            self._draws.append(name)
+            return method(*args, **kwargs)
+
+        return spied
+
+
+def test_load_model_dir_draws_nothing_and_holds_the_saved_values(tmp_path, monkeypatch):
+    draws = []
+    real_glorot, real_default_rng = ad.glorot, np.random.default_rng
+
+    def glorot_spy(*args, **kwargs):
+        init = real_glorot(*args, **kwargs)
+
+        def draw():
+            draws.append("glorot")
+            return init.draw()
+
+        return ad.Initializer(init.shape, draw)
+
+    monkeypatch.setattr(ad, "glorot", glorot_spy)
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *args, **kwargs: _RngSpy(real_default_rng(*args, **kwargs),
+                                                        draws))
+    model, config, _, _ = build_micro_pipeline()
+    assert "glorot" in draws and "uniform" in draws  # the spies see a build's draws
+    out = save_model_dir(tmp_path / "m", model, config)
+    draws.clear()
+    loaded, _ = load_model_dir(out)
+    assert draws == []
+    assert param_fingerprints(loaded.parameters()) == param_fingerprints(model.parameters())
+    for p in loaded.parameters():
+        flags = p.data.flags
+        assert flags.writeable and flags.c_contiguous and flags.owndata, p.name
+
+
+def test_checkpoint_disagreeing_with_an_edited_config_names_file_and_parameter(tmp_path):
+    model, config, _, _ = build_micro_pipeline()
+    out = save_model_dir(tmp_path / "m", model, config)
+    payload = json.loads((out / "config.json").read_text())
+    payload["hidden"] = config.hidden + 1
+    (out / "config.json").write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as excinfo:
+        load_model_dir(out)
+    message = str(excinfo.value)
+    assert message.startswith(f"{out / 'model.ckpt'}: shape mismatch for '")
+
+
+@pytest.mark.parametrize("drop, extra, expected", [
+    ("decoder.out_b", None, "missing parameter 'decoder.out_b'"),
+    (None, "decoder.spare", "unexpected parameters ['decoder.spare']"),
+])
+def test_checkpoint_with_a_missing_or_extra_parameter_names_file_and_parameter(
+        tmp_path, drop, extra, expected):
+    model, config, _, _ = build_micro_pipeline()
+    out = save_model_dir(tmp_path / "m", model, config)
+    params = [p for p in model.parameters() if p.name != drop]
+    if extra is not None:
+        params.append(ad.Parameter(extra, np.ones(2)))
+    write_checkpoint(out / "model.ckpt", params)
+    with pytest.raises(ValueError) as excinfo:
+        load_model_dir(out)
+    assert str(excinfo.value) == f"{out / 'model.ckpt'}: {expected}"
+
+
+def test_checkpoint_with_a_non_finite_value_names_file_and_parameter(tmp_path):
+    model, config, _, _ = build_micro_pipeline()
+    model.store["decoder.out_b"].data[0] = np.nan
+    out = save_model_dir(tmp_path / "m", model, config)
+    with pytest.raises(ad.NonFiniteError) as excinfo:
+        load_model_dir(out)
+    assert str(excinfo.value) == (f"{out / 'model.ckpt'}: "
+                                  "non-finite value in parameter 'decoder.out_b'")
 
 
 def test_float32_model_computes_in_float32():

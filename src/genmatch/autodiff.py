@@ -2,6 +2,10 @@
 
 Every operation records its inputs and a backward closure on the output
 node; ``backward`` replays the recorded tape in reverse topological order.
+Every node, parameters included, follows one gradient rule: ``grad`` is
+None until an op hands it one, the first gradient is kept by reference, and
+a None grad reads as zero wherever a grad is read (the gradient norm,
+``Adam.step`` and ``check_gradients``).
 Models keep every tensor 2-D (batch-first) or scalar, and all values are
 required to stay finite. A tensor keeps the float32 or float64 dtype of its
 data; a model's ``ParamStore`` fixes the dtype of its parameters, and every
@@ -72,20 +76,15 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named leaf whose ``requires_grad`` is its trainable flag. Frozen
-    parameters keep an all-zero gradient."""
+    """Named leaf whose ``requires_grad`` is its trainable flag. Its grad
+    follows the rule of every node: None until an op hands it one, which no
+    op does while the parameter is frozen."""
 
     __slots__ = ("name",)
 
     def __init__(self, name: str, data, trainable: bool = True):
         super().__init__(data, requires_grad=trainable)
         self.name = name
-        _own_zero_grad(self)
-
-    def set_trainable(self, trainable: bool) -> None:
-        self.requires_grad = bool(trainable)
-        if not self.requires_grad:
-            _own_zero_grad(self)
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape}, trainable={self.requires_grad})"
@@ -107,7 +106,8 @@ class ParamStore:
     the given array itself when its dtype is the store's, and one cast copy
     when it is not. A store filled from a checkpoint ``state`` (name ->
     array) gives each created parameter the state's array, checked against
-    the parameter's shape, and draws no initial value.
+    the parameter's shape, and draws no initial value. A created
+    parameter's grad is None, like every node's, until an op hands it one.
     """
 
     def __init__(self, dtype=np.float64, state: dict[str, np.ndarray] | None = None):
@@ -128,8 +128,11 @@ class ParamStore:
             data = self._state.pop(name)
         else:
             data = init.draw() if isinstance(init, Initializer) else init
+        if np.shape(data) != init.shape:
+            raise ValueError(f"shape mismatch for {name!r}: {np.shape(data)} given, "
+                             f"the model has {init.shape}")
         try:
-            p = Parameter(name, self._take(name, data, init.shape), trainable=trainable)
+            p = Parameter(name, np.asarray(data, dtype=self.dtype), trainable=trainable)
         except NonFiniteError:
             raise NonFiniteError(f"non-finite value in parameter {name!r}") from None
         self._params[name] = p
@@ -140,13 +143,6 @@ class ParamStore:
         if self._state:
             raise ValueError(f"unexpected parameters {sorted(self._state)}")
 
-    def _take(self, name: str, data, shape: tuple) -> np.ndarray:
-        data = np.asarray(data)
-        if data.shape != shape:
-            raise ValueError(f"shape mismatch for {name!r}: {data.shape} given, "
-                             f"the model has {shape}")
-        return np.asarray(data, dtype=self.dtype)
-
     def all(self) -> list[Parameter]:
         return list(self._params.values())
 
@@ -155,26 +151,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
-
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self._params.items()}
-
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        """Take ``state``'s arrays as the parameters' values."""
-        missing = set(self._params) - set(state)
-        extra = set(state) - set(self._params)
-        if missing or extra:
-            raise ValueError(f"state mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-        for name, p in self._params.items():
-            p.data = self._take(name, state[name], p.data.shape)
-            _own_zero_grad(p)
-
-
-def _own_zero_grad(t: Tensor) -> None:
-    # np.zeros, unlike zeros_like, leaves a large array's pages untouched
-    # until something writes them, so a grad nothing reads costs no memory
-    t.grad = np.zeros(t.data.shape, t.data.dtype)
-    t._owns_grad = True
 
 
 def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
@@ -199,8 +175,8 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
     The first gradient is kept by reference (it may be another node's grad
     or a read-only broadcast view), the second sum is a fresh array that
-    ``t`` owns, and later ones add into it in place. Parameters own their
-    zeroed grad from the start. A gradient of another dtype takes the
+    ``t`` owns, and later ones add into it in place. The rule is the same
+    for inner nodes and parameters. A gradient of another dtype takes the
     allocating path, so type promotion, the order of the adds and every
     value are the same as summing with ``+``.
     """
@@ -766,33 +742,32 @@ def gru_sequence(x: Tensor, h0: Tensor, packed: PackedGRU, mask: np.ndarray,
 
 
 def zero_grads(params) -> None:
+    """Drop the gradients; each reads as zero until an op hands it one."""
     for p in params:
-        _own_zero_grad(p)
+        p.grad = None
 
 
 def global_grad_norm(params) -> float:
+    """L2 norm of all the gradients together; a None grad counts as zero."""
     total = 0.0
     for p in params:
-        total += float((p.grad * p.grad).sum())
+        if p.grad is not None:
+            total += float((p.grad * p.grad).sum())
     return math.sqrt(total)
 
 
 def clip_global_norm(params, threshold: float = 10.0) -> float:
-    """Jointly rescale gradients so their global L2 norm is <= threshold.
-
-    Returns the scale that was applied (1.0 when no clipping happened).
-    The tiny slack in the trigger makes a second application a no-op.
+    """The scale that brings the gradients' global L2 norm to at most
+    ``threshold``: 1.0 when it already is. The grads are left as they are;
+    ``Adam.step`` applies the scale as it reads them. The tiny slack in the
+    trigger makes the scale of already-scaled gradients 1.0.
     """
     if threshold <= 0:
         raise ValueError("clip threshold must be positive")
-    params = list(params)
     norm = global_grad_norm(params)
     if norm <= threshold * (1.0 + 1e-12):
         return 1.0
-    scale = threshold / norm
-    for p in params:
-        p.grad *= scale
-    return scale
+    return threshold / norm
 
 
 _ADAM_CHUNK = 1 << 15  # elements per update pass, so one chunk's arrays stay in cache
@@ -815,29 +790,37 @@ class Adam:
         self._v = {p.name: np.zeros(p.data.shape, p.data.dtype) for p in self.params}
         self._scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
 
-    def step(self) -> None:
+    def step(self, scale: float = 1.0) -> float:
+        """One update with every gradient times ``scale`` (the clip's); a
+        None grad steps as zeros. Returns the scaled gradients' L2 norm."""
         self.t += 1
         bc1 = 1.0 - _ADAM_BETA1 ** self.t
         bc2 = 1.0 - _ADAM_BETA2 ** self.t
+        total = 0.0
         for p in self.params:
             if not p.requires_grad:
                 continue
-            arrays = [np.atleast_1d(x) for x in (p.data, self._m[p.name],
-                                                 self._v[p.name], p.grad)]
+            grad = np.zeros((), p.data.dtype) if p.grad is None else p.grad
+            arrays = [np.atleast_1d(x) for x in (p.data, self._m[p.name], self._v[p.name],
+                                                 np.broadcast_to(grad, p.data.shape))]
             rows = max(1, _ADAM_CHUNK // max(1, math.prod(arrays[0].shape[1:])))
             for lo in range(0, arrays[0].shape[0], rows):
-                self._update(*(x[lo:lo + rows] for x in arrays), bc1, bc2)
+                total += self._update(*(x[lo:lo + rows] for x in arrays), scale, bc1, bc2)
+        return math.sqrt(total)
 
-    def _update(self, data, m, v, g, bc1: float, bc2: float) -> None:
-        """m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g*g;
+    def _update(self, data, m, v, g, scale: float, bc1: float, bc2: float) -> float:
+        """With g' = g * scale: m = b1 m + (1-b1) g';  v = b2 v + (1-b2) g'*g';
         data -= lr (m/bc1) / (sqrt(v/bc2) + eps), op for op as written,
-        through two reused scratch buffers instead of fresh temporaries."""
+        through two reused scratch buffers instead of fresh temporaries.
+        Returns the sum of g'*g', the chunk's share of the squared norm."""
         a, b = self._buffers(data)
+        np.multiply(g, scale, out=b)
         m *= _ADAM_BETA1
-        np.multiply(1.0 - _ADAM_BETA1, g, out=a)
+        np.multiply(1.0 - _ADAM_BETA1, b, out=a)
         m += a
         v *= _ADAM_BETA2
-        np.multiply(g, g, out=a)
+        np.multiply(b, b, out=a)
+        square_sum = float(a.sum())
         np.multiply(1.0 - _ADAM_BETA2, a, out=a)
         v += a
         np.divide(m, bc1, out=a)
@@ -847,6 +830,7 @@ class Adam:
         np.add(b, _ADAM_EPS, out=b)
         np.divide(a, b, out=a)
         data -= a
+        return square_sum
 
     def _buffers(self, like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pair = self._scratch.get(like.dtype)
@@ -900,7 +884,7 @@ def check_gradients(params, loss_fn, *, step: float = 1e-5, tolerance: float = 1
     zero_grads(params)
     loss = loss_fn()
     backward(loss)
-    analytic = {p.name: np.array(p.grad, copy=True) for p in params}
+    analytic = {p.name: np.zeros_like(p.data) if p.grad is None else p.grad for p in params}
 
     report = GradCheckReport(tolerance=tolerance, step=step)
     with no_grad():

@@ -57,7 +57,7 @@ def write_checkpoint(path, params) -> None:
             fh.write(name)
             fh.write(struct.pack("<BB", code, arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}q", *arr.shape))
-            fh.write(arr.tobytes())
+            fh.write(arr)
 
 
 def read_checkpoint(path) -> dict[str, np.ndarray]:
@@ -109,5 +109,5 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
 
 def param_fingerprints(params) -> dict[str, str]:
     """sha256 of each parameter's raw bytes (for freeze verification)."""
-    return {p.name: hashlib.sha256(np.ascontiguousarray(p.data).tobytes()).hexdigest()
+    return {p.name: hashlib.sha256(np.ascontiguousarray(p.data)).hexdigest()
             for p in params}

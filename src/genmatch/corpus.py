@@ -84,6 +84,10 @@ def parse_race_record(document: str | dict, subset: str | None = None) -> list[I
         if fieldname not in doc:
             raise MalformedRecord(f"missing field {fieldname!r}")
     doc_id = str(doc["id"])
+    for fieldname, kind in (("article", str), ("questions", list), ("options", list),
+                            ("answers", list)):
+        if not isinstance(doc[fieldname], kind):
+            raise MalformedRecord(f"{doc_id}: field {fieldname!r} is not a {kind.__name__}")
     questions, options, answers = doc["questions"], doc["options"], doc["answers"]
     if not (len(questions) == len(options) == len(answers)):
         raise MalformedRecord(f"{doc_id}: questions/options/answers lengths differ")
@@ -92,6 +96,8 @@ def parse_race_record(document: str | dict, subset: str | None = None) -> list[I
     for k, (question, opts, answer) in enumerate(zip(questions, options, answers)):
         if not isinstance(opts, list) or len(opts) != NUM_OPTIONS:
             raise MalformedRecord(f"{doc_id}: question {k} needs exactly {NUM_OPTIONS} options")
+        if not all(isinstance(text, str) for text in (question, *opts)):
+            raise MalformedRecord(f"{doc_id}: question {k} or one of its options is not a string")
         if not isinstance(answer, str) or answer not in "ABCD" or len(answer) != 1:
             raise MalformedRecord(f"{doc_id}: question {k} has invalid answer {answer!r}")
         q_tokens = tuple(tokenize(question))
@@ -209,7 +215,7 @@ def instance_token_streams(instances, include_options: bool = False):
 
 
 class EmbeddingFormatError(ValueError):
-    """A vector file line does not have token + dim values."""
+    """A vector file line does not have token + dim numeric values."""
 
 
 @dataclass
@@ -248,7 +254,10 @@ def load_embeddings(path, vocab: Vocabulary, dim: int = 300, seed: int = 0,
                     f"{path}:{lineno}: expected {dim} values, got {len(values)}")
             idx = vocab.index.get(token)
             if idx is not None:
-                table.matrix[idx] = np.array([float(v) for v in values])
+                try:
+                    table.matrix[idx] = np.array([float(v) for v in values])
+                except ValueError as exc:
+                    raise EmbeddingFormatError(f"{path}:{lineno}: {exc}") from None
                 covered[idx] = True
     table.coverage = float(covered.mean())
     return table

@@ -90,7 +90,6 @@ class PipelineModel:
         return self.store.all()
 
     def zero_grads(self) -> None:
-        # frozen parameters already hold zeros: no op adds into them
         ad.zero_grads(self.trainable_parameters())
 
     def trainable_parameters(self):
@@ -103,11 +102,9 @@ class PipelineModel:
         The shared question/option encoder stays frozen too: training it on
         the selection loss drifts the extractor's question pooling and
         degrades generation, and the matcher matrix alone is enough."""
-        frozen = [name for name in self.store.names() if name != MATCHER_PARAM]
-        for name in frozen:
-            self.store[name].set_trainable(False)
-        self.store[MATCHER_PARAM].set_trainable(True)
-        return frozen
+        for p in self.parameters():
+            p.requires_grad = p.name == MATCHER_PARAM
+        return [name for name in self.store.names() if name != MATCHER_PARAM]
 
     # -- embedding and encoding helpers ---------------------------------------
 

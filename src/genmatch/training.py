@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Adam, clip_global_norm, global_grad_norm
+from .autodiff import Adam, clip_global_norm
 from .corpus import CharVocabulary, EmbeddingTable, Instance, Vocabulary, make_batches
 from .evaluation import EvalReport, batch_answers, predict_records
 from .extractor import oracle_span
@@ -227,8 +227,9 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
     the model on the dev split. An epoch's dev metric that is
     ``improved(metric, best)`` becomes the snapshot; after ``patience``
     epochs without one, or once ``finished(best)``, training stops and the
-    store takes the best snapshot's arrays (epoch 0 when none improved)
-    without copying them.
+    trainable parameters take the best snapshot's arrays (epoch 0 when none
+    improved) without copying them. Frozen parameters cannot change, so the
+    snapshot holds only the trainable ones.
     """
     dropout_rng, shuffle_rng = _seed_streams(seed)
     trainable = model.trainable_parameters()
@@ -236,7 +237,7 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
     result = StageResult(model=model)
     started = time.perf_counter()
     best = dev_metric()
-    best_state = model.store.state_dict()
+    best_values = [p.data.copy() for p in trainable]
     best_epoch = 0
     since_best = 0
     for epoch in range(1, config.max_epochs + 1):
@@ -248,10 +249,10 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
             model.zero_grads()
             loss, parts = batch_loss(batch, dropout_rng)
             ad.backward(loss)
-            clipped += clip_global_norm(trainable, config.clip_norm) < 1.0
+            scale = clip_global_norm(trainable, config.clip_norm)
+            clipped += scale < 1.0
             result.max_post_clip_norm = max(result.max_post_clip_norm,
-                                            global_grad_norm(trainable))
-            optimizer.step()
+                                            optimizer.step(scale))
             for key, value in {"train_loss": loss.item(), **parts}.items():
                 sums[key] = sums.get(key, 0.0) + value * batch.size
             seen += batch.size
@@ -269,14 +270,16 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
                  stage, epoch, entry["train_loss"], metric_name, metric)
         if improved(metric, best):
             best, best_epoch, since_best = metric, epoch, 0
-            best_state = model.store.state_dict()
+            best_values = [p.data.copy() for p in trainable]
         else:
             since_best += 1
             if since_best >= config.patience:
                 break
         if finished(best):
             break
-    model.store.load_state_dict(best_state)
+    for p, values in zip(trainable, best_values):
+        # the last step's grad does not belong to the restored values
+        p.data, p.grad = values, None
     result.best_epoch, result.best_metric = best_epoch, best
     result.wall_time = time.perf_counter() - started
     return result

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 
 from genmatch import autodiff as ad
+from genmatch import training
 from genmatch.corpus import (
     CharVocabulary,
     Vocabulary,
@@ -113,3 +114,35 @@ def embed_twice_stage_one_loss(model, batch, oracle_spans, rng):
                                      model.decoder, model.gold_option_ids(batch))
     total = ad.add(extraction_loss, generation_loss)
     return total, {"span": extraction_loss.item(), "synthesis": generation_loss.item()}
+
+
+def use_five_pass_step(monkeypatch):
+    """Reference for the optimizer step of ``training._train_epochs``: the
+    step as five passes over the gradients. Every parameter owns a
+    zero-filled grad that its first gradient is added into, the clip scales
+    the grads in place, the post-clip norm is a pass of its own, and Adam
+    steps on the scaled grads unscaled."""
+
+    def zero_filled_grads(params):
+        for p in params:
+            p.grad = np.zeros(p.data.shape, p.data.dtype)
+            p._owns_grad = True
+
+    def clip_in_place(params, threshold):
+        norm = ad.global_grad_norm(params)
+        if norm <= threshold * (1.0 + 1e-12):
+            return 1.0
+        scale = threshold / norm
+        for p in params:
+            p.grad *= scale
+        return scale
+
+    class UnscaledAdam(ad.Adam):
+        def step(self, scale):
+            post_clip_norm = ad.global_grad_norm(self.params)
+            super().step()
+            return post_clip_norm
+
+    monkeypatch.setattr(ad, "zero_grads", zero_filled_grads)
+    monkeypatch.setattr(training, "clip_global_norm", clip_in_place)
+    monkeypatch.setattr(training, "Adam", UnscaledAdam)

@@ -128,7 +128,9 @@ def test_disconnected_parameter_gets_zero_gradient():
     unused = store.create("unused", np.ones((2, 2)))
     loss = tensor_sum(used)
     backward(loss)
-    np.testing.assert_array_equal(unused.grad, np.zeros((2, 2)))
+    assert unused.grad is None
+    # the norm reads the missing grad as zero
+    assert global_grad_norm([used, unused]) == global_grad_norm([used]) == 2.0
 
 
 def test_frozen_parameter_gets_zero_gradient_but_passes_values():
@@ -137,8 +139,9 @@ def test_frozen_parameter_gets_zero_gradient_but_passes_values():
     live = store.create("live", np.ones((2, 2)))
     loss = tensor_sum(mul(frozen, live))
     backward(loss)
-    np.testing.assert_array_equal(frozen.grad, np.zeros((2, 2)))
+    assert frozen.grad is None
     np.testing.assert_allclose(live.grad, np.full((2, 2), 2.0))
+    assert global_grad_norm([frozen, live]) == global_grad_norm([live]) == 4.0
 
 
 def test_backward_rejects_non_scalar_and_disconnected_loss():
@@ -480,9 +483,10 @@ def test_clip_rescales_to_threshold():
     store = ParamStore()
     p = store.create("p", np.zeros(2))
     set_grads([p], [[30.0, 40.0]])
-    clip_global_norm([p], 10.0)
-    np.testing.assert_allclose(p.grad, [6.0, 8.0])
-    assert global_grad_norm([p]) <= 10.0 + 1e-9
+    scale = clip_global_norm([p], 10.0)
+    np.testing.assert_array_equal(p.grad, [30.0, 40.0])  # left for Adam to scale
+    np.testing.assert_allclose(p.grad * scale, [6.0, 8.0])
+    assert Adam([p]).step(scale) <= 10.0 + 1e-9
 
 
 @settings(max_examples=40, deadline=None)
@@ -492,11 +496,13 @@ def test_clip_is_idempotent(grads, threshold):
     store = ParamStore()
     p = store.create("p", np.zeros(len(grads)))
     set_grads([p], [grads])
-    clip_global_norm([p], threshold)
-    once = p.grad.copy()
-    clip_global_norm([p], threshold)
-    np.testing.assert_array_equal(p.grad, once)
-    assert global_grad_norm([p]) <= threshold + 1e-9
+    given_grad = p.grad.copy()
+    scale = clip_global_norm([p], threshold)
+    np.testing.assert_array_equal(p.grad, given_grad)
+    p.grad = p.grad * scale
+    assert clip_global_norm([p], threshold) == 1.0
+    p.grad = given_grad
+    assert Adam([p]).step(scale) <= threshold + 1e-9
 
 
 def test_adam_first_step_analytic():
@@ -526,6 +532,60 @@ def test_adam_skips_frozen_parameters():
     np.testing.assert_array_equal(frozen.data, np.ones((2, 2)))
 
 
+def test_adam_step_applies_its_scale_as_pre_scaled_grads_would():
+    # 300 x 200 spans two of Adam's chunks; the 0-d parameter is one row
+    rng = np.random.default_rng(12)
+    shapes = [(300, 200), (7,), ()]
+    values = [rand(rng, *shape) for shape in shapes]
+    grads = [rand(rng, *shape) for shape in shapes]
+    scale = 0.37
+    runs = []
+    for prescale in (False, True):
+        store = ParamStore()
+        params = [store.create(f"p{i}", v.copy()) for i, v in enumerate(values)]
+        opt = Adam(params)
+        norms = []
+        for _ in range(3):
+            set_grads(params, [g * scale if prescale else g for g in grads])
+            norms.append(opt.step() if prescale else opt.step(scale))
+        runs.append(([p.data for p in params], norms))
+    (data, norms), (want_data, want_norms) = runs
+    for got, want in zip(data, want_data):
+        np.testing.assert_array_equal(got, want)
+    assert norms == want_norms
+    assert norms[0] == pytest.approx(scale * math.sqrt(sum((g * g).sum() for g in grads)),
+                                     rel=1e-12)
+
+
+def test_adam_steps_a_missing_grad_as_zeros():
+    # the batch with no oracle span: span_loss reaches no extractor
+    # parameter, so its grad stays None on that step
+    rng = np.random.default_rng(13)
+    start = rand(rng, 4, 3)
+    store = ParamStore()
+    missing, zeroed = store.create("missing", start.copy()), store.create("zeroed", start.copy())
+    opt_missing, opt_zeroed = Adam([missing]), Adam([zeroed])
+    for step in range(4):
+        grad = rand(rng, 4, 3) if step < 2 else None
+        missing.grad = grad
+        zeroed.grad = np.zeros((4, 3)) if grad is None else grad.copy()
+        before = missing.data.copy()
+        assert opt_missing.step() == opt_zeroed.step()
+        np.testing.assert_array_equal(missing.data, zeroed.data)
+        assert not np.array_equal(missing.data, before)  # momentum keeps it moving
+    np.testing.assert_array_equal(opt_missing._m["missing"], opt_zeroed._m["zeroed"])
+    np.testing.assert_array_equal(opt_missing._v["missing"], opt_zeroed._v["zeroed"])
+
+
+def test_a_parameter_reached_once_holds_the_ops_gradient_array():
+    rng = np.random.default_rng(14)
+    store = ParamStore()
+    w = store.create("w", rand(rng, 3, 2))
+    shifted = ad.add(w, Tensor(rand(rng, 3, 2)))  # add hands w its own grad
+    backward(tensor_sum(mul(shifted, Tensor(rand(rng, 3, 2)))))
+    assert w.grad is shifted.grad
+
+
 def test_adam_zero_gradients_leave_parameters_unchanged():
     store = ParamStore()
     p = store.create("p", np.array([1.0, -2.0]))
@@ -545,25 +605,16 @@ def test_param_store_rejects_duplicates_and_roundtrips_state():
     store.create("a", np.ones(2))
     with pytest.raises(ValueError):
         store.create("a", np.ones(2))
-    state = store.state_dict()
-    store["a"].data[...] = 5.0
-    store.load_state_dict(state)
-    np.testing.assert_array_equal(store["a"].data, np.ones(2))
-    with pytest.raises(ValueError):
-        store.load_state_dict({})
 
 
 def test_param_store_takes_the_arrays_it_is_given():
     store = ParamStore()
     given = np.ones((2, 3))
     assert store.create("a", given).data is given
-    state = store.state_dict()
-    store.load_state_dict(state)
-    assert store["a"].data is state["a"]
     store32 = ParamStore(np.float32)
-    store32.create("a", np.ones((2, 3), np.float32))
-    store32.load_state_dict(state)
-    assert store32["a"].data.dtype == np.float32
+    given32 = np.ones((2, 3), np.float32)
+    assert store32.create("a", given32).data is given32
+    assert store32.create("b", given).data.dtype == np.float32
 
 
 def test_gather_rows_accumulates_repeated_indices():

@@ -1,4 +1,7 @@
+import hashlib
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -94,6 +97,42 @@ def test_fingerprints_detect_changes():
     after = param_fingerprints(store.all())
     assert before["b"] == after["b"]
     assert before["w"] != after["w"]
+
+
+def noncontiguous_and_odd_arrays():
+    """A 0-d, a zero-size, a non-contiguous and a float32 array."""
+    return {"scalar": np.array(-2.75), "empty": np.zeros((0, 3)),
+            "transposed": np.arange(12.0).reshape(3, 4).T,
+            "single": np.arange(6, dtype=np.float32).reshape(2, 3)}
+
+
+def test_fingerprints_and_records_hold_the_row_major_bytes(tmp_path):
+    params = [SimpleNamespace(name=name, data=arr)
+              for name, arr in noncontiguous_and_odd_arrays().items()]
+    digests = param_fingerprints(params)
+    path = tmp_path / "model.ckpt"
+    write_checkpoint(path, params)
+    state = read_checkpoint(path)
+    for p in params:
+        assert digests[p.name] == hashlib.sha256(p.data.tobytes()).hexdigest()
+        assert state[p.name].dtype == p.data.dtype and state[p.name].shape == p.data.shape
+        assert state[p.name].tobytes() == p.data.tobytes()
+
+
+def test_writing_and_fingerprinting_copy_no_array(tmp_path):
+    store = ParamStore()
+    big = store.create("big", np.ones((1024, 1024)))  # 8 MB
+    tracemalloc.start()
+    try:
+        write_checkpoint(tmp_path / "model.ckpt", store.all())
+        _, write_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        param_fingerprints(store.all())
+        _, hash_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert write_peak < big.data.nbytes // 8
+    assert hash_peak < big.data.nbytes // 8
 
 
 def test_unknown_dtype_code_names_the_file_and_parameter(tmp_path):

@@ -8,7 +8,7 @@ from genmatch.checkpoint import read_checkpoint
 from genmatch.cli import main
 from genmatch.corpus import load_dataset_dir
 
-from test_corpus import BROKEN_RECORDS
+from test_corpus import BROKEN_RECORDS, SAMPLE
 
 
 TOY_ARGS = ["--passages", "12", "--seed", "5"]
@@ -104,6 +104,25 @@ def test_broken_record_errors_name_the_file(trained_dirs, toy_dir, tmp_path, cap
     assert main(["predict", "--checkpoint", str(stage2), "--input", str(broken)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {broken}: ") and detail in err
+
+
+def test_train_synthesis_input_errors_name_their_source(toy_dir, tmp_path, capsys):
+    out = str(tmp_path / "model")
+    data = tmp_path / "data"
+    shutil.copytree(toy_dir, data)
+    broken = data / "train" / "zz-broken.json"
+    broken.write_text(json.dumps(dict(SAMPLE, article=7)))
+    assert main(["train-synthesis", "--data", str(data), "--out", out] + FAST_TRAIN) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {broken}: ") and "field 'article' is not a str" in err
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("the " + " ".join(["0.5"] * 8) + "\n"
+                       "the " + " ".join(["0.5"] * 7 + ["abc"]) + "\n")
+    rc = main(["train-synthesis", "--data", str(toy_dir), "--out", out,
+               "--embeddings", str(vectors)] + FAST_TRAIN)
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: {vectors}:2: "
+                                       "could not convert string to float: 'abc'\n")
 
 
 @pytest.mark.parametrize("text, detail", [

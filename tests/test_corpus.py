@@ -180,6 +180,15 @@ def test_load_embeddings_arity_error(tmp_path):
         load_embeddings(vec_file, vocab, dim=300)
 
 
+def test_load_embeddings_non_numeric_value_names_file_and_line(tmp_path):
+    vocab = Vocabulary.build([["the", "dog"]])
+    vec_file = tmp_path / "vecs.txt"
+    vec_file.write_text("the 0.5 0.25\ndog 0.5 abc\n")
+    with pytest.raises(EmbeddingFormatError) as info:
+        load_embeddings(vec_file, vocab, dim=2)
+    assert str(info.value) == f"{vec_file}:2: could not convert string to float: 'abc'"
+
+
 def test_load_embeddings_unreadable_file(tmp_path):
     vocab = Vocabulary.build([["the"]])
     with pytest.raises(OSError):
@@ -291,6 +300,14 @@ BROKEN_RECORDS = {
     "bad_json": ('{"article": "A dog ran.", }', "invalid JSON"),
     "three_options": (json.dumps(dict(SAMPLE, options=[["dog", "cat", "bird"]])),
                       "question 0 needs exactly 4 options"),
+    "article_not_string": (json.dumps(dict(SAMPLE, article=7)),
+                           "t1: field 'article' is not a str"),
+    "question_not_string": (json.dumps(dict(SAMPLE, questions=[["What", "ran?"]])),
+                            "t1: question 0 or one of its options is not a string"),
+    "options_not_list": (json.dumps(dict(SAMPLE, options="dog cat bird fish")),
+                         "t1: field 'options' is not a list"),
+    "option_not_string": (json.dumps(dict(SAMPLE, options=[["dog", 3, "bird", "fish"]])),
+                          "t1: question 0 or one of its options is not a string"),
 }
 
 

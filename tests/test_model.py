@@ -83,7 +83,7 @@ def test_stage_one_loss_matches_the_embed_twice_reference():
         model.zero_grads()
         loss, parts = loss_fn(batch, targets, rng)
         ad.backward(loss)
-        return loss.item(), parts, rng.bit_generator.state, [p.grad.copy() for p in params]
+        return loss.item(), parts, rng.bit_generator.state, [p.grad for p in params]
 
     loss, parts, state, grads = run(model.stage_one_loss)
     ref_loss, ref_parts, ref_state, ref_grads = run(
@@ -91,8 +91,12 @@ def test_stage_one_loss_matches_the_embed_twice_reference():
     assert loss == ref_loss
     assert parts == ref_parts
     assert state == ref_state != np.random.default_rng(5).bit_generator.state
+    # the stage-one loss reaches every parameter but the matcher
+    for got in (grads, ref_grads):
+        assert [p.name for p, grad in zip(params, got) if grad is None] == [MATCHER_PARAM]
     for p, grad, ref in zip(params, grads, ref_grads):
-        np.testing.assert_allclose(grad, ref, rtol=1e-12, atol=0, err_msg=p.name)
+        if grad is not None:
+            np.testing.assert_allclose(grad, ref, rtol=1e-12, atol=0, err_msg=p.name)
 
 
 def test_identical_options_get_identical_vectors():
@@ -256,7 +260,9 @@ def test_float32_model_computes_in_float32():
     assert loss.data.dtype == np.float32
     model.zero_grads()
     ad.backward(loss)
-    assert {p.grad.dtype for p in model.parameters()} == {np.dtype(np.float32)}
+    assert [p.name for p in model.parameters() if p.grad is None] == [MATCHER_PARAM]
+    assert ({p.grad.dtype for p in model.parameters() if p.grad is not None}
+            == {np.dtype(np.float32)})
     _, scores = model.predict_batch(batch, model.generate(batch)[0])
     assert scores.probabilities.data.dtype == np.float32
 
@@ -270,18 +276,26 @@ def test_freeze_partition_covers_all_parameters():
 
 
 def test_frozen_parameters_stay_out_of_the_gradient_bookkeeping():
-    model, _, _, _ = build_micro_pipeline(fine_tune_embeddings=False)
+    model, config, _, batches = build_micro_pipeline(fine_tune_embeddings=False)
     trainable = model.trainable_parameters()
     assert all(p is not model.embedding for p in trainable)
     for p in trainable:
-        p.grad[...] = 1.0
-    model.embedding.grad[...] = 1e6  # stale: the norm and zeroing skip it
+        p.grad = np.ones_like(p.data)
+    stale = np.full_like(model.embedding.data, 1e6)
+    model.embedding.grad = stale  # stale: the norm and zeroing skip it
     expected = math.sqrt(sum(p.grad.size for p in trainable))
     assert ad.global_grad_norm(trainable) == pytest.approx(expected, rel=1e-12)
     model.zero_grads()
-    assert not any(p.grad.any() for p in trainable)
-    model.embedding.set_trainable(False)
-    assert not model.embedding.grad.any()
+    assert all(p.grad is None for p in trainable)
+    assert model.embedding.grad is stale
+    # freezing is the requires_grad flag: backward then hands the
+    # parameter nothing
+    out_b = model.store["decoder.out_b"]
+    out_b.requires_grad = False
+    assert out_b not in model.trainable_parameters()
+    loss, _ = model.stage_one_loss(batches[0], oracle_targets(batches[0], config.max_span))
+    ad.backward(loss)
+    assert out_b.grad is None and model.embedding.grad is stale
 
 
 def test_full_pipeline_gradients_on_micro_shapes():

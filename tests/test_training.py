@@ -26,7 +26,7 @@ from genmatch.training import (
     train_synthesis_stage,
 )
 
-from helpers import micro_config, toy_instances
+from helpers import micro_config, toy_instances, use_five_pass_step
 
 
 def setup_training(n_passages=6, seed=21, **overrides):
@@ -95,6 +95,26 @@ def test_synthesis_stage_trains_and_logs():
     assert last["train_loss"] <= first["train_loss"] * 1.5  # descending trend, loosely
     with pytest.raises(ValueError):
         train_synthesis_stage(config, [], dev, vocab, char_vocab, table)
+
+
+def test_two_pass_step_moves_every_parameter_as_the_five_pass_reference(monkeypatch):
+    # a clip of 1e-3 scales every step, so Adam reads each gradient scaled
+    def run():
+        config, train, dev, vocab, char_vocab, table = setup_training(
+            max_epochs=2, patience=5, dropout=0.2, clip_norm=1e-3)
+        return train_synthesis_stage(config, train, dev, vocab, char_vocab, table)
+
+    result = run()
+    with monkeypatch.context() as patched:
+        use_five_pass_step(patched)
+        reference = run()
+    assert [h["clip_rate"] for h in result.history] == [1.0, 1.0]
+    assert ([(h["train_loss"], h["dev_loss"]) for h in result.history]
+            == [(h["train_loss"], h["dev_loss"]) for h in reference.history])
+    assert (param_fingerprints(result.model.parameters())
+            == param_fingerprints(reference.model.parameters()))
+    assert result.max_post_clip_norm == pytest.approx(reference.max_post_clip_norm,
+                                                      rel=1e-12, abs=0)
 
 
 def test_logged_loss_parts_recombine_to_the_train_loss():

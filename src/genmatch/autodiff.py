@@ -6,6 +6,14 @@ Every node, parameters included, follows one gradient rule: ``grad`` is
 None until an op hands it one, the first gradient is kept by reference, and
 a None grad reads as zero wherever a grad is read (the gradient norm,
 ``Adam.step`` and ``check_gradients``).
+
+``backward`` frees the graph as it runs: once an op node's backward has
+run, the node drops its closure, its parents and its grad, so the pass
+releases activations as it moves down the graph. Inner grads are therefore
+gone when ``backward`` returns; leaves and parameters keep theirs. A graph
+is differentiated once: a later ``backward`` that reaches a released node
+raises ``RuntimeError``.
+
 Models keep every tensor 2-D (batch-first) or scalar, and all values are
 required to stay finite. A tensor keeps the float32 or float64 dtype of its
 data; a model's ``ParamStore`` fixes the dtype of its parameters, and every
@@ -204,8 +212,20 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def backward(loss: Tensor) -> None:
-    """Populate gradients of everything the scalar ``loss`` depends on."""
+def _released(g) -> None:
+    raise RuntimeError("backward reached a node whose graph was already differentiated; "
+                       "a graph is differentiated once")
+
+
+def backward(loss: Tensor) -> int:
+    """Populate the gradients of the leaves and parameters the scalar
+    ``loss`` depends on, releasing the graph as it goes; returns the number
+    of op nodes it ran.
+
+    Each op node, ``loss`` included, drops its closure, parents and grad
+    once its backward has run, so its inputs and activations are freed as
+    the pass moves down the graph; its ``_backward`` becomes a sentinel that
+    raises when a later ``backward`` reaches it."""
     if loss.data.size != 1:
         raise ValueError("backward requires a scalar loss")
     if not loss.requires_grad:
@@ -228,11 +248,18 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+    ran = 0
+    while order:
+        # popped, so the tape holds the node only through its unprocessed children
+        node = order.pop()
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
-            # its parents may hold the grad by reference from here on
-            node._owns_grad = False
+        ran += 1
+        # its parents may hold the grad by reference; the node lets go of it
+        node._backward, node._parents, node.grad = _released, (), None
+    return ran
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,9 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
     epochs without one, or once ``finished(best)``, training stops and the
     trainable parameters take the best snapshot's arrays (epoch 0 when none
     improved) without copying them. Frozen parameters cannot change, so the
-    snapshot holds only the trainable ones.
+    snapshot holds only the trainable ones; an improving epoch writes its
+    values into the snapshot's arrays. Each history entry records
+    ``tape_nodes``, the mean number of op nodes per step's backward.
     """
     dropout_rng, shuffle_rng = _seed_streams(seed)
     trainable = model.trainable_parameters()
@@ -243,12 +245,12 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
     for epoch in range(1, config.max_epochs + 1):
         epoch_seed = int(shuffle_rng.integers(2**31))
         sums: dict[str, float] = {}
-        seen = steps = clipped = 0
+        seen = steps = clipped = nodes = 0
         epoch_started = time.perf_counter()
         for batch in make_batches(train, model.vocab, config.batch_size, epoch_seed):
             model.zero_grads()
             loss, parts = batch_loss(batch, dropout_rng)
-            ad.backward(loss)
+            nodes += ad.backward(loss)
             scale = clip_global_norm(trainable, config.clip_norm)
             clipped += scale < 1.0
             result.max_post_clip_norm = max(result.max_post_clip_norm,
@@ -263,6 +265,7 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
         entry = {"stage": stage, "epoch": epoch,
                  **{key: total / seen for key, total in sums.items()},
                  metric_name: metric, "clip_rate": clipped / steps,
+                 "tape_nodes": nodes / steps,
                  "inst_per_s": seen / train_seconds, "train_s": train_seconds,
                  "dev_s": time.perf_counter() - dev_started}
         result.history.append(entry)
@@ -270,7 +273,8 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
                  stage, epoch, entry["train_loss"], metric_name, metric)
         if improved(metric, best):
             best, best_epoch, since_best = metric, epoch, 0
-            best_values = [p.data.copy() for p in trainable]
+            for values, p in zip(best_values, trainable):
+                np.copyto(values, p.data)
         else:
             since_best += 1
             if since_best >= config.patience:
@@ -290,10 +294,18 @@ def train_synthesis_stage(config: TrainConfig, train: list[Instance],
                           char_vocab: CharVocabulary,
                           embeddings: EmbeddingTable) -> StageResult:
     """Stage one: joint span + synthesis loss, gradient clip, Adam, dev-loss
-    early stopping with patience, best-dev snapshot restored at the end."""
+    early stopping with patience, best-dev snapshot restored at the end.
+
+    A word table that trains is copied; a frozen one is shared with
+    ``embeddings`` as a read-only view, so a write to it raises."""
     _check_splits(train, dev)
+    if config.fine_tune_embeddings:
+        table = embeddings.matrix.copy()
+    else:
+        table = embeddings.matrix.view()
+        table.flags.writeable = False
     model = build_model(config.dims(vocab, char_vocab), vocab, char_vocab,
-                        embeddings.matrix.copy(), config.seed)
+                        table, config.seed)
     spans = compute_oracle_spans(train + dev, config.max_span)
 
     def batch_loss(batch, rng):

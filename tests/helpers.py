@@ -37,6 +37,18 @@ def micro_config(**overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
+def reachable_op_nodes(loss) -> int:
+    """Recorded op nodes reachable from ``loss``, each counted once."""
+    seen: set[int] = set()
+    stack = [loss]
+    while stack:
+        node = stack.pop()
+        if node._backward is not None and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
 def toy_instances(n_passages=4, seed=11):
     docs = generate_toy_corpus(n_passages, seed=seed)
     return [inst for doc in docs for inst in parse_race_record(doc)]

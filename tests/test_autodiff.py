@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import weakref
 import zlib
 
 import numpy as np
@@ -30,6 +31,8 @@ from genmatch.autodiff import (
     tensor_sum,
     zero_grads,
 )
+
+from helpers import reachable_op_nodes
 
 
 def rand(rng, *shape):
@@ -298,13 +301,55 @@ def test_a_tensor_consumed_twice_leaves_the_upstream_grad_untouched():
     v = ad.sigmoid(a)
     joint = ad.add(v, doubled)               # v and doubled share joint's grad
     feeds_two = ad.add(joint, ad.tanh(v))    # v takes a second gradient here
-    spies = [spy_on_grad(n) for n in (doubled, joint, feeds_two)]
+    # backward drops inner grads, so each is read as its node's backward got it
+    u_seen, v_seen, doubled_seen, joint_seen, feeds_two_seen = (
+        spy_on_grad(n) for n in (u, v, doubled, joint, feeds_two))
     backward(tensor_sum(mul(feeds_two, weights)))
-    for seen in spies:
+    for seen in (doubled_seen, joint_seen, feeds_two_seen):
         np.testing.assert_array_equal(seen["held"], seen["copy"])
-    np.testing.assert_array_equal(doubled.grad, weights.data)
-    np.testing.assert_array_equal(u.grad, weights.data + weights.data)
-    assert u.grad is not doubled.grad and v.grad is not joint.grad
+    np.testing.assert_array_equal(doubled_seen["held"], weights.data)
+    np.testing.assert_array_equal(u_seen["held"], weights.data + weights.data)
+    assert u_seen["held"] is not doubled_seen["held"]
+    assert v_seen["held"] is not joint_seen["held"]
+
+
+def test_backward_frees_the_activations_of_the_graph_it_ran():
+    rng = np.random.default_rng(15)
+    store = ParamStore()
+    w = store.create("w", rand(rng, 3, 4))
+    projected = matmul(Tensor(rand(rng, 2, 3)), w)
+    hidden = ad.tanh(projected)
+    alive = [weakref.ref(projected.data), weakref.ref(hidden.data)]
+    loss = tensor_sum(mul(hidden, hidden))
+    backward(loss)
+    del projected, hidden
+    assert [ref() for ref in alive] == [None, None]
+    # the loss keeps only its value; the parameter keeps its grad
+    assert loss.grad is None and loss._parents == ()
+    assert w.grad is not None
+
+
+def test_a_second_backward_through_a_released_graph_raises():
+    store = ParamStore()
+    w = store.create("w", np.ones((2, 2)))
+    hidden = ad.tanh(w)
+    loss = tensor_sum(hidden)
+    backward(loss)
+    with pytest.raises(RuntimeError, match="differentiated once"):
+        backward(loss)
+    with pytest.raises(RuntimeError, match="differentiated once"):
+        backward(tensor_sum(sigmoid(hidden)))
+
+
+def test_backward_returns_the_number_of_op_nodes_it_ran():
+    rng = np.random.default_rng(16)
+    store = ParamStore()
+    a = store.create("a", rand(rng, 3, 4))
+    u = ad.tanh(a)
+    constant = ad.tanh(Tensor(rand(rng, 3, 4)))  # no parameter under it: not recorded
+    loss = tensor_sum(ad.add(mul(u, u), constant))  # u is reached twice, run once
+    assert reachable_op_nodes(loss) == 4
+    assert backward(loss) == 4
 
 
 def test_gradients_added_onto_read_only_broadcast_views_stay_correct():
@@ -582,8 +627,9 @@ def test_a_parameter_reached_once_holds_the_ops_gradient_array():
     store = ParamStore()
     w = store.create("w", rand(rng, 3, 2))
     shifted = ad.add(w, Tensor(rand(rng, 3, 2)))  # add hands w its own grad
+    seen = spy_on_grad(shifted)
     backward(tensor_sum(mul(shifted, Tensor(rand(rng, 3, 2)))))
-    assert w.grad is shifted.grad
+    assert w.grad is seen["held"]
 
 
 def test_adam_zero_gradients_leave_parameters_unchanged():

@@ -1,11 +1,14 @@
 import dataclasses
 import json
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from genmatch import autodiff as ad
+from genmatch import training
 from genmatch.checkpoint import param_fingerprints
 from genmatch.corpus import (
     CharVocabulary,
@@ -26,7 +29,7 @@ from genmatch.training import (
     train_synthesis_stage,
 )
 
-from helpers import micro_config, toy_instances, use_five_pass_step
+from helpers import micro_config, reachable_op_nodes, toy_instances, use_five_pass_step
 
 
 def setup_training(n_passages=6, seed=21, **overrides):
@@ -212,6 +215,73 @@ def test_history_entries_carry_clip_rate_and_throughput():
         assert entry["inst_per_s"] > 0
         assert entry["train_s"] > 0 and entry["dev_s"] > 0
         assert entry["inst_per_s"] == len(train) / entry["train_s"]
+
+
+def test_history_entries_record_the_mean_tape_size_per_step(monkeypatch):
+    sizes = []
+    backward = ad.backward
+
+    def counting_backward(loss):
+        sizes.append(reachable_op_nodes(loss))
+        return backward(loss)
+
+    monkeypatch.setattr(ad, "backward", counting_backward)
+    config, train, dev, vocab, char_vocab, table = setup_training(max_epochs=2, patience=5)
+    stage1 = train_synthesis_stage(config, train, dev, vocab, char_vocab, table)
+    stage2 = train_selection_stage(config, stage1.model, train, dev)
+    steps = len(make_batches(train, vocab, config.batch_size))
+    entries = stage1.history + stage2.history
+    assert len(sizes) == steps * len(entries) == steps * 4
+    for i, entry in enumerate(entries):
+        epoch_sizes = sizes[i * steps:(i + 1) * steps]
+        assert entry["tape_nodes"] == sum(epoch_sizes) / steps
+    assert stage2.history[0]["tape_nodes"] < stage1.history[0]["tape_nodes"]
+
+
+def test_no_activation_of_a_step_is_alive_at_the_clip_or_the_optimizer_step(monkeypatch):
+    logits = []
+    checked = []
+    softmax_nll = ad.softmax_nll
+    clip = training.clip_global_norm
+
+    def recording_nll(a, targets):
+        logits.append(weakref.ref(a.data))
+        return softmax_nll(a, targets)
+
+    def check_released():
+        assert logits and [ref() for ref in logits] == [None] * len(logits)
+        checked.append(len(logits))
+
+    def checking_clip(params, threshold):
+        check_released()
+        return clip(params, threshold)
+
+    class CheckingAdam(ad.Adam):
+        def step(self, scale=1.0):
+            check_released()
+            return super().step(scale)
+
+    monkeypatch.setattr(ad, "softmax_nll", recording_nll)
+    monkeypatch.setattr(training, "clip_global_norm", checking_clip)
+    monkeypatch.setattr(training, "Adam", CheckingAdam)
+    config, train, dev, vocab, char_vocab, table = setup_training(max_epochs=1)
+    train_synthesis_stage(config, train, dev, vocab, char_vocab, table)
+    steps = len(make_batches(train, vocab, config.batch_size))
+    assert len(checked) == 2 * steps
+
+
+@pytest.mark.parametrize("fine_tune", [False, True])
+def test_stage_one_shares_a_frozen_word_table_and_copies_a_trainable_one(fine_tune):
+    config, train, dev, vocab, char_vocab, table = setup_training(
+        max_epochs=1, fine_tune_embeddings=fine_tune)
+    before = table.matrix.copy()
+    emb = train_synthesis_stage(config, train, dev, vocab, char_vocab, table).model.embedding
+    assert np.shares_memory(emb.data, table.matrix) is not fine_tune
+    assert emb.data.flags.writeable is fine_tune
+    if not fine_tune:
+        with pytest.raises(ValueError, match="read-only"):
+            emb.data += 1.0
+    np.testing.assert_array_equal(table.matrix, before)
 
 
 def test_stage_one_stops_after_patience_holding_its_epoch_zero_snapshot():

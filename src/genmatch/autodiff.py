@@ -49,14 +49,16 @@ class NonFiniteError(FloatingPointError):
     """An operation produced NaN or Inf."""
 
 
-def _check_finite(arr: np.ndarray) -> None:
+def _check_finite(arr: np.ndarray, backward=None) -> None:
     # A NaN or Inf element makes the sum non-finite, so one reduction clears
     # almost every array; a sum that overflows on finite data falls through
-    # to the exact elementwise check.
+    # to the exact elementwise check. An op passes its backward, whose name
+    # (``matmul.<locals>._bw``) names the op.
     if np.isfinite(arr.sum()):
         return
     if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("operation produced a non-finite value")
+        source = "tensor data" if backward is None else backward.__qualname__.split(".")[0]
+        raise NonFiniteError(f"non-finite value from {source}")
 
 
 class Tensor:
@@ -162,7 +164,7 @@ class ParamStore:
 
 
 def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
-    _check_finite(data)
+    _check_finite(data, backward)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -368,26 +370,6 @@ def log(a: Tensor) -> Tensor:
     return _node(data, (a,), _bw)
 
 
-def _softmax(a: Tensor, logits: np.ndarray) -> Tensor:
-    """Softmax of ``logits`` along the last axis, stabilized by max
-    subtraction, as a node on ``a``; ``logits`` is ``a.data`` plus a
-    constant, so the backward is the softmax Jacobian at ``a``."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def _bw(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        _accum(a, y * (g - inner))
-
-    return _node(y, (a,), _bw)
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax along the last axis."""
-    return _softmax(a, a.data)
-
-
 def softmax_nll(a: Tensor, targets: np.ndarray) -> Tensor:
     """Negative log-softmax of the (N, V) logits at one target column per
     row: out[i, 0] = -log(softmax(a)[i, targets[i]]).
@@ -412,7 +394,8 @@ def softmax_nll(a: Tensor, targets: np.ndarray) -> Tensor:
 
 
 def masked_softmax(a: Tensor, mask: np.ndarray) -> Tensor:
-    """Softmax over positions where ``mask`` is 1; masked entries get 0 mass.
+    """Softmax along the last axis over positions where ``mask`` is 1,
+    stabilized by max subtraction; masked entries get 0 mass.
 
     ``mask`` is a constant {0,1} array broadcastable to ``a``. A fully
     masked row is an error (the distribution would be undefined).
@@ -420,8 +403,16 @@ def masked_softmax(a: Tensor, mask: np.ndarray) -> Tensor:
     keep = mask > 0.5
     if not np.all(keep.any(axis=-1)):
         raise ValueError("masked_softmax: a row is fully masked")
-    neg_inf = np.where(keep, 0.0, -np.inf).astype(a.data.dtype, copy=False)
-    return _softmax(a, a.data + neg_inf)
+    logits = a.data + np.where(keep, 0.0, -np.inf).astype(a.data.dtype, copy=False)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=-1, keepdims=True)
+
+    def _bw(g):
+        inner = (g * y).sum(axis=-1, keepdims=True)
+        _accum(a, y * (g - inner))
+
+    return _node(y, (a,), _bw)
 
 
 def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
@@ -553,8 +544,9 @@ def masked_mean_positions(flat: Tensor, mask: np.ndarray, length: int) -> Tensor
 
 
 # ---------------------------------------------------------------------------
-# GRU: the named cell parameters, the fused sequence op that runs them, and
-# the per-step composite ``gru_cell`` that the tests hold it against
+# GRU: the named cell parameters, ``gru_sequence`` (the one GRU op: one cell
+# or two, the second run in reverse; it writes batch-major, masked states and
+# adds into the sequence once per cell) and its per-step reference ``gru_cell``
 
 
 @dataclass
@@ -585,24 +577,11 @@ class GRUCellParams:
     def input_dim(self) -> int:
         return self.w_update.data.shape[0]
 
-    def pack(self) -> "PackedGRU":
-        """The gate blocks side by side for ``gru_sequence``. The joins are
-        tape concats, so gradients reach the named parameters; pack once
-        per sequence or decode loop, not once per step."""
-        return PackedGRU(
-            w=concat([self.w_update, self.w_reset, self.w_cand], axis=1),
-            u=concat([self.u_update, self.u_reset, self.u_cand], axis=1),
-            b=concat([self.b_update, self.b_reset, self.b_cand], axis=0),
-        )
-
-
-@dataclass
-class PackedGRU:
-    """One cell's weights, gate blocks in the order update | reset | cand."""
-
-    w: Tensor  # (D, 3H)
-    u: Tensor  # (H, 3H)
-    b: Tensor  # (3H,)
+    def gates(self) -> tuple[tuple[Parameter, ...], ...]:
+        """The (update, reset, cand) parameters of W, of U and of b."""
+        return ((self.w_update, self.w_reset, self.w_cand),
+                (self.u_update, self.u_reset, self.u_cand),
+                (self.b_update, self.b_reset, self.b_cand))
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int,
@@ -662,35 +641,72 @@ def gru_cell(x: Tensor, h_prev: Tensor, params: GRUCellParams) -> Tensor:
     return add(h_prev, mul(update, add(cand, neg(h_prev))))
 
 
-def gru_sequence(x: Tensor, h0: Tensor, packed: PackedGRU, mask: np.ndarray,
-                 reverse: bool = False) -> Tensor:
-    """Run a GRU over a position-major (T*B, D) sequence from the (B, H)
-    state ``h0``; returns the (T*B, H) state after each position.
+def gru_sequence(x: Tensor, h0: Tensor, cells, mask: np.ndarray) -> Tensor:
+    """Run one or two GRU cells over a position-major (T*B, D) sequence from
+    the (B, H) state ``h0``; returns the states batch-major, (B*T, H * cells)
+    with row ``b*T + t``, multiplied by the (B, T) ``mask``.
 
-    Where the (B, T) ``mask`` is 0 the state is carried through bit for
-    bit. ``reverse`` runs from the last position to the first. The input
-    projections of all positions are one matmul; the recurrence runs in
-    numpy and records a single tape node, whose backward runs
-    backpropagation through time and hands ``x`` its gradient in one array.
+    ``cells`` holds one ``GRUCellParams`` (a decoder's) or two (an encoder's
+    forward and backward cells, the second run from the last position to the
+    first, its states right of the first's). Where the mask is 0 a cell
+    carries its state through bit for bit and the output reads 0. The op
+    packs the values of each cell's nine named gate parameters and records
+    one tape node, whose backward runs backpropagation through time cell by
+    cell, hands each named parameter its block of the packed gradient, and
+    adds into ``x`` and ``h0`` once per cell, first cell first.
     A step does ``gru_cell``'s arithmetic in ``gru_cell``'s order (up to
     swapping the two operands of a sum or product, and ``a - b`` for
     ``a + (-b)``, which leave every rounding the same), so the two agree bit
     for bit wherever BLAS returns the same matrix products.
     """
+    if len(cells) not in (1, 2):
+        raise ValueError(f"gru_sequence runs one cell or two, not {len(cells)}")
     batch, hidden = h0.data.shape
     length = mask.shape[1]
     if mask.shape[0] != batch or x.data.shape[0] != length * batch:
         raise ValueError(f"sequence of {x.data.shape[0]} rows does not match a "
                          f"{mask.shape} mask and {batch} initial states")
-    if x.data.shape[1] != packed.w.data.shape[0]:
-        raise ValueError(f"input dim {x.data.shape[1]} != cell dim {packed.w.data.shape[0]}")
+    for cell in cells:
+        if x.data.shape[1] != cell.input_dim or cell.hidden != hidden:
+            raise ValueError(f"a ({x.data.shape[1]} -> {hidden}) sequence does not fit a "
+                             f"({cell.input_dim} -> {cell.hidden}) cell")
+    parents = (x, h0) + tuple(p for cell in cells for trio in cell.gates() for p in trio)
+    recording = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     skip = mask <= 0.5              # positions that carry the state through
+    runs = [_run_cell(cell, x, h0, skip, k == 1, recording) for k, cell in enumerate(cells)]
+    shape = (batch, length, len(cells), hidden)
+    out = np.empty(shape, dtype=runs[0][0].dtype)
+    for k, (states, _) in enumerate(runs):
+        out[:, :, k] = states.reshape(length, batch, hidden).transpose(1, 0, 2)
+    keep = mask.astype(out.dtype, copy=False)[:, :, None, None]
+    out *= keep
+
+    def _bw(g):
+        # through the mask and back to position-major, one block per cell
+        d_states = (g.reshape(shape) * keep).transpose(1, 0, 2, 3)
+        for k in range(len(runs)):
+            cell_bw, runs[k] = runs[k][1], None  # frees the cell's activations
+            cell_bw(d_states[:, :, k].reshape(length * batch, hidden))
+
+    return _node(out.reshape(batch * length, len(cells) * hidden), parents, _bw)
+
+
+def _run_cell(cell: GRUCellParams, x: Tensor, h0: Tensor, skip: np.ndarray, reverse: bool,
+              recording: bool):
+    """One cell over the whole sequence: its position-major (T*B, H) states
+    and, when ``recording``, the backward that takes their gradient."""
+    batch, hidden = h0.data.shape
+    length = skip.shape[1]
     skip_any = skip.any(axis=0)
     split = 2 * hidden
-    w = packed.w.data
-    u_ur = np.ascontiguousarray(packed.u.data[:, :split])
-    u_c = np.ascontiguousarray(packed.u.data[:, split:])
-    b_ur, b_c = packed.b.data[:split], packed.b.data[split:]
+    gates = cell.gates()
+
+    def packed():  # W, then U and b split into their update | reset and cand blocks
+        w, u, b = (np.concatenate([p.data for p in trio], axis=-1) for trio in gates)
+        return (w, np.ascontiguousarray(u[:, :split]), np.ascontiguousarray(u[:, split:]),
+                b[:split], b[split:])
+
+    w, u_ur, u_c, b_ur, b_c = packed()
     xw = x.data @ w
     rows_total = length * batch
     states = np.empty((rows_total, hidden), dtype=xw.dtype)
@@ -718,7 +734,9 @@ def gru_sequence(x: Tensor, h0: Tensor, packed: PackedGRU, mask: np.ndarray,
             np.copyto(new, h, where=skip[:, t:t + 1])
         h = new
 
-    def _bw(g):
+    def backward_cell(g):
+        # packed again, so that no recorded step holds a copy of the weights
+        w, u_ur, u_c, _, _ = packed()
         prev = np.empty_like(states)  # the state each step started from
         if reverse:
             prev[:-batch], prev[-batch:] = states[batch:], h0.data
@@ -754,14 +772,16 @@ def gru_sequence(x: Tensor, h0: Tensor, packed: PackedGRU, mask: np.ndarray,
         d_pre = np.concatenate([d_ur_all, d_c_all], axis=1)
         if x.requires_grad:
             _accum(x, d_pre @ w.T)
-        if packed.w.requires_grad:
-            _accum(packed.w, x.data.T @ d_pre)
-        if packed.u.requires_grad:
-            _accum(packed.u, np.concatenate([prev.T @ d_ur_all, reset_prev.T @ d_c_all],
-                                            axis=1))
-        _accum(packed.b, d_pre.sum(axis=0))
+        if not any(p.requires_grad for trio in gates for p in trio):
+            return
+        grads = (x.data.T @ d_pre,
+                 np.concatenate([prev.T @ d_ur_all, reset_prev.T @ d_c_all], axis=1),
+                 d_pre.sum(axis=0))
+        for trio, grad in zip(gates, grads):  # each gate its block: update | reset | cand
+            for k, p in enumerate(trio):
+                _accum(p, grad[..., k * hidden:(k + 1) * hidden])
 
-    return _node(states, (x, h0, packed.w, packed.u, packed.b), _bw)
+    return states, backward_cell if recording else None
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 contextual encodings.
 
 Sequences travel through the graph as flat 2-D tensors. An embedded
-sequence is laid out position-major, (T*B, D) with row ``t*B + b``, which
-is the layout ``autodiff.gru_sequence`` runs each direction over, one tape
-node per direction; a contextual encoding is laid out batch-major, (B*T, 2H)
-with row ``b*T + t``, which is what the attention ops consume.
+sequence is laid out position-major, (T*B, D) with row ``t*B + b``; a
+contextual encoding is laid out batch-major, (B*T, 2H) with row ``b*T + t``,
+which is what the attention ops consume. The layout changes inside the one
+tape op of a BiGRU, ``autodiff.gru_sequence`` over both directions.
 """
 
 from __future__ import annotations
@@ -60,11 +60,7 @@ class ContextualEncoding:
     batch: int
     length: int
     hidden: int
-    final_forward: Tensor     # (B, H), state at the last unmasked position
-    final_backward: Tensor    # (B, H), state at the first unmasked position
-
-    def final_concat(self) -> Tensor:
-        return ad.concat([self.final_forward, self.final_backward], axis=1)
+    final: Tensor             # (B, 2H), the state each direction ends in
 
     def mean_pooled(self) -> Tensor:
         return ad.masked_mean_positions(self.flat, self.mask, self.length)
@@ -89,18 +85,17 @@ def bigru_encode(seq: EmbeddedSequence, params: BiGRUParams,
         raise ValueError(f"input dim {seq.dim} != encoder dim {params.forward.input_dim}")
     batch, length, hidden = seq.batch, seq.length, params.hidden
     zero = Tensor(np.zeros((batch, hidden), dtype=seq.flat.data.dtype))
-    fwd = ad.gru_sequence(seq.flat, zero, params.forward.pack(), seq.mask)
-    bwd = ad.gru_sequence(seq.flat, zero, params.backward.pack(), seq.mask, reverse=True)
-    # the carried states hold the last unmasked position's state at t = T-1
-    # going forward and the first one's at t = 0 going backward
-    final_forward = ad.gather_rows(fwd, np.arange((length - 1) * batch, length * batch))
-    final_backward = ad.gather_rows(bwd, np.arange(batch))
-    states = ad.mul_const(ad.concat([fwd, bwd], axis=1), seq.mask.T.reshape(-1, 1))
-    flat = ad.regroup_rows(states, length, batch)
-    flat = ad.dropout(flat, dropout_rate, rng)
-    return ContextualEncoding(flat=flat, mask=seq.mask, batch=batch, length=length,
-                              hidden=hidden, final_forward=final_forward,
-                              final_backward=final_backward)
+    states = ad.gru_sequence(seq.flat, zero, (params.forward, params.backward), seq.mask)
+    # going forward the state ends at the last unmasked position, going backward
+    # at the first; row 2*(b*T + t) of the (B*T*2, H) view is (b, t)'s forward half
+    keep = seq.mask > 0.5
+    starts = np.arange(batch) * length
+    rows = np.stack([2 * (starts + length - 1 - keep[:, ::-1].argmax(axis=1)),
+                     2 * (starts + keep.argmax(axis=1)) + 1], axis=1).reshape(-1)
+    halves = ad.gather_rows(ad.reshape(states, (2 * batch * length, hidden)), rows)
+    return ContextualEncoding(flat=ad.dropout(states, dropout_rate, rng), mask=seq.mask,
+                              batch=batch, length=length, hidden=hidden,
+                              final=ad.reshape(halves, (batch, 2 * hidden)))
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +129,7 @@ def char_embed_tokens(tokens: list[str], params: CharEncoderParams,
         raise ValueError("cannot char-embed an empty token")
     ids, mask = pad_block([char_vocab.ids(tok) for tok in tokens])
     seq = embed_ids(params.table, ids, mask.astype(params.table.data.dtype))
-    enc = bigru_encode(seq, params.gru)
-    return enc.final_concat()
+    return bigru_encode(seq, params.gru).final
 
 
 def embed_with_chars(word_table: Parameter, char_params: CharEncoderParams,

@@ -122,7 +122,7 @@ def predict_records(model: PipelineModel, instances: list[Instance], batch_size:
     records: list[PredictionRecord] = []
     for batch in make_batches(instances, model.vocab, batch_size):
         generated = batch_answers(model, batch, answers)
-        chosen, _ = model.predict_batch(batch, generated)
+        chosen = model.predict_batch(batch, generated)
         records.extend(PredictionRecord(uid=inst.uid, predicted_index=int(pick),
                                         gold_index=inst.gold_index,
                                         answer_text=answer.text, subset=inst.subset)

@@ -210,8 +210,7 @@ class PipelineModel:
     def score_options(self, batch: Batch, answers, rng=None):
         answer_enc = self._encode(self._embed_answers(answers), self.qz_encoder, rng)
         option_enc = self._encode(self._embed_options(batch), self.qz_encoder, rng)
-        return bilinear_score(answer_enc.final_concat(), option_enc.final_concat(),
-                              self.store[MATCHER_PARAM])
+        return bilinear_score(answer_enc.final, option_enc.final, self.store[MATCHER_PARAM])
 
     def selection_stage_loss(self, batch: Batch, answers, rng=None):
         """Selection cross-entropy of the batch's options scored against its
@@ -219,12 +218,11 @@ class PipelineModel:
         scores = self.score_options(batch, answers, rng)
         return selection_loss(scores, batch.gold)
 
-    def predict_batch(self, batch: Batch, answers):
+    def predict_batch(self, batch: Batch, answers) -> np.ndarray:
         """Score the options against the batch's generated ``answers`` and
         pick one per instance."""
         with ad.no_grad():
-            scores = self.score_options(batch, answers)
-        return select_option(scores), scores
+            return select_option(self.score_options(batch, answers))
 
 
 def build_model(dims: ModelDims, vocab: Vocabulary, char_vocab: CharVocabulary,

@@ -80,14 +80,13 @@ def initial_state(passage: ContextualEncoding, question: ContextualEncoding,
     return DecoderState(hidden=hidden, word_embedding=bos, context=context)
 
 
-def decode_step(state: DecoderState, memory: DecoderMemory, params: DecoderParams,
-                gru: ad.PackedGRU) -> tuple[Tensor, Tensor]:
-    """One step: returns (new hidden, new context). The caller packs
-    ``params.gru`` once for all its steps, projects the output, picks the
-    next input token and builds the next state."""
+def decode_step(state: DecoderState, memory: DecoderMemory,
+                params: DecoderParams) -> tuple[Tensor, Tensor]:
+    """One step: returns (new hidden, new context). The caller projects the
+    output, picks the next input token and builds the next state."""
     x = ad.concat([state.word_embedding, state.context], axis=1)
     step_mask = np.ones((x.data.shape[0], 1), dtype=x.data.dtype)
-    hidden = ad.gru_sequence(x, state.hidden, gru, step_mask)
+    hidden = ad.gru_sequence(x, state.hidden, (params.gru,), step_mask)
     context, _ = additive_attention(hidden, memory.parts, params.attention)
     return hidden, context
 
@@ -115,9 +114,8 @@ def generate_answer(passage: ContextualEncoding, question: ContextualEncoding,
     with ad.no_grad():
         memory = DecoderMemory.from_encodings(passage, question, params.attention)
         state = initial_state(passage, question, word_table, batch, params)
-        gru = params.gru.pack()
         for _ in range(max_length):
-            hidden, context = decode_step(state, memory, params, gru)
+            hidden, context = decode_step(state, memory, params)
             logits = ad.add(ad.matmul(ad.concat([hidden, context], axis=1), params.out_w),
                             params.out_b).data  # a fresh array, free to overwrite
             # the log-softmax at the picks only: (logit - max) - log(sum(exp(logit - max)))
@@ -172,10 +170,9 @@ def synthesis_loss(passage: ContextualEncoding, question: ContextualEncoding,
     batch, width = targets.shape
     memory = DecoderMemory.from_encodings(passage, question, params.attention)
     state = initial_state(passage, question, word_table, batch, params)
-    gru = params.gru.pack()
     outputs = []
     for t in range(width):
-        hidden, context = decode_step(state, memory, params, gru)
+        hidden, context = decode_step(state, memory, params)
         outputs.append(ad.concat([hidden, context], axis=1))
         if t + 1 < width:
             state = DecoderState(hidden=hidden,

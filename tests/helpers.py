@@ -81,11 +81,10 @@ def per_step_synthesis_loss(passage, question, word_table, params, target_ids):
     mask = mask.astype(passage.flat.data.dtype, copy=False)
     batch, width = targets.shape
     state = initial_state(passage, question, word_table, batch, params)
-    gru = params.gru.pack()
     columns = []
     for t in range(width):
         memory = DecoderMemory.from_encodings(passage, question, params.attention)
-        hidden, context = decode_step(state, memory, params, gru)
+        hidden, context = decode_step(state, memory, params)
         logits = ad.add(ad.matmul(ad.concat([hidden, context], axis=1), params.out_w),
                         params.out_b)
         columns.append(ad.softmax_nll(logits, targets[:, t]))
@@ -158,3 +157,118 @@ def use_five_pass_step(monkeypatch):
     monkeypatch.setattr(ad, "zero_grads", zero_filled_grads)
     monkeypatch.setattr(training, "clip_global_norm", clip_in_place)
     monkeypatch.setattr(training, "Adam", UnscaledAdam)
+
+
+# ---------------------------------------------------------------------------
+# the GRU composite that ``autodiff.gru_sequence`` replaced
+
+
+def pack(cell):
+    """A cell's (w, u, b), gate blocks side by side in the order update |
+    reset | cand, as tape concats, so gradients reach the named parameters."""
+    return (ad.concat([cell.w_update, cell.w_reset, cell.w_cand], axis=1),
+            ad.concat([cell.u_update, cell.u_reset, cell.u_cand], axis=1),
+            ad.concat([cell.b_update, cell.b_reset, cell.b_cand], axis=0))
+
+
+def packed_gru_sequence(x, h0, packed, mask, reverse=False):
+    """Reference for one cell of ``autodiff.gru_sequence``: one tape node that
+    runs a packed cell over the position-major (T*B, D) sequence and returns
+    its position-major (T*B, H) states, unmasked, with the carried state at
+    masked positions. ``reverse`` runs from the last position to the first."""
+    w_t, u_t, b_t = packed
+    batch, hidden = h0.data.shape
+    length = mask.shape[1]
+    skip = mask <= 0.5
+    skip_any = skip.any(axis=0)
+    split = 2 * hidden
+    w = w_t.data
+    u_ur = np.ascontiguousarray(u_t.data[:, :split])
+    u_c = np.ascontiguousarray(u_t.data[:, split:])
+    b_ur, b_c = b_t.data[:split], b_t.data[split:]
+    xw = x.data @ w
+    rows_total = length * batch
+    states = np.empty((rows_total, hidden), dtype=xw.dtype)
+    gates_ur = np.empty((rows_total, split), dtype=xw.dtype)
+    gates_c = np.empty_like(states)
+    reset_prev = np.empty_like(states)
+    order = range(length - 1, -1, -1) if reverse else range(length)
+    h = h0.data
+    for t in order:
+        rows = slice(t * batch, (t + 1) * batch)
+        ur = np.matmul(h, u_ur, out=gates_ur[rows])
+        ur += xw[rows, :split]
+        ur += b_ur
+        ad._sigmoid(ur, out=ur)
+        update = ur[:, :hidden]
+        rh = np.multiply(ur[:, hidden:], h, out=reset_prev[rows])
+        cand = np.matmul(rh, u_c, out=gates_c[rows])
+        cand += xw[rows, split:]
+        cand += b_c
+        np.tanh(cand, out=cand)
+        new = np.subtract(cand, h, out=states[rows])
+        new *= update
+        new += h
+        if skip_any[t]:
+            np.copyto(new, h, where=skip[:, t:t + 1])
+        h = new
+
+    def _bw(g):
+        prev = np.empty_like(states)
+        if reverse:
+            prev[:-batch], prev[-batch:] = states[batch:], h0.data
+        else:
+            prev[batch:], prev[:batch] = states[:-batch], h0.data
+        update, reset = gates_ur[:, :hidden], gates_ur[:, hidden:]
+        to_cand = update * (1.0 - gates_c * gates_c)
+        to_update = (gates_c - prev) * update * (1.0 - update)
+        to_reset = prev * reset * (1.0 - reset)
+        to_prev = 1.0 - update
+        d_ur_all = np.empty_like(gates_ur)
+        d_c_all = np.empty_like(gates_c)
+        zero = np.zeros((), dtype=g.dtype)
+        dh = np.zeros((batch, hidden), dtype=g.dtype)
+        for t in reversed(order):
+            rows = slice(t * batch, (t + 1) * batch)
+            dh += g[rows]
+            d_new = np.where(skip[:, t:t + 1], zero, dh) if skip_any[t] else dh
+            d_cand = np.multiply(d_new, to_cand[rows], out=d_c_all[rows])
+            d_rh = d_cand @ u_c.T
+            d_ur = d_ur_all[rows]
+            np.multiply(d_new, to_update[rows], out=d_ur[:, :hidden])
+            np.multiply(d_rh, to_reset[rows], out=d_ur[:, hidden:])
+            d_prev = d_new * to_prev[rows]
+            d_prev += d_rh * reset[rows]
+            d_prev += d_ur @ u_ur.T
+            if skip_any[t]:
+                np.copyto(dh, d_prev, where=~skip[:, t:t + 1])
+            else:
+                dh = d_prev
+        ad._accum(h0, dh)
+        d_pre = np.concatenate([d_ur_all, d_c_all], axis=1)
+        if x.requires_grad:
+            ad._accum(x, d_pre @ w.T)
+        if w_t.requires_grad:
+            ad._accum(w_t, x.data.T @ d_pre)
+        if u_t.requires_grad:
+            ad._accum(u_t, np.concatenate([prev.T @ d_ur_all, reset_prev.T @ d_c_all],
+                                          axis=1))
+        ad._accum(b_t, d_pre.sum(axis=0))
+
+    return ad._node(states, (x, h0, w_t, u_t, b_t), _bw)
+
+
+def composite_bigru(x, h0, cells, mask):
+    """Reference for a two-cell ``autodiff.gru_sequence`` and the final reads
+    of ``encoders.bigru_encode``: a packed sequence node per direction, the
+    direction concat, the mask multiply and the regroup to batch-major; the
+    final states are gathered from each direction's carried states, at the
+    last position going forward and the first going backward. Returns the
+    (B*T, 2H) states and the (B, 2H) final states."""
+    batch, length = mask.shape
+    fwd = packed_gru_sequence(x, h0, pack(cells[0]), mask)
+    bwd = packed_gru_sequence(x, h0, pack(cells[1]), mask, reverse=True)
+    final = ad.concat([ad.gather_rows(fwd, np.arange((length - 1) * batch, length * batch)),
+                       ad.gather_rows(bwd, np.arange(batch))], axis=1)
+    states = ad.mul_const(ad.concat([fwd, bwd], axis=1), mask.T.reshape(-1, 1))
+    return ad.regroup_rows(states, length, batch), final

@@ -127,8 +127,7 @@ def test_criterion_1_gradient_correctness():
     def enc(data, batch, length):
         return ContextualEncoding(flat=Tensor(data), mask=np.ones((batch, length)),
                                   batch=batch, length=length, hidden=3,
-                                  final_forward=Tensor(np.zeros((batch, 3))),
-                                  final_backward=Tensor(np.zeros((batch, 3))))
+                                  final=Tensor(np.zeros((batch, 6))))
 
     def extractor_loss():
         qv = pool_question(enc(q_data, 2, 3), extractor)
@@ -296,8 +295,7 @@ def test_criterion_6_span_oracle_and_predictor():
             data = rng.standard_normal((length, 4))
             passage = ContextualEncoding(
                 flat=Tensor(data), mask=np.ones((1, length)), batch=1, length=length,
-                hidden=2, final_forward=Tensor(np.zeros((1, 2))),
-                final_backward=Tensor(np.zeros((1, 2))))
+                hidden=2, final=Tensor(np.zeros((1, 4))))
             qv = Tensor(rng.standard_normal((1, 4)))
             dists, spans = predict_span(passage, qv, extractor, max_span=4)
             want = brute_force_argmax(dists.start.data[0], dists.end.data[0],
@@ -318,7 +316,7 @@ def test_criterion_7_exact_invariants(toy_run, tmp_path):
     log4_exact = selection_loss(scores, np.array([0, 1, 2])).item() == pytest.approx(
         math.log(4.0), rel=0, abs=1e-15)
 
-    uniform = ad.softmax(Tensor([[5.0, 5.0, 5.0, 5.0]])).data
+    uniform = ad.masked_softmax(Tensor([[5.0, 5.0, 5.0, 5.0]]), np.ones((1, 4))).data
     softmax_exact = np.array_equal(uniform, np.full((1, 4), 0.25))
 
     clip_ok = (toy_run["stage1"].max_post_clip_norm <= 10.0 + 1e-9

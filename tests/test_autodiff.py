@@ -27,16 +27,20 @@ from genmatch.autodiff import (
     mul,
     no_grad,
     sigmoid,
-    softmax,
     tensor_sum,
     zero_grads,
 )
 
-from helpers import reachable_op_nodes
+from helpers import composite_bigru, pack, packed_gru_sequence, reachable_op_nodes
 
 
 def rand(rng, *shape):
     return rng.standard_normal(shape)
+
+
+def softmax(a):
+    """``masked_softmax`` with nothing masked: the softmax along the last axis."""
+    return masked_softmax(a, np.ones(a.data.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +91,14 @@ def test_shape_mismatch_raises():
 def test_non_finite_result_raises():
     with pytest.raises(ad.NonFiniteError):
         ad.log(Tensor([[0.0]]))
+
+
+@pytest.mark.parametrize("op", ["matmul", "add"])
+def test_a_non_finite_error_names_the_op_that_produced_it(op):
+    huge = Tensor([[1e308]])
+    with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError) as excinfo:
+        getattr(ad, op)(huge, huge)
+    assert str(excinfo.value) == f"non-finite value from {op}"
 
 
 @pytest.mark.parametrize("values", [[1e308, 1e308], np.array([3e38, 3e38], dtype=np.float32)])
@@ -177,7 +189,6 @@ GRADIENT_CASES = {
     "sigmoid": lambda a, b, w: ad.sigmoid(a),
     "tanh": lambda a, b, w: ad.tanh(a),
     "log": lambda a, b, w: ad.log(ad.sigmoid(a)),
-    "softmax": lambda a, b, w: ad.softmax(a),
     "softmax_nll": lambda a, b, w: ad.softmax_nll(a, np.array([4, 1, 4, 4])),  # repeated ids
     "masked_softmax": lambda a, b, w: ad.masked_softmax(a, MASK),
     "gather": lambda a, b, w: ad.gather_rows(a, np.array([1, 0, 3, 1, 2])),
@@ -464,46 +475,125 @@ def gru_cell_loop(x, h0, cell, mask, reverse):
 PADDED_MASK = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 0, 0, 0, 0]], dtype=float)
 
 
-@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
-def test_gru_sequence_matches_a_gru_cell_loop(reverse):
+def make_cells(rng, count, input_dim, hidden):
+    store = ParamStore()
+    cells = [init_gru_cell(store, f"cell{k}", input_dim, hidden, rng) for k in range(count)]
+    for p in store.all():  # nonzero biases, so every gate gradient is exercised
+        p.data[...] = 0.5 * rand(rng, *p.data.shape)
+    return cells, store
+
+
+# one cell runs forward; of two, the second runs in reverse
+@pytest.mark.parametrize("count", [1, 2], ids=["forward", "reverse"])
+def test_gru_sequence_matches_a_gru_cell_loop(count):
     rng = np.random.default_rng(21)
-    cell, _ = make_cell(rng, 6, 5)
+    cells, _ = make_cells(rng, count, 6, 5)
     batch, length = PADDED_MASK.shape
     x = rand(rng, length * batch, 6)
     h0 = rand(rng, batch, 5)
-    out = ad.gru_sequence(Tensor(x), Tensor(h0), cell.pack(), PADDED_MASK, reverse).data
-    np.testing.assert_allclose(out, gru_cell_loop(x, h0, cell, PADDED_MASK, reverse),
-                               rtol=1e-12, atol=1e-12)
-    states = out.reshape(length, batch, 5)
+    out = ad.gru_sequence(Tensor(x), Tensor(h0), cells, PADDED_MASK).data
+    # the second cell runs from the last position to the first
+    loops = [gru_cell_loop(x, h0, cell, PADDED_MASK, reverse=k == 1)
+             for k, cell in enumerate(cells)]
+    states = out.reshape(batch, length, count, 5)
+    for k, loop in enumerate(loops):
+        np.testing.assert_allclose(states[:, :, k], loop.reshape(length, batch, 5).swapaxes(0, 1)
+                                   * PADDED_MASK[:, :, None], rtol=1e-12, atol=1e-12)
     for b, n in enumerate(PADDED_MASK.sum(axis=1).astype(int)):
-        # padding carries the state through bit for bit
-        carried = h0[b] if reverse else states[n - 1, b]
-        for t in range(n, length):
-            np.testing.assert_array_equal(states[t, b], carried)
-    with pytest.raises(ValueError):
-        ad.gru_sequence(Tensor(x[:-1]), Tensor(h0), cell.pack(), PADDED_MASK, reverse)
-    with pytest.raises(ValueError):
-        ad.gru_sequence(Tensor(x[:, :4]), Tensor(h0), cell.pack(), PADDED_MASK, reverse)
+        np.testing.assert_array_equal(states[b, n:], 0.0)  # padded positions read zero
+        # the state each cell carries to its end is at its last unmasked position
+        np.testing.assert_allclose(states[b, n - 1, 0], loops[0][(length - 1) * batch + b],
+                                   rtol=1e-12, atol=1e-12)
+        if count == 2:
+            np.testing.assert_allclose(states[b, 0, 1], loops[1][b], rtol=1e-12, atol=1e-12)
+    for bad_x, bad_cells in [(x[:-1], cells), (x[:, :4], cells), (x, []), (x, cells * 3)]:
+        with pytest.raises(ValueError):
+            ad.gru_sequence(Tensor(bad_x), Tensor(h0), bad_cells, PADDED_MASK)
 
 
-@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
-def test_gru_sequence_gradients_match_central_differences(reverse):
+@pytest.mark.parametrize("count", [1, 2], ids=["forward", "reverse"])
+def test_gru_sequence_gradients_match_central_differences(count):
     rng = np.random.default_rng(22)
-    cell, store = make_cell(rng, 3, 4)
-    for p in store.all():  # nonzero biases, so every gate gradient is exercised
-        p.data[...] = 0.5 * rand(rng, *p.data.shape)
+    cells, store = make_cells(rng, count, 3, 4)
     batch, length = PADDED_MASK.shape
     x = store.create("x", rand(rng, length * batch, 3))
     h0 = store.create("h0", rand(rng, batch, 4))
-    readout = rng.random((length * batch, 4))
+    readout = rng.standard_normal((batch * length, 4 * count))
 
     def loss_fn():
-        states = ad.gru_sequence(x, h0, cell.pack(), PADDED_MASK, reverse)
+        states = ad.gru_sequence(x, h0, cells, PADDED_MASK)
         return tensor_sum(ad.mul_const(states, readout))
 
     report = check_gradients(store.all(), loss_fn, tolerance=1e-4)
-    assert len(report.per_param) == 11
+    assert len(report.per_param) == 9 * count + 2
     assert report.passed, report.summary()
+
+
+def padded_two_cells(reference):
+    """Both directions over a right-padded batch from a trainable ``h0``.
+    ``x`` and ``h0`` are also read by ops whose gradients reach them first,
+    so the order of each one's adds shows in its last bits."""
+    rng = np.random.default_rng(23)
+    cells, store = make_cells(rng, 2, 3, 4)
+    batch, length = PADDED_MASK.shape
+    x = store.create("x", rand(rng, length * batch, 3))
+    h0 = store.create("h0", rand(rng, batch, 4))
+    readouts = [rand(rng, length * batch, 8), rand(rng, length * batch, 3), rand(rng, batch, 4)]
+
+    def loss_fn():
+        first = ad.add(tensor_sum(ad.mul_const(ad.tanh(x), readouts[1])),
+                       tensor_sum(ad.mul_const(ad.tanh(h0), readouts[2])))
+        if reference:
+            states, _ = composite_bigru(x, h0, cells, PADDED_MASK)
+        else:
+            states = ad.gru_sequence(x, h0, cells, PADDED_MASK)
+        return ad.add(first, tensor_sum(ad.mul_const(states, readouts[0]))), states
+
+    return store, loss_fn
+
+
+def two_decoder_steps(reference):
+    """Two one-cell steps from a trainable ``h0``; the second starts from the
+    first's state and both states are read."""
+    rng = np.random.default_rng(24)
+    cells, store = make_cells(rng, 1, 3, 4)
+    xs = [store.create(f"x{t}", rand(rng, 2, 3)) for t in range(2)]
+    h0 = store.create("h0", rand(rng, 2, 4))
+    readouts = [rand(rng, 2, 4) for _ in range(2)]
+    ones = np.ones((2, 1))
+
+    def loss_fn():
+        if reference:
+            packed = pack(cells[0])  # once for all steps, as the decoder did
+
+            def step(x, h):
+                return packed_gru_sequence(x, h, packed, ones)
+        else:
+            def step(x, h):
+                return ad.gru_sequence(x, h, cells, ones)
+        h1 = step(xs[0], h0)
+        h2 = step(xs[1], h1)
+        return ad.add(tensor_sum(ad.mul_const(h1, readouts[0])),
+                      tensor_sum(ad.mul_const(h2, readouts[1]))), h2
+
+    return store, loss_fn
+
+
+@pytest.mark.parametrize("case", ["padded_two_cells", "two_decoder_steps"])
+def test_gru_sequence_is_bit_identical_to_the_packed_composite(case):
+    build = {"padded_two_cells": padded_two_cells, "two_decoder_steps": two_decoder_steps}[case]
+    results = []
+    for reference in (False, True):
+        store, loss_fn = build(reference)
+        loss, states = loss_fn()
+        backward(loss)
+        results.append((states.data, loss.data, {p.name: p.grad for p in store.all()}))
+    (states, loss, grads), (want_states, want_loss, want_grads) = results
+    np.testing.assert_array_equal(states, want_states)
+    np.testing.assert_array_equal(loss, want_loss)
+    assert len(grads) == {"padded_two_cells": 20, "two_decoder_steps": 12}[case]
+    for name, want in want_grads.items():
+        np.testing.assert_array_equal(grads[name], want, err_msg=name)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from genmatch.encoders import (
     init_char_encoder,
 )
 
-from helpers import positions
+from helpers import composite_bigru, positions
 
 
 def make_sequence(rng, batch, length, dim, mask=None):
@@ -46,7 +46,7 @@ def test_length_one_sequence_concatenates_both_directions():
     bwd = ad.gru_cell(seq.flat, Tensor(np.zeros((2, 4))), params.backward)
     np.testing.assert_array_equal(positions(enc)[:, 0, :4], fwd.data)
     np.testing.assert_array_equal(positions(enc)[:, 0, 4:], bwd.data)
-    np.testing.assert_array_equal(enc.final_forward.data, fwd.data)
+    np.testing.assert_array_equal(enc.final.data, np.hstack([fwd.data, bwd.data]))
 
 
 def test_reversing_input_swaps_direction_halves():
@@ -75,7 +75,7 @@ def test_per_position_dimension_is_twice_hidden():
     seq = make_sequence(rng, 1, 2, 5)
     enc = bigru_encode(seq, params)
     assert positions(enc).shape == (1, 2, 256)
-    assert enc.final_concat().data.shape == (1, 256)
+    assert enc.final.data.shape == (1, 256)
 
 
 def test_masked_padding_does_not_change_unmasked_outputs():
@@ -93,8 +93,8 @@ def test_masked_padding_does_not_change_unmasked_outputs():
     enc_padded = bigru_encode(padded, params)
     np.testing.assert_array_equal(positions(enc_full)[0],
                                   positions(enc_padded)[0][:length])
-    np.testing.assert_array_equal(enc_full.final_forward.data, enc_padded.final_forward.data)
-    np.testing.assert_array_equal(enc_full.final_backward.data, enc_padded.final_backward.data)
+    # the states carried through the padding are the final states
+    np.testing.assert_array_equal(enc_full.final.data, enc_padded.final.data)
     # masked positions emit zero vectors
     np.testing.assert_array_equal(positions(enc_padded)[0][length:], 0.0)
 
@@ -182,6 +182,47 @@ def test_bigru_backward_accumulates_into_the_sequence_once_per_direction(monkeyp
     assert calls == [(length * batch, dim)] * 2
     report = check_gradients([flat], loss_fn, tolerance=1e-4, max_elements_per_param=12)
     assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("reader", ["first", "last"])
+def test_bigru_encode_is_bit_identical_to_the_composite_reference(reader):
+    # right-padded rows; the states and the final states are both read, and
+    # a third op reads the sequence, its gradient arriving before or after
+    # the BiGRU's, so the order of the sequence's adds shows in its last bits
+    rng = np.random.default_rng(16)
+    batch, length, dim = 3, 5, 3
+    params, store = encoder(rng, dim, 4)
+    for p in store.all():  # nonzero biases, so every gate gradient is exercised
+        p.data[...] = 0.5 * rng.standard_normal(p.data.shape)
+    mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 0, 0, 0, 0]], dtype=float)
+    flat = store.create("seq", rng.standard_normal((length * batch, dim)) * mask.T.reshape(-1, 1))
+    readouts = [rng.standard_normal((batch * length, 8)), rng.standard_normal((batch, 8)),
+                rng.standard_normal((length * batch, dim))]
+
+    def run(encode):
+        ad.zero_grads(store.all())
+        states, final = encode()
+        own = ad.add(tensor_sum(ad.mul_const(states, readouts[0])),
+                     tensor_sum(ad.mul_const(final, readouts[1])))
+        other = tensor_sum(ad.mul_const(ad.tanh(flat), readouts[2]))
+        ad.backward(ad.add(other, own) if reader == "first" else ad.add(own, other))
+        return states.data, final.data, {p.name: p.grad for p in store.all()}
+
+    def encode():
+        seq = EmbeddedSequence(flat=flat, mask=mask, batch=batch, length=length)
+        enc = bigru_encode(seq, params)
+        return enc.flat, enc.final
+
+    def reference():
+        zero = Tensor(np.zeros((batch, 4)))
+        return composite_bigru(flat, zero, (params.forward, params.backward), mask)
+
+    (states, final, grads), (want_states, want_final, want_grads) = run(encode), run(reference)
+    np.testing.assert_array_equal(states, want_states)
+    np.testing.assert_array_equal(final, want_final)
+    assert len(grads) == 19
+    for name, want in want_grads.items():
+        np.testing.assert_array_equal(grads[name], want, err_msg=name)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,7 @@ def make_encoding(rng, batch, length, hidden, mask=None):
     data *= mask.reshape(-1, 1)
     return ContextualEncoding(
         flat=Tensor(data), mask=mask.astype(float), batch=batch, length=length,
-        hidden=hidden, final_forward=Tensor(np.zeros((batch, hidden))),
-        final_backward=Tensor(np.zeros((batch, hidden))))
+        hidden=hidden, final=Tensor(np.zeros((batch, 2 * hidden))))
 
 
 def extractor(rng, hidden, store=None):
@@ -229,10 +228,10 @@ def test_extractor_gradients_pass_check():
     def loss_fn():
         passage = ContextualEncoding(
             flat=Tensor(enc_data), mask=mask, batch=2, length=5, hidden=3,
-            final_forward=Tensor(np.zeros((2, 3))), final_backward=Tensor(np.zeros((2, 3))))
+            final=Tensor(np.zeros((2, 6))))
         question = ContextualEncoding(
             flat=Tensor(q_data), mask=np.ones((2, 4)), batch=2, length=4, hidden=3,
-            final_forward=Tensor(np.zeros((2, 3))), final_backward=Tensor(np.zeros((2, 3))))
+            final=Tensor(np.zeros((2, 6))))
         qv = pool_question(question, params)
         dists, _ = predict_span(passage, qv, params)
         return span_loss(dists, [EvidenceSpan(1, 2), EvidenceSpan(0, 0)])

@@ -110,7 +110,7 @@ def test_identical_options_get_identical_vectors():
     batch = make_batches([twin], model.vocab, 1)[0]
     from genmatch.encoders import bigru_encode
     enc = bigru_encode(model._embed_options(batch), model.qz_encoder)
-    vectors = enc.final_concat().data
+    vectors = enc.final.data
     np.testing.assert_array_equal(vectors[0], vectors[1])
     assert not np.array_equal(vectors[0], vectors[2])
     assert vectors.shape[1] == 2 * model.dims.hidden
@@ -142,9 +142,12 @@ def test_predict_batch_shapes():
     batch = batches[0]
     answers, spans = model.generate(batch)
     assert len(answers) == len(spans) == batch.size
-    chosen, scores = model.predict_batch(batch, answers)
+    chosen = model.predict_batch(batch, answers)
     assert chosen.shape == (batch.size,)
-    np.testing.assert_allclose(scores.probabilities.data.sum(axis=1), 1.0, atol=1e-6)
+    with ad.no_grad():
+        scores = model.score_options(batch, answers)
+    assert scores.data.shape == (batch.size, 4)
+    np.testing.assert_array_equal(chosen, np.argmax(scores.data, axis=1))
 
 
 def test_loading_a_float32_model_leaves_new_models_float64(tmp_path):
@@ -263,8 +266,9 @@ def test_float32_model_computes_in_float32():
     assert [p.name for p in model.parameters() if p.grad is None] == [MATCHER_PARAM]
     assert ({p.grad.dtype for p in model.parameters() if p.grad is not None}
             == {np.dtype(np.float32)})
-    _, scores = model.predict_batch(batch, model.generate(batch)[0])
-    assert scores.probabilities.data.dtype == np.float32
+    with ad.no_grad():
+        scores = model.score_options(batch, model.generate(batch)[0])
+    assert scores.data.dtype == np.float32
 
 
 def test_freeze_partition_covers_all_parameters():

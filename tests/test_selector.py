@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from genmatch import autodiff as ad
 from genmatch.autodiff import ParamStore, Tensor, check_gradients
 from genmatch.selector import (
-    OptionScores,
     bilinear_score,
     init_bilinear,
     select_option,
@@ -19,6 +18,11 @@ from genmatch.selector import (
 def matcher(hidden=1, store=None):
     store = store or ParamStore()
     return init_bilinear(store, hidden), store
+
+
+def probabilities(scores):
+    """The softmax of (B, 4) scores."""
+    return ad.masked_softmax(scores, np.ones(scores.data.shape)).data
 
 
 def score_case(answer_rows, option_rows, w=None, hidden=1):
@@ -32,21 +36,21 @@ def score_case(answer_rows, option_rows, w=None, hidden=1):
 
 def test_zero_answer_vector_gives_uniform_probabilities():
     scores, _, _ = score_case([[0.0, 0.0]], np.ones((4, 2)), w=np.eye(2))
-    np.testing.assert_array_equal(scores.scores.data, np.zeros((1, 4)))
-    np.testing.assert_allclose(scores.probabilities.data, np.full((1, 4), 0.25))
+    np.testing.assert_array_equal(scores.data, np.zeros((1, 4)))
+    np.testing.assert_allclose(probabilities(scores), np.full((1, 4), 0.25))
 
 
 def test_identity_matcher_scores_norm_squared():
     a = np.array([[1.0, 2.0]])
     options = np.vstack([a, np.zeros((3, 2))])
     scores, _, _ = score_case(a, options, w=np.eye(2))
-    assert scores.scores.data[0, 0] == pytest.approx(5.0)  # ||a||^2
+    assert scores.data[0, 0] == pytest.approx(5.0)  # ||a||^2
 
 
 def test_known_bilinear_value():
     scores, _, _ = score_case([[1.0, 2.0]],
                               [[3.0, 4.0], [0, 0], [0, 0], [0, 0]], w=np.eye(2))
-    assert scores.scores.data[0, 0] == pytest.approx(11.0)
+    assert scores.data[0, 0] == pytest.approx(11.0)
 
 
 def test_dimension_mismatch_rejected():
@@ -58,12 +62,8 @@ def test_dimension_mismatch_rejected():
 
 
 def test_select_option_argmax_and_ties():
-    scores = OptionScores(scores=Tensor([[1.0, 5.0, 2.0, 0.0]]),
-                          probabilities=Tensor(np.full((1, 4), 0.25)))
-    assert select_option(scores).tolist() == [1]
-    flat = OptionScores(scores=Tensor([[3.0, 3.0, 3.0, 3.0]]),
-                        probabilities=Tensor(np.full((1, 4), 0.25)))
-    assert select_option(flat).tolist() == [0]
+    assert select_option(Tensor([[1.0, 5.0, 2.0, 0.0]])).tolist() == [1]
+    assert select_option(Tensor([[3.0, 3.0, 3.0, 3.0]])).tolist() == [0]
 
 
 @settings(max_examples=50, deadline=None)
@@ -72,12 +72,10 @@ def test_select_option_argmax_and_ties():
        st.integers(min_value=-400, max_value=400).map(lambda v: v * 0.25))
 def test_adding_constant_preserves_selection_and_probabilities(raw, shift):
     # quarter-step grid keeps score + shift exact in binary floating point
-    base = OptionScores(scores=Tensor([raw]), probabilities=ad.softmax(Tensor([raw])))
-    shifted = OptionScores(scores=Tensor([[v + shift for v in raw]]),
-                           probabilities=ad.softmax(Tensor([[v + shift for v in raw]])))
+    base = Tensor([raw])
+    shifted = Tensor([[v + shift for v in raw]])
     assert select_option(base).tolist() == select_option(shifted).tolist()
-    np.testing.assert_allclose(base.probabilities.data, shifted.probabilities.data,
-                               atol=1e-9)
+    np.testing.assert_allclose(probabilities(base), probabilities(shifted), atol=1e-9)
 
 
 def test_selection_loss_uniform_is_log4():
@@ -87,8 +85,7 @@ def test_selection_loss_uniform_is_log4():
 
 
 def test_selection_loss_confident_gold_approaches_zero():
-    scores = OptionScores(scores=Tensor([[100.0, 0.0, 0.0, 0.0]]),
-                          probabilities=ad.softmax(Tensor([[100.0, 0.0, 0.0, 0.0]])))
+    scores = Tensor([[100.0, 0.0, 0.0, 0.0]])
     assert selection_loss(scores, np.array([0])).item() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -118,7 +115,7 @@ def test_option_permutation_equivariance():
     base = bilinear_score(answer, Tensor(options), w_att)
     perm = np.array([2, 0, 3, 1])
     permuted = bilinear_score(answer, Tensor(options[perm]), w_att)
-    np.testing.assert_allclose(permuted.scores.data[0], base.scores.data[0][perm],
+    np.testing.assert_allclose(permuted.data[0], base.data[0][perm],
                                atol=1e-12)
     gold = 1
     gold_after = int(np.where(perm == gold)[0][0])

@@ -28,8 +28,7 @@ def make_encoding(rng, batch, length, hidden, mask=None):
     data *= mask.reshape(-1, 1)
     return ContextualEncoding(
         flat=Tensor(data), mask=mask.astype(float), batch=batch, length=length,
-        hidden=hidden, final_forward=Tensor(np.zeros((batch, hidden))),
-        final_backward=Tensor(np.zeros((batch, hidden))))
+        hidden=hidden, final=Tensor(np.zeros((batch, 2 * hidden))))
 
 
 def vocab_fixture():
@@ -156,7 +155,7 @@ def test_attention_weights_sum_to_one_each_step():
     memory = DecoderMemory.from_encodings(passage, question, params.attention)
     state = initial_state(passage, question, table, 2, params)
     for _ in range(3):
-        hidden, context = decode_step(state, memory, params, params.gru.pack())
+        hidden, context = decode_step(state, memory, params)
         again, weights = additive_attention(hidden, memory.parts, params.attention)
         np.testing.assert_array_equal(again.data, context.data)
         np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-6)
@@ -173,9 +172,8 @@ def test_hoisted_keys_give_the_context_and_weights_of_keys_projected_each_step()
     question = make_encoding(rng, 2, 3, 3, mask=np.array([[1.0, 1.0, 0.0], [1.0] * 3]))
     memory = DecoderMemory.from_encodings(passage, question, params.attention)
     state = initial_state(passage, question, table, 2, params)
-    gru = params.gru.pack()
     for step in range(4):
-        hidden, context = decode_step(state, memory, params, gru)
+        hidden, context = decode_step(state, memory, params)
         _, hoisted_weights = additive_attention(hidden, memory.parts, params.attention)
         projected_here = [with_keys(enc.flat, enc.mask, params.attention)
                           for enc in (passage, question)]
@@ -212,7 +210,7 @@ def test_decode_step_logits_cover_vocabulary_and_are_deterministic():
     state = initial_state(passage, question, table, 2, params)
 
     def logits():
-        hidden, context = decode_step(state, memory, params, params.gru.pack())
+        hidden, context = decode_step(state, memory, params)
         return ad.matmul(ad.concat([hidden, context], axis=1), params.out_w).data
 
     logits_a, logits_b = logits(), logits()
@@ -229,12 +227,10 @@ def test_decoder_two_step_gradients_pass_check():
     def loss_fn():
         passage = ContextualEncoding(flat=Tensor(p_data), mask=np.ones((1, 3)), batch=1,
                                      length=3, hidden=3,
-                                     final_forward=Tensor(np.zeros((1, 3))),
-                                     final_backward=Tensor(np.zeros((1, 3))))
+                                     final=Tensor(np.zeros((1, 6))))
         question = ContextualEncoding(flat=Tensor(q_data), mask=np.ones((1, 2)), batch=1,
                                       length=2, hidden=3,
-                                      final_forward=Tensor(np.zeros((1, 3))),
-                                      final_backward=Tensor(np.zeros((1, 3))))
+                                      final=Tensor(np.zeros((1, 6))))
         return synthesis_loss(passage, question, table, params,
                               [vocab.ids(["red", "dog"])])
 
@@ -290,10 +286,9 @@ def test_greedy_token_logprobs_equal_a_numpy_log_softmax_bit_for_bit():
     with ad.no_grad():
         memory = DecoderMemory.from_encodings(passage, question, params.attention)
         state = initial_state(passage, question, table, 3, params)
-        gru = params.gru.pack()
         picked, logprobs = [], []
         for _ in range(8):
-            hidden, context = decode_step(state, memory, params, gru)
+            hidden, context = decode_step(state, memory, params)
             logits = ad.add(ad.matmul(ad.concat([hidden, context], axis=1), params.out_w),
                             params.out_b).data
             shifted = logits - logits.max(axis=1, keepdims=True)
@@ -346,12 +341,10 @@ def test_synthesis_loss_decreases_under_adam_on_one_instance():
     def loss_fn():
         passage = ContextualEncoding(flat=Tensor(p_data), mask=np.ones((1, 3)), batch=1,
                                      length=3, hidden=3,
-                                     final_forward=Tensor(np.zeros((1, 3))),
-                                     final_backward=Tensor(np.zeros((1, 3))))
+                                     final=Tensor(np.zeros((1, 6))))
         question = ContextualEncoding(flat=Tensor(q_data), mask=np.ones((1, 2)), batch=1,
                                       length=2, hidden=3,
-                                      final_forward=Tensor(np.zeros((1, 3))),
-                                      final_backward=Tensor(np.zeros((1, 3))))
+                                      final=Tensor(np.zeros((1, 6))))
         return synthesis_loss(passage, question, table, params, [[4, 5]])
 
     opt = ad.Adam(store.all(), lr=0.005)
@@ -381,8 +374,7 @@ def test_synthesis_loss_matches_the_per_step_composite(dtype):
 
     def encoding(flat, mask, length):
         return ContextualEncoding(flat=flat, mask=mask.astype(dtype), batch=3, length=length,
-                                  hidden=4, final_forward=Tensor(np.zeros((3, 4), dtype)),
-                                  final_backward=Tensor(np.zeros((3, 4), dtype)))
+                                  hidden=4, final=Tensor(np.zeros((3, 8), dtype)))
 
     def run(loss_fn):
         ad.zero_grads(store.all())

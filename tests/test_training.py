@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -12,6 +13,7 @@ from genmatch import training
 from genmatch.checkpoint import param_fingerprints
 from genmatch.corpus import (
     CharVocabulary,
+    Instance,
     Vocabulary,
     instance_token_streams,
     make_batches,
@@ -428,3 +430,66 @@ def test_selection_stage_scores_the_answers_a_batch_of_one_generates(monkeypatch
     for inst, answer in scored:
         alone = make_batches([inst], model.vocab, 1)[0]
         assert generate(model, alone)[0][0].token_ids == answer.token_ids
+
+
+# ---------------------------------------------------------------------------
+# cost in sequence length
+
+
+def long_passage_setup(length, lexicon):
+    """A hidden-16 model and one batch of 4 passages of ``length`` tokens,
+    whose vocabularies, questions and options do not depend on ``length``."""
+    rng = np.random.default_rng(5)
+    words = lexicon[rng.integers(0, len(lexicon), size=(4, length))]
+    instances = [Instance(uid=f"long-{b}", passage_tokens=tuple(words[b]),
+                          question_tokens=tuple(lexicon[b:b + 4]),
+                          option_tokens=tuple((lexicon[b + k], lexicon[k]) for k in range(4)),
+                          gold_index=b % 4, question_style="wh")
+                 for b in range(4)]
+    config = micro_config(hidden=16, dropout=0.1)
+    vocab = Vocabulary.build([list(lexicon)], cap=config.vocab_cap)
+    char_vocab = CharVocabulary.build([list(lexicon)])
+    table = random_embeddings(vocab, config.embed_dim, seed=config.seed)
+    model = build_model(config.dims(vocab, char_vocab), vocab, char_vocab, table.matrix,
+                        seed=config.seed)
+    batch = make_batches(instances, vocab, 4)[0]
+    spans = compute_oracle_spans(instances, config.max_span)
+    return model, batch, [spans[inst] for inst in batch.instances], instances
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory numpy and Python allocated
+    during it, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_step_and_an_eval_cost_linear_memory_and_fixed_tape_in_passage_length():
+    # a superlinear op (an O(T^2) backward, a (T, T) temporary) shows as a
+    # peak that more than doubles when T doubles; the test times nothing
+    lexicon = np.array([f"w{i}{chr(97 + i % 26)}" for i in range(40)])
+    nodes, train_peaks, eval_peaks = [], [], []
+    for length in (100, 200, 400, 800):
+        model, batch, spans, instances = long_passage_setup(length, lexicon)
+        optimizer = ad.Adam(model.trainable_parameters())
+        rng = np.random.default_rng(0)
+
+        def step():
+            model.zero_grads()
+            loss, _ = model.stage_one_loss(batch, spans, rng)
+            ran = ad.backward(loss)
+            optimizer.step(ad.clip_global_norm(model.trainable_parameters()))
+            return ran
+
+        ran, peak = traced_peak(step)
+        nodes.append(ran)
+        train_peaks.append(peak)
+        eval_peaks.append(traced_peak(lambda: evaluate(model, instances, 4))[1])
+    assert nodes == [nodes[0]] * 4
+    for peaks in (train_peaks, eval_peaks):
+        ratios = [later / earlier for earlier, later in zip(peaks, peaks[1:])]
+        assert max(ratios) <= 2.2, (peaks, ratios)

@@ -7,6 +7,11 @@ the query, so a caller projects each memory once and passes its keys in;
 the decoder attends with a new query at every step. The extractor attends
 over the passage alone, the decoder over the passage and the question
 together.
+
+An attention call records two tape ops of ``autodiff``:
+``attention_weights`` (scores and softmax) and ``weighted_sum`` (the
+context). Both compute their forward in blocks of whole instances sized by
+``autodiff._ATTENTION_BLOCK``, so each block stays in cache between passes.
 """
 
 from __future__ import annotations
@@ -47,14 +52,6 @@ def init_attention(store: ParamStore, prefix: str, memory_dim: int, query_dim: i
     )
 
 
-def _scores(query: Tensor, keys: Tensor, length: int, params: AttentionParams) -> Tensor:
-    """Unnormalized scores of projected ``keys``, shape (B, length)."""
-    batch = query.data.shape[0]
-    proj = ad.add(keys, ad.repeat_rows(ad.matmul(query, params.w_query), length))
-    scores = ad.matmul(ad.tanh(ad.add(proj, params.bias)), params.v)
-    return ad.reshape(scores, (batch, length))
-
-
 def additive_attention(query: Tensor, memories, params: AttentionParams) -> tuple[Tensor, Tensor]:
     """Attend a (B, S) query over one or more memories jointly.
 
@@ -67,17 +64,7 @@ def additive_attention(query: Tensor, memories, params: AttentionParams) -> tupl
     """
     if not memories or any(flat.data.shape[0] == 0 for flat, _, _ in memories):
         raise ValueError("attention over an empty memory")
-    batch = query.data.shape[0]
-    lengths = [mask.shape[1] for _, _, mask in memories]
-    scores = [_scores(query, keys, length, params)
-              for (_, keys, _), length in zip(memories, lengths)]
-    weights = ad.masked_softmax(ad.concat(scores, axis=1),
-                                np.concatenate([mask for _, _, mask in memories], axis=1))
-    context = None
-    offset = 0
-    for (flat, _, _), length in zip(memories, lengths):
-        piece = ad.slice_cols(weights, offset, offset + length)
-        summed = ad.sum_groups(ad.mul(flat, ad.reshape(piece, (batch * length, 1))), length)
-        context = summed if context is None else ad.add(context, summed)
-        offset += length
+    weights = ad.attention_weights(query, [(keys, mask) for _, keys, mask in memories],
+                                   params.w_query, params.bias, params.v)
+    context = ad.weighted_sum(weights, [flat for flat, _, _ in memories])
     return context, weights

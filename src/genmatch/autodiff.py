@@ -49,16 +49,20 @@ class NonFiniteError(FloatingPointError):
     """An operation produced NaN or Inf."""
 
 
-def _check_finite(arr: np.ndarray, backward=None) -> None:
+def check_finite(arr: np.ndarray, source=None) -> None:
+    """Raise ``NonFiniteError`` naming ``source`` when ``arr`` holds a NaN or
+    an Inf. ``source`` is the name of the op that made ``arr``, or that op's
+    backward closure, whose qualified name (``matmul.<locals>._bw``) names
+    the op and is read only when raising."""
     # A NaN or Inf element makes the sum non-finite, so one reduction clears
     # almost every array; a sum that overflows on finite data falls through
-    # to the exact elementwise check. An op passes its backward, whose name
-    # (``matmul.<locals>._bw``) names the op.
+    # to the exact elementwise check.
     if np.isfinite(arr.sum()):
         return
     if not np.all(np.isfinite(arr)):
-        source = "tensor data" if backward is None else backward.__qualname__.split(".")[0]
-        raise NonFiniteError(f"non-finite value from {source}")
+        if callable(source):
+            source = source.__qualname__.split(".")[0]
+        raise NonFiniteError(f"non-finite value from {source or 'tensor data'}")
 
 
 class Tensor:
@@ -70,7 +74,7 @@ class Tensor:
         arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
-        _check_finite(arr)
+        check_finite(arr)
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
@@ -163,8 +167,20 @@ class ParamStore:
         return self._params[name]
 
 
-def _node(data: np.ndarray, parents: tuple, backward) -> Tensor:
-    _check_finite(data, backward)
+# Ops that cannot turn finite inputs into a non-finite output, so their
+# results are not checked: every input was checked when it was made (a
+# parameter that Adam wrote in place is caught by the first checking op that
+# reads it). The first seven only move or negate values; tanh and sigmoid are
+# bounded.
+_UNCHECKED_OPS = ("concat", "reshape", "regroup_rows", "gather_rows", "repeat_rows",
+                  "take_per_row", "neg", "tanh", "sigmoid")
+
+
+def _node(data: np.ndarray, parents: tuple, backward, checked: bool = True) -> Tensor:
+    """Record ``data`` as the output of an op; ``checked=False`` is for the
+    ops of ``_UNCHECKED_OPS`` only."""
+    if checked:
+        check_finite(data, backward)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -282,7 +298,7 @@ def neg(a: Tensor) -> Tensor:
     def _bw(g):
         _accum(a, -g)
 
-    return _node(-a.data, (a,), _bw)
+    return _node(-a.data, (a,), _bw, checked=False)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -332,7 +348,7 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
             piece = g[lo:hi] if axis == 0 else g[:, lo:hi]
             _accum(t, piece)
 
-    return _node(data, parts, _bw)
+    return _node(data, parts, _bw, checked=False)
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -348,7 +364,7 @@ def sigmoid(a: Tensor) -> Tensor:
     def _bw(g):
         _accum(a, g * y * (1.0 - y))
 
-    return _node(y, (a,), _bw)
+    return _node(y, (a,), _bw, checked=False)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -357,7 +373,7 @@ def tanh(a: Tensor) -> Tensor:
     def _bw(g):
         _accum(a, g * (1.0 - y * y))
 
-    return _node(y, (a,), _bw)
+    return _node(y, (a,), _bw, checked=False)
 
 
 def log(a: Tensor) -> Tensor:
@@ -400,19 +416,28 @@ def masked_softmax(a: Tensor, mask: np.ndarray) -> Tensor:
     ``mask`` is a constant {0,1} array broadcastable to ``a``. A fully
     masked row is an error (the distribution would be undefined).
     """
+    y = _masked_softmax(a.data, mask)
+
+    def _bw(g):
+        _accum(a, _softmax_grad(g, y))
+
+    return _node(y, (a,), _bw)
+
+
+def _masked_softmax(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
     keep = mask > 0.5
     if not np.all(keep.any(axis=-1)):
         raise ValueError("masked_softmax: a row is fully masked")
-    logits = a.data + np.where(keep, 0.0, -np.inf).astype(a.data.dtype, copy=False)
+    logits = x + np.where(keep, 0.0, -np.inf).astype(x.dtype, copy=False)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
-    def _bw(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        _accum(a, y * (g - inner))
 
-    return _node(y, (a,), _bw)
+def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The gradient of a softmax's input from ``g``, its output's gradient."""
+    inner = (g * y).sum(axis=-1, keepdims=True)
+    return y * (g - inner)
 
 
 def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
@@ -426,7 +451,7 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
             np.add.at(buf, idx, g)
             _accum(table, buf)
 
-    return _node(data, (table,), _bw)
+    return _node(data, (table,), _bw, checked=False)
 
 
 def take_per_row(a: Tensor, indices: np.ndarray) -> Tensor:
@@ -440,18 +465,7 @@ def take_per_row(a: Tensor, indices: np.ndarray) -> Tensor:
         np.add.at(buf, (rows, idx), g[:, 0])
         _accum(a, buf)
 
-    return _node(data, (a,), _bw)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    data = a.data[:, start:stop]
-
-    def _bw(g):
-        buf = np.zeros_like(a.data)
-        buf[:, start:stop] = g
-        _accum(a, buf)
-
-    return _node(data, (a,), _bw)
+    return _node(data, (a,), _bw, checked=False)
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
@@ -460,7 +474,7 @@ def reshape(a: Tensor, shape: tuple) -> Tensor:
     def _bw(g):
         _accum(a, g.reshape(a.data.shape))
 
-    return _node(data, (a,), _bw)
+    return _node(data, (a,), _bw, checked=False)
 
 
 def repeat_rows(a: Tensor, times: int) -> Tensor:
@@ -470,7 +484,7 @@ def repeat_rows(a: Tensor, times: int) -> Tensor:
     def _bw(g):
         _accum(a, g.reshape(a.data.shape[0], times, -1).sum(axis=1))
 
-    return _node(data, (a,), _bw)
+    return _node(data, (a,), _bw, checked=False)
 
 
 def sum_groups(a: Tensor, group: int) -> Tensor:
@@ -495,7 +509,7 @@ def regroup_rows(a: Tensor, outer: int, inner: int) -> Tensor:
     def _bw(g):
         _accum(a, g.reshape(inner, outer, cols).transpose(1, 0, 2).reshape(outer * inner, cols))
 
-    return _node(data, (a,), _bw)
+    return _node(data, (a,), _bw, checked=False)
 
 
 def tensor_sum(a: Tensor) -> Tensor:
@@ -541,6 +555,133 @@ def masked_mean_positions(flat: Tensor, mask: np.ndarray, length: int) -> Tensor
     col = mask.reshape(-1, 1).astype(flat.data.dtype)
     total = sum_groups(mul_const(flat, col), length)
     return mul_const(total, (1.0 / counts)[:, None])
+
+
+# ---------------------------------------------------------------------------
+# additive attention as two ops: the weights, then the weighted sum. Each
+# forward works in blocks of whole instances whose (k, T, .) arrays fit
+# ``_ATTENTION_BLOCK`` elements, so a block stays in cache between its passes.
+
+_ATTENTION_BLOCK = 1 << 16
+
+
+def _instances_per_block(length: int, width: int) -> int:
+    return max(1, _ATTENTION_BLOCK // max(1, length * width))
+
+
+def attention_weights(query: Tensor, parts, w_query: Tensor, bias: Tensor, v: Tensor) -> Tensor:
+    """Additive attention weights of a (B, S) query over one or more memory
+    parts: the masked softmax, jointly over every part's positions, of the
+    scores ``v . tanh(keys[b*T + t] + query[b] W_q + bias)``.
+
+    ``parts`` lists (keys, mask) pairs: a part's batch-major (B*T_i, A) keys
+    and its (B, T_i) mask. Returns the (B, sum T_i) weights, which carry zero
+    mass on masked positions and sum to 1 over each row.
+
+    The forward computes ``query W_q`` once, each part's tanh block by block
+    into one (B, T_i, A) array, and then one score product over all of the
+    part's rows. The backward does the arithmetic of the composite it
+    replaces (per part: the repeated query projection, the two adds, the
+    tanh, the score product and a reshape; then a concat and the masked
+    softmax) in that composite's order, part 1 first, so every value and
+    gradient equals the composite's bit for bit.
+    """
+    batch = query.data.shape[0]
+    proj = w_query.data.shape[1]
+    queried = query.data @ w_query.data
+    tanhs, scores = [], []
+    for keys, mask in parts:
+        length = mask.shape[1]
+        if keys.data.shape != (batch * length, proj):
+            raise ValueError(f"keys of shape {keys.data.shape} do not fit a {mask.shape} mask "
+                             f"and {proj} attention units")
+        blocks = keys.data.reshape(batch, length, proj)
+        th = np.empty_like(blocks, dtype=np.result_type(blocks, queried, bias.data))
+        step = _instances_per_block(length, proj)
+        for lo in range(0, batch, step):
+            pre = np.add(blocks[lo:lo + step], queried[lo:lo + step, None, :],
+                         out=th[lo:lo + step])
+            pre += bias.data
+            check_finite(pre, "attention_weights")  # the tanh would hide an overflow
+            np.tanh(pre, out=pre)
+        flat = th.reshape(batch * length, proj)
+        tanhs.append(flat)
+        scores.append((flat @ v.data).reshape(batch, length))
+    scores = np.concatenate(scores, axis=1)
+    check_finite(scores, "attention_weights")
+    y = _masked_softmax(scores, np.concatenate([mask for _, mask in parts], axis=1))
+
+    def _bw(g):
+        d_logits = _softmax_grad(g, y)
+        to_query = query.requires_grad or w_query.requires_grad
+        offset = 0
+        for (keys, _), flat in zip(parts, tanhs):
+            length = flat.shape[0] // batch
+            d_logit = d_logits[:, offset:offset + length].reshape(batch * length, 1)
+            offset += length
+            d_pre = d_logit @ v.data.T
+            _accum(v, flat.T @ d_logit)
+            d_pre *= 1.0 - flat * flat
+            _accum(bias, d_pre.sum(axis=0))
+            _accum(keys, d_pre)
+            if to_query:
+                d_queried = d_pre.reshape(batch, length, proj).sum(axis=1)
+                _accum(query, d_queried @ w_query.data.T)
+                _accum(w_query, query.data.T @ d_queried)
+
+    # the keys first and the query last, so that backward's depth-first
+    # search meets them in the composite's order
+    parents = tuple(keys for keys, _ in parts) + (query, w_query, bias, v)
+    return _node(y, parents, _bw)
+
+
+def weighted_sum(weights: Tensor, memories) -> Tensor:
+    """The (B, M) weighted sum of one or more batch-major (B*T_i, M) memories
+    whose weights sit side by side in the (B, sum T_i) ``weights``:
+    ``out[b] = sum_i sum_t weights[b, offset_i + t] * memory_i[b*T_i + t]``.
+
+    Each part is summed over its positions in order and the parts are added
+    in order, as the composite (per part a slice, a reshape, a multiply and a
+    row-group sum; then an add per part after the first) rounds. The forward
+    multiplies block by block into one reused (k, T_i, M) buffer; the
+    backward does the composite's arithmetic in its order, part 1 first.
+    """
+    batch, width = weights.data.shape
+    lengths = [memory.data.shape[0] // batch for memory in memories]
+    if sum(lengths) != width or any(m.data.shape[0] != batch * n
+                                    for m, n in zip(memories, lengths)):
+        raise ValueError(f"memories of {[m.data.shape for m in memories]} rows do not fit "
+                         f"weights of shape {weights.data.shape}")
+    out = None
+    offset = 0
+    for memory, length in zip(memories, lengths):
+        cols = memory.data.shape[1]
+        blocks = memory.data.reshape(batch, length, cols)
+        w = weights.data[:, offset:offset + length, None]
+        offset += length
+        dtype = np.result_type(blocks, w)
+        step = _instances_per_block(length, cols)
+        buf = np.empty((min(step, batch), length, cols), dtype=dtype)
+        part = np.empty((batch, cols), dtype=dtype)
+        for lo in range(0, batch, step):
+            hi = min(batch, lo + step)
+            prod = np.multiply(blocks[lo:hi], w[lo:hi], out=buf[:hi - lo])
+            prod.sum(axis=1, out=part[lo:hi])
+        out = part if out is None else np.add(out, part, out=out)
+
+    def _bw(g):
+        d_weights = np.empty_like(weights.data)
+        offset = 0
+        for memory, length in zip(memories, lengths):
+            blocks = memory.data.reshape(batch, length, memory.data.shape[1])
+            w = weights.data[:, offset:offset + length]
+            _accum(memory, (g[:, None, :] * w[:, :, None]).reshape(memory.data.shape))
+            d_weights[:, offset:offset + length] = (g[:, None, :] * blocks).sum(axis=2)
+            offset += length
+        _accum(weights, d_weights)
+
+    # the weights last, so that backward's depth-first search meets them first
+    return _node(out, tuple(memories) + (weights,), _bw)
 
 
 # ---------------------------------------------------------------------------

@@ -66,24 +66,22 @@ def pool_question(encoding: ContextualEncoding, params: ExtractorParams) -> Tens
     """Attention-pool the question states with a learned query vector."""
     scores = ad.reshape(ad.matmul(encoding.flat, params.pool_query),
                         (encoding.batch, encoding.length))
-    weights = ad.masked_softmax(scores, encoding.mask)
-    flat_weights = ad.reshape(weights, (encoding.batch * encoding.length, 1))
-    return ad.sum_groups(ad.mul(encoding.flat, flat_weights), encoding.length)
+    return ad.weighted_sum(ad.masked_softmax(scores, encoding.mask), [encoding.flat])
 
 
 def feasible_span_argmax(start_probs: np.ndarray, end_probs: np.ndarray,
                          length: int, max_span: int) -> EvidenceSpan:
     """Maximize start*end over {(s, e): s <= e < s + max_span, e < length};
     ties prefer the smaller start, then the smaller end."""
-    best = None
-    for s in range(length):
-        hi = min(length, s + max_span)
-        window = end_probs[s:hi]
-        j = int(np.argmax(window))  # first maximum, so the smaller end wins ties
-        p = start_probs[s] * window[j]
-        if best is None or p > best[0]:
-            best = (p, s, s + j)
-    p, s, e = best
+    # one window of max_span ends per start, padded past ``length`` with -inf,
+    # which no probability loses to; argmax takes the first maximum
+    padded = np.full(length + max_span - 1, -np.inf, dtype=end_probs.dtype)
+    padded[:length] = end_probs[:length]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, max_span)[:length]
+    offsets = windows.argmax(axis=1)
+    starts = np.arange(length)
+    s = int(np.argmax(start_probs[:length] * windows[starts, offsets]))
+    e = s + int(offsets[s])
     return EvidenceSpan(start=s, end=e, score=float(np.log(start_probs[s]) +
                                                     np.log(end_probs[e])))
 
@@ -91,17 +89,16 @@ def feasible_span_argmax(start_probs: np.ndarray, end_probs: np.ndarray,
 def predict_span(passage: ContextualEncoding, question_vector: Tensor,
                  params: ExtractorParams,
                  max_span: int = DEFAULT_MAX_SPAN) -> tuple[SpanDistributions, list[EvidenceSpan]]:
-    """Span distributions plus the per-instance argmax span."""
-    def memory(attention: AttentionParams):
-        keys = ad.matmul(passage.flat, attention.w_memory)
-        return [(passage.flat, keys, passage.mask)]
-
-    summary, start_dist = additive_attention(question_vector,
-                                             memory(params.start_attention),
-                                             params.start_attention)
+    """Span distributions plus the per-instance argmax span. The end pass
+    needs no context, so it records the attention weights alone."""
+    start, end = params.start_attention, params.end_attention
+    summary, start_dist = additive_attention(
+        question_vector, [(passage.flat, ad.matmul(passage.flat, start.w_memory), passage.mask)],
+        start)
     end_query = ad.concat([question_vector, summary], axis=1)
-    _, end_dist = additive_attention(end_query, memory(params.end_attention),
-                                     params.end_attention)
+    end_dist = ad.attention_weights(
+        end_query, [(ad.matmul(passage.flat, end.w_memory), passage.mask)],
+        end.w_query, end.bias, end.v)
     lengths = passage.mask.sum(axis=1).astype(int)
     spans = [feasible_span_argmax(start_dist.data[b], end_dist.data[b],
                                   int(lengths[b]), max_span)

@@ -102,30 +102,36 @@ class GeneratedAnswer:
     token_logprobs: tuple[float, ...]
 
 
+# elements per row block of a greedy step's logits, so that a block stays in
+# cache through the finite check, the max, the exp-sum and the argmax
+_LOGIT_BLOCK = 1 << 16
+
+
 def generate_answer(passage: ContextualEncoding, question: ContextualEncoding,
                     word_table, params: DecoderParams, vocab: Vocabulary,
                     max_length: int = DEFAULT_MAX_DECODE) -> list[GeneratedAnswer]:
-    """Greedy decoding for a batch; pure function of (parameters, inputs)."""
+    """Greedy decoding for a batch; pure function of (parameters, inputs).
+
+    Every step projects into one (B, |V|) logits array allocated once per
+    call and adds the output bias in place; the rest of the step's logit
+    work runs in row blocks of ``_LOGIT_BLOCK`` elements."""
     batch = passage.batch
-    rows = np.arange(batch)
     emitted: list[list[int]] = [[] for _ in range(batch)]
     logprobs: list[list[float]] = [[] for _ in range(batch)]
     finished = np.zeros(batch, dtype=bool)
+    out_w, out_b = params.out_w.data, params.out_b.data
+    logits = np.empty((batch, out_w.shape[1]),
+                      dtype=np.result_type(passage.flat.data, out_w, out_b))
+    rows = max(1, _LOGIT_BLOCK // logits.shape[1])
+    scratch = np.empty((min(rows, batch), logits.shape[1]), dtype=logits.dtype)
     with ad.no_grad():
         memory = DecoderMemory.from_encodings(passage, question, params.attention)
         state = initial_state(passage, question, word_table, batch, params)
         for _ in range(max_length):
             hidden, context = decode_step(state, memory, params)
-            logits = ad.add(ad.matmul(ad.concat([hidden, context], axis=1), params.out_w),
-                            params.out_b).data  # a fresh array, free to overwrite
-            # the log-softmax at the picks only: (logit - max) - log(sum(exp(logit - max)))
-            top = logits.max(axis=1, keepdims=True)
-            shifted = logits - top
-            lse = np.log(np.exp(shifted, out=shifted).sum(axis=1))
-            logits[:, PAD] = -np.inf  # padding and start tokens are never emitted
-            logits[:, BOS] = -np.inf
-            picks = np.argmax(logits, axis=1)
-            logp = (logits[rows, picks] - top[:, 0]) - lse
+            np.matmul(np.concatenate([hidden.data, context.data], axis=1), out_w, out=logits)
+            logits += out_b
+            picks, logp = _greedy_picks(logits, rows, scratch)
             for b in range(batch):
                 if finished[b]:
                     continue
@@ -145,6 +151,27 @@ def generate_answer(passage: ContextualEncoding, question: ContextualEncoding,
                                        text=" ".join(surface),
                                        token_logprobs=tuple(lps)))
     return answers
+
+
+def _greedy_picks(logits: np.ndarray, rows: int,
+                  scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's argmax over the tokens other than padding and start, and
+    its log-softmax, ``(logit - max) - log(sum(exp(logit - max)))``, taken
+    ``rows`` rows at a time. Overwrites ``logits``; ``scratch`` holds a block."""
+    picks = np.empty(logits.shape[0], dtype=np.int64)
+    logp = np.empty(logits.shape[0], dtype=logits.dtype)
+    for lo in range(0, logits.shape[0], rows):
+        block = logits[lo:lo + rows]
+        ad.check_finite(block, "generate_answer")
+        top = block.max(axis=1, keepdims=True)
+        shifted = np.subtract(block, top, out=scratch[:len(block)])
+        lse = np.log(np.exp(shifted, out=shifted).sum(axis=1))
+        block[:, PAD] = -np.inf  # padding and start tokens are never emitted
+        block[:, BOS] = -np.inf
+        picked = np.argmax(block, axis=1)
+        picks[lo:lo + rows] = picked
+        logp[lo:lo + rows] = (block[np.arange(len(block)), picked] - top[:, 0]) - lse
+    return picks, logp
 
 
 def teacher_targets(option_ids: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -7,6 +7,9 @@ import numpy as np
 from genmatch import autodiff as ad
 from genmatch import training
 from genmatch.corpus import (
+    BOS,
+    EOS,
+    PAD,
     CharVocabulary,
     Vocabulary,
     generate_toy_corpus,
@@ -16,11 +19,12 @@ from genmatch.corpus import (
     random_embeddings,
 )
 from genmatch.encoders import bigru_encode, encode_with_features
-from genmatch.extractor import pool_question, predict_span, span_loss
+from genmatch.extractor import EvidenceSpan, pool_question, predict_span, span_loss
 from genmatch.model import build_model
 from genmatch.synthesizer import (
     DecoderMemory,
     DecoderState,
+    GeneratedAnswer,
     decode_step,
     initial_state,
     synthesis_loss,
@@ -55,8 +59,13 @@ def toy_instances(n_passages=4, seed=11):
 
 
 def build_micro_pipeline(n_passages=3, seed=11, **config_overrides):
+    return build_micro_model(toy_instances(n_passages, seed=seed), **config_overrides)
+
+
+def build_micro_model(instances, **config_overrides):
+    """A micro-scale model over ``instances``, with its config, the instances
+    and their batches."""
     config = micro_config(**config_overrides)
-    instances = toy_instances(n_passages, seed=seed)
     vocab = Vocabulary.build(instance_token_streams(instances), cap=config.vocab_cap)
     char_vocab = CharVocabulary.build(instance_token_streams(instances,
                                                              include_options=True))
@@ -272,3 +281,111 @@ def composite_bigru(x, h0, cells, mask):
                        ad.gather_rows(bwd, np.arange(batch))], axis=1)
     states = ad.mul_const(ad.concat([fwd, bwd], axis=1), mask.T.reshape(-1, 1))
     return ad.regroup_rows(states, length, batch), final
+
+
+# ---------------------------------------------------------------------------
+# the attention composite that ``autodiff.attention_weights`` and
+# ``autodiff.weighted_sum`` replaced
+
+
+def slice_cols(a, start, stop):
+    """The columns ``start:stop`` of ``a`` as a tape op; the composite's
+    only user, so it lives here rather than in ``autodiff``."""
+    data = a.data[:, start:stop]
+
+    def _bw(g):
+        buf = np.zeros_like(a.data)
+        buf[:, start:stop] = g
+        ad._accum(a, buf)
+
+    return ad._node(data, (a,), _bw)
+
+
+def composite_scores(query, keys, length, params):
+    """Unnormalized scores of projected ``keys``, shape (B, length)."""
+    batch = query.data.shape[0]
+    proj = ad.add(keys, ad.repeat_rows(ad.matmul(query, params.w_query), length))
+    scores = ad.matmul(ad.tanh(ad.add(proj, params.bias)), params.v)
+    return ad.reshape(scores, (batch, length))
+
+
+def composite_additive_attention(query, memories, params):
+    """Reference for ``attention.additive_attention``: per memory the scores
+    as six tape ops, one masked softmax over their concat, and per memory a
+    slice, a reshape, a multiply and a row-group sum added into the context.
+    Returns (context, weights)."""
+    batch = query.data.shape[0]
+    lengths = [mask.shape[1] for _, _, mask in memories]
+    scores = [composite_scores(query, keys, length, params)
+              for (_, keys, _), length in zip(memories, lengths)]
+    weights = ad.masked_softmax(ad.concat(scores, axis=1),
+                                np.concatenate([mask for _, _, mask in memories], axis=1))
+    context = None
+    offset = 0
+    for (flat, _, _), length in zip(memories, lengths):
+        piece = slice_cols(weights, offset, offset + length)
+        summed = ad.sum_groups(ad.mul(flat, ad.reshape(piece, (batch * length, 1))), length)
+        context = summed if context is None else ad.add(context, summed)
+        offset += length
+    return context, weights
+
+
+# ---------------------------------------------------------------------------
+# loop references for array code
+
+
+def loop_feasible_span_argmax(start_probs, end_probs, length, max_span):
+    """Reference for ``extractor.feasible_span_argmax``: one argmax per start."""
+    best = None
+    for s in range(length):
+        hi = min(length, s + max_span)
+        window = end_probs[s:hi]
+        j = int(np.argmax(window))  # first maximum, so the smaller end wins ties
+        p = start_probs[s] * window[j]
+        if best is None or p > best[0]:
+            best = (p, s, s + j)
+    p, s, e = best
+    return EvidenceSpan(start=s, end=e, score=float(np.log(start_probs[s]) +
+                                                    np.log(end_probs[e])))
+
+
+def composite_generate_answer(passage, question, word_table, params, vocab, max_length):
+    """Reference for ``synthesizer.generate_answer``: each step's logits are
+    a tape matmul and a tape bias add, a fresh array, reduced whole."""
+    batch = passage.batch
+    rows = np.arange(batch)
+    emitted = [[] for _ in range(batch)]
+    logprobs = [[] for _ in range(batch)]
+    finished = np.zeros(batch, dtype=bool)
+    with ad.no_grad():
+        memory = DecoderMemory.from_encodings(passage, question, params.attention)
+        state = initial_state(passage, question, word_table, batch, params)
+        for _ in range(max_length):
+            hidden, context = decode_step(state, memory, params)
+            logits = ad.add(ad.matmul(ad.concat([hidden, context], axis=1), params.out_w),
+                            params.out_b).data
+            top = logits.max(axis=1, keepdims=True)
+            shifted = logits - top
+            lse = np.log(np.exp(shifted, out=shifted).sum(axis=1))
+            logits[:, PAD] = -np.inf
+            logits[:, BOS] = -np.inf
+            picks = np.argmax(logits, axis=1)
+            logp = (logits[rows, picks] - top[:, 0]) - lse
+            for b in range(batch):
+                if finished[b]:
+                    continue
+                emitted[b].append(int(picks[b]))
+                logprobs[b].append(float(logp[b]))
+                if picks[b] == EOS:
+                    finished[b] = True
+            if finished.all():
+                break
+            state = DecoderState(hidden=hidden,
+                                 word_embedding=ad.gather_rows(word_table, picks),
+                                 context=context)
+    answers = []
+    for ids, lps in zip(emitted, logprobs):
+        surface = tuple(vocab.token_for(i) for i in ids if i != EOS)
+        answers.append(GeneratedAnswer(token_ids=tuple(ids), surface_tokens=surface,
+                                       text=" ".join(surface), token_logprobs=tuple(lps)))
+    return answers

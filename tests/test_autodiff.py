@@ -31,7 +31,7 @@ from genmatch.autodiff import (
     zero_grads,
 )
 
-from helpers import composite_bigru, pack, packed_gru_sequence, reachable_op_nodes
+from helpers import composite_bigru, pack, packed_gru_sequence, reachable_op_nodes, slice_cols
 
 
 def rand(rng, *shape):
@@ -193,7 +193,7 @@ GRADIENT_CASES = {
     "masked_softmax": lambda a, b, w: ad.masked_softmax(a, MASK),
     "gather": lambda a, b, w: ad.gather_rows(a, np.array([1, 0, 3, 1, 2])),
     "take_per_row": lambda a, b, w: ad.take_per_row(a, IDX),
-    "slice_cols": lambda a, b, w: ad.slice_cols(a, 2, 5),
+    "slice_cols": lambda a, b, w: slice_cols(a, 2, 5),
     "reshape": lambda a, b, w: ad.reshape(a, (2, 12)),
     "repeat_rows": lambda a, b, w: ad.repeat_rows(a, 3),
     "sum_groups": lambda a, b, w: ad.sum_groups(a, 2),
@@ -204,6 +204,15 @@ GRADIENT_CASES = {
     "dropout": lambda a, b, w: ad.dropout(a, 0.5, np.random.default_rng(3)),
     "masked_mean_positions": lambda a, b, w: ad.masked_mean_positions(
         a, np.array([[1.0, 1.0], [1.0, 0.0]]), 2),
+    # keys of 2 and 4 positions; w serves as W_q, and row-group sums of w*w
+    # and of w as bias and v
+    "attention_weights": lambda a, b, w: ad.attention_weights(
+        a, [(ad.reshape(b, (8, 3)), MASK[:, :2]),
+            (ad.reshape(ad.concat([a, b], axis=0), (16, 3)), MASK[:, 2:])],
+        w, ad.reshape(ad.sum_groups(ad.reshape(ad.mul(w, w), (18, 1)), 6), (3,)),
+        ad.sum_groups(ad.reshape(w, (18, 1)), 6)),
+    "weighted_sum": lambda a, b, w: ad.weighted_sum(
+        a, [ad.reshape(b, (12, 2)), ad.reshape(ad.mul(a, b), (12, 2))]),
 }
 # the op a case checks, where the case is not named after it
 CASE_OPS = {"concat_cols": "concat", "concat_rows": "concat", "gather": "gather_rows"}
@@ -249,11 +258,136 @@ def test_every_tape_op_has_a_central_difference_check():
         "gru_cell": test_gru_encoder_gradients_pass_finite_differences,
         "gru_sequence": test_gru_sequence_gradients_match_central_differences,
     }
+    # the tape op of the attention composite that tests/helpers.py keeps
+    reference_ops = {"slice_cols"}
     covered = {CASE_OPS.get(case, case) for case in GRADIENT_CASES} | set(checked_elsewhere)
     ops = tape_ops()
     assert {"add", "masked_softmax", "mean", "gru_sequence"} <= ops
     assert sorted(ops - covered) == [], "tape ops without a gradient check"
-    assert sorted(covered - ops) == [], "gradient cases for functions that are no tape op"
+    assert sorted(covered - ops - reference_ops) == [], \
+        "gradient cases for functions that are no tape op"
+
+
+# One call per tape op whose input ``x`` (4, 6) is the first to hold a NaN,
+# written in place after ``x`` was made, as Adam writes parameters.
+def _gru_cells(count):
+    store = ParamStore()
+    rng = np.random.default_rng(5)
+    return [init_gru_cell(store, f"c{k}", 6, 2, rng) for k in range(count)]
+
+
+FINITE_CASES = {
+    "add": lambda x: ad.add(x, x),
+    "neg": lambda x: ad.neg(x),
+    "mul": lambda x: ad.mul(x, x),
+    "mul_const": lambda x: ad.mul_const(x, 2.0),
+    "matmul": lambda x: ad.matmul(x, Tensor(np.ones((6, 3)))),
+    "concat": lambda x: ad.concat([x, x], axis=1),
+    "sigmoid": lambda x: ad.sigmoid(x),
+    "tanh": lambda x: ad.tanh(x),
+    "log": lambda x: ad.log(x),
+    "softmax_nll": lambda x: ad.softmax_nll(x, IDX),
+    "masked_softmax": lambda x: ad.masked_softmax(x, MASK),
+    "gather_rows": lambda x: ad.gather_rows(x, np.array([0, 1])),
+    "take_per_row": lambda x: ad.take_per_row(x, IDX),
+    "reshape": lambda x: ad.reshape(x, (2, 12)),
+    "repeat_rows": lambda x: ad.repeat_rows(x, 2),
+    "sum_groups": lambda x: ad.sum_groups(x, 2),
+    "regroup_rows": lambda x: ad.regroup_rows(x, 2, 2),
+    "tensor_sum": lambda x: ad.tensor_sum(x),
+    "sum_last": lambda x: ad.sum_last(x),
+    "mean": lambda x: ad.mean(x),
+    "dropout": lambda x: ad.dropout(x, 0.5, np.random.default_rng(0)),
+    "masked_mean_positions": lambda x: ad.masked_mean_positions(x, np.ones((2, 2)), 2),
+    "gru_cell": lambda x: ad.gru_cell(x, Tensor(np.zeros((4, 2))), _gru_cells(1)[0]),
+    "gru_sequence": lambda x: ad.gru_sequence(x, Tensor(np.zeros((2, 2))), _gru_cells(2),
+                                              np.ones((2, 2))),
+    "attention_weights": lambda x: ad.attention_weights(
+        Tensor(np.ones((2, 1))), [(ad.reshape(x, (8, 3)), np.ones((2, 4)))],
+        Tensor(np.ones((1, 3))), Tensor(np.zeros(3)), Tensor(np.ones((3, 1)))),
+    "weighted_sum": lambda x: ad.weighted_sum(Tensor(np.full((2, 6), 0.5)),
+                                              [ad.reshape(x, (12, 2))]),
+}
+
+
+def direct_ops() -> set[str]:
+    """Public functions of ``autodiff`` that record their own tape node."""
+    tree = ast.parse(inspect.getsource(ad))
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and any(isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+                    and c.func.id == "_node" for c in ast.walk(node))}
+
+
+def test_every_tape_op_checks_its_output_or_is_listed_as_unable_to_make_a_non_finite():
+    assert sorted(tape_ops() ^ set(FINITE_CASES)) == [], "tape ops without a finite case"
+    assert set(ad._UNCHECKED_OPS) <= direct_ops()
+    for name, call in FINITE_CASES.items():
+        x = Tensor(np.linspace(0.1, 0.9, 24).reshape(4, 6))
+        x.data[0, 0] = np.nan
+        if name in ad._UNCHECKED_OPS:
+            call(x)  # the NaN passes through unchecked: the first checking op raises
+            continue
+        with np.errstate(invalid="ignore"), pytest.raises(ad.NonFiniteError) as excinfo:
+            call(x)
+        if name in direct_ops():
+            assert str(excinfo.value) == f"non-finite value from {name}"
+
+
+def _huge_cell():
+    # from x = (1e308, 1e308, 0, ...) and h = (1, 1) the update gate's
+    # pre-activation is x W_u + h U_u = -inf + inf
+    cell = _gru_cells(1)[0]
+    cell.w_update.data[:2, 0] = -10.0
+    cell.u_update.data[:, 0] = 1e308
+    return cell
+
+
+# For each op that checks its output, finite inputs whose result overflows.
+OVERFLOW_CASES = {
+    "add": lambda h: ad.add(h, h),
+    "mul": lambda h: ad.mul(h, h),
+    "mul_const": lambda h: ad.mul_const(h, 10.0),
+    "matmul": lambda h: ad.matmul(h, Tensor(np.ones((2, 1)))),
+    "log": lambda h: ad.log(ad.mul_const(h, 0.0)),
+    "softmax_nll": lambda h: ad.softmax_nll(Tensor([[1e308, -1e308]]), np.array([1])),
+    "sum_groups": lambda h: ad.sum_groups(ad.reshape(h, (2, 1)), 2),
+    "tensor_sum": lambda h: ad.tensor_sum(h),
+    "sum_last": lambda h: ad.sum_last(h),
+    "gru_sequence": lambda h: ad.gru_sequence(
+        ad.concat([h, Tensor(np.zeros((1, 4)))], axis=1), Tensor(np.ones((1, 2))),
+        [_huge_cell()], np.ones((1, 1))),
+    # in the pre-activation, whose overflow the tanh would hide
+    "attention_weights": lambda h: ad.attention_weights(
+        Tensor([[1.0]]), [(ad.reshape(h, (2, 1)), np.ones((1, 2)))], Tensor([[1e308]]),
+        Tensor(np.zeros(1)), Tensor([[1.0]])),
+    "weighted_sum": lambda h: ad.weighted_sum(Tensor([[1.0, 1.0]]), [ad.reshape(h, (2, 1))]),
+}
+# bounded in [0, 1]: its check can only catch a non-finite input (above)
+BOUNDED_CHECKED_OPS = {"masked_softmax"}
+
+
+def test_attention_scores_that_overflow_name_the_op():
+    # each tanh lies in [-1, 1], so only v can overflow a score
+    with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError) as excinfo:
+        ad.attention_weights(Tensor([[1.0]]), [(Tensor([[1.0, 1.0]]), np.ones((1, 1)))],
+                             Tensor([[1.0, 1.0]]), Tensor(np.zeros(2)),
+                             Tensor([[1e308], [1e308]]))
+    assert str(excinfo.value) == "non-finite value from attention_weights"
+
+
+@pytest.mark.parametrize("op", list(OVERFLOW_CASES))
+def test_an_overflow_in_a_checking_op_raises_naming_that_op(op):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        huge = Tensor([[1e308, 1e308]])
+        with pytest.raises(ad.NonFiniteError) as excinfo:
+            OVERFLOW_CASES[op](huge)
+    assert str(excinfo.value) == f"non-finite value from {op}"
+
+
+def test_every_checking_op_has_an_overflow_case():
+    checking = direct_ops() - set(ad._UNCHECKED_OPS)
+    assert sorted(checking ^ (set(OVERFLOW_CASES) | BOUNDED_CHECKED_OPS)) == []
 
 
 def test_softmax_nll_is_the_negative_log_softmax_at_the_targets():

@@ -1,7 +1,9 @@
+import importlib.util
 import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from genmatch import autodiff as ad
 from genmatch.autodiff import ParamStore, Tensor, check_gradients
+from genmatch.corpus import parse_race_record
 from genmatch.encoders import ContextualEncoding
 from genmatch.extractor import (
     EvidenceSpan,
@@ -22,7 +25,7 @@ from genmatch.extractor import (
     span_loss,
 )
 
-from helpers import positions
+from helpers import build_micro_model, loop_feasible_span_argmax, positions, toy_instances
 
 
 def make_encoding(rng, batch, length, hidden, mask=None):
@@ -128,6 +131,51 @@ def test_feasible_span_tie_rules():
     end = np.array([0.5, 0.5])
     span = feasible_span_argmax(start, end, 2, max_span=2)
     assert (span.start, span.end) == (0, 0)
+
+
+def assert_spans_match_the_loop(instances):
+    """Every instance's predicted span, and the argmax at two more span caps,
+    equal the per-start loop's."""
+    model, config, _, batches = build_micro_model(instances, batch_size=16)
+    compared = 0
+    with ad.no_grad():
+        for batch in batches:
+            passage, question = model._embed_batch(batch)
+            dists, spans = model.predict_spans(passage, question)
+            lengths = batch.passage_mask.sum(axis=1).astype(int)
+            for b, span in enumerate(spans):
+                args = (dists.start.data[b], dists.end.data[b], int(lengths[b]))
+                assert span == loop_feasible_span_argmax(*args, config.max_span)
+                for cap in (1, 30):
+                    assert feasible_span_argmax(*args, cap) == loop_feasible_span_argmax(*args, cap)
+                compared += 1
+    assert compared == len(instances)
+
+
+def test_feasible_span_argmax_matches_the_loop_on_the_toy_corpus():
+    assert_spans_match_the_loop(toy_instances(n_passages=200, seed=7))
+
+
+def test_feasible_span_argmax_matches_the_loop_on_exam_like_instances():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "examgen.py"
+    spec = importlib.util.spec_from_file_location("examgen", path)
+    examgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(examgen)
+    rng = np.random.default_rng(3)
+    records = examgen.make_records(rng, examgen.make_lexicon(rng, size=3000), 24, "span")
+    assert_spans_match_the_loop([inst for r in records for inst in parse_race_record(r)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=35),
+       st.integers(min_value=0, max_value=2**30))
+def test_feasible_span_argmax_matches_the_loop_on_ties(length, max_span, seed):
+    # probabilities drawn from three values, so that most products tie
+    rng = np.random.default_rng(seed)
+    start = rng.choice([0.125, 0.25, 0.5], size=length + 3)
+    end = rng.choice([0.125, 0.25, 0.5], size=length + 3)
+    got = feasible_span_argmax(start, end, length, max_span)
+    assert got == loop_feasible_span_argmax(start, end, length, max_span)
 
 
 # ---------------------------------------------------------------------------

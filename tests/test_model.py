@@ -256,6 +256,22 @@ def test_checkpoint_with_a_non_finite_value_names_file_and_parameter(tmp_path):
                                   "non-finite value in parameter 'decoder.out_b'")
 
 
+def test_a_nan_written_into_any_parameter_is_caught_downstream():
+    # the optimizer writes parameters in place, unchecked; the first
+    # checking op that reads one must raise
+    model, config, _, batches = build_micro_pipeline()
+    batch = batches[0]
+    targets = oracle_targets(batch, config.max_span)
+    answers, _ = model.generate(batch)
+    for param in model.parameters():
+        saved = param.data.copy()
+        param.data[...] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(ad.NonFiniteError):
+            model.stage_one_loss(batch, targets)
+            model.selection_stage_loss(batch, answers)
+        param.data[...] = saved
+
+
 def test_float32_model_computes_in_float32():
     model, config, _, batches = build_micro_pipeline(precision="float32")
     batch = batches[0]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from genmatch import autodiff as ad
-from genmatch.attention import _scores, additive_attention, init_attention
+from genmatch import synthesizer
+from genmatch.attention import additive_attention, init_attention
 from genmatch.autodiff import ParamStore, Tensor, check_gradients
 from genmatch.corpus import BOS, EOS, PAD, Vocabulary
 from genmatch.encoders import ContextualEncoding
@@ -19,7 +20,14 @@ from genmatch.synthesizer import (
     teacher_targets,
 )
 
-from helpers import per_step_synthesis_loss, positions
+from helpers import (
+    composite_additive_attention,
+    composite_generate_answer,
+    composite_scores,
+    per_step_synthesis_loss,
+    reachable_op_nodes,
+    positions,
+)
 
 
 def make_encoding(rng, batch, length, hidden, mask=None):
@@ -108,7 +116,7 @@ def test_attention_one_memory_is_bit_identical_to_the_single_softmax_composite()
 
     def composite():
         keys = ad.matmul(memory, params.w_memory)
-        weights = ad.masked_softmax(_scores(query, keys, 4, params), mask)
+        weights = ad.masked_softmax(composite_scores(query, keys, 4, params), mask)
         context = ad.sum_groups(ad.mul(memory, ad.reshape(weights, (2 * 4, 1))), 4)
         return context, weights
 
@@ -126,6 +134,65 @@ def test_attention_one_memory_is_bit_identical_to_the_single_softmax_composite()
     np.testing.assert_array_equal(got[1], want[1])
     for name in want[2]:
         np.testing.assert_array_equal(got[2][name], want[2][name], err_msg=name)
+
+
+def attention_grads(attend, lengths, budget, monkeypatch, shared_query, second_consumer):
+    """Context, weights and every gradient of a loss read from one attention
+    call over memories of ``lengths`` positions, right-padded per instance."""
+    monkeypatch.setattr(ad, "_ATTENTION_BLOCK", budget)
+    rng = np.random.default_rng(40 + len(lengths))
+    batch = 5
+    store = ParamStore()
+    params = init_attention(store, "attn", memory_dim=4, query_dim=3, proj_dim=6, rng=rng)
+    query = store.create("query", rng.standard_normal((batch, 3)))
+    memories = []
+    for k, length in enumerate(lengths):
+        mask = (np.arange(length)[None, :] < rng.integers(1, length + 1, size=(batch, 1)))
+        memories.append((store.create(f"memory{k}", rng.standard_normal((batch * length, 4))),
+                         store.create(f"keys{k}", rng.standard_normal((batch * length, 6))),
+                         mask.astype(float)))
+    readout = Tensor(rng.standard_normal((batch, 4)))
+    context, weights = attend(query, memories, params)
+    loss = ad.add(ad.tensor_sum(ad.mul(context, readout)),
+                  ad.tensor_sum(ad.mul(weights, weights)))
+    if shared_query:
+        loss = ad.add(loss, ad.tensor_sum(ad.mul(query, query)))
+    if second_consumer:  # as span_loss reads the span distributions
+        picked = ad.take_per_row(weights, np.zeros(batch, dtype=np.int64))
+        loss = ad.add(loss, ad.tensor_sum(ad.log(picked)))
+    ad.backward(loss)
+    return context.data, weights.data, {p.name: p.grad for p in store.all()}
+
+
+@pytest.mark.parametrize("lengths", [(7,), (7, 3)], ids=["one_part", "two_parts"])
+@pytest.mark.parametrize("budget", [1 << 16, 1, 90],
+                         ids=["one_block", "per_instance", "blocks_of_2_to_7"])
+@pytest.mark.parametrize("shared_query, second_consumer",
+                         [(False, False), (True, False), (False, True), (True, True)])
+def test_attention_ops_are_bit_identical_to_the_composite(lengths, budget, shared_query,
+                                                          second_consumer, monkeypatch):
+    got = attention_grads(additive_attention, lengths, budget, monkeypatch, shared_query,
+                          second_consumer)
+    want = attention_grads(composite_additive_attention, lengths, budget, monkeypatch,
+                           shared_query, second_consumer)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    assert sorted(got[2]) == sorted(want[2])
+    for name, grad in want[2].items():
+        assert (grad is None) == (name == "attn.w_memory"), name  # the keys are given
+        np.testing.assert_array_equal(got[2][name], grad, err_msg=name)
+
+
+def test_attention_records_two_tape_ops():
+    rng = np.random.default_rng(41)
+    store = ParamStore()
+    params = init_attention(store, "attn", memory_dim=4, query_dim=3, proj_dim=2, rng=rng)
+    memory = store.create("memory", rng.standard_normal((2 * 3, 4)))
+    keys = store.create("keys", rng.standard_normal((2 * 3, 2)))
+    query = store.create("query", rng.standard_normal((2, 3)))
+    context, weights = additive_attention(query, [(memory, keys, np.ones((2, 3)))], params)
+    assert context._parents[-1] is weights
+    assert reachable_op_nodes(context) == 2
 
 
 def test_attention_two_memories_share_one_softmax():
@@ -306,6 +373,35 @@ def test_greedy_token_logprobs_equal_a_numpy_log_softmax_bit_for_bit():
         steps = len(answer.token_ids)
         assert answer.token_ids == tuple(int(i) for i in picked[b, :steps])
         np.testing.assert_array_equal(np.array(answer.token_logprobs), logprobs[b, :steps])
+
+
+def greedy_case(rng):
+    vocab = Vocabulary.build([[f"w{i}" for i in range(300)]])
+    params, table, vocab, _ = setup_decoder(rng, hidden=4, embed=5, vocab=vocab)
+    params.out_w.data *= 4.0
+    passage = make_encoding(rng, 5, 5, 4, mask=np.array([[1.0] * 5, [1.0] * 3 + [0.0] * 2,
+                                                         [1.0] * 4 + [0.0], [1.0] * 5,
+                                                         [1.0] + [0.0] * 4]))
+    question = make_encoding(rng, 5, 2, 4)
+    return passage, question, table, params, vocab
+
+
+def test_greedy_decoding_in_row_blocks_equals_the_whole_array_composite(monkeypatch):
+    passage, question, table, params, vocab = greedy_case(np.random.default_rng(34))
+    want = composite_generate_answer(passage, question, table, params, vocab, max_length=8)
+    # blocks of 2 rows over a batch of 5: the last block is a single row
+    monkeypatch.setattr(synthesizer, "_LOGIT_BLOCK", 2 * len(vocab))
+    got = generate_answer(passage, question, table, params, vocab, max_length=8)
+    assert sum(len(a.token_ids) for a in want) > 5
+    assert got == want
+
+
+def test_a_non_finite_output_bias_raises_during_greedy_decoding():
+    passage, question, table, params, vocab = greedy_case(np.random.default_rng(35))
+    params.out_b.data[7] = np.inf  # as an optimizer step may write it
+    with pytest.raises(ad.NonFiniteError) as excinfo:
+        generate_answer(passage, question, table, params, vocab, max_length=8)
+    assert str(excinfo.value) == "non-finite value from generate_answer"
 
 
 # ---------------------------------------------------------------------------

@@ -170,15 +170,16 @@ class ParamStore:
 # Ops that cannot turn finite inputs into a non-finite output, so their
 # results are not checked: every input was checked when it was made (a
 # parameter that Adam wrote in place is caught by the first checking op that
-# reads it). The first seven only move or negate values; tanh and sigmoid are
-# bounded.
+# reads it). The first seven only move or negate values; tanh, sigmoid and
+# masked_softmax are bounded.
 _UNCHECKED_OPS = ("concat", "reshape", "regroup_rows", "gather_rows", "repeat_rows",
-                  "take_per_row", "neg", "tanh", "sigmoid")
+                  "take_per_row", "neg", "tanh", "sigmoid", "masked_softmax")
 
 
 def _node(data: np.ndarray, parents: tuple, backward, checked: bool = True) -> Tensor:
     """Record ``data`` as the output of an op; ``checked=False`` is for the
-    ops of ``_UNCHECKED_OPS`` only."""
+    ops of ``_UNCHECKED_OPS`` and for ops that check their values before a
+    bounded last step, as ``attention_weights`` checks its scores."""
     if checked:
         check_finite(data, backward)
     out = Tensor.__new__(Tensor)
@@ -335,6 +336,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), _bw)
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for a (N, K) ``x``, a (K, M) ``w`` and a bias ``b`` that
+    broadcasts over the rows: one output array, the bias added into the
+    product in place and checked once. Values and gradients equal
+    ``add(matmul(x, w), b)`` bit for bit."""
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ValueError("affine expects 2-D operands")
+    if x.data.shape[1] != w.data.shape[0]:
+        raise ValueError(f"affine shape mismatch: {x.data.shape} @ {w.data.shape}")
+    data = x.data @ w.data
+    data += b.data
+
+    def _bw(g):
+        _accum(b, _unbroadcast(g, b.data.shape))
+        _accum(x, g @ w.data.T)
+        _accum(w, x.data.T @ g)
+
+    return _node(data, (x, w, b), _bw)
+
+
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise ValueError("concat of empty list")
@@ -391,7 +412,8 @@ def softmax_nll(a: Tensor, targets: np.ndarray) -> Tensor:
     row: out[i, 0] = -log(softmax(a)[i, targets[i]]).
 
     Only the (N, V) softmax is kept for the backward, g * (p - onehot),
-    evaluated as g * p with g subtracted at each target.
+    evaluated as g * p with g subtracted at each target, written into the
+    softmax's own array: nothing else holds it, and the node is run once.
     """
     idx = np.asarray(targets, dtype=np.int64)
     rows = np.arange(a.data.shape[0])
@@ -402,7 +424,7 @@ def softmax_nll(a: Tensor, targets: np.ndarray) -> Tensor:
     np.exp(y, out=p)
 
     def _bw(g):
-        grad = p * g
+        grad = np.multiply(p, g, out=p)
         grad[rows, idx] -= g[:, 0]
         _accum(a, grad)
 
@@ -421,7 +443,7 @@ def masked_softmax(a: Tensor, mask: np.ndarray) -> Tensor:
     def _bw(g):
         _accum(a, _softmax_grad(g, y))
 
-    return _node(y, (a,), _bw)
+    return _node(y, (a,), _bw, checked=False)
 
 
 def _masked_softmax(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -632,7 +654,7 @@ def attention_weights(query: Tensor, parts, w_query: Tensor, bias: Tensor, v: Te
     # the keys first and the query last, so that backward's depth-first
     # search meets them in the composite's order
     parents = tuple(keys for keys, _ in parts) + (query, w_query, bias, v)
-    return _node(y, parents, _bw)
+    return _node(y, parents, _bw, checked=False)  # the scores were checked
 
 
 def weighted_sum(weights: Tensor, memories) -> Tensor:
@@ -928,6 +950,8 @@ def _run_cell(cell: GRUCellParams, x: Tensor, h0: Tensor, skip: np.ndarray, reve
 # ---------------------------------------------------------------------------
 # optimization
 
+_ADAM_CHUNK = 1 << 15  # elements per pass of the norm or the update, so a chunk stays in cache
+
 
 def zero_grads(params) -> None:
     """Drop the gradients; each reads as zero until an op hands it one."""
@@ -936,29 +960,51 @@ def zero_grads(params) -> None:
 
 
 def global_grad_norm(params) -> float:
-    """L2 norm of all the gradients together; a None grad counts as zero."""
+    """L2 norm of all the gradients together; a None grad counts as zero.
+
+    Each gradient's sum of squares is ``float((g * g).sum())`` bit for bit,
+    taken by ``_square_sum`` over the elements in memory order (the order
+    in which numpy sums ``g * g``) through one chunk-sized buffer, so no
+    gradient-sized square is made."""
     total = 0.0
+    buffers: dict[np.dtype, np.ndarray] = {}
     for p in params:
         if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+            buf = buffers.get(p.grad.dtype)
+            if buf is None:
+                buf = buffers[p.grad.dtype] = np.empty(_ADAM_CHUNK, p.grad.dtype)
+            total += float(_square_sum(p.grad.ravel(order="K"), buf))
     return math.sqrt(total)
 
 
-def clip_global_norm(params, threshold: float = 10.0) -> float:
-    """The scale that brings the gradients' global L2 norm to at most
-    ``threshold``: 1.0 when it already is. The grads are left as they are;
-    ``Adam.step`` applies the scale as it reads them. The tiny slack in the
-    trigger makes the scale of already-scaled gradients 1.0.
+def _square_sum(flat: np.ndarray, buf: np.ndarray):
+    """The sum of squares of the 1-D ``flat``, in its dtype. A range longer
+    than ``_ADAM_CHUNK`` is split where numpy's pairwise sum splits it (at
+    half its length, less that half's remainder mod 8); a shorter one is
+    squared into ``buf`` and summed by numpy through the same subtree. Every
+    split range is longer than numpy's 128-element block, below which numpy
+    stops splitting, so the splits fall where numpy's do."""
+    n = flat.size
+    if n <= _ADAM_CHUNK:
+        return np.multiply(flat, flat, out=buf[:n]).sum()
+    half = n // 2
+    half -= half % 8
+    return _square_sum(flat[:half], buf) + _square_sum(flat[half:], buf)
+
+
+def clip_global_norm(norm: float, threshold: float = 10.0) -> float:
+    """The scale that brings gradients whose global L2 norm is ``norm`` (from
+    ``global_grad_norm``) to at most ``threshold``: 1.0 when it already is.
+    ``Adam.step`` applies the scale as it reads the grads. The tiny slack in
+    the trigger makes the scale of already-scaled gradients 1.0.
     """
     if threshold <= 0:
         raise ValueError("clip threshold must be positive")
-    norm = global_grad_norm(params)
     if norm <= threshold * (1.0 + 1e-12):
         return 1.0
     return threshold / norm
 
 
-_ADAM_CHUNK = 1 << 15  # elements per update pass, so one chunk's arrays stay in cache
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8

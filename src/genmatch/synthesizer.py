@@ -74,7 +74,7 @@ def initial_state(passage: ContextualEncoding, question: ContextualEncoding,
                   word_table: Parameter | Tensor, batch: int,
                   params: DecoderParams) -> DecoderState:
     pooled = ad.concat([question.mean_pooled(), passage.mean_pooled()], axis=1)
-    hidden = ad.tanh(ad.add(ad.matmul(pooled, params.init_w), params.init_b))
+    hidden = ad.tanh(ad.affine(pooled, params.init_w, params.init_b))
     bos = ad.gather_rows(word_table, np.full(batch, BOS, dtype=np.int64))
     context = Tensor(np.zeros((batch, 2 * passage.hidden), dtype=passage.flat.data.dtype))
     return DecoderState(hidden=hidden, word_embedding=bos, context=context)
@@ -206,7 +206,7 @@ def synthesis_loss(passage: ContextualEncoding, question: ContextualEncoding,
                                  word_embedding=ad.gather_rows(word_table, inputs[:, t + 1]),
                                  context=context)
     # one output projection for all L steps, rows step-major (t * B + b)
-    logits = ad.add(ad.matmul(ad.concat(outputs, axis=0), params.out_w), params.out_b)
+    logits = ad.affine(ad.concat(outputs, axis=0), params.out_w, params.out_b)
     step_nll = ad.softmax_nll(logits, targets.T.reshape(-1))   # (L*B, 1)
     nll = ad.reshape(ad.regroup_rows(step_nll, width, batch), (batch, width))
     per_instance = ad.sum_last(ad.mul_const(nll, mask))        # (B, 1)

@@ -231,7 +231,9 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
     improved) without copying them. Frozen parameters cannot change, so the
     snapshot holds only the trainable ones; an improving epoch writes its
     values into the snapshot's arrays. Each history entry records
-    ``tape_nodes``, the mean number of op nodes per step's backward.
+    ``tape_nodes``, the mean number of op nodes per step's backward, and
+    the mean and the largest pre-clip gradient norm of the epoch's steps
+    (``grad_norm_mean``, ``grad_norm_max``), from the norm the clip reads.
     """
     dropout_rng, shuffle_rng = _seed_streams(seed)
     trainable = model.trainable_parameters()
@@ -246,13 +248,17 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
         epoch_seed = int(shuffle_rng.integers(2**31))
         sums: dict[str, float] = {}
         seen = steps = clipped = nodes = 0
+        norm_sum = norm_max = 0.0
         epoch_started = time.perf_counter()
         for batch in make_batches(train, model.vocab, config.batch_size, epoch_seed):
             model.zero_grads()
             loss, parts = batch_loss(batch, dropout_rng)
             nodes += ad.backward(loss)
-            scale = clip_global_norm(trainable, config.clip_norm)
+            norm = ad.global_grad_norm(trainable)
+            scale = clip_global_norm(norm, config.clip_norm)
             clipped += scale < 1.0
+            norm_sum += norm
+            norm_max = max(norm_max, norm)
             result.max_post_clip_norm = max(result.max_post_clip_norm,
                                             optimizer.step(scale))
             for key, value in {"train_loss": loss.item(), **parts}.items():
@@ -265,6 +271,7 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
         entry = {"stage": stage, "epoch": epoch,
                  **{key: total / seen for key, total in sums.items()},
                  metric_name: metric, "clip_rate": clipped / steps,
+                 "grad_norm_mean": norm_sum / steps, "grad_norm_max": norm_max,
                  "tape_nodes": nodes / steps,
                  "inst_per_s": seen / train_seconds, "train_s": train_seconds,
                  "dev_s": time.perf_counter() - dev_started}

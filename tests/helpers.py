@@ -1,5 +1,6 @@
 """Shared builders for micro-scale models and toy data in tests."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -139,32 +140,29 @@ def embed_twice_stage_one_loss(model, batch, oracle_spans, rng):
 def use_five_pass_step(monkeypatch):
     """Reference for the optimizer step of ``training._train_epochs``: the
     step as five passes over the gradients. Every parameter owns a
-    zero-filled grad that its first gradient is added into, the clip scales
-    the grads in place, the post-clip norm is a pass of its own, and Adam
-    steps on the scaled grads unscaled."""
+    zero-filled grad that its first gradient is added into, the norm is
+    ``(g * g).sum()`` per gradient, the grads are scaled in place, the
+    post-clip norm is a pass of its own, and Adam steps on the scaled grads
+    unscaled."""
 
     def zero_filled_grads(params):
         for p in params:
             p.grad = np.zeros(p.data.shape, p.data.dtype)
             p._owns_grad = True
 
-    def clip_in_place(params, threshold):
-        norm = ad.global_grad_norm(params)
-        if norm <= threshold * (1.0 + 1e-12):
-            return 1.0
-        scale = threshold / norm
-        for p in params:
-            p.grad *= scale
-        return scale
+    def squared_norm(params):
+        return math.sqrt(sum(float((p.grad * p.grad).sum()) for p in params))
 
     class UnscaledAdam(ad.Adam):
         def step(self, scale):
-            post_clip_norm = ad.global_grad_norm(self.params)
+            for p in self.params:
+                p.grad *= scale
+            post_clip_norm = squared_norm(self.params)
             super().step()
             return post_clip_norm
 
     monkeypatch.setattr(ad, "zero_grads", zero_filled_grads)
-    monkeypatch.setattr(training, "clip_global_norm", clip_in_place)
+    monkeypatch.setattr(ad, "global_grad_norm", squared_norm)
     monkeypatch.setattr(training, "Adam", UnscaledAdam)
 
 

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+import tracemalloc
 import weakref
 import zlib
 
@@ -184,6 +185,9 @@ GRADIENT_CASES = {
     "mul": lambda a, b, w: ad.mul(a, b),
     "mul_const": lambda a, b, w: ad.mul_const(a, np.arange(1.0, 5.0)[:, None]),
     "matmul": lambda a, b, w: ad.matmul(a, w),
+    # the bias: sums of w's row pairs
+    "affine": lambda a, b, w: ad.affine(
+        a, w, ad.reshape(ad.sum_groups(ad.reshape(w, (18, 1)), 6), (3,))),
     "concat_cols": lambda a, b, w: ad.concat([a, b], axis=1),
     "concat_rows": lambda a, b, w: ad.concat([a, b], axis=0),
     "sigmoid": lambda a, b, w: ad.sigmoid(a),
@@ -282,6 +286,7 @@ FINITE_CASES = {
     "mul": lambda x: ad.mul(x, x),
     "mul_const": lambda x: ad.mul_const(x, 2.0),
     "matmul": lambda x: ad.matmul(x, Tensor(np.ones((6, 3)))),
+    "affine": lambda x: ad.affine(x, Tensor(np.ones((6, 3))), Tensor(np.zeros(3))),
     "concat": lambda x: ad.concat([x, x], axis=1),
     "sigmoid": lambda x: ad.sigmoid(x),
     "tanh": lambda x: ad.tanh(x),
@@ -349,6 +354,8 @@ OVERFLOW_CASES = {
     "mul": lambda h: ad.mul(h, h),
     "mul_const": lambda h: ad.mul_const(h, 10.0),
     "matmul": lambda h: ad.matmul(h, Tensor(np.ones((2, 1)))),
+    # a finite product that overflows only with the bias
+    "affine": lambda h: ad.affine(h, Tensor([[0.5], [0.5]]), Tensor([1e308])),
     "log": lambda h: ad.log(ad.mul_const(h, 0.0)),
     "softmax_nll": lambda h: ad.softmax_nll(Tensor([[1e308, -1e308]]), np.array([1])),
     "sum_groups": lambda h: ad.sum_groups(ad.reshape(h, (2, 1)), 2),
@@ -363,8 +370,6 @@ OVERFLOW_CASES = {
         Tensor(np.zeros(1)), Tensor([[1.0]])),
     "weighted_sum": lambda h: ad.weighted_sum(Tensor([[1.0, 1.0]]), [ad.reshape(h, (2, 1))]),
 }
-# bounded in [0, 1]: its check can only catch a non-finite input (above)
-BOUNDED_CHECKED_OPS = {"masked_softmax"}
 
 
 def test_attention_scores_that_overflow_name_the_op():
@@ -387,7 +392,7 @@ def test_an_overflow_in_a_checking_op_raises_naming_that_op(op):
 
 def test_every_checking_op_has_an_overflow_case():
     checking = direct_ops() - set(ad._UNCHECKED_OPS)
-    assert sorted(checking ^ (set(OVERFLOW_CASES) | BOUNDED_CHECKED_OPS)) == []
+    assert sorted(checking ^ set(OVERFLOW_CASES)) == []
 
 
 def test_softmax_nll_is_the_negative_log_softmax_at_the_targets():
@@ -404,6 +409,44 @@ def test_softmax_nll_is_the_negative_log_softmax_at_the_targets():
     onehot = np.zeros_like(a.data)
     onehot[np.arange(5), targets] = 1.0
     np.testing.assert_allclose(a.grad, (np.exp(log_p) - onehot) / 5, rtol=1e-12, atol=1e-18)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_affine_is_add_of_matmul_bit_for_bit(dtype):
+    rng = np.random.default_rng(21)
+    store = ParamStore(dtype)
+    x = store.create("x", rand(rng, 7, 5))
+    w = store.create("w", rand(rng, 5, 300))
+    b = store.create("b", rand(rng, 300))
+    upstream = rand(rng, 7, 300).astype(dtype)
+
+    def run(forward):
+        zero_grads([x, w, b])
+        out = forward()
+        backward(tensor_sum(ad.mul_const(out, upstream)))
+        return out.data, [p.grad.copy() for p in (x, w, b)]
+
+    got, got_grads = run(lambda: ad.affine(x, w, b))
+    want, want_grads = run(lambda: ad.add(ad.matmul(x, w), b))
+    assert got.dtype == want.dtype == dtype
+    np.testing.assert_array_equal(got, want)
+    for g, ref in zip(got_grads, want_grads):
+        np.testing.assert_array_equal(g, ref)
+
+
+def test_softmax_nll_backward_allocates_no_second_logits_sized_array():
+    rng = np.random.default_rng(4)
+    rows, vocab = 64, 4096
+    a = ParamStore().create("a", rand(rng, rows, vocab))
+    loss = tensor_sum(ad.softmax_nll(a, rng.integers(0, vocab, rows)))
+    tracemalloc.start()
+    try:
+        backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.grad.shape == (rows, vocab)
+    assert peak < a.data.nbytes // 2, peak
 
 
 def test_corrupted_backward_rule_fails_gradient_check():
@@ -743,7 +786,7 @@ def test_clip_noop_below_threshold():
     store = ParamStore()
     p = store.create("p", np.zeros(2))
     set_grads([p], [[3.0, 4.0]])
-    scale = clip_global_norm([p], 10.0)
+    scale = clip_global_norm(global_grad_norm([p]), 10.0)
     assert scale == 1.0
     np.testing.assert_array_equal(p.grad, [3.0, 4.0])
 
@@ -752,7 +795,7 @@ def test_clip_rescales_to_threshold():
     store = ParamStore()
     p = store.create("p", np.zeros(2))
     set_grads([p], [[30.0, 40.0]])
-    scale = clip_global_norm([p], 10.0)
+    scale = clip_global_norm(global_grad_norm([p]), 10.0)
     np.testing.assert_array_equal(p.grad, [30.0, 40.0])  # left for Adam to scale
     np.testing.assert_allclose(p.grad * scale, [6.0, 8.0])
     assert Adam([p]).step(scale) <= 10.0 + 1e-9
@@ -766,12 +809,58 @@ def test_clip_is_idempotent(grads, threshold):
     p = store.create("p", np.zeros(len(grads)))
     set_grads([p], [grads])
     given_grad = p.grad.copy()
-    scale = clip_global_norm([p], threshold)
+    scale = clip_global_norm(global_grad_norm([p]), threshold)
     np.testing.assert_array_equal(p.grad, given_grad)
     p.grad = p.grad * scale
-    assert clip_global_norm([p], threshold) == 1.0
+    assert clip_global_norm(global_grad_norm([p]), threshold) == 1.0
     p.grad = given_grad
     assert Adam([p]).step(scale) <= threshold + 1e-9
+
+
+def gradient_layouts(dtype):
+    """Gradients in every layout an op can hand a parameter, with sizes up
+    to past two norm chunks."""
+    rng = np.random.default_rng(17)
+    big = (rng.standard_normal(2 * ad._ADAM_CHUNK + 4099) * 3.0).astype(dtype)
+    m = rng.standard_normal((300, 257)).astype(dtype)
+    return {
+        "c_order": m,
+        "f_order": np.asfortranarray(m),
+        "transposed": m.T,
+        "sliced": m[:, 1:-1],
+        "negative_stride": m[::-1, ::2],
+        "reversed": big[::-1],
+        "broadcast": np.broadcast_to(m[0], m.shape),
+        "empty": np.zeros((0, 5), dtype),
+        "above_two_chunks": big,
+        "scalar": np.asarray(2.5, dtype),
+        "small": m[:3, :7],
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_global_grad_norm_is_the_sum_of_squares_bit_for_bit(dtype):
+    grads = gradient_layouts(dtype)
+    store = ParamStore(dtype)
+    params = [store.create(name, np.zeros(g.shape)) for name, g in grads.items()]
+    for p, g in zip(params, grads.values()):
+        p.grad = g
+        assert global_grad_norm([p]) == math.sqrt(float((g * g).sum())), p.name
+    assert global_grad_norm(params) == math.sqrt(sum(float((g * g).sum())
+                                                     for g in grads.values()))
+
+
+def test_the_norm_of_a_large_gradient_allocates_no_gradient_sized_array():
+    p = ParamStore().create("p", np.zeros(1 << 22))
+    p.grad = np.random.default_rng(2).standard_normal(1 << 22)
+    tracemalloc.start()
+    try:
+        norm = global_grad_norm([p])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert norm == math.sqrt(float((p.grad * p.grad).sum()))
+    assert peak < 1 << 20, peak
 
 
 def test_adam_first_step_analytic():

@@ -240,11 +240,35 @@ def test_history_entries_record_the_mean_tape_size_per_step(monkeypatch):
     assert stage2.history[0]["tape_nodes"] < stage1.history[0]["tape_nodes"]
 
 
+def test_history_entries_record_the_pre_clip_norm_of_one_norm_pass_per_step(monkeypatch):
+    norms = []
+    norm = ad.global_grad_norm
+
+    def recording_norm(params):
+        norms.append(norm(params))
+        return norms[-1]
+
+    monkeypatch.setattr(ad, "global_grad_norm", recording_norm)
+    config, train, dev, vocab, char_vocab, table = setup_training(max_epochs=2, patience=5,
+                                                                  clip_norm=0.5)
+    stage1 = train_synthesis_stage(config, train, dev, vocab, char_vocab, table)
+    stage2 = train_selection_stage(config, stage1.model, train, dev)
+    steps = len(make_batches(train, vocab, config.batch_size))
+    entries = stage1.history + stage2.history
+    assert len(norms) == steps * len(entries) == steps * 4
+    for i, entry in enumerate(entries):
+        epoch_norms = norms[i * steps:(i + 1) * steps]
+        assert entry["grad_norm_mean"] == sum(epoch_norms) / steps
+        assert entry["grad_norm_max"] == max(epoch_norms)
+        clipped = [ad.clip_global_norm(n, config.clip_norm) < 1.0 for n in epoch_norms]
+        assert entry["clip_rate"] == sum(clipped) / steps
+
+
 def test_no_activation_of_a_step_is_alive_at_the_clip_or_the_optimizer_step(monkeypatch):
     logits = []
     checked = []
     softmax_nll = ad.softmax_nll
-    clip = training.clip_global_norm
+    norm = ad.global_grad_norm
 
     def recording_nll(a, targets):
         logits.append(weakref.ref(a.data))
@@ -254,9 +278,9 @@ def test_no_activation_of_a_step_is_alive_at_the_clip_or_the_optimizer_step(monk
         assert logits and [ref() for ref in logits] == [None] * len(logits)
         checked.append(len(logits))
 
-    def checking_clip(params, threshold):
+    def checking_norm(params):
         check_released()
-        return clip(params, threshold)
+        return norm(params)
 
     class CheckingAdam(ad.Adam):
         def step(self, scale=1.0):
@@ -264,7 +288,7 @@ def test_no_activation_of_a_step_is_alive_at_the_clip_or_the_optimizer_step(monk
             return super().step(scale)
 
     monkeypatch.setattr(ad, "softmax_nll", recording_nll)
-    monkeypatch.setattr(training, "clip_global_norm", checking_clip)
+    monkeypatch.setattr(ad, "global_grad_norm", checking_norm)
     monkeypatch.setattr(training, "Adam", CheckingAdam)
     config, train, dev, vocab, char_vocab, table = setup_training(max_epochs=1)
     train_synthesis_stage(config, train, dev, vocab, char_vocab, table)
@@ -482,7 +506,8 @@ def test_a_step_and_an_eval_cost_linear_memory_and_fixed_tape_in_passage_length(
             model.zero_grads()
             loss, _ = model.stage_one_loss(batch, spans, rng)
             ran = ad.backward(loss)
-            optimizer.step(ad.clip_global_norm(model.trainable_parameters()))
+            trainable = model.trainable_parameters()
+            optimizer.step(ad.clip_global_norm(ad.global_grad_norm(trainable)))
             return ran
 
         ran, peak = traced_peak(step)

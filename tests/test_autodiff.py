@@ -819,10 +819,15 @@ def test_clip_is_idempotent(grads, threshold):
 
 def gradient_layouts(dtype):
     """Gradients in every layout an op can hand a parameter, with sizes up
-    to past two norm chunks."""
+    to past two norm chunks. Their magnitudes span e^-8 to e^8, so summing
+    the squares in another order would round differently."""
     rng = np.random.default_rng(17)
-    big = (rng.standard_normal(2 * ad._ADAM_CHUNK + 4099) * 3.0).astype(dtype)
-    m = rng.standard_normal((300, 257)).astype(dtype)
+
+    def draw(*shape):
+        return (rng.standard_normal(shape) * np.exp(rng.uniform(-8, 8, shape))).astype(dtype)
+
+    big = draw(2 * ad._ADAM_CHUNK + 4099)
+    m = draw(300, 257)
     return {
         "c_order": m,
         "f_order": np.asfortranarray(m),

@@ -14,6 +14,10 @@ gone when ``backward`` returns; leaves and parameters keep theirs. A graph
 is differentiated once: a later ``backward`` that reaches a released node
 raises ``RuntimeError``.
 
+An op that records nothing (under ``no_grad``, or with no input that
+requires a gradient) keeps no activation for a backward that will not run:
+a GRU pass that records nothing keeps its outputs plus one block.
+
 Models keep every tensor 2-D (batch-first) or scalar, and all values are
 required to stay finite. A tensor keeps the float32 or float64 dtype of its
 data; a model's ``ParamStore`` fixes the dtype of its parameters, and every
@@ -374,9 +378,17 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so no
-    exp overflows. ``out`` may be ``x`` itself."""
-    e = np.exp(np.copysign(x, -1.0))  # exp(-|x|)
-    return np.divide(np.where(x < 0, e, 1.0), 1.0 + e, out=out)
+    exp overflows. ``out`` may be ``x`` itself. The numerator is 1 or
+    exp(-|x|), taken as the larger of exp(-|x|) and ``x >= 0``; one array
+    besides the result holds exp(-|x|) and then the denominator."""
+    e = np.copysign(x, -1.0)
+    np.exp(e, out=e)  # exp(-|x|)
+    if out is None:
+        out = np.empty_like(e)
+    np.greater_equal(x, 0.0, out=out)
+    np.maximum(e, out, out=out)
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -821,6 +833,10 @@ def gru_sequence(x: Tensor, h0: Tensor, cells, mask: np.ndarray) -> Tensor:
     swapping the two operands of a sum or product, and ``a - b`` for
     ``a + (-b)``, which leave every rounding the same), so the two agree bit
     for bit wherever BLAS returns the same matrix products.
+
+    A pass that records nothing keeps its outputs plus one block: each cell
+    writes its states straight into the output and its gates into one step's
+    scratch, and projects its input one block of positions at a time.
     """
     if len(cells) not in (1, 2):
         raise ValueError(f"gru_sequence runs one cell or two, not {len(cells)}")
@@ -836,32 +852,59 @@ def gru_sequence(x: Tensor, h0: Tensor, cells, mask: np.ndarray) -> Tensor:
     parents = (x, h0) + tuple(p for cell in cells for trio in cell.gates() for p in trio)
     recording = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     skip = mask <= 0.5              # positions that carry the state through
-    runs = [_run_cell(cell, x, h0, skip, k == 1, recording) for k, cell in enumerate(cells)]
     shape = (batch, length, len(cells), hidden)
-    out = np.empty(shape, dtype=runs[0][0].dtype)
-    for k, (states, _) in enumerate(runs):
-        out[:, :, k] = states.reshape(length, batch, hidden).transpose(1, 0, 2)
+    out = np.empty(shape, dtype=np.result_type(x.data, *(p.data for p in cells[0].gates()[0])))
+    # each cell writes its (T, B, H) states into its block of the output
+    cell_bws = [_run_cell(cell, x, h0, skip, k == 1, out[:, :, k].swapaxes(0, 1), recording)
+                for k, cell in enumerate(cells)]
     keep = mask.astype(out.dtype, copy=False)[:, :, None, None]
     out *= keep
 
     def _bw(g):
         # through the mask and back to position-major, one block per cell
         d_states = (g.reshape(shape) * keep).transpose(1, 0, 2, 3)
-        for k in range(len(runs)):
-            cell_bw, runs[k] = runs[k][1], None  # frees the cell's activations
+        for k in range(len(cell_bws)):
+            cell_bw, cell_bws[k] = cell_bws[k], None  # frees the cell's activations
             cell_bw(d_states[:, :, k].reshape(length * batch, hidden))
 
     return _node(out.reshape(batch * length, len(cells) * hidden), parents, _bw)
 
 
+_XW_BLOCK = 1 << 18  # elements of one block of a cell's input projection
+
+
+def _position_blocks(length: int, width: int) -> list[tuple[int, int]]:
+    """Ranges ``(lo, hi)`` of whole positions that cover ``range(length)``,
+    each of at most ``_XW_BLOCK`` elements when one position's ``width``
+    fits. The ranges differ in size by at most one position, so none is
+    much smaller than the budget: BLAS may take another kernel, with other
+    roundings, for a small product."""
+    per_block = max(1, _XW_BLOCK // max(1, width))
+    if length <= per_block:
+        return [(0, length)]
+    count = -(-length // per_block)
+    size, extra = divmod(length, count)  # the first ``extra`` ranges take one more
+    bounds = [k * size + min(k, extra) for k in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def _run_cell(cell: GRUCellParams, x: Tensor, h0: Tensor, skip: np.ndarray, reverse: bool,
-              recording: bool):
-    """One cell over the whole sequence: its position-major (T*B, H) states
-    and, when ``recording``, the backward that takes their gradient."""
+              dest: np.ndarray, recording: bool):
+    """One cell over the whole sequence, its states written to the (T, B, H)
+    ``dest``; returns, when ``recording``, the backward that takes their
+    position-major (T*B, H) gradient, and None otherwise.
+
+    Both passes project ``x @ W`` one block of positions at a time, blocks
+    taken in the order the cell walks. A pass that records keeps each step's
+    states, gates and ``reset * h`` in (T*B)-row arrays for its backward and
+    copies the states to ``dest``. A pass that records nothing keeps its
+    outputs plus one block: its states go straight to ``dest`` and its gates
+    to one step's scratch, reused at every position."""
     batch, hidden = h0.data.shape
     length = skip.shape[1]
     skip_any = skip.any(axis=0)
     split = 2 * hidden
+    width = 3 * hidden
     gates = cell.gates()
 
     def packed():  # W, then U and b split into their update | reset and cand blocks
@@ -870,32 +913,43 @@ def _run_cell(cell: GRUCellParams, x: Tensor, h0: Tensor, skip: np.ndarray, reve
                 b[:split], b[split:])
 
     w, u_ur, u_c, b_ur, b_c = packed()
-    xw = x.data @ w
-    rows_total = length * batch
-    states = np.empty((rows_total, hidden), dtype=xw.dtype)
-    gates_ur = np.empty((rows_total, split), dtype=xw.dtype)  # update | reset
-    gates_c = np.empty_like(states)                           # cand
-    reset_prev = np.empty_like(states)  # reset * h, the candidate's recurrent input
-    order = range(length - 1, -1, -1) if reverse else range(length)
+    dtype = dest.dtype
+    steps = length if recording else 1
+    states = np.empty((length, batch, hidden), dtype) if recording else dest
+    gates_ur = np.empty((steps, batch, split), dtype)  # update | reset
+    gates_c = np.empty((steps, batch, hidden), dtype)  # cand
+    reset_prev = np.empty_like(gates_c)  # reset * h, the candidate's recurrent input
+    blocks = _position_blocks(length, batch * width)
+    xw_buf = np.empty((blocks[0][1], batch, width), dtype)  # the first block is the largest
     h = h0.data
-    for t in order:
-        rows = slice(t * batch, (t + 1) * batch)
-        ur = np.matmul(h, u_ur, out=gates_ur[rows])
-        ur += xw[rows, :split]
-        ur += b_ur
-        _sigmoid(ur, out=ur)
-        update = ur[:, :hidden]
-        rh = np.multiply(ur[:, hidden:], h, out=reset_prev[rows])
-        cand = np.matmul(rh, u_c, out=gates_c[rows])
-        cand += xw[rows, split:]
-        cand += b_c
-        np.tanh(cand, out=cand)
-        new = np.subtract(cand, h, out=states[rows])
-        new *= update
-        new += h
-        if skip_any[t]:
-            np.copyto(new, h, where=skip[:, t:t + 1])
-        h = new
+    for lo, hi in reversed(blocks) if reverse else blocks:
+        xw = xw_buf[:hi - lo]
+        np.matmul(x.data[lo * batch:hi * batch], w, out=xw.reshape(-1, width))
+        for t in range(hi - 1, lo - 1, -1) if reverse else range(lo, hi):
+            at = t if recording else 0
+            ur = np.matmul(h, u_ur, out=gates_ur[at])
+            ur += xw[t - lo, :, :split]
+            ur += b_ur
+            _sigmoid(ur, out=ur)
+            update = ur[:, :hidden]
+            rh = np.multiply(ur[:, hidden:], h, out=reset_prev[at])
+            cand = np.matmul(rh, u_c, out=gates_c[at])
+            cand += xw[t - lo, :, split:]
+            cand += b_c
+            np.tanh(cand, out=cand)
+            new = np.subtract(cand, h, out=states[t])
+            new *= update
+            new += h
+            if skip_any[t]:
+                np.copyto(new, h, where=skip[:, t:t + 1])
+            h = new
+    if not recording:
+        return None
+    dest[...] = states
+    order = range(length - 1, -1, -1) if reverse else range(length)
+    rows_total = length * batch
+    states, reset_prev = states.reshape(rows_total, hidden), reset_prev.reshape(rows_total, hidden)
+    gates_ur, gates_c = gates_ur.reshape(rows_total, split), gates_c.reshape(rows_total, hidden)
 
     def backward_cell(g):
         # packed again, so that no recorded step holds a copy of the weights
@@ -911,8 +965,9 @@ def _run_cell(cell: GRUCellParams, x: Tensor, h0: Tensor, skip: np.ndarray, reve
         to_update = (gates_c - prev) * update * (1.0 - update)
         to_reset = prev * reset * (1.0 - reset)
         to_prev = 1.0 - update
-        d_ur_all = np.empty_like(gates_ur)  # gradients of the gate pre-activations
-        d_c_all = np.empty_like(gates_c)
+        # gradients of the gate pre-activations: update | reset, then cand
+        d_pre = np.empty((rows_total, width), dtype=dtype)
+        d_ur_all, d_c_all = d_pre[:, :split], d_pre[:, split:]
         zero = np.zeros((), dtype=g.dtype)
         dh = np.zeros((batch, hidden), dtype=g.dtype)
         for t in reversed(order):
@@ -932,7 +987,6 @@ def _run_cell(cell: GRUCellParams, x: Tensor, h0: Tensor, skip: np.ndarray, reve
             else:
                 dh = d_prev
         _accum(h0, dh)
-        d_pre = np.concatenate([d_ur_all, d_c_all], axis=1)
         if x.requires_grad:
             _accum(x, d_pre @ w.T)
         if not any(p.requires_grad for trio in gates for p in trio):
@@ -944,7 +998,7 @@ def _run_cell(cell: GRUCellParams, x: Tensor, h0: Tensor, skip: np.ndarray, reve
             for k, p in enumerate(trio):
                 _accum(p, grad[..., k * hidden:(k + 1) * hidden])
 
-    return states, backward_cell if recording else None
+    return backward_cell
 
 
 # ---------------------------------------------------------------------------

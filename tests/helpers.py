@@ -1,6 +1,7 @@
 """Shared builders for micro-scale models and toy data in tests."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -52,6 +53,17 @@ def reachable_op_nodes(loss) -> int:
             seen.add(id(node))
             stack.extend(node._parents)
     return len(seen)
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory numpy and Python allocated
+    during it, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def toy_instances(n_passages=4, seed=11):

@@ -1,7 +1,6 @@
 import ast
 import inspect
 import math
-import tracemalloc
 import weakref
 import zlib
 
@@ -32,7 +31,14 @@ from genmatch.autodiff import (
     zero_grads,
 )
 
-from helpers import composite_bigru, pack, packed_gru_sequence, reachable_op_nodes, slice_cols
+from helpers import (
+    composite_bigru,
+    pack,
+    packed_gru_sequence,
+    reachable_op_nodes,
+    slice_cols,
+    traced_peak,
+)
 
 
 def rand(rng, *shape):
@@ -434,17 +440,35 @@ def test_affine_is_add_of_matmul_bit_for_bit(dtype):
         np.testing.assert_array_equal(g, ref)
 
 
+def two_branch_sigmoid(x):
+    """The sigmoid as ``autodiff._sigmoid`` first wrote it: ``np.where``
+    picks the numerator of each branch."""
+    e = np.exp(np.copysign(x, -1.0))
+    return np.where(x < 0, e, 1.0) / (1.0 + e)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sigmoid_equals_the_two_branch_formula_bit_for_bit(dtype):
+    info = np.finfo(dtype)
+    edges = np.array([0.0, -0.0, 745.0, -745.0, 800.0, -800.0, info.smallest_subnormal,
+                      -info.smallest_subnormal, 7 * info.smallest_subnormal,
+                      -7 * info.smallest_subnormal, info.tiny, -info.tiny], dtype=dtype)
+    random = (np.random.default_rng(8).standard_normal((40, 30)) * 20).astype(dtype)
+    for x in (edges, random):
+        want = two_branch_sigmoid(x)
+        aliased = x.copy()
+        for got in (ad._sigmoid(x), ad._sigmoid(aliased, out=aliased)):
+            assert got.dtype == dtype
+            # as bytes, so that a -0.0 for a +0.0 would show
+            assert got.tobytes() == want.tobytes()
+
+
 def test_softmax_nll_backward_allocates_no_second_logits_sized_array():
     rng = np.random.default_rng(4)
     rows, vocab = 64, 4096
     a = ParamStore().create("a", rand(rng, rows, vocab))
     loss = tensor_sum(ad.softmax_nll(a, rng.integers(0, vocab, rows)))
-    tracemalloc.start()
-    try:
-        backward(loss)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: backward(loss))
     assert a.grad.shape == (rows, vocab)
     assert peak < a.data.nbytes // 2, peak
 
@@ -773,6 +797,90 @@ def test_gru_sequence_is_bit_identical_to_the_packed_composite(case):
         np.testing.assert_array_equal(grads[name], want, err_msg=name)
 
 
+def composite_gru(x, h0, cells, mask):
+    """Reference for ``autodiff.gru_sequence``: a packed sequence node per
+    cell, the second in reverse, their concat, the mask multiply and the
+    regroup to batch-major."""
+    batch, length = mask.shape
+    runs = [packed_gru_sequence(x, h0, pack(cell), mask, reverse=k == 1)
+            for k, cell in enumerate(cells)]
+    keep = mask.T.reshape(-1, 1).astype(runs[0].data.dtype)
+    states = ad.mul_const(ad.concat(runs, axis=1), keep)
+    return ad.regroup_rows(states, length, batch)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("recorded", [True, False], ids=["recorded", "no_grad"])
+@pytest.mark.parametrize("count", [1, 2], ids=["one_cell", "two_cells"])
+def test_gru_sequence_in_position_blocks_is_bit_identical_to_the_packed_composite(
+        monkeypatch, count, recorded, dtype):
+    batch, length = PADDED_MASK.shape
+    hidden = 5
+    # two positions a block: blocks of 2, 2 and 1 positions
+    monkeypatch.setattr(ad, "_XW_BLOCK", 2 * batch * 3 * hidden)
+    assert ad._position_blocks(length, batch * 3 * hidden) == [(0, 2), (2, 4), (4, 5)]
+    results = []
+    for op in (ad.gru_sequence, composite_gru):
+        rng = np.random.default_rng(25)
+        store = ParamStore(dtype)
+        cells = [init_gru_cell(store, f"cell{k}", 6, hidden, rng) for k in range(count)]
+        for p in store.all():
+            p.data[...] = 0.5 * rand(rng, *p.data.shape)
+        x = store.create("x", rand(rng, length * batch, 6))
+        h0 = store.create("h0", rand(rng, batch, hidden))
+        readout = rand(rng, batch * length, count * hidden).astype(dtype)
+        if recorded:
+            states = op(x, h0, cells, PADDED_MASK)
+            backward(tensor_sum(ad.mul_const(states, readout)))
+        else:
+            with no_grad():
+                states = op(x, h0, cells, PADDED_MASK)
+        results.append((states.data, {p.name: p.grad for p in store.all()}))
+    (states, grads), (want_states, want_grads) = results
+    assert states.dtype == dtype
+    np.testing.assert_array_equal(states, want_states)
+    assert len(grads) == 9 * count + 2
+    for name, want in want_grads.items():
+        if recorded:
+            np.testing.assert_array_equal(grads[name], want, err_msg=name)
+        else:
+            assert grads[name] is want is None, name
+
+
+def test_gru_input_blocks_keep_the_bits_of_the_whole_projection_at_a_char_encoder_shape():
+    # 300 distinct tokens of 12 characters, 16-wide char embeddings, 25
+    # hidden units: the sequence takes more than one block, and a block of a
+    # few hundred rows is a small product for which BLAS may take another
+    # kernel than for the whole
+    rng = np.random.default_rng(26)
+    batch, length, hidden = 300, 12, 25
+    assert len(ad._position_blocks(length, batch * 3 * hidden)) > 1
+    cells, _ = make_cells(rng, 2, 16, hidden)
+    x = Tensor(rand(rng, length * batch, 16))
+    h0 = Tensor(np.zeros((batch, hidden)))
+    mask = np.ones((batch, length))
+    with no_grad():
+        got = ad.gru_sequence(x, h0, cells, mask).data
+        want = composite_gru(x, h0, cells, mask).data
+    np.testing.assert_array_equal(got, want)
+
+
+def test_a_gru_sequence_under_no_grad_keeps_its_output_plus_one_block(monkeypatch):
+    rng = np.random.default_rng(27)
+    batch, length, dim, hidden = 16, 200, 32, 32
+    monkeypatch.setattr(ad, "_XW_BLOCK", 1 << 12)
+    cells, _ = make_cells(rng, 2, dim, hidden)
+    x = Tensor(rand(rng, length * batch, dim))
+    h0 = Tensor(np.zeros((batch, hidden)))
+    mask = np.ones((batch, length))
+    with no_grad():
+        out, peak = traced_peak(lambda: ad.gru_sequence(x, h0, cells, mask))
+    # besides the output: a block of the projection, the packed weights and
+    # one step's gates, each far smaller than the output
+    assert out.data.nbytes == batch * length * 2 * hidden * 8
+    assert peak < out.data.nbytes + 8 * (1 << 12) * 8, (peak, out.data.nbytes)
+
+
 # ---------------------------------------------------------------------------
 # clipping and Adam
 
@@ -858,12 +966,7 @@ def test_global_grad_norm_is_the_sum_of_squares_bit_for_bit(dtype):
 def test_the_norm_of_a_large_gradient_allocates_no_gradient_sized_array():
     p = ParamStore().create("p", np.zeros(1 << 22))
     p.grad = np.random.default_rng(2).standard_normal(1 << 22)
-    tracemalloc.start()
-    try:
-        norm = global_grad_norm([p])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    norm, peak = traced_peak(lambda: global_grad_norm([p]))
     assert norm == math.sqrt(float((p.grad * p.grad).sum()))
     assert peak < 1 << 20, peak
 

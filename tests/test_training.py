@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import tracemalloc
 import weakref
 from collections import Counter
 
@@ -31,7 +30,13 @@ from genmatch.training import (
     train_synthesis_stage,
 )
 
-from helpers import micro_config, reachable_op_nodes, toy_instances, use_five_pass_step
+from helpers import (
+    micro_config,
+    reachable_op_nodes,
+    toy_instances,
+    traced_peak,
+    use_five_pass_step,
+)
 
 
 def setup_training(n_passages=6, seed=21, **overrides):
@@ -479,17 +484,6 @@ def long_passage_setup(length, lexicon):
     batch = make_batches(instances, vocab, 4)[0]
     spans = compute_oracle_spans(instances, config.max_span)
     return model, batch, [spans[inst] for inst in batch.instances], instances
-
-
-def traced_peak(fn):
-    """``fn()`` and the peak of the memory numpy and Python allocated
-    during it, in bytes."""
-    tracemalloc.start()
-    try:
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_a_step_and_an_eval_cost_linear_memory_and_fixed_tape_in_passage_length():

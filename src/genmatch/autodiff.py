@@ -174,10 +174,10 @@ class ParamStore:
 # Ops that cannot turn finite inputs into a non-finite output, so their
 # results are not checked: every input was checked when it was made (a
 # parameter that Adam wrote in place is caught by the first checking op that
-# reads it). The first seven only move or negate values; tanh, sigmoid and
-# masked_softmax are bounded.
-_UNCHECKED_OPS = ("concat", "reshape", "regroup_rows", "gather_rows", "repeat_rows",
-                  "take_per_row", "neg", "tanh", "sigmoid", "masked_softmax")
+# reads it). concat, reshape and gather_rows only move values and neg negates
+# them; tanh, sigmoid and masked_softmax are bounded.
+_UNCHECKED_OPS = ("concat", "reshape", "gather_rows", "neg", "tanh", "sigmoid",
+                  "masked_softmax")
 
 
 def _node(data: np.ndarray, parents: tuple, backward, checked: bool = True) -> Tensor:
@@ -488,60 +488,11 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     return _node(data, (table,), _bw, checked=False)
 
 
-def take_per_row(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Pick one column per row: out[i, 0] = a[i, indices[i]]."""
-    idx = np.asarray(indices, dtype=np.int64)
-    rows = np.arange(a.data.shape[0])
-    data = a.data[rows, idx][:, None]
-
-    def _bw(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, (rows, idx), g[:, 0])
-        _accum(a, buf)
-
-    return _node(data, (a,), _bw, checked=False)
-
-
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     data = a.data.reshape(shape)
 
     def _bw(g):
         _accum(a, g.reshape(a.data.shape))
-
-    return _node(data, (a,), _bw, checked=False)
-
-
-def repeat_rows(a: Tensor, times: int) -> Tensor:
-    """Repeat each row ``times`` times: (B, M) -> (B*times, M)."""
-    data = np.repeat(a.data, times, axis=0)
-
-    def _bw(g):
-        _accum(a, g.reshape(a.data.shape[0], times, -1).sum(axis=1))
-
-    return _node(data, (a,), _bw, checked=False)
-
-
-def sum_groups(a: Tensor, group: int) -> Tensor:
-    """Sum blocks of ``group`` consecutive rows: (B*group, M) -> (B, M)."""
-    rows, cols = a.data.shape
-    data = a.data.reshape(rows // group, group, cols).sum(axis=1)
-
-    def _bw(g):
-        _accum(a, np.repeat(g, group, axis=0))
-
-    return _node(data, (a,), _bw)
-
-
-def regroup_rows(a: Tensor, outer: int, inner: int) -> Tensor:
-    """Reorder rows from outer-major to inner-major blocks.
-
-    Row ``o*inner + i`` of the input becomes row ``i*outer + o``.
-    """
-    cols = a.data.shape[1]
-    data = a.data.reshape(outer, inner, cols).transpose(1, 0, 2).reshape(inner * outer, cols)
-
-    def _bw(g):
-        _accum(a, g.reshape(inner, outer, cols).transpose(1, 0, 2).reshape(outer * inner, cols))
 
     return _node(data, (a,), _bw, checked=False)
 
@@ -578,17 +529,6 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     keep = 1.0 - rate
     mask = (rng.random(a.data.shape) < keep).astype(a.data.dtype) / keep
     return mul_const(a, mask)
-
-
-def masked_mean_positions(flat: Tensor, mask: np.ndarray, length: int) -> Tensor:
-    """Mean over the unmasked positions of a row-major (B*length, M)
-    layout: -> (B, M)."""
-    counts = mask.sum(axis=1)
-    if np.any(counts <= 0):
-        raise ValueError("masked mean over an empty sequence")
-    col = mask.reshape(-1, 1).astype(flat.data.dtype)
-    total = sum_groups(mul_const(flat, col), length)
-    return mul_const(total, (1.0 / counts)[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +618,8 @@ def weighted_sum(weights: Tensor, memories) -> Tensor:
     in order, as the composite (per part a slice, a reshape, a multiply and a
     row-group sum; then an add per part after the first) rounds. The forward
     multiplies block by block into one reused (k, T_i, M) buffer; the
-    backward does the composite's arithmetic in its order, part 1 first.
+    backward does the composite's arithmetic in its order, part 1 first, and
+    computes no gradient for constant weights, such as a mask that pools.
     """
     batch, width = weights.data.shape
     lengths = [memory.data.shape[0] // batch for memory in memories]
@@ -707,10 +648,11 @@ def weighted_sum(weights: Tensor, memories) -> Tensor:
         d_weights = np.empty_like(weights.data)
         offset = 0
         for memory, length in zip(memories, lengths):
-            blocks = memory.data.reshape(batch, length, memory.data.shape[1])
             w = weights.data[:, offset:offset + length]
             _accum(memory, (g[:, None, :] * w[:, :, None]).reshape(memory.data.shape))
-            d_weights[:, offset:offset + length] = (g[:, None, :] * blocks).sum(axis=2)
+            if weights.requires_grad:
+                blocks = memory.data.reshape(batch, length, memory.data.shape[1])
+                d_weights[:, offset:offset + length] = (g[:, None, :] * blocks).sum(axis=2)
             offset += length
         _accum(weights, d_weights)
 

@@ -88,7 +88,10 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
         state: dict[str, np.ndarray] = {}
         for _ in range(count):
             (name_len,) = struct.unpack("<H", read_exactly(2))
-            name = read_exactly(name_len).decode("utf-8")
+            try:
+                name = read_exactly(name_len).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise corrupt(f"a parameter name is not UTF-8: {exc}") from None
             code, ndim = struct.unpack("<BB", read_exactly(2))
             if code not in _CODE_DTYPES:
                 raise corrupt(f"unknown dtype code {code} for {name!r}")

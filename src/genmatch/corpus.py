@@ -243,9 +243,12 @@ def load_embeddings(path, vocab: Vocabulary, dim: int = 300, seed: int = 0,
     onto a seeded random base so the result is deterministic."""
     table = random_embeddings(vocab, dim, seed, trainable=trainable)
     covered = table.pretrained
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split()
+    with open(path, "rb") as fh:  # decoded line by line, so an error names its line
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                parts = raw.decode("utf-8").split()
+            except UnicodeDecodeError as exc:
+                raise EmbeddingFormatError(f"{path}:{lineno}: {exc}") from None
             if not parts:
                 continue
             token, values = parts[0], parts[1:]
@@ -414,7 +417,7 @@ def parse_record_file(path, subset: str | None = None) -> list[Instance]:
     """``parse_race_record`` on one file; its errors name the file."""
     try:
         return parse_race_record(Path(path).read_text(encoding="utf-8"), subset=subset)
-    except MalformedRecord as exc:
+    except (MalformedRecord, UnicodeDecodeError) as exc:
         raise MalformedRecord(f"{path}: {exc}") from exc
 
 

@@ -63,7 +63,12 @@ class ContextualEncoding:
     final: Tensor             # (B, 2H), the state each direction ends in
 
     def mean_pooled(self) -> Tensor:
-        return ad.masked_mean_positions(self.flat, self.mask, self.length)
+        """Mean over each row's unmasked positions: (B, 2H)."""
+        counts = self.mask.sum(axis=1)
+        if np.any(counts <= 0):
+            raise ValueError("masked mean over an empty sequence")
+        mask = Tensor(self.mask.astype(self.flat.data.dtype, copy=False))
+        return ad.mul_const(ad.weighted_sum(mask, [self.flat]), (1.0 / counts)[:, None])
 
 
 def embed_ids(table: Parameter | Tensor, ids: np.ndarray, mask: np.ndarray) -> EmbeddedSequence:

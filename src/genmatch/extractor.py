@@ -163,7 +163,12 @@ def span_loss(distributions: SpanDistributions, targets: list[EvidenceSpan | Non
     n_valid = valid.sum()
     if n_valid == 0:
         return Tensor(np.zeros((), dtype=dtype))
-    log_start = ad.log(ad.take_per_row(distributions.start, start_idx))
-    log_end = ad.log(ad.take_per_row(distributions.end, end_idx))
-    per_instance = ad.neg(ad.add(log_start, log_end))
-    return ad.mul_const(ad.tensor_sum(ad.mul_const(per_instance, valid)), 1.0 / n_valid)
+    # each row's target probability, picked from the distributions' flat cells
+    offsets = np.arange(batch) * width
+    log_start = ad.log(ad.gather_rows(ad.reshape(distributions.start, (batch * width, 1)),
+                                      offsets + start_idx))
+    log_end = ad.log(ad.gather_rows(ad.reshape(distributions.end, (batch * width, 1)),
+                                    offsets + end_idx))
+    # the sign folds into the mean's factor: negation commutes with every rounding
+    log_likelihood = ad.tensor_sum(ad.mul_const(ad.add(log_start, log_end), valid))
+    return ad.mul_const(log_likelihood, -(1.0 / n_valid))

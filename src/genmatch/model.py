@@ -89,22 +89,17 @@ class PipelineModel:
     def parameters(self):
         return self.store.all()
 
-    def zero_grads(self) -> None:
-        ad.zero_grads(self.trainable_parameters())
-
     def trainable_parameters(self):
         return [p for p in self.parameters() if p.requires_grad]
 
-    def freeze_for_selection_stage(self) -> list[str]:
-        """Freeze every parameter but the matcher matrix; returns the frozen
-        names.
+    def freeze_for_selection_stage(self) -> None:
+        """Freeze every parameter but the matcher matrix.
 
         The shared question/option encoder stays frozen too: training it on
         the selection loss drifts the extractor's question pooling and
         degrades generation, and the matcher matrix alone is enough."""
         for p in self.parameters():
             p.requires_grad = p.name == MATCHER_PARAM
-        return [name for name in self.store.names() if name != MATCHER_PARAM]
 
     # -- embedding and encoding helpers ---------------------------------------
 

@@ -30,7 +30,8 @@ def bilinear_score(answer: Tensor, options_flat: Tensor, w_att: Parameter) -> Te
     batch = answer.data.shape[0]
     if options_flat.data.shape[0] != batch * NUM_OPTIONS:
         raise ValueError("expected 4 option vectors per instance")
-    projected = ad.repeat_rows(ad.matmul(answer, w_att), NUM_OPTIONS)
+    # each instance's projected answer, once per option
+    projected = ad.gather_rows(ad.matmul(answer, w_att), np.repeat(np.arange(batch), NUM_OPTIONS))
     return ad.reshape(ad.sum_last(ad.mul(projected, options_flat)), (batch, NUM_OPTIONS))
 
 

@@ -208,7 +208,9 @@ def synthesis_loss(passage: ContextualEncoding, question: ContextualEncoding,
     # one output projection for all L steps, rows step-major (t * B + b)
     logits = ad.affine(ad.concat(outputs, axis=0), params.out_w, params.out_b)
     step_nll = ad.softmax_nll(logits, targets.T.reshape(-1))   # (L*B, 1)
-    nll = ad.reshape(ad.regroup_rows(step_nll, width, batch), (batch, width))
+    # to instance-major rows, b * L + t
+    by_instance = np.arange(width * batch).reshape(width, batch).T.ravel()
+    nll = ad.reshape(ad.gather_rows(step_nll, by_instance), (batch, width))
     per_instance = ad.sum_last(ad.mul_const(nll, mask))        # (B, 1)
     lengths = mask.sum(axis=1, keepdims=True)
     return ad.mean(ad.mul_const(per_instance, 1.0 / lengths))

@@ -251,7 +251,7 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
         norm_sum = norm_max = 0.0
         epoch_started = time.perf_counter()
         for batch in make_batches(train, model.vocab, config.batch_size, epoch_seed):
-            model.zero_grads()
+            ad.zero_grads(trainable)
             loss, parts = batch_loss(batch, dropout_rng)
             nodes += ad.backward(loss)
             norm = ad.global_grad_norm(trainable)

@@ -179,6 +179,79 @@ def use_five_pass_step(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# row movers and the row-group sum that the engine's composites used; the
+# engine moves rows with ``gather_rows`` and sums with ``weighted_sum``
+
+
+def repeat_rows(a, times):
+    """Repeat each row ``times`` times: (B, M) -> (B*times, M)."""
+    data = np.repeat(a.data, times, axis=0)
+
+    def _bw(g):
+        ad._accum(a, g.reshape(a.data.shape[0], times, -1).sum(axis=1))
+
+    return ad._node(data, (a,), _bw, checked=False)
+
+
+def sum_groups(a, group):
+    """Sum blocks of ``group`` consecutive rows: (B*group, M) -> (B, M)."""
+    rows, cols = a.data.shape
+    data = a.data.reshape(rows // group, group, cols).sum(axis=1)
+
+    def _bw(g):
+        ad._accum(a, np.repeat(g, group, axis=0))
+
+    return ad._node(data, (a,), _bw)
+
+
+def regroup_rows(a, outer, inner):
+    """Reorder rows from outer-major to inner-major blocks.
+
+    Row ``o*inner + i`` of the input becomes row ``i*outer + o``.
+    """
+    cols = a.data.shape[1]
+    data = a.data.reshape(outer, inner, cols).transpose(1, 0, 2).reshape(inner * outer, cols)
+
+    def _bw(g):
+        ad._accum(a, g.reshape(inner, outer, cols).transpose(1, 0, 2).reshape(outer * inner, cols))
+
+    return ad._node(data, (a,), _bw, checked=False)
+
+
+def composite_mean_pooled(encoding):
+    """Reference for ``ContextualEncoding.mean_pooled``: the mask multiply,
+    the row-group sum and the 1/count multiply."""
+    counts = encoding.mask.sum(axis=1)
+    col = encoding.mask.reshape(-1, 1).astype(encoding.flat.data.dtype)
+    total = sum_groups(ad.mul_const(encoding.flat, col), encoding.length)
+    return ad.mul_const(total, (1.0 / counts)[:, None])
+
+
+def composite_span_loss(start, end, targets):
+    """Reference for ``extractor.span_loss`` over (B, P) start and end
+    distributions given as arrays: the composite's arithmetic (a per-row
+    pick, log, add, neg, the valid-row multiply, the sum and the 1/n
+    multiply) and its backward, in numpy. Returns the loss and the
+    gradients of ``start`` and ``end``."""
+    rows = np.arange(start.shape[0])
+    picks = [np.array([0 if t is None else getattr(t, side) for t in targets])
+             for side in ("start", "end")]
+    valid = np.array([[t is not None] for t in targets], dtype=start.dtype)
+    n_valid = valid.sum()
+    picked = [dist[rows, idx][:, None] for dist, idx in zip((start, end), picks)]
+    per_instance = -(np.log(picked[0]) + np.log(picked[1]))
+    loss = np.asarray((per_instance * valid).sum()) * (1.0 / n_valid)
+    g = np.ones_like(loss) * (1.0 / n_valid)
+    g = -(np.broadcast_to(g, per_instance.shape) * valid)
+    grads = []
+    for dist, idx, p in zip((start, end), picks, picked):
+        buf = np.zeros_like(dist)
+        np.add.at(buf, (rows, idx), (g / p)[:, 0])
+        grads.append(buf)
+    return loss, grads[0], grads[1]
+
+
+# ---------------------------------------------------------------------------
 # the GRU composite that ``autodiff.gru_sequence`` replaced
 
 
@@ -290,7 +363,7 @@ def composite_bigru(x, h0, cells, mask):
     final = ad.concat([ad.gather_rows(fwd, np.arange((length - 1) * batch, length * batch)),
                        ad.gather_rows(bwd, np.arange(batch))], axis=1)
     states = ad.mul_const(ad.concat([fwd, bwd], axis=1), mask.T.reshape(-1, 1))
-    return ad.regroup_rows(states, length, batch), final
+    return regroup_rows(states, length, batch), final
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +387,7 @@ def slice_cols(a, start, stop):
 def composite_scores(query, keys, length, params):
     """Unnormalized scores of projected ``keys``, shape (B, length)."""
     batch = query.data.shape[0]
-    proj = ad.add(keys, ad.repeat_rows(ad.matmul(query, params.w_query), length))
+    proj = ad.add(keys, repeat_rows(ad.matmul(query, params.w_query), length))
     scores = ad.matmul(ad.tanh(ad.add(proj, params.bias)), params.v)
     return ad.reshape(scores, (batch, length))
 
@@ -334,7 +407,7 @@ def composite_additive_attention(query, memories, params):
     offset = 0
     for (flat, _, _), length in zip(memories, lengths):
         piece = slice_cols(weights, offset, offset + length)
-        summed = ad.sum_groups(ad.mul(flat, ad.reshape(piece, (batch * length, 1))), length)
+        summed = sum_groups(ad.mul(flat, ad.reshape(piece, (batch * length, 1))), length)
         context = summed if context is None else ad.add(context, summed)
         offset += length
     return context, weights

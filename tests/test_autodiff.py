@@ -31,12 +31,16 @@ from genmatch.autodiff import (
     zero_grads,
 )
 
+import helpers
 from helpers import (
     composite_bigru,
     pack,
     packed_gru_sequence,
     reachable_op_nodes,
+    regroup_rows,
+    repeat_rows,
     slice_cols,
+    sum_groups,
     traced_peak,
 )
 
@@ -181,7 +185,8 @@ def test_no_grad_suppresses_recording():
     assert not loss.requires_grad
 
 
-# One central-difference case per tape op. Each builds its output from the
+# One central-difference case per tape op, the engine's and those of the
+# reference composites in tests/helpers.py. Each builds its output from the
 # (4, 6) leaves ``a`` and ``b`` and the (6, 3) leaf ``w``.
 MASK = np.array([[1, 1, 0, 1, 0, 1]] * 4, dtype=float)
 IDX = np.array([0, 2, 1, 3])
@@ -193,7 +198,7 @@ GRADIENT_CASES = {
     "matmul": lambda a, b, w: ad.matmul(a, w),
     # the bias: sums of w's row pairs
     "affine": lambda a, b, w: ad.affine(
-        a, w, ad.reshape(ad.sum_groups(ad.reshape(w, (18, 1)), 6), (3,))),
+        a, w, ad.reshape(sum_groups(ad.reshape(w, (18, 1)), 6), (3,))),
     "concat_cols": lambda a, b, w: ad.concat([a, b], axis=1),
     "concat_rows": lambda a, b, w: ad.concat([a, b], axis=0),
     "sigmoid": lambda a, b, w: ad.sigmoid(a),
@@ -202,25 +207,22 @@ GRADIENT_CASES = {
     "softmax_nll": lambda a, b, w: ad.softmax_nll(a, np.array([4, 1, 4, 4])),  # repeated ids
     "masked_softmax": lambda a, b, w: ad.masked_softmax(a, MASK),
     "gather": lambda a, b, w: ad.gather_rows(a, np.array([1, 0, 3, 1, 2])),
-    "take_per_row": lambda a, b, w: ad.take_per_row(a, IDX),
     "slice_cols": lambda a, b, w: slice_cols(a, 2, 5),
     "reshape": lambda a, b, w: ad.reshape(a, (2, 12)),
-    "repeat_rows": lambda a, b, w: ad.repeat_rows(a, 3),
-    "sum_groups": lambda a, b, w: ad.sum_groups(a, 2),
-    "regroup_rows": lambda a, b, w: ad.regroup_rows(a, 2, 2),
+    "repeat_rows": lambda a, b, w: repeat_rows(a, 3),
+    "sum_groups": lambda a, b, w: sum_groups(a, 2),
+    "regroup_rows": lambda a, b, w: regroup_rows(a, 2, 2),
     "tensor_sum": lambda a, b, w: ad.mul(ad.tensor_sum(a), ad.tensor_sum(ad.tanh(b))),
     "sum_last": lambda a, b, w: ad.sum_last(ad.mul(a, b)),
     "mean": lambda a, b, w: ad.mul(ad.mean(a), ad.mean(ad.tanh(b))),
     "dropout": lambda a, b, w: ad.dropout(a, 0.5, np.random.default_rng(3)),
-    "masked_mean_positions": lambda a, b, w: ad.masked_mean_positions(
-        a, np.array([[1.0, 1.0], [1.0, 0.0]]), 2),
     # keys of 2 and 4 positions; w serves as W_q, and row-group sums of w*w
     # and of w as bias and v
     "attention_weights": lambda a, b, w: ad.attention_weights(
         a, [(ad.reshape(b, (8, 3)), MASK[:, :2]),
             (ad.reshape(ad.concat([a, b], axis=0), (16, 3)), MASK[:, 2:])],
-        w, ad.reshape(ad.sum_groups(ad.reshape(ad.mul(w, w), (18, 1)), 6), (3,)),
-        ad.sum_groups(ad.reshape(w, (18, 1)), 6)),
+        w, ad.reshape(sum_groups(ad.reshape(ad.mul(w, w), (18, 1)), 6), (3,)),
+        sum_groups(ad.reshape(w, (18, 1)), 6)),
     "weighted_sum": lambda a, b, w: ad.weighted_sum(
         a, [ad.reshape(b, (12, 2)), ad.reshape(ad.mul(a, b), (12, 2))]),
 }
@@ -262,19 +264,31 @@ def tape_ops() -> set[str]:
         recording |= found
 
 
+def reference_ops() -> set[str]:
+    """Functions of ``tests/helpers.py`` that record their own tape node: the
+    ops of the composites that the bit-identity tests compare against."""
+    tree = ast.parse(inspect.getsource(helpers))
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(c, ast.Call) and isinstance(c.func, ast.Attribute)
+                    and c.func.attr == "_node" for c in ast.walk(node))}
+
+
 def test_every_tape_op_has_a_central_difference_check():
     # the GRU ops are checked over whole sequences, in their own tests
     checked_elsewhere = {
         "gru_cell": test_gru_encoder_gradients_pass_finite_differences,
         "gru_sequence": test_gru_sequence_gradients_match_central_differences,
+        "packed_gru_sequence": test_the_packed_gru_reference_gradients_match_central_differences,
     }
-    # the tape op of the attention composite that tests/helpers.py keeps
-    reference_ops = {"slice_cols"}
     covered = {CASE_OPS.get(case, case) for case in GRADIENT_CASES} | set(checked_elsewhere)
     ops = tape_ops()
+    references = reference_ops()
     assert {"add", "masked_softmax", "mean", "gru_sequence"} <= ops
-    assert sorted(ops - covered) == [], "tape ops without a gradient check"
-    assert sorted(covered - ops - reference_ops) == [], \
+    assert {"slice_cols", "sum_groups", "regroup_rows", "repeat_rows"} <= references
+    # a wrong reference backward fails its own check, not only a bit-identity test
+    assert sorted((ops | references) - covered) == [], "tape ops without a gradient check"
+    assert sorted(covered - ops - references) == [], \
         "gradient cases for functions that are no tape op"
 
 
@@ -300,16 +314,11 @@ FINITE_CASES = {
     "softmax_nll": lambda x: ad.softmax_nll(x, IDX),
     "masked_softmax": lambda x: ad.masked_softmax(x, MASK),
     "gather_rows": lambda x: ad.gather_rows(x, np.array([0, 1])),
-    "take_per_row": lambda x: ad.take_per_row(x, IDX),
     "reshape": lambda x: ad.reshape(x, (2, 12)),
-    "repeat_rows": lambda x: ad.repeat_rows(x, 2),
-    "sum_groups": lambda x: ad.sum_groups(x, 2),
-    "regroup_rows": lambda x: ad.regroup_rows(x, 2, 2),
     "tensor_sum": lambda x: ad.tensor_sum(x),
     "sum_last": lambda x: ad.sum_last(x),
     "mean": lambda x: ad.mean(x),
     "dropout": lambda x: ad.dropout(x, 0.5, np.random.default_rng(0)),
-    "masked_mean_positions": lambda x: ad.masked_mean_positions(x, np.ones((2, 2)), 2),
     "gru_cell": lambda x: ad.gru_cell(x, Tensor(np.zeros((4, 2))), _gru_cells(1)[0]),
     "gru_sequence": lambda x: ad.gru_sequence(x, Tensor(np.zeros((2, 2))), _gru_cells(2),
                                               np.ones((2, 2))),
@@ -364,7 +373,6 @@ OVERFLOW_CASES = {
     "affine": lambda h: ad.affine(h, Tensor([[0.5], [0.5]]), Tensor([1e308])),
     "log": lambda h: ad.log(ad.mul_const(h, 0.0)),
     "softmax_nll": lambda h: ad.softmax_nll(Tensor([[1e308, -1e308]]), np.array([1])),
-    "sum_groups": lambda h: ad.sum_groups(ad.reshape(h, (2, 1)), 2),
     "tensor_sum": lambda h: ad.tensor_sum(h),
     "sum_last": lambda h: ad.sum_last(h),
     "gru_sequence": lambda h: ad.gru_sequence(
@@ -730,6 +738,24 @@ def test_gru_sequence_gradients_match_central_differences(count):
     assert report.passed, report.summary()
 
 
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_the_packed_gru_reference_gradients_match_central_differences(reverse):
+    rng = np.random.default_rng(26)
+    cells, store = make_cells(rng, 1, 3, 4)
+    batch, length = PADDED_MASK.shape
+    x = store.create("x", rand(rng, length * batch, 3))
+    h0 = store.create("h0", rand(rng, batch, 4))
+    readout = rng.standard_normal((length * batch, 4))
+
+    def loss_fn():
+        states = packed_gru_sequence(x, h0, pack(cells[0]), PADDED_MASK, reverse=reverse)
+        return tensor_sum(ad.mul_const(states, readout))
+
+    report = check_gradients(store.all(), loss_fn, tolerance=1e-4)
+    assert len(report.per_param) == 11
+    assert report.passed, report.summary()
+
+
 def padded_two_cells(reference):
     """Both directions over a right-padded batch from a trainable ``h0``.
     ``x`` and ``h0`` are also read by ops whose gradients reach them first,
@@ -806,7 +832,7 @@ def composite_gru(x, h0, cells, mask):
             for k, cell in enumerate(cells)]
     keep = mask.T.reshape(-1, 1).astype(runs[0].data.dtype)
     states = ad.mul_const(ad.concat(runs, axis=1), keep)
-    return ad.regroup_rows(states, length, batch)
+    return regroup_rows(states, length, batch)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

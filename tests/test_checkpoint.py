@@ -158,6 +158,17 @@ def test_duplicate_parameter_names_the_file_and_parameter(tmp_path):
     assert "duplicate parameter 'w'" in str(excinfo.value)
 
 
+def test_a_parameter_name_that_is_not_utf8_is_corrupt_naming_the_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    write_checkpoint(path, [SimpleNamespace(name="xy", data=np.zeros(2))])
+    name = struct.pack("<H", 2)
+    path.write_bytes(path.read_bytes().replace(name + b"xy", name + b"\xff\xfe"))
+    with pytest.raises(CorruptCheckpointError) as excinfo:
+        read_checkpoint(path)
+    assert_names_file(excinfo, path)
+    assert "a parameter name is not UTF-8" in str(excinfo.value)
+
+
 def test_file_truncated_inside_a_large_array_is_corrupt(tmp_path):
     store = ParamStore()
     store.create("big", np.random.default_rng(1).standard_normal((1000, 100)))

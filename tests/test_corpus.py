@@ -189,6 +189,16 @@ def test_load_embeddings_non_numeric_value_names_file_and_line(tmp_path):
     assert str(info.value) == f"{vec_file}:2: could not convert string to float: 'abc'"
 
 
+def test_load_embeddings_line_that_is_not_utf8_names_file_and_line(tmp_path):
+    vocab = Vocabulary.build([["the", "dog"]])
+    vec_file = tmp_path / "vecs.txt"
+    vec_file.write_bytes(b"the 0.5 0.25\n\xff\xfe 0.5 0.25\n")
+    with pytest.raises(EmbeddingFormatError) as info:
+        load_embeddings(vec_file, vocab, dim=2)
+    assert str(info.value).startswith(f"{vec_file}:2: ")
+    assert "can't decode byte 0xff" in str(info.value)
+
+
 def test_load_embeddings_unreadable_file(tmp_path):
     vocab = Vocabulary.build([["the"]])
     with pytest.raises(OSError):
@@ -323,6 +333,17 @@ def test_broken_record_error_names_its_file(tmp_path, kind):
         load_dataset_dir(tmp_path / "data")
     assert str(info.value).startswith(f"{broken}: ")
     assert detail in str(info.value)
+
+
+def test_a_record_that_is_not_utf8_names_its_file(tmp_path):
+    split = tmp_path / "data" / "test"
+    split.mkdir(parents=True)
+    broken = split / "b.json"
+    broken.write_bytes(json.dumps(SAMPLE).encode("utf-8").replace(b"dog", b"d\xffg", 1))
+    with pytest.raises(MalformedRecord) as info:
+        load_dataset_dir(tmp_path / "data")
+    assert str(info.value).startswith(f"{broken}: ")
+    assert "can't decode byte 0xff" in str(info.value)
 
 
 def test_load_dataset_dir_missing():

@@ -17,7 +17,7 @@ from genmatch.encoders import (
     init_char_encoder,
 )
 
-from helpers import composite_bigru, positions
+from helpers import composite_bigru, composite_mean_pooled, positions
 
 
 def make_sequence(rng, batch, length, dim, mask=None):
@@ -223,6 +223,64 @@ def test_bigru_encode_is_bit_identical_to_the_composite_reference(reader):
     assert len(grads) == 19
     for name, want in want_grads.items():
         np.testing.assert_array_equal(grads[name], want, err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# mean pooling
+
+
+def right_padded(rng, batch, length, dtype):
+    """A (B, T) mask of right-padded rows, the first full length."""
+    lengths = rng.integers(1, length + 1, size=batch)
+    lengths[0] = length
+    return (np.arange(length)[None, :] < lengths[:, None]).astype(dtype)
+
+
+def pooled_encoding(flat, mask):
+    batch, length = mask.shape
+    hidden = flat.data.shape[1] // 2
+    return ContextualEncoding(flat=flat, mask=mask, batch=batch, length=length, hidden=hidden,
+                              final=Tensor(np.zeros((batch, 2 * hidden), flat.data.dtype)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("shape", [(3, 5, 2), (8, 37, 16), (32, 300, 128)])
+def test_mean_pooled_is_bit_identical_to_the_composite(shape, dtype):
+    batch, length, hidden = shape
+    rng = np.random.default_rng(length)
+    mask = right_padded(rng, batch, length, dtype)
+    store = ParamStore(dtype)
+    flat = store.create("flat", rng.standard_normal((batch * length, 2 * hidden)))
+    upstream = rng.standard_normal((batch, 2 * hidden)).astype(dtype)
+    results = []
+    for pool in (lambda enc: enc.mean_pooled(), composite_mean_pooled):
+        ad.zero_grads([flat])
+        out = pool(pooled_encoding(flat, mask))
+        ad.backward(tensor_sum(ad.mul_const(out, upstream)))
+        results.append((out.data, flat.grad))
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_mean_pooled_gradients_match_central_differences():
+    rng = np.random.default_rng(18)
+    mask = right_padded(rng, 4, 6, np.float64)
+    store = ParamStore()
+    flat = store.create("flat", rng.standard_normal((4 * 6, 6)))
+    readout = rng.standard_normal((4, 6))
+
+    def loss_fn():
+        return tensor_sum(ad.mul_const(pooled_encoding(flat, mask).mean_pooled(), readout))
+
+    report = check_gradients([flat], loss_fn, tolerance=1e-4)
+    assert report.passed, report.summary()
+
+
+def test_mean_pooled_rejects_a_row_with_no_unmasked_position():
+    mask = np.array([[1.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="empty sequence"):
+        pooled_encoding(Tensor(np.ones((4, 2))), mask).mean_pooled()
 
 
 # ---------------------------------------------------------------------------

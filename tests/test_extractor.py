@@ -25,7 +25,13 @@ from genmatch.extractor import (
     span_loss,
 )
 
-from helpers import build_micro_model, loop_feasible_span_argmax, positions, toy_instances
+from helpers import (
+    build_micro_model,
+    composite_span_loss,
+    loop_feasible_span_argmax,
+    positions,
+    toy_instances,
+)
 
 
 def make_encoding(rng, batch, length, hidden, mask=None):
@@ -264,6 +270,35 @@ def test_span_loss_target_out_of_range():
     end = Tensor(np.full((1, 3), 1 / 3))
     with pytest.raises(ValueError):
         span_loss(SpanDistributions(start=start, end=end), [EvidenceSpan(0, 5)])
+
+
+SPAN_TARGETS = {
+    # a target at the last padded width, two rows without one
+    "some_none": [EvidenceSpan(0, 6), None, EvidenceSpan(0, 0), EvidenceSpan(2, 6), None,
+                  EvidenceSpan(1, 1)],
+    "all_valid": [EvidenceSpan(3, 6), EvidenceSpan(4, 4), EvidenceSpan(0, 0), EvidenceSpan(6, 6),
+                  EvidenceSpan(0, 2), EvidenceSpan(1, 1)],
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("targets", list(SPAN_TARGETS))
+def test_span_loss_is_bit_identical_to_the_composite(targets, dtype):
+    rng = np.random.default_rng(19)
+    # right-padded rows of lengths 7, 5, 1, 7, 3 and 2
+    mask = np.arange(7)[None, :] < np.array([7, 5, 1, 7, 3, 2])[:, None]
+    store = ParamStore(dtype)
+    dists = []
+    for name in ("start", "end"):
+        weights = rng.random(mask.shape) * mask
+        dists.append(store.create(name, weights / weights.sum(axis=1, keepdims=True)))
+    start, end = dists
+    loss = span_loss(SpanDistributions(start=start, end=end), SPAN_TARGETS[targets])
+    ad.backward(loss)
+    want = composite_span_loss(start.data, end.data, SPAN_TARGETS[targets])
+    for got, ref in zip((np.asarray(loss.data), start.grad, end.grad), want):
+        assert got.dtype == ref.dtype == dtype
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_extractor_gradients_pass_check():

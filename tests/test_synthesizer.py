@@ -27,6 +27,7 @@ from helpers import (
     per_step_synthesis_loss,
     reachable_op_nodes,
     positions,
+    sum_groups,
 )
 
 
@@ -117,7 +118,7 @@ def test_attention_one_memory_is_bit_identical_to_the_single_softmax_composite()
     def composite():
         keys = ad.matmul(memory, params.w_memory)
         weights = ad.masked_softmax(composite_scores(query, keys, 4, params), mask)
-        context = ad.sum_groups(ad.mul(memory, ad.reshape(weights, (2 * 4, 1))), 4)
+        context = sum_groups(ad.mul(memory, ad.reshape(weights, (2 * 4, 1))), 4)
         return context, weights
 
     def grads_of(attend):
@@ -158,7 +159,9 @@ def attention_grads(attend, lengths, budget, monkeypatch, shared_query, second_c
     if shared_query:
         loss = ad.add(loss, ad.tensor_sum(ad.mul(query, query)))
     if second_consumer:  # as span_loss reads the span distributions
-        picked = ad.take_per_row(weights, np.zeros(batch, dtype=np.int64))
+        width = weights.data.shape[1]  # each row's first weight
+        picked = ad.gather_rows(ad.reshape(weights, (batch * width, 1)),
+                                np.arange(batch) * width)
         loss = ad.add(loss, ad.tensor_sum(ad.log(picked)))
     ad.backward(loss)
     return context.data, weights.data, {p.name: p.grad for p in store.all()}

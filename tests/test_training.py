@@ -185,7 +185,8 @@ def test_selection_stage_freezes_stage_one_and_starts_at_log4():
     stage1 = train_synthesis_stage(config, train, dev, vocab, char_vocab, table)
     model = stage1.model
     epoch_zero_accuracy = evaluate(model, dev, config.batch_size).accuracy
-    frozen_names = model.freeze_for_selection_stage()
+    model.freeze_for_selection_stage()
+    frozen_names = [p.name for p in model.parameters() if not p.requires_grad]
     before = param_fingerprints([model.store[n] for n in frozen_names])
     result = train_selection_stage(config, model, train, dev)
     after = param_fingerprints([model.store[n] for n in frozen_names])
@@ -497,10 +498,10 @@ def test_a_step_and_an_eval_cost_linear_memory_and_fixed_tape_in_passage_length(
         rng = np.random.default_rng(0)
 
         def step():
-            model.zero_grads()
+            trainable = model.trainable_parameters()
+            ad.zero_grads(trainable)
             loss, _ = model.stage_one_loss(batch, spans, rng)
             ran = ad.backward(loss)
-            trainable = model.trainable_parameters()
             optimizer.step(ad.clip_global_norm(ad.global_grad_norm(trainable)))
             return ran
 

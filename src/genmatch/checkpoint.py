@@ -15,6 +15,8 @@ it once when the model's dtype differs (a float64 file in a float32 model).
 from __future__ import annotations
 
 import hashlib
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -64,7 +66,8 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
     """Parse a checkpoint into a name -> array mapping.
 
     Each array is allocated once, at its stored shape and dtype, and filled
-    by one ``readinto`` from the file. Every error names the file.
+    by one ``readinto`` from the file, after its size is checked against the
+    bytes left in the file. Every error names the file.
     """
     path = Path(path)
 
@@ -78,6 +81,7 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
         return buf
 
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if read_exactly(len(MAGIC)) != MAGIC:
             raise corrupt("not a checkpoint file")
         version, count = struct.unpack("<II", read_exactly(8))
@@ -98,7 +102,14 @@ def read_checkpoint(path) -> dict[str, np.ndarray]:
             shape = struct.unpack(f"<{ndim}q", read_exactly(8 * ndim))
             if min(shape, default=0) < 0:
                 raise corrupt(f"negative extent in the shape {shape} of {name!r}")
-            arr = np.empty(shape, _CODE_DTYPES[code])
+            dtype = _CODE_DTYPES[code]
+            # Python integers, so a corrupted shape cannot overflow; checked
+            # before the allocation, which could ask for terabytes
+            nbytes = math.prod(shape) * dtype.itemsize
+            if nbytes > size - fh.tell():
+                raise corrupt(f"checkpoint file truncated in {name!r}: its shape "
+                              f"{shape} needs {nbytes} bytes")
+            arr = np.empty(shape, dtype)
             # a flat byte view: memoryview casts reject zero-size arrays
             if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
                 raise corrupt(f"checkpoint file truncated in {name!r}")

@@ -60,12 +60,13 @@ def load_model_dir(path) -> tuple[PipelineModel, TrainConfig]:
         raise FileNotFoundError(f"no checkpoint at {ckpt}")
     config_path = path / "config.json"
     try:
-        config = TrainConfig.from_payload(json.loads(config_path.read_text()))
+        config = TrainConfig.from_payload(
+            json.loads(config_path.read_text(encoding="utf-8")))
     except ValueError as exc:
         raise ValueError(f"{config_path}: {exc}") from None
     vocab_path = path / "vocab.json"
     try:
-        vocab_payload = json.loads(vocab_path.read_text())
+        vocab_payload = json.loads(vocab_path.read_text(encoding="utf-8"))
         vocab = Vocabulary.from_payload(vocab_payload["words"])
         char_vocab = CharVocabulary.from_payload(vocab_payload["chars"])
     except KeyError as exc:

@@ -1,6 +1,8 @@
 """Two-stage training: synthesis (span + generation, distant supervision
 from the correct option) and selection (bilinear matcher over generated
-answers), with early stopping against a dev split and best-dev snapshots.
+answers), with early stopping against a dev split. The best dev epoch's
+trainable values wait in a checkpoint file in a temporary directory, not
+in memory, and are read back when a later epoch is the last one trained.
 
 A fixed config and seed give a bit-identical trajectory: model init,
 dropout, and batch shuffling all derive from one seed sequence, and
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import tempfile
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -19,6 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Adam, clip_global_norm
+from .checkpoint import read_checkpoint, write_checkpoint
 from .corpus import CharVocabulary, EmbeddingTable, Instance, Vocabulary, make_batches
 from .evaluation import EvalReport, batch_answers, predict_records
 from .extractor import oracle_span
@@ -116,9 +120,17 @@ class TrainConfig:
 
     @classmethod
     def from_file(cls, path, base: "TrainConfig | None" = None) -> "TrainConfig":
-        """A config file laid over ``base`` (default: the defaults); every
-        error names ``<path>:<line>``."""
-        lines = Path(path).read_text().splitlines()
+        """A UTF-8 config file laid over ``base`` (default: the defaults);
+        every error names ``<path>:<line>``."""
+        data = Path(path).read_bytes()
+        try:
+            lines = data.decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            # the bad byte's line: the lines before it, plus the one it opens
+            # or continues
+            lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+            raise ValueError(f"{path}:{lineno}: not UTF-8: {exc.reason} at byte "
+                             f"{exc.start}") from None
         return (base or cls()).with_lines(
             (f"{path}:{lineno}", line) for lineno, line in enumerate(lines, start=1))
 
@@ -225,12 +237,16 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
     ``batch_loss(batch, rng)`` returns the loss tensor and a dict of loss
     parts whose epoch means join the history entry; ``dev_metric()`` scores
     the model on the dev split. An epoch's dev metric that is
-    ``improved(metric, best)`` becomes the snapshot; after ``patience``
-    epochs without one, or once ``finished(best)``, training stops and the
-    trainable parameters take the best snapshot's arrays (epoch 0 when none
-    improved) without copying them. Frozen parameters cannot change, so the
-    snapshot holds only the trainable ones; an improving epoch writes its
-    values into the snapshot's arrays. Each history entry records
+    ``improved(metric, best)`` becomes the best; after ``patience`` epochs
+    without one, or once ``finished(best)``, training stops and the
+    trainable parameters hold the best epoch's values (epoch 0 when none
+    improved). Frozen parameters cannot change, so only the trainable ones
+    are kept: as a format-v1 checkpoint in a ``TemporaryDirectory`` (under
+    ``tempfile.gettempdir()``), removed on every exit. It is written before
+    an epoch trains over best values, so at most once per improvement, and
+    read back, into fresh arrays, only when the last epoch trained is not
+    the best; the optimizer's moments and the grads are dropped before the
+    read, and every grad is None at the end. Each history entry records
     ``tape_nodes``, the mean number of op nodes per step's backward, and
     the mean and the largest pre-clip gradient norm of the epoch's steps
     (``grad_norm_mean``, ``grad_norm_max``), from the norm the clip reads.
@@ -241,56 +257,67 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
     result = StageResult(model=model)
     started = time.perf_counter()
     best = dev_metric()
-    best_values = [p.data.copy() for p in trainable]
     best_epoch = 0
     since_best = 0
-    for epoch in range(1, config.max_epochs + 1):
-        epoch_seed = int(shuffle_rng.integers(2**31))
-        sums: dict[str, float] = {}
-        seen = steps = clipped = nodes = 0
-        norm_sum = norm_max = 0.0
-        epoch_started = time.perf_counter()
-        for batch in make_batches(train, model.vocab, config.batch_size, epoch_seed):
-            ad.zero_grads(trainable)
-            loss, parts = batch_loss(batch, dropout_rng)
-            nodes += ad.backward(loss)
-            norm = ad.global_grad_norm(trainable)
-            scale = clip_global_norm(norm, config.clip_norm)
-            clipped += scale < 1.0
-            norm_sum += norm
-            norm_max = max(norm_max, norm)
-            result.max_post_clip_norm = max(result.max_post_clip_norm,
-                                            optimizer.step(scale))
-            for key, value in {"train_loss": loss.item(), **parts}.items():
-                sums[key] = sums.get(key, 0.0) + value * batch.size
-            seen += batch.size
-            steps += 1
-        dev_started = time.perf_counter()
-        train_seconds = dev_started - epoch_started
-        metric = dev_metric()
-        entry = {"stage": stage, "epoch": epoch,
-                 **{key: total / seen for key, total in sums.items()},
-                 metric_name: metric, "clip_rate": clipped / steps,
-                 "grad_norm_mean": norm_sum / steps, "grad_norm_max": norm_max,
-                 "tape_nodes": nodes / steps,
-                 "inst_per_s": seen / train_seconds, "train_s": train_seconds,
-                 "dev_s": time.perf_counter() - dev_started}
-        result.history.append(entry)
-        log.info("%s epoch %d train %.4f %s %.4f",
-                 stage, epoch, entry["train_loss"], metric_name, metric)
-        if improved(metric, best):
-            best, best_epoch, since_best = metric, epoch, 0
-            for values, p in zip(best_values, trainable):
-                np.copyto(values, p.data)
-        else:
-            since_best += 1
-            if since_best >= config.patience:
+    best_is_current = True  # the trainable values are the best epoch's
+    with tempfile.TemporaryDirectory(prefix="genmatch-") as scratch:
+        snapshot = Path(scratch) / "best.ckpt"
+        for epoch in range(1, config.max_epochs + 1):
+            if best_is_current:
+                write_checkpoint(snapshot, trainable)
+                best_is_current = False
+            epoch_seed = int(shuffle_rng.integers(2**31))
+            sums: dict[str, float] = {}
+            seen = steps = clipped = nodes = 0
+            norm_sum = norm_max = 0.0
+            epoch_started = time.perf_counter()
+            for batch in make_batches(train, model.vocab, config.batch_size, epoch_seed):
+                ad.zero_grads(trainable)
+                loss, parts = batch_loss(batch, dropout_rng)
+                nodes += ad.backward(loss)
+                norm = ad.global_grad_norm(trainable)
+                scale = clip_global_norm(norm, config.clip_norm)
+                clipped += scale < 1.0
+                norm_sum += norm
+                norm_max = max(norm_max, norm)
+                result.max_post_clip_norm = max(result.max_post_clip_norm,
+                                                optimizer.step(scale))
+                for key, value in {"train_loss": loss.item(), **parts}.items():
+                    sums[key] = sums.get(key, 0.0) + value * batch.size
+                seen += batch.size
+                steps += 1
+            dev_started = time.perf_counter()
+            train_seconds = dev_started - epoch_started
+            metric = dev_metric()
+            entry = {"stage": stage, "epoch": epoch,
+                     **{key: total / seen for key, total in sums.items()},
+                     metric_name: metric, "clip_rate": clipped / steps,
+                     "grad_norm_mean": norm_sum / steps, "grad_norm_max": norm_max,
+                     "tape_nodes": nodes / steps,
+                     "inst_per_s": seen / train_seconds, "train_s": train_seconds,
+                     "dev_s": time.perf_counter() - dev_started}
+            result.history.append(entry)
+            log.info("%s epoch %d train %.4f %s %.4f",
+                     stage, epoch, entry["train_loss"], metric_name, metric)
+            if improved(metric, best):
+                best, best_epoch, since_best = metric, epoch, 0
+                best_is_current = True
+            else:
+                since_best += 1
+                if since_best >= config.patience:
+                    break
+            if finished(best):
                 break
-        if finished(best):
-            break
-    for p, values in zip(trainable, best_values):
-        # the last step's grad does not belong to the restored values
-        p.data, p.grad = values, None
+        # the last step's grad does not belong to the best values; dropping
+        # the grads and the optimizer's moments before the read keeps them
+        # out of the restore's peak
+        del optimizer
+        for p in trainable:
+            p.grad = None
+        if not best_is_current:
+            state = read_checkpoint(snapshot)
+            for p in trainable:
+                p.data = state.pop(p.name)
     result.best_epoch, result.best_metric = best_epoch, best
     result.wall_time = time.perf_counter() - started
     return result

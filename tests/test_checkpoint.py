@@ -184,6 +184,27 @@ def test_file_truncated_inside_a_large_array_is_corrupt(tmp_path):
     assert "truncated in 'big'" in str(excinfo.value)
 
 
+def test_a_shape_larger_than_the_file_is_corrupt_before_any_allocation(tmp_path):
+    store = store_fixture()
+    path = tmp_path / "model.ckpt"
+    write_checkpoint(path, store.all())
+    data = bytearray(path.read_bytes())
+    extents = record_offset(bytes(data), "w") + 2
+    data[extents:extents + 16] = struct.pack("<2q", 2**20, 2**20)  # 2^40 elements
+    path.write_bytes(bytes(data))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptCheckpointError) as excinfo:
+            read_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_names_file(excinfo, path)
+    assert "truncated in 'w'" in str(excinfo.value)
+    assert f"{8 * 2**40} bytes" in str(excinfo.value)
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_scalar_and_zero_size_parameters_round_trip_bit_exactly(tmp_path, dtype):
     store = ParamStore(dtype)

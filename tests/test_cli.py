@@ -202,6 +202,15 @@ def test_config_line_without_equals_names_file_and_line(tmp_path, capsys):
     assert f"{cfg}:2" in capsys.readouterr().err
 
 
+def test_config_line_that_is_not_utf8_names_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"hidden = 8\nseed = 3\xff\n")
+    rc = main(["train-synthesis", "--data", str(tmp_path), "--out", str(tmp_path / "m"),
+               "--config", str(cfg)])
+    assert rc == 1
+    assert f"error: {cfg}:2: not UTF-8" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", ["hiden = 8", "hidden = abc", "fine_tune_embeddings = maybe"],
                          ids=["unknown_key", "bad_int", "bad_bool"])
 def test_bad_config_value_names_file_and_line(tmp_path, capsys, line):

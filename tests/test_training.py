@@ -1,8 +1,10 @@
 import dataclasses
 import json
 import math
+import tempfile
 import weakref
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -352,6 +354,82 @@ def test_stage_two_stops_on_patience_or_perfect_dev_holding_its_epoch_zero_snaps
     assert param_fingerprints(model.parameters()) == before
 
 
+BIG = 2_000_000  # elements of the one parameter of the snapshot tests
+
+
+def run_big_stage(dev_losses, batch_loss=None):
+    """``_train_epochs`` over one trainable parameter of ``BIG`` float64
+    elements, created inside the run, with the loss sum(0.5 p) unless
+    ``batch_loss`` is given and a dev loss read from ``dev_losses`` in turn. Returns the parameter, the result, the
+    fingerprint of the parameter at each dev pass and the traced peak."""
+    config, train, _, vocab, _, _ = setup_training(max_epochs=3, patience=2)
+    losses = iter(dev_losses)
+    seen = []
+
+    def run():
+        param = ad.Parameter("big", np.random.default_rng(0).standard_normal(BIG))
+        model = SimpleNamespace(vocab=vocab, trainable_parameters=lambda: [param])
+
+        def dev_metric():
+            seen.append(param_fingerprints([param])["big"])
+            return next(losses)
+
+        result = training._train_epochs(
+            config, model, train, stage="big", seed=0,
+            batch_loss=batch_loss or (lambda batch, rng: (
+                ad.tensor_sum(ad.mul_const(param, 0.5)), {})),
+            dev_metric=dev_metric, metric_name="dev_loss",
+            improved=lambda loss, best: loss < best)
+        return param, result
+
+    (param, result), peak = traced_peak(run)
+    return param, result, seen, peak
+
+
+@pytest.mark.parametrize("dev_losses, best_epoch", [
+    ([4.0, 3.0, 2.0, 1.0], 3),   # the last epoch is the best: nothing is read
+    ([1.0, 2.0, 3.0], 0),        # patience runs out over epoch 0's values
+    ([2.0, 1.0, 3.0, 4.0], 1),
+], ids=["last_is_best", "epoch_zero_restored", "epoch_one_restored"])
+def test_the_best_epoch_snapshot_holds_no_copy_of_the_parameters_in_memory(
+        dev_losses, best_epoch):
+    param, result, seen, peak = run_big_stage(dev_losses)
+    assert result.best_epoch == best_epoch
+    assert len(result.history) == len(dev_losses) - 1
+    # bit for bit the values the best epoch's dev pass scored
+    assert param_fingerprints([param])["big"] == seen[best_epoch]
+    assert param.grad is None
+    # live at the peak: the parameter, Adam's two moments, a step's grad and
+    # its one activation (the 0.5 p product), five copies; an in-memory
+    # snapshot would be a sixth
+    copy = 8 * BIG
+    assert peak < 5 * copy + copy // 4
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["finishes", "raises"])
+def test_a_stage_leaves_no_snapshot_in_the_temp_directory(tmp_path, monkeypatch, fails):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    during = []
+    steps = 0
+
+    def batch_loss(batch, rng):
+        nonlocal steps
+        steps += 1
+        # the snapshot was written before the epoch's first step
+        during.append(sorted(p.name for p in tmp_path.rglob("*")))
+        if fails and steps == 2:
+            raise RuntimeError("mid-epoch failure")
+        return ad.tensor_sum(ad.Parameter("w", np.ones(3))), {}
+
+    if fails:
+        with pytest.raises(RuntimeError, match="mid-epoch failure"):
+            run_big_stage([1.0, 2.0, 3.0], batch_loss=batch_loss)
+    else:
+        run_big_stage([1.0, 2.0, 3.0], batch_loss=batch_loss)
+    assert during and all(len(names) == 2 and "best.ckpt" in names for names in during)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_json_with_retired_keys_at_their_fixed_values_still_loads(tmp_path):
     config, train, dev, vocab, char_vocab, table = setup_training()
     model = build_model(config.dims(vocab, char_vocab), vocab, char_vocab,
@@ -387,6 +465,20 @@ def test_bad_config_json_key_names_the_file_and_key(tmp_path, key, value):
     message = str(excinfo.value)
     assert message.startswith(f"{out / 'config.json'}: ")
     assert repr(key) in message
+
+
+@pytest.mark.parametrize("sidecar", ["config.json", "vocab.json"])
+def test_a_sidecar_that_is_not_utf8_names_the_file(tmp_path, sidecar):
+    config, train, dev, vocab, char_vocab, table = setup_training()
+    model = build_model(config.dims(vocab, char_vocab), vocab, char_vocab,
+                        table.matrix.copy(), config.seed)
+    out = save_model_dir(tmp_path / "model", model, config)
+    path = out / sidecar
+    path.write_bytes(path.read_bytes().replace(b'"', b'"\xe9', 1))
+    with pytest.raises(ValueError) as excinfo:
+        load_model_dir(out)
+    assert str(excinfo.value).startswith(f"{path}: ")
+    assert "utf-8" in str(excinfo.value)
 
 
 def test_config_json_float_keys_take_integers():

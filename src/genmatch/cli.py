@@ -139,8 +139,8 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model, _ = load_model_dir(args.checkpoint)
-    for record in predict_records(model, parse_record_file(args.input), 32, {}):
+    model, config = load_model_dir(args.checkpoint)
+    for record in predict_records(model, parse_record_file(args.input), config.batch_size, {}):
         print(f"{record.uid}\t{'ABCD'[record.predicted_index]}\t{record.answer_text}")
     return 0
 

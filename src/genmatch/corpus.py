@@ -26,9 +26,6 @@ CHAR_PAD, CHAR_UNK = 0, 1
 NUM_OPTIONS = 4
 DEFAULT_VOCAB_CAP = 65_000
 
-STYLE_INTERROGATIVE = "interrogative"
-STYLE_CLOZE = "cloze"
-
 _RECORD_FIELDS = ("article", "questions", "options", "answers", "id")
 _PUNCT_RE = re.compile(r"([^\w\s])")
 
@@ -53,7 +50,6 @@ class Instance:
     question_tokens: tuple[str, ...]
     option_tokens: tuple[tuple[str, ...], ...]
     gold_index: int
-    question_style: str
     subset: str | None = None
 
     def __post_init__(self):
@@ -70,8 +66,7 @@ class Instance:
 def parse_race_record(document: str | dict, subset: str | None = None) -> list[Instance]:
     """Parse one JSON record into one Instance per question.
 
-    Gold letters map to indices by position in the alphabet; questions with
-    a ``_`` token are flagged as cloze style.
+    Gold letters map to indices by position in the alphabet.
     """
     if isinstance(document, str):
         try:
@@ -100,15 +95,12 @@ def parse_race_record(document: str | dict, subset: str | None = None) -> list[I
             raise MalformedRecord(f"{doc_id}: question {k} or one of its options is not a string")
         if not isinstance(answer, str) or answer not in "ABCD" or len(answer) != 1:
             raise MalformedRecord(f"{doc_id}: question {k} has invalid answer {answer!r}")
-        q_tokens = tuple(tokenize(question))
-        style = STYLE_CLOZE if "_" in q_tokens else STYLE_INTERROGATIVE
         instances.append(Instance(
             uid=f"{doc_id}:q{k}",
             passage_tokens=passage,
-            question_tokens=q_tokens,
+            question_tokens=tuple(tokenize(question)),
             option_tokens=tuple(tuple(tokenize(o)) for o in opts),
             gold_index=ord(answer) - ord("A"),
-            question_style=style,
             subset=subset,
         ))
     return instances

@@ -6,6 +6,11 @@ sequence is laid out position-major, (T*B, D) with row ``t*B + b``; a
 contextual encoding is laid out batch-major, (B*T, 2H) with row ``b*T + t``,
 which is what the attention ops consume. The layout changes inside the one
 tape op of a BiGRU, ``autodiff.gru_sequence`` over both directions.
+
+Padded rows of an embedded sequence are not zeroed: they hold whatever the
+gathers return. Their one reader, ``gru_sequence``, skips them: the state
+passes through a padded position unchanged, the output there is zero, and
+no gradient flows back into a padded input row.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ def init_bigru(store: ParamStore, prefix: str, input_dim: int, hidden: int,
 
 @dataclass
 class EmbeddedSequence:
-    """Per-position input vectors with masked positions zeroed."""
+    """Per-position input vectors; masked rows hold unread values."""
 
     flat: Tensor              # (T*B, D), position-major
     mask: np.ndarray          # (B, T)
@@ -64,20 +69,18 @@ class ContextualEncoding:
 
     def mean_pooled(self) -> Tensor:
         """Mean over each row's unmasked positions: (B, 2H)."""
-        counts = self.mask.sum(axis=1)
+        mask = self.mask.astype(self.flat.data.dtype, copy=False)
+        counts = mask.sum(axis=1)
         if np.any(counts <= 0):
             raise ValueError("masked mean over an empty sequence")
-        mask = Tensor(self.mask.astype(self.flat.data.dtype, copy=False))
-        return ad.mul_const(ad.weighted_sum(mask, [self.flat]), (1.0 / counts)[:, None])
+        return ad.mul_const(ad.weighted_sum(Tensor(mask), [self.flat]), (1.0 / counts)[:, None])
 
 
 def embed_ids(table: Parameter | Tensor, ids: np.ndarray, mask: np.ndarray) -> EmbeddedSequence:
     """Gather embedding rows for padded (B, T) ids into a position-major
-    flat sequence, zeroing masked positions."""
+    flat sequence."""
     batch, length = ids.shape
-    flat_ids = ids.T.reshape(-1)
-    flat = ad.gather_rows(table, flat_ids)
-    flat = ad.mul_const(flat, mask.T.reshape(-1, 1))
+    flat = ad.gather_rows(table, ids.T.reshape(-1))
     return EmbeddedSequence(flat=flat, mask=mask, batch=batch, length=length)
 
 
@@ -133,15 +136,14 @@ def char_embed_tokens(tokens: list[str], params: CharEncoderParams,
     if any(not tok for tok in tokens):
         raise ValueError("cannot char-embed an empty token")
     ids, mask = pad_block([char_vocab.ids(tok) for tok in tokens])
-    seq = embed_ids(params.table, ids, mask.astype(params.table.data.dtype))
-    return bigru_encode(seq, params.gru).final
+    return bigru_encode(embed_ids(params.table, ids, mask), params.gru).final
 
 
 def embed_with_chars(word_table: Parameter, char_params: CharEncoderParams,
                      char_vocab: CharVocabulary, ids: np.ndarray,
                      surfaces: list, mask: np.ndarray) -> EmbeddedSequence:
-    """Word rows concatenated with per-token character features, masked
-    positions zeroed. No dropout: each consumer draws its own.
+    """Word rows concatenated with per-token character features. No
+    dropout: each consumer draws its own.
 
     Character vectors are computed once per distinct surface form in the
     batch (so out-of-vocabulary words still get their own characters) and
@@ -161,7 +163,6 @@ def embed_with_chars(word_table: Parameter, char_params: CharEncoderParams,
             pointer[t, b] = slot
     char_matrix = char_embed_tokens(list(distinct), char_params, char_vocab)
     flat = ad.concat([word_flat, ad.gather_rows(char_matrix, pointer.reshape(-1))], axis=1)
-    flat = ad.mul_const(flat, mask.T.reshape(-1, 1))
     return EmbeddedSequence(flat=flat, mask=mask, batch=batch, length=length)
 
 

@@ -26,12 +26,10 @@ DEFAULT_MAX_SPAN = 30
 
 @dataclass(frozen=True)
 class EvidenceSpan:
-    """Inclusive (start, end) positions. ``score`` is the selection score:
-    joint log-probability for predicted spans, unigram F1 for oracle spans."""
+    """Inclusive (start, end) positions."""
 
     start: int
     end: int
-    score: float = 0.0
 
     def __post_init__(self):
         if not 0 <= self.start <= self.end:
@@ -82,8 +80,7 @@ def feasible_span_argmax(start_probs: np.ndarray, end_probs: np.ndarray,
     starts = np.arange(length)
     s = int(np.argmax(start_probs[:length] * windows[starts, offsets]))
     e = s + int(offsets[s])
-    return EvidenceSpan(start=s, end=e, score=float(np.log(start_probs[s]) +
-                                                    np.log(end_probs[e])))
+    return EvidenceSpan(start=s, end=e)
 
 
 def predict_span(passage: ContextualEncoding, question_vector: Tensor,
@@ -139,8 +136,8 @@ def oracle_span(passage_tokens, option_tokens,
                 best = (overlap, denom, s, e)
     if best is None:
         return None
-    overlap, denom, s, e = best
-    return EvidenceSpan(start=s, end=e, score=2.0 * overlap / denom)
+    _, _, s, e = best
+    return EvidenceSpan(start=s, end=e)
 
 
 def span_loss(distributions: SpanDistributions, targets: list[EvidenceSpan | None]) -> Tensor:

@@ -104,8 +104,6 @@ class PipelineModel:
     # -- embedding and encoding helpers ---------------------------------------
 
     def _embed(self, ids: np.ndarray, surfaces, mask: np.ndarray):
-        # masks arrive as float64 and enter the graph in the model's dtype
-        mask = mask.astype(self.store.dtype, copy=False)
         return embed_with_chars(self.embedding, self.char_encoder, self.char_vocab,
                                 ids, surfaces, mask)
 
@@ -113,10 +111,10 @@ class PipelineModel:
         """The passage and question embeddings, shared by extraction and
         synthesis."""
         passage = self._embed(batch.passage_ids,
-                              [list(i.passage_tokens) for i in batch.instances],
+                              [i.passage_tokens for i in batch.instances],
                               batch.passage_mask)
         question = self._embed(batch.question_ids,
-                               [list(i.question_tokens) for i in batch.instances],
+                               [i.question_tokens for i in batch.instances],
                                batch.question_mask)
         return passage, question
 
@@ -124,7 +122,7 @@ class PipelineModel:
         size, _, width = batch.option_ids.shape
         ids = batch.option_ids.reshape(size * 4, width)
         mask = batch.option_mask.reshape(size * 4, width)
-        surfaces = [list(opt) for inst in batch.instances for opt in inst.option_tokens]
+        surfaces = [opt for inst in batch.instances for opt in inst.option_tokens]
         return self._embed(ids, surfaces, mask)
 
     def _dropped(self, seq: EmbeddedSequence, rng) -> EmbeddedSequence:

@@ -428,8 +428,7 @@ def loop_feasible_span_argmax(start_probs, end_probs, length, max_span):
         if best is None or p > best[0]:
             best = (p, s, s + j)
     p, s, e = best
-    return EvidenceSpan(start=s, end=e, score=float(np.log(start_probs[s]) +
-                                                    np.log(end_probs[e])))
+    return EvidenceSpan(start=s, end=e)
 
 
 def composite_generate_answer(passage, question, word_table, params, vocab, max_length):

@@ -63,7 +63,7 @@ def test_disjoint_options_fall_back_to_first():
     inst = Instance(uid="x", passage_tokens=("p", "q", "r"),
                     question_tokens=("?",),
                     option_tokens=(("a",), ("b",), ("c",), ("d",)),
-                    gold_index=1, question_style="interrogative")
+                    gold_index=1)
     assert sliding_window_choice(inst) == 0
 
 

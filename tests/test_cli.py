@@ -4,9 +4,10 @@ import shutil
 import numpy as np
 import pytest
 
+from genmatch import evaluation
 from genmatch.checkpoint import read_checkpoint
 from genmatch.cli import main
-from genmatch.corpus import load_dataset_dir
+from genmatch.corpus import load_dataset_dir, make_batches
 
 from test_corpus import BROKEN_RECORDS, SAMPLE
 
@@ -88,6 +89,37 @@ def test_predict_prints_letter_and_answer(trained_dirs, toy_dir, capsys):
         uid, letter, answer = line.split("\t")
         assert letter in "ABCD"
         assert ":" in uid
+
+
+def test_predict_batches_as_eval_does(trained_dirs, toy_dir, tmp_path, capsys, monkeypatch):
+    # both commands take the batch size from the model's config, so a record
+    # is predicted in the same batches either way
+    sizes = []
+
+    def spy(instances, vocab, batch_size, *rest):
+        sizes.append(batch_size)
+        return make_batches(instances, vocab, batch_size, *rest)
+
+    stage1, _ = trained_dirs
+    model = tmp_path / "batch2"
+    assert main(["train-selection", "--data", str(toy_dir), "--stage1", str(stage1),
+                 "--out", str(model), "--set", "batch_size=2"] + FAST_TRAIN) == 0
+    assert json.loads((model / "config.json").read_text(encoding="utf-8"))["batch_size"] == 2
+    record = sorted((toy_dir / "test").glob("*.json"))[0]
+    data = tmp_path / "one"
+    (data / "test").mkdir(parents=True)
+    shutil.copy(record, data / "test" / record.name)
+    report_path = tmp_path / "report.json"
+    monkeypatch.setattr(evaluation, "make_batches", spy)
+    assert main(["eval", "--checkpoint", str(model), "--data", str(data),
+                 "--report", str(report_path)]) == 0
+    predictions = json.loads(report_path.read_text(encoding="utf-8"))["predictions"]
+    assert len(predictions) > 2
+    capsys.readouterr()
+    assert main(["predict", "--checkpoint", str(model), "--input", str(record)]) == 0
+    printed = [tuple(line.split("\t")) for line in capsys.readouterr().out.splitlines()]
+    assert printed == [(p["id"], "ABCD"[p["predicted"]], p["answer"]) for p in predictions]
+    assert sizes == [2, 2]
 
 
 @pytest.mark.parametrize("kind", sorted(BROKEN_RECORDS))

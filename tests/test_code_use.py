@@ -4,6 +4,8 @@ Every public function, class and method of the package must be referenced
 from the package itself or from the benchmark harness, so that each one is
 on a path the pipeline or its measurement runs. The same holds for every
 parameter with a default: some call in the package or the harness passes it.
+And every field of a package dataclass is read by name there, so that no
+value is computed that nothing reads.
 """
 
 import ast
@@ -130,3 +132,63 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
                   and (name, param) not in passed and (name, "*") not in passed
                   and (position is None or most.get(name, 0) <= position))
     assert dead == [], "no call outside the tests passes these; drop the parameter or its default"
+
+
+UNREAD_FIELDS_ALLOWED = {
+    # the eval report is to carry each answer's summed token log-prob
+    # (ROADMAP item 8); generation records it today
+    "GeneratedAnswer.token_logprobs",
+    # the benchmark harness builds its tables with ``trainable=``
+    "EmbeddingTable.trainable",
+    # ``TrainConfig.dims(vocab, char_vocab)`` keeps its signature for the
+    # benchmark harness, which calls it
+    "ModelDims.char_vocab_size",
+}
+
+
+def dataclass_fields(trees) -> dict[str, str]:
+    """``Class.field`` -> the file's name, for every field of every
+    ``@dataclass`` class in ``trees`` ((name, tree) pairs)."""
+    found = {}
+    for name, tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            if not any(ast.unparse(d).split(".")[-1] == "dataclass" for d in decorators):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    found[f"{node.name}.{item.target.id}"] = name
+    return found
+
+
+def unread_fields(package_trees, reader_trees) -> list[str]:
+    """The package's dataclass fields whose name no attribute read (``x.name``
+    in a load) in ``reader_trees`` uses."""
+    reads = {node.attr for tree in reader_trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{path}: {field}" for field, path in dataclass_fields(package_trees).items()
+                  if field.split(".")[1] not in reads and field not in UNREAD_FIELDS_ALLOWED)
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    package = [(path.name, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
+    fields = dataclass_fields(package)
+    assert "Instance.passage_tokens" in fields and "ModelDims.precision" in fields
+    unread = unread_fields(package, list(pipeline_trees()))
+    assert unread == [], "nothing reads these fields; stop computing them and delete them"
+
+
+def test_the_field_guard_names_a_field_that_is_only_written():
+    source = ast.parse(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Span:\n"
+        "    start: int\n"
+        "    score: float = 0.0\n"
+        "def make(s):\n"
+        "    span = Span(start=s, score=1.0)\n"
+        "    span.score = 2.0\n"
+        "    return span.start\n")
+    assert unread_fields([("span.py", source)], [source]) == ["span.py: Span.score"]

@@ -69,7 +69,6 @@ def test_parse_sample_record():
     assert len(insts) == 1
     inst = insts[0]
     assert inst.gold_index == 0
-    assert inst.question_style == "cloze"
     assert inst.passage_tokens == ("a", "dog", "ran", ".")
     assert inst.option_tokens[0] == ("dog",)
 
@@ -78,7 +77,6 @@ def test_parse_letter_arithmetic():
     doc = dict(SAMPLE, answers=["C"], questions=["What ran?"])
     inst = parse_race_record(doc)[0]
     assert inst.gold_index == 2
-    assert inst.question_style == "interrogative"
 
 
 def test_parse_rejects_wrong_option_arity():
@@ -104,7 +102,7 @@ def test_parse_rejects_malformed(mutation):
 def test_instance_requires_four_options():
     with pytest.raises(MalformedRecord):
         Instance(uid="x", passage_tokens=("a",), question_tokens=("b",),
-                 option_tokens=(("c",),), gold_index=0, question_style="interrogative")
+                 option_tokens=(("c",),), gold_index=0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from genmatch.encoders import (
     EmbeddedSequence,
     bigru_encode,
     char_embed_tokens,
-    embed_ids,
     embed_with_chars,
     encode_with_features,
     init_bigru,
@@ -410,11 +409,54 @@ def test_feature_length_mismatch_rejected():
         encode_with_features(seq, [(0, 1), (0, 1)], params)
 
 
-def test_embed_ids_zeroes_masked_positions():
-    rng = np.random.default_rng(14)
-    store = ParamStore()
-    table = store.create("t", rng.standard_normal((5, 3)))
-    ids = np.array([[4, 2, 0]])
-    mask = np.array([[1.0, 1.0, 0.0]])
-    seq = embed_ids(table, ids, mask)
-    np.testing.assert_array_equal(seq.flat.data[2 * 1:], np.zeros((1, 3)))
+PADDING_MASK = np.array([[1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+                         [1.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+                         [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+
+
+def run_over_padding(dtype, fill, encode, width):
+    """``encode(seq, params)`` over a (3, 6) sequence of ``width`` whose
+    padded rows hold ``fill`` (the unmasked rows are the same draw for every
+    fill), then backward from a readout of every output and of the final
+    states. Returns the encoding, the input's gradient and each parameter's
+    gradient."""
+    rng = np.random.default_rng(18)
+    batch, length = PADDING_MASK.shape
+    params = init_bigru(ParamStore(dtype), "enc", 5, 4, rng)
+    data = rng.standard_normal((length * batch, width)).astype(dtype)
+    padded = PADDING_MASK.T.reshape(-1) == 0
+    data[padded] = fill
+    x = Tensor(data, requires_grad=True)
+    enc = encode(EmbeddedSequence(flat=x, mask=PADDING_MASK, batch=batch, length=length),
+                 params)
+    readout = rng.standard_normal(enc.flat.data.shape).astype(dtype)
+    final_readout = rng.standard_normal(enc.final.data.shape).astype(dtype)
+    ad.backward(ad.add(tensor_sum(ad.mul_const(enc.flat, readout)),
+                       tensor_sum(ad.mul_const(enc.final, final_readout))))
+    grads = [p.grad for cell in (params.forward, params.backward)
+             for trio in cell.gates() for p in trio]
+    return enc, x.grad, grads
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("encode, width", [
+    (bigru_encode, 5),
+    (lambda seq, params: encode_with_features(seq, [(1, 4), (0, 2), (0, 0)], params), 3),
+], ids=["bigru_encode", "encode_with_features"])
+def test_padded_input_rows_are_never_read(dtype, encode, width):
+    # embeddings leave their padded rows as the gathers return them: the
+    # encoders read none of them, forward or backward
+    padded = PADDING_MASK.T.reshape(-1) == 0
+    signs = np.where(np.arange(padded.sum() * width) % 2, 1.0, -1.0)
+    large = (1e30 * signs).astype(dtype).reshape(-1, width)
+    zero_enc, zero_dx, zero_grads = run_over_padding(dtype, 0.0, encode, width)
+    large_enc, large_dx, large_grads = run_over_padding(dtype, large, encode, width)
+    assert large_enc.flat.data.dtype == dtype
+    np.testing.assert_array_equal(large_enc.flat.data, zero_enc.flat.data)
+    np.testing.assert_array_equal(large_enc.final.data, zero_enc.final.data)
+    for large_grad, zero_grad in zip(large_grads, zero_grads):
+        assert large_grad.dtype == dtype
+        np.testing.assert_array_equal(large_grad, zero_grad)
+    np.testing.assert_array_equal(large_dx, zero_dx)
+    np.testing.assert_array_equal(large_dx[padded], 0.0)
+    assert np.all(large_dx[~padded] != 0.0)

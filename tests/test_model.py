@@ -106,7 +106,7 @@ def test_identical_options_get_identical_vectors():
     twin = Instance(uid="twin", passage_tokens=base.passage_tokens,
                     question_tokens=base.question_tokens,
                     option_tokens=(("red",), ("red",), ("blue",), ("green",)),
-                    gold_index=0, question_style=base.question_style)
+                    gold_index=0)
     batch = make_batches([twin], model.vocab, 1)[0]
     from genmatch.encoders import bigru_encode
     enc = bigru_encode(model._embed_options(batch), model.qz_encoder)

@@ -566,7 +566,7 @@ def long_passage_setup(length, lexicon):
     instances = [Instance(uid=f"long-{b}", passage_tokens=tuple(words[b]),
                           question_tokens=tuple(lexicon[b:b + 4]),
                           option_tokens=tuple((lexicon[b + k], lexicon[k]) for k in range(4)),
-                          gold_index=b % 4, question_style="wh")
+                          gold_index=b % 4)
                  for b in range(4)]
     config = micro_config(hidden=16, dropout=0.1)
     vocab = Vocabulary.build([list(lexicon)], cap=config.vocab_cap)

@@ -4,8 +4,15 @@ Every operation records its inputs and a backward closure on the output
 node; ``backward`` replays the recorded tape in reverse topological order.
 Every node, parameters included, follows one gradient rule: ``grad`` is
 None until an op hands it one, the first gradient is kept by reference, and
-a None grad reads as zero wherever a grad is read (the gradient norm,
-``Adam.step`` and ``check_gradients``).
+a None grad reads as zero wherever a grad is read (the gradient norm and
+``Adam.step``).
+
+``affine`` hands its weight the gradient ``x.T @ g`` as its two factors,
+which at a large output (a vocabulary-wide projection) are far smaller
+than the product. The gradient norm and ``Adam.step`` build the product one
+column block at a time into one reused buffer; any other read of ``grad``,
+and a second gradient into the same weight, forms it whole once, bit for
+bit as ``x.T @ g``.
 
 ``backward`` frees the graph as it runs: once an op node's backward has
 run, the node drops its closure, its parents and its grad, so the pass
@@ -29,7 +36,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +79,7 @@ def check_finite(arr: np.ndarray, source=None) -> None:
 class Tensor:
     """Dense array node. Leaf tensors are constants unless requires_grad."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_owns_grad")
+    __slots__ = ("data", "_grad", "requires_grad", "_parents", "_backward", "_owns_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -80,11 +87,24 @@ class Tensor:
             arr = arr.astype(np.float64)
         check_finite(arr)
         self.data = arr
-        self.grad = None
+        self._grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward = None
         self._owns_grad = False  # True once ``grad`` is an array no one else holds
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The gradient array, or None. A weight gradient that ``affine``
+        handed over as its factors is formed whole at the first read, as
+        ``x.T @ g`` bit for bit, and kept."""
+        if type(self._grad) is _Product:
+            self._grad = self._grad.dense()
+        return self._grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        self._grad = value
 
     def item(self) -> float:
         return float(self.data)
@@ -188,7 +208,7 @@ def _node(data: np.ndarray, parents: tuple, backward, checked: bool = True) -> T
         check_finite(data, backward)
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
+    out._grad = None
     out._owns_grad = False
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -201,25 +221,64 @@ def _node(data: np.ndarray, parents: tuple, backward, checked: bool = True) -> T
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad`` without writing any array someone else holds.
+class _Product:
+    """A (K, M) weight gradient ``x.T @ g`` held as its two factors, an
+    ``affine`` op's (N, K) input ``x`` and the (N, M) gradient ``g`` of its
+    output: N * (K + M) elements instead of K * M. Both are arrays that
+    nothing writes once the backward that made them has run."""
 
-    The first gradient is kept by reference (it may be another node's grad
-    or a read-only broadcast view), the second sum is a fresh array that
-    ``t`` owns, and later ones add into it in place. The rule is the same
-    for inner nodes and parameters. A gradient of another dtype takes the
-    allocating path, so type promotion, the order of the adds and every
-    value are the same as summing with ``+``.
+    __slots__ = ("x", "g")
+
+    def __init__(self, x: np.ndarray, g: np.ndarray):
+        self.x, self.g = x, g
+
+    def dense(self) -> np.ndarray:
+        return self.x.T @ self.g
+
+    def column_blocks(self, buffers: dict):
+        """``(lo, hi, block)`` for each of the near-equal ranges of columns
+        that cover the product, at most ``_GRAD_BLOCK`` elements each when a
+        column fits: ``block`` is ``x.T @ g[:, lo:hi]``, written into one
+        buffer that the next block overwrites. ``buffers`` keeps that buffer
+        by dtype, grown as needed, for a later call. A single block is
+        ``dense()`` bit for bit; other blocks round as BLAS rounds a product
+        of their size."""
+        rows, cols = self.x.shape[1], self.g.shape[1]
+        ranges = _even_ranges(cols, max(1, _GRAD_BLOCK // max(1, rows)))
+        dtype = np.result_type(self.x, self.g)
+        size = rows * (ranges[0][1] - ranges[0][0])  # the first range is the widest
+        buf = buffers.get(dtype)
+        if buf is None or buf.size < size:
+            buf = buffers[dtype] = np.empty(size, dtype)
+        for lo, hi in ranges:
+            block = buf[:rows * (hi - lo)].reshape(rows, hi - lo)
+            yield lo, hi, np.matmul(self.x.T, self.g[:, lo:hi], out=block)
+
+
+def _accum(t: Tensor, g) -> None:
+    """Add ``g``, an array or a ``_Product``, into ``t.grad`` without
+    writing any array someone else holds.
+
+    The first gradient is kept by reference (it may be another node's grad,
+    a read-only broadcast view, or a product's factors), the second sum is
+    a fresh array that ``t`` owns, and later ones add into it in place. The
+    rule is the same for inner nodes and parameters. A product that meets
+    another gradient is formed whole first. A gradient of another dtype
+    takes the allocating path, so type promotion, the order of the adds and
+    every value are the same as summing the dense arrays with ``+``.
     """
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = g
+    if t._grad is None:
+        t._grad = g
         t._owns_grad = False
-    elif t._owns_grad and t.grad.dtype == g.dtype:
-        t.grad += g
+        return
+    if type(g) is _Product:
+        g = g.dense()
+    if t._owns_grad and t._grad.dtype == g.dtype:  # an owned grad is an array
+        t._grad += g
     else:
-        t.grad = t.grad + g
+        t._grad = t.grad + g
         # a plain leaf's grad goes back to its caller, who may keep it
         t._owns_grad = t._backward is not None or isinstance(t, Parameter)
 
@@ -277,11 +336,11 @@ def backward(loss: Tensor) -> int:
         node = order.pop()
         if node._backward is None:
             continue
-        if node.grad is not None:
+        if node._grad is not None:
             node._backward(node.grad)
         ran += 1
         # its parents may hold the grad by reference; the node lets go of it
-        node._backward, node._parents, node.grad = _released, (), None
+        node._backward, node._parents, node._grad = _released, (), None
     return ran
 
 
@@ -355,7 +414,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def _bw(g):
         _accum(b, _unbroadcast(g, b.data.shape))
         _accum(x, g @ w.data.T)
-        _accum(w, x.data.T @ g)
+        _accum(w, _Product(x.data, g))  # kept as its factors; see ``_Product``
 
     return _node(data, (x, w, b), _bw)
 
@@ -818,10 +877,15 @@ _XW_BLOCK = 1 << 18  # elements of one block of a cell's input projection
 def _position_blocks(length: int, width: int) -> list[tuple[int, int]]:
     """Ranges ``(lo, hi)`` of whole positions that cover ``range(length)``,
     each of at most ``_XW_BLOCK`` elements when one position's ``width``
-    fits. The ranges differ in size by at most one position, so none is
-    much smaller than the budget: BLAS may take another kernel, with other
+    fits."""
+    return _even_ranges(length, max(1, _XW_BLOCK // max(1, width)))
+
+
+def _even_ranges(length: int, per_block: int) -> list[tuple[int, int]]:
+    """The fewest ranges ``(lo, hi)`` of at most ``per_block`` that cover
+    ``range(length)``. They differ in size by at most one, so none is much
+    smaller than the budget: BLAS may take another kernel, with other
     roundings, for a small product."""
-    per_block = max(1, _XW_BLOCK // max(1, width))
     if length <= per_block:
         return [(0, length)]
     count = -(-length // per_block)
@@ -947,6 +1011,7 @@ def _run_cell(cell: GRUCellParams, x: Tensor, h0: Tensor, skip: np.ndarray, reve
 # optimization
 
 _ADAM_CHUNK = 1 << 15  # elements per pass of the norm or the update, so a chunk stays in cache
+_GRAD_BLOCK = 1 << 21  # elements of one column block of a weight gradient kept as factors
 
 
 def zero_grads(params) -> None:
@@ -961,15 +1026,26 @@ def global_grad_norm(params) -> float:
     Each gradient's sum of squares is ``float((g * g).sum())`` bit for bit,
     taken by ``_square_sum`` over the elements in memory order (the order
     in which numpy sums ``g * g``) through one chunk-sized buffer, so no
-    gradient-sized square is made."""
+    gradient-sized square is made. A gradient kept as factors is built one
+    column block at a time into one reused buffer, and its blocks' sums are
+    added in column order; when one block covers it, that is the same sum
+    as of the whole product."""
     total = 0.0
     buffers: dict[np.dtype, np.ndarray] = {}
+    blocks: dict[np.dtype, np.ndarray] = {}
     for p in params:
-        if p.grad is not None:
-            buf = buffers.get(p.grad.dtype)
+        grad = p._grad
+        if grad is None:
+            continue
+        if type(grad) is _Product:
+            pieces = (block for _, _, block in grad.column_blocks(blocks))
+        else:
+            pieces = (grad,)
+        for piece in pieces:
+            buf = buffers.get(piece.dtype)
             if buf is None:
-                buf = buffers[p.grad.dtype] = np.empty(_ADAM_CHUNK, p.grad.dtype)
-            total += float(_square_sum(p.grad.ravel(order="K"), buf))
+                buf = buffers[piece.dtype] = np.empty(_ADAM_CHUNK, piece.dtype)
+            total += float(_square_sum(piece.ravel(order="K"), buf))
     return math.sqrt(total)
 
 
@@ -1019,24 +1095,47 @@ class Adam:
         self._m = {p.name: np.zeros(p.data.shape, p.data.dtype) for p in self.params}
         self._v = {p.name: np.zeros(p.data.shape, p.data.dtype) for p in self.params}
         self._scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
+        self._blocks: dict[np.dtype, np.ndarray] = {}  # a factored gradient's column block
 
     def step(self, scale: float = 1.0) -> float:
         """One update with every gradient times ``scale`` (the clip's); a
-        None grad steps as zeros. Returns the scaled gradients' L2 norm."""
+        None grad steps as zeros. Returns the scaled gradients' L2 norm.
+
+        A gradient kept as factors is built one column block at a time, and
+        each block updates its columns of the parameter and the moments.
+        Where a factor shares memory with a parameter that this step
+        writes, that gradient is formed whole before anything moves."""
         self.t += 1
         bc1 = 1.0 - _ADAM_BETA1 ** self.t
         bc2 = 1.0 - _ADAM_BETA2 ** self.t
+        trained = [p for p in self.params if p.requires_grad]
+        for p in trained:
+            grad = p._grad
+            if type(grad) is _Product and any(np.may_share_memory(f, q.data)
+                                              for f in (grad.x, grad.g) for q in trained):
+                p._grad = grad.dense()
         total = 0.0
-        for p in self.params:
-            if not p.requires_grad:
-                continue
-            grad = np.zeros((), p.data.dtype) if p.grad is None else p.grad
-            arrays = [np.atleast_1d(x) for x in (p.data, self._m[p.name], self._v[p.name],
-                                                 np.broadcast_to(grad, p.data.shape))]
-            rows = max(1, _ADAM_CHUNK // max(1, math.prod(arrays[0].shape[1:])))
-            for lo in range(0, arrays[0].shape[0], rows):
-                total += self._update(*(x[lo:lo + rows] for x in arrays), scale, bc1, bc2)
+        for p in trained:
+            arrays = (p.data, self._m[p.name], self._v[p.name])
+            grad = p._grad
+            if type(grad) is _Product:
+                for lo, hi, block in grad.column_blocks(self._blocks):
+                    total = self._update_rows(total, *(x[:, lo:hi] for x in arrays), block,
+                                              scale, bc1, bc2)
+            else:
+                grad = np.zeros((), p.data.dtype) if grad is None else grad
+                total = self._update_rows(total, *arrays, grad, scale, bc1, bc2)
         return math.sqrt(total)
+
+    def _update_rows(self, total: float, data, m, v, grad, scale: float, bc1: float,
+                     bc2: float) -> float:
+        """``_update`` over chunks of whole rows of ``data``, each chunk's
+        squared norm added to ``total`` in turn; returns the new total."""
+        arrays = [np.atleast_1d(x) for x in (data, m, v, np.broadcast_to(grad, data.shape))]
+        rows = max(1, _ADAM_CHUNK // max(1, math.prod(arrays[0].shape[1:])))
+        for lo in range(0, arrays[0].shape[0], rows):
+            total += self._update(*(x[lo:lo + rows] for x in arrays), scale, bc1, bc2)
+        return total
 
     def _update(self, data, m, v, g, scale: float, bc1: float, bc2: float) -> float:
         """With g' = g * scale: m = b1 m + (1-b1) g';  v = b2 v + (1-b2) g'*g';
@@ -1068,78 +1167,3 @@ class Adam:
             pair = (np.empty(like.size, like.dtype), np.empty(like.size, like.dtype))
             self._scratch[like.dtype] = pair
         return tuple(buf[:like.size].reshape(like.shape) for buf in pair)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-@dataclass
-class GradCheckReport:
-    tolerance: float
-    step: float
-    per_param: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def max_rel_error(self) -> float:
-        return max(self.per_param.values()) if self.per_param else 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error <= self.tolerance
-
-    def summary(self) -> str:
-        lines = [f"{'parameter':<40} {'max rel err':>12}"]
-        for name, err in sorted(self.per_param.items(), key=lambda kv: -kv[1]):
-            lines.append(f"{name:<40} {err:>12.3e}")
-        verdict = "PASS" if self.passed else "FAIL"
-        lines.append(f"overall max {self.max_rel_error:.3e} vs tol {self.tolerance:.1e}: {verdict}")
-        return "\n".join(lines)
-
-
-_REL_FLOOR = 1e-4  # below this magnitude the comparison is effectively absolute
-
-
-def check_gradients(params, loss_fn, *, step: float = 1e-5, tolerance: float = 1e-4,
-                    max_elements_per_param: int | None = None,
-                    rng: np.random.Generator | None = None) -> GradCheckReport:
-    """Compare analytic gradients of ``loss_fn()`` against central differences.
-
-    ``loss_fn`` must rebuild the forward pass from the current parameter
-    values on every call and must be deterministic (no dropout). With
-    ``max_elements_per_param`` set, a seeded subset of coordinates per
-    parameter is probed instead of the full sweep.
-    """
-    params = list(params)
-    zero_grads(params)
-    loss = loss_fn()
-    backward(loss)
-    analytic = {p.name: np.zeros_like(p.data) if p.grad is None else p.grad for p in params}
-
-    report = GradCheckReport(tolerance=tolerance, step=step)
-    with no_grad():
-        for p in params:
-            flat = p.data.reshape(-1)
-            n = flat.shape[0]
-            if max_elements_per_param is not None and n > max_elements_per_param:
-                picker = rng or np.random.default_rng(0)
-                coords = picker.choice(n, size=max_elements_per_param, replace=False)
-            else:
-                coords = range(n)
-            a_flat = analytic[p.name].reshape(-1)
-            worst = 0.0
-            for i in coords:
-                orig = flat[i]
-                flat[i] = orig + step
-                up = float(loss_fn().data)
-                flat[i] = orig - step
-                down = float(loss_fn().data)
-                flat[i] = orig
-                numeric = (up - down) / (2.0 * step)
-                a = a_flat[i]
-                rel = abs(a - numeric) / max(abs(a), abs(numeric), _REL_FLOOR)
-                if rel > worst:
-                    worst = rel
-            report.per_param[p.name] = worst
-    zero_grads(params)
-    return report

@@ -207,7 +207,7 @@ def instance_token_streams(instances, include_options: bool = False):
 
 
 class EmbeddingFormatError(ValueError):
-    """A vector file line does not have token + dim numeric values."""
+    """A vector file line does not have token + dim finite numeric values."""
 
 
 @dataclass
@@ -232,7 +232,8 @@ def random_embeddings(vocab: Vocabulary, dim: int, seed: int,
 def load_embeddings(path, vocab: Vocabulary, dim: int = 300, seed: int = 0,
                     trainable: bool = False) -> EmbeddingTable:
     """Read ``token v1 ... v<dim>`` lines, overlaying covered vocabulary rows
-    onto a seeded random base so the result is deterministic."""
+    onto a seeded random base so the result is deterministic. A covered
+    row's values must be finite numbers; an error names ``<path>:<line>``."""
     table = random_embeddings(vocab, dim, seed, trainable=trainable)
     covered = table.pretrained
     with open(path, "rb") as fh:  # decoded line by line, so an error names its line
@@ -250,9 +251,14 @@ def load_embeddings(path, vocab: Vocabulary, dim: int = 300, seed: int = 0,
             idx = vocab.index.get(token)
             if idx is not None:
                 try:
-                    table.matrix[idx] = np.array([float(v) for v in values])
+                    row = np.array([float(v) for v in values])
                 except ValueError as exc:
                     raise EmbeddingFormatError(f"{path}:{lineno}: {exc}") from None
+                finite = np.isfinite(row)
+                if not finite.all():  # nan, inf, or a value past the float range
+                    raise EmbeddingFormatError(
+                        f"{path}:{lineno}: non-finite value {values[np.argmin(finite)]!r}")
+                table.matrix[idx] = row
                 covered[idx] = True
     table.coverage = float(covered.mean())
     return table

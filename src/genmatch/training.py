@@ -249,7 +249,10 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
     read, and every grad is None at the end. Each history entry records
     ``tape_nodes``, the mean number of op nodes per step's backward, and
     the mean and the largest pre-clip gradient norm of the epoch's steps
-    (``grad_norm_mean``, ``grad_norm_max``), from the norm the clip reads.
+    (``grad_norm_mean``, ``grad_norm_max``), from the norm the clip reads,
+    and the seconds its steps spent in the loss's forward, in ``backward``
+    and in the norm, clip and Adam step (``forward_s``, ``backward_s``,
+    ``optimizer_s``), each summed over the epoch.
     """
     dropout_rng, shuffle_rng = _seed_streams(seed)
     trainable = model.trainable_parameters()
@@ -269,12 +272,15 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
             epoch_seed = int(shuffle_rng.integers(2**31))
             sums: dict[str, float] = {}
             seen = steps = clipped = nodes = 0
-            norm_sum = norm_max = 0.0
+            norm_sum = norm_max = forward_s = backward_s = optimizer_s = 0.0
             epoch_started = time.perf_counter()
             for batch in make_batches(train, model.vocab, config.batch_size, epoch_seed):
                 ad.zero_grads(trainable)
+                step_started = time.perf_counter()
                 loss, parts = batch_loss(batch, dropout_rng)
+                forward_done = time.perf_counter()
                 nodes += ad.backward(loss)
+                backward_done = time.perf_counter()
                 norm = ad.global_grad_norm(trainable)
                 scale = clip_global_norm(norm, config.clip_norm)
                 clipped += scale < 1.0
@@ -282,6 +288,9 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
                 norm_max = max(norm_max, norm)
                 result.max_post_clip_norm = max(result.max_post_clip_norm,
                                                 optimizer.step(scale))
+                forward_s += forward_done - step_started
+                backward_s += backward_done - forward_done
+                optimizer_s += time.perf_counter() - backward_done
                 for key, value in {"train_loss": loss.item(), **parts}.items():
                     sums[key] = sums.get(key, 0.0) + value * batch.size
                 seen += batch.size
@@ -293,7 +302,8 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
                      **{key: total / seen for key, total in sums.items()},
                      metric_name: metric, "clip_rate": clipped / steps,
                      "grad_norm_mean": norm_sum / steps, "grad_norm_max": norm_max,
-                     "tape_nodes": nodes / steps,
+                     "tape_nodes": nodes / steps, "forward_s": forward_s,
+                     "backward_s": backward_s, "optimizer_s": optimizer_s,
                      "inst_per_s": seen / train_seconds, "train_s": train_seconds,
                      "dev_s": time.perf_counter() - dev_started}
             result.history.append(entry)

@@ -2,7 +2,7 @@
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,6 +64,86 @@ def traced_peak(fn):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# ---------------------------------------------------------------------------
+# gradient checking: central differences against ``backward``, the
+# contract every tape op is held to
+
+
+@dataclass
+class GradCheckReport:
+    tolerance: float
+    step: float
+    per_param: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def max_rel_error(self) -> float:
+        return max(self.per_param.values()) if self.per_param else 0.0
+
+    @property
+    def passed(self) -> bool:
+        return self.max_rel_error <= self.tolerance
+
+    def summary(self) -> str:
+        lines = [f"{'parameter':<40} {'max rel err':>12}"]
+        for name, err in sorted(self.per_param.items(), key=lambda kv: -kv[1]):
+            lines.append(f"{name:<40} {err:>12.3e}")
+        verdict = "PASS" if self.passed else "FAIL"
+        lines.append(f"overall max {self.max_rel_error:.3e} vs tol {self.tolerance:.1e}: {verdict}")
+        return "\n".join(lines)
+
+
+_REL_FLOOR = 1e-4  # below this magnitude the comparison is effectively absolute
+
+
+def check_gradients(params, loss_fn, *, step: float = 1e-5, tolerance: float = 1e-4,
+                    max_elements_per_param: int | None = None,
+                    rng: np.random.Generator | None = None) -> GradCheckReport:
+    """Compare analytic gradients of ``loss_fn()`` against central differences.
+
+    ``loss_fn`` must rebuild the forward pass from the current parameter
+    values on every call and must be deterministic (no dropout). With
+    ``max_elements_per_param`` set, a seeded subset of coordinates per
+    parameter is probed instead of the full sweep.
+    """
+    params = list(params)
+    ad.zero_grads(params)
+    loss = loss_fn()
+    ad.backward(loss)
+    analytic = {p.name: np.zeros_like(p.data) if p.grad is None else p.grad for p in params}
+
+    report = GradCheckReport(tolerance=tolerance, step=step)
+    with ad.no_grad():
+        for p in params:
+            flat = p.data.reshape(-1)
+            n = flat.shape[0]
+            if max_elements_per_param is not None and n > max_elements_per_param:
+                picker = rng or np.random.default_rng(0)
+                coords = picker.choice(n, size=max_elements_per_param, replace=False)
+            else:
+                coords = range(n)
+            a_flat = analytic[p.name].reshape(-1)
+            worst = 0.0
+            for i in coords:
+                orig = flat[i]
+                flat[i] = orig + step
+                up = float(loss_fn().data)
+                flat[i] = orig - step
+                down = float(loss_fn().data)
+                flat[i] = orig
+                numeric = (up - down) / (2.0 * step)
+                a = a_flat[i]
+                rel = abs(a - numeric) / max(abs(a), abs(numeric), _REL_FLOOR)
+                if rel > worst:
+                    worst = rel
+            report.per_param[p.name] = worst
+    ad.zero_grads(params)
+    return report
+
+
+# ---------------------------------------------------------------------------
+# toy data and micro models
 
 
 def toy_instances(n_passages=4, seed=11):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from genmatch import autodiff as ad
-from genmatch.autodiff import ParamStore, Tensor, check_gradients
+from genmatch.autodiff import ParamStore, Tensor
 from genmatch.baselines import random_baseline, sliding_window_baseline, window_score
 from genmatch.corpus import (
     CharVocabulary,
@@ -40,7 +40,7 @@ from genmatch.training import (
     train_synthesis_stage,
 )
 
-from helpers import build_micro_pipeline
+from helpers import build_micro_pipeline, check_gradients
 from test_baselines import brute_window_score
 from test_extractor import brute_force_argmax, brute_force_oracle
 from test_model import oracle_targets

@@ -15,7 +15,6 @@ from genmatch.autodiff import (
     ParamStore,
     Tensor,
     backward,
-    check_gradients,
     clip_global_norm,
     concat,
     gather_rows,
@@ -33,6 +32,7 @@ from genmatch.autodiff import (
 
 import helpers
 from helpers import (
+    check_gradients,
     composite_bigru,
     pack,
     packed_gru_sequence,
@@ -446,6 +446,128 @@ def test_affine_is_add_of_matmul_bit_for_bit(dtype):
     np.testing.assert_array_equal(got, want)
     for g, ref in zip(got_grads, want_grads):
         np.testing.assert_array_equal(g, ref)
+
+
+# ``affine``'s weight gradient as factors: the dense reference is the
+# composite ``add(matmul(x, w), b)``, whose backward forms ``x.T @ g`` whole
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_weight_gradient_kept_as_factors_reads_as_x_t_g_bit_for_bit(dtype):
+    rng = np.random.default_rng(22)
+    store = ParamStore(dtype)
+    h = store.create("h", rand(rng, 7, 5))
+    w = store.create("w", rand(rng, 5, 300))
+    b = store.create("b", rand(rng, 300))
+    x = ad.tanh(h)
+    backward(tensor_sum(ad.softmax_nll(ad.affine(x, w, b), rng.integers(0, 300, 7))))
+    factors = w._grad
+    assert type(factors) is ad._Product and factors.x is x.data
+    assert factors.g.shape == (7, 300) and factors.g.dtype == dtype
+    want = x.data.T @ factors.g
+    got = w.grad
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+    assert w.grad is got  # formed once
+
+
+def softmax_step_runs(make_x, dense, clip, steps=3, out_cols=61):
+    """Parameters, pre-clip norms and post-clip norms of ``steps`` steps of
+    backward, norm, clip and Adam on the NLL of a softmax over ``affine``
+    (or, with ``dense``, over the composite)."""
+    rng = np.random.default_rng(23)
+    store = ParamStore()
+    h = store.create("h", rand(rng, 12, 96))
+    w = store.create("w", rand(rng, 96, out_cols))
+    b = store.create("b", rand(rng, out_cols))
+    params = [h, w, b]
+    opt = Adam(params)
+    norms, post = [], []
+    for _ in range(steps):
+        zero_grads(params)
+        x = make_x(h)
+        logits = ad.add(matmul(x, w), b) if dense else ad.affine(x, w, b)
+        backward(ad.mean(ad.softmax_nll(logits, rng.integers(0, out_cols, 12))))
+        norms.append(global_grad_norm(params))
+        post.append(opt.step(clip_global_norm(norms[-1], clip)))
+    return [p.data for p in params], norms, post
+
+
+# the input as an activation, and as the parameter ``h`` itself, which the
+# step writes before it reaches ``w``
+INPUTS = {"activation": ad.tanh, "parameter": lambda h: h}
+
+
+@pytest.mark.parametrize("clip", [1e-3, 1e6])
+@pytest.mark.parametrize("make_x", list(INPUTS))
+def test_one_block_of_factors_steps_as_the_dense_gradient_bit_for_bit(make_x, clip):
+    assert len(ad._even_ranges(61, ad._GRAD_BLOCK // 96)) == 1
+    got = softmax_step_runs(INPUTS[make_x], dense=False, clip=clip)
+    want = softmax_step_runs(INPUTS[make_x], dense=True, clip=clip)
+    for a, ref in zip(got[0], want[0]):
+        assert a.tobytes() == ref.tobytes()
+    assert got[1:] == want[1:]
+    assert all(n > clip for n in got[1]) is (clip < 1)
+
+
+@pytest.mark.parametrize("clip", [1e-3, 1e6])
+@pytest.mark.parametrize("make_x", list(INPUTS))
+def test_column_blocks_of_factors_step_as_the_dense_gradient(monkeypatch, make_x, clip):
+    monkeypatch.setattr(ad, "_GRAD_BLOCK", 96 * 23)
+    ranges = ad._even_ranges(61, ad._GRAD_BLOCK // 96)
+    assert ranges == [(0, 21), (21, 41), (41, 61)]
+    got = softmax_step_runs(INPUTS[make_x], dense=False, clip=clip)
+    want = softmax_step_runs(INPUTS[make_x], dense=True, clip=clip)
+    for a, ref in zip(got[0], want[0]):
+        np.testing.assert_allclose(a, ref, rtol=1e-12, atol=0)
+    for a, ref in zip(got[1] + got[2], want[1] + want[2]):
+        assert a == pytest.approx(ref, rel=1e-12)
+
+
+def test_a_second_gradient_into_factors_adds_to_the_whole_product_bit_for_bit():
+    rng = np.random.default_rng(24)
+    x, g, other = rand(rng, 6, 4), rand(rng, 6, 9), rand(rng, 4, 9)
+    first = ParamStore().create("first", np.zeros((4, 9)))
+    second = ParamStore().create("second", np.zeros((4, 9)))
+    ad._accum(first, ad._Product(x, g))
+    ad._accum(first, other)
+    ad._accum(second, other)
+    ad._accum(second, ad._Product(x, g))
+    assert first.grad.tobytes() == ((x.T @ g) + other).tobytes()
+    assert second.grad.tobytes() == (other + (x.T @ g)).tobytes()
+    # two affine ops on one weight, against the composites
+    store = ParamStore()
+    h = store.create("h", rand(rng, 5, 4))
+    w = store.create("w", rand(rng, 4, 9))
+    b = store.create("b", rand(rng, 9))
+    upstream = rand(rng, 5, 9)
+    grads = []
+    for op in (ad.affine, lambda x, w, b: ad.add(matmul(x, w), b)):
+        zero_grads([h, w, b])
+        twice = ad.add(op(h, w, b), op(ad.tanh(h), w, b))
+        backward(tensor_sum(ad.mul_const(twice, upstream)))
+        grads.append(w.grad)
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def test_a_step_on_factors_spanning_many_blocks_forms_no_whole_gradient(monkeypatch):
+    rows, cols, out = 6, 64, 16384
+    monkeypatch.setattr(ad, "_GRAD_BLOCK", 1 << 16)
+    assert len(ad._even_ranges(out, ad._GRAD_BLOCK // cols)) >= 8
+    rng = np.random.default_rng(25)
+    store = ParamStore()
+    w = store.create("w", 0.01 * rand(rng, cols, out))
+    b = store.create("b", np.zeros(out))
+    opt = Adam([w, b])
+    loss = ad.mean(ad.softmax_nll(ad.affine(Tensor(rand(rng, rows, cols)), w, b),
+                                  rng.integers(0, out, rows)))
+
+    def step():
+        backward(loss)
+        return opt.step(clip_global_norm(global_grad_norm([w, b]), 1.0))
+
+    _, peak = traced_peak(step)
+    assert type(w._grad) is ad._Product
+    assert peak < w.data.nbytes, peak
 
 
 def two_branch_sigmoid(x):

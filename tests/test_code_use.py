@@ -15,9 +15,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "genmatch"
 
 ALLOWED = {
-    # the gradient-check suite: the tests and the acceptance gate are its
-    # callers, it is the contract every tape op is held to
-    "check_gradients",
     # the command line's test seam: the console script calls main() with
     # no arguments, so that it parses sys.argv, and the tests pass argv
     "main",

@@ -187,6 +187,16 @@ def test_load_embeddings_non_numeric_value_names_file_and_line(tmp_path):
     assert str(info.value) == f"{vec_file}:2: could not convert string to float: 'abc'"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+def test_load_embeddings_non_finite_value_names_file_and_line(tmp_path, value):
+    vocab = Vocabulary.build([["red"]])
+    vec_file = tmp_path / "vecs.txt"
+    vec_file.write_text(f"red {value} 1 2\n")
+    with pytest.raises(EmbeddingFormatError) as info:
+        load_embeddings(vec_file, vocab, dim=3)
+    assert str(info.value) == f"{vec_file}:1: non-finite value {value!r}"
+
+
 def test_load_embeddings_line_that_is_not_utf8_names_file_and_line(tmp_path):
     vocab = Vocabulary.build([["the", "dog"]])
     vec_file = tmp_path / "vecs.txt"

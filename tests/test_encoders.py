@@ -3,7 +3,7 @@ import pytest
 
 from genmatch import autodiff as ad
 from genmatch import encoders
-from genmatch.autodiff import ParamStore, Tensor, check_gradients, tensor_sum
+from genmatch.autodiff import ParamStore, Tensor, tensor_sum
 from genmatch.corpus import CharVocabulary
 from genmatch.encoders import (
     ContextualEncoding,
@@ -16,7 +16,7 @@ from genmatch.encoders import (
     init_char_encoder,
 )
 
-from helpers import composite_bigru, composite_mean_pooled, positions
+from helpers import check_gradients, composite_bigru, composite_mean_pooled, positions
 
 
 def make_sequence(rng, batch, length, dim, mask=None):

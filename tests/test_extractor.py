@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genmatch import autodiff as ad
-from genmatch.autodiff import ParamStore, Tensor, check_gradients
+from genmatch.autodiff import ParamStore, Tensor
 from genmatch.corpus import parse_race_record
 from genmatch.encoders import ContextualEncoding
 from genmatch.extractor import (
@@ -27,6 +27,7 @@ from genmatch.extractor import (
 
 from helpers import (
     build_micro_model,
+    check_gradients,
     composite_span_loss,
     loop_feasible_span_argmax,
     positions,

@@ -11,7 +11,7 @@ from genmatch.extractor import oracle_span
 from genmatch.model import MATCHER_PARAM
 from genmatch.model_io import load_model_dir, save_model_dir
 
-from helpers import build_micro_pipeline, embed_twice_stage_one_loss
+from helpers import build_micro_pipeline, check_gradients, embed_twice_stage_one_loss
 
 
 def oracle_targets(batch, max_span):
@@ -337,7 +337,7 @@ def test_full_pipeline_gradients_on_micro_shapes():
         from genmatch.selector import selection_loss
         return ad.add(stage_one, selection_loss(scores, batch.gold))
 
-    report = ad.check_gradients(params, loss_fn, tolerance=1e-4,
-                                max_elements_per_param=4,
-                                rng=np.random.default_rng(0))
+    report = check_gradients(params, loss_fn, tolerance=1e-4,
+                             max_elements_per_param=4,
+                             rng=np.random.default_rng(0))
     assert report.passed, report.summary()

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genmatch import autodiff as ad
-from genmatch.autodiff import ParamStore, Tensor, check_gradients
+from genmatch.autodiff import ParamStore, Tensor
 from genmatch.selector import (
     bilinear_score,
     init_bilinear,
     select_option,
     selection_loss,
 )
+
+from helpers import check_gradients
 
 
 def matcher(hidden=1, store=None):

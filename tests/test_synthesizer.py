@@ -6,7 +6,7 @@ import pytest
 from genmatch import autodiff as ad
 from genmatch import synthesizer
 from genmatch.attention import additive_attention, init_attention
-from genmatch.autodiff import ParamStore, Tensor, check_gradients
+from genmatch.autodiff import ParamStore, Tensor
 from genmatch.corpus import BOS, EOS, PAD, Vocabulary
 from genmatch.encoders import ContextualEncoding
 from genmatch.synthesizer import (
@@ -21,6 +21,7 @@ from genmatch.synthesizer import (
 )
 
 from helpers import (
+    check_gradients,
     composite_additive_attention,
     composite_generate_answer,
     composite_scores,

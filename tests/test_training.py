@@ -225,6 +225,9 @@ def test_history_entries_carry_clip_rate_and_throughput():
         assert entry["inst_per_s"] > 0
         assert entry["train_s"] > 0 and entry["dev_s"] > 0
         assert entry["inst_per_s"] == len(train) / entry["train_s"]
+        phases = [entry[key] for key in ("forward_s", "backward_s", "optimizer_s")]
+        assert all(seconds > 0 for seconds in phases)
+        assert sum(phases) <= entry["train_s"]
 
 
 def test_history_entries_record_the_mean_tape_size_per_step(monkeypatch):

@@ -435,12 +435,15 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     return _node(data, parts, _bw, checked=False)
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None,
+             scratch: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so no
     exp overflows. ``out`` may be ``x`` itself. The numerator is 1 or
     exp(-|x|), taken as the larger of exp(-|x|) and ``x >= 0``; one array
-    besides the result holds exp(-|x|) and then the denominator."""
-    e = np.copysign(x, -1.0)
+    besides the result, ``scratch`` when given, holds exp(-|x|) and then the
+    denominator."""
+    e = np.abs(x, out=scratch)
+    np.negative(e, out=e)
     np.exp(e, out=e)  # exp(-|x|)
     if out is None:
         out = np.empty_like(e)
@@ -825,19 +828,25 @@ def gru_sequence(x: Tensor, h0: Tensor, cells, mask: np.ndarray) -> Tensor:
     ``cells`` holds one ``GRUCellParams`` (a decoder's) or two (an encoder's
     forward and backward cells, the second run from the last position to the
     first, its states right of the first's). Where the mask is 0 a cell
-    carries its state through bit for bit and the output reads 0. The op
-    packs the values of each cell's nine named gate parameters and records
-    one tape node, whose backward runs backpropagation through time cell by
-    cell, hands each named parameter its block of the packed gradient, and
-    adds into ``x`` and ``h0`` once per cell, first cell first.
-    A step does ``gru_cell``'s arithmetic in ``gru_cell``'s order (up to
-    swapping the two operands of a sum or product, and ``a - b`` for
-    ``a + (-b)``, which leave every rounding the same), so the two agree bit
-    for bit wherever BLAS returns the same matrix products.
+    carries its state through bit for bit and the output reads 0. The cells
+    step together: at step s the first is at position s and the second at
+    position T-1-s, and every elementwise op of a step is one numpy call
+    over both cells' contiguous (cell, batch, .) buffers. Only the matrix
+    products stay one per cell, each over packed gates: the input projection
+    ``x @ [W_u | W_r | W_c]``, one block of positions at a time (the same
+    blocks for both cells), and the recurrent ``h @ [U_u | U_r]`` and
+    ``(reset * h) @ U_c``. The op records one tape node, whose backward
+    steps both cells back together, hands each named parameter its block of
+    its cell's packed gradient, and adds into ``x`` and ``h0`` once per
+    cell, first cell first. A step does ``gru_cell``'s arithmetic in
+    ``gru_cell``'s order (up to swapping the two operands of a sum or
+    product, and ``a - b`` for ``a + (-b)``, which leave every rounding the
+    same), so the two agree bit for bit wherever BLAS returns the same
+    matrix products.
 
-    A pass that records nothing keeps its outputs plus one block: each cell
-    writes its states straight into the output and its gates into one step's
-    scratch, and projects its input one block of positions at a time.
+    A pass that records nothing keeps its outputs plus one block: it
+    projects its input and keeps its gates and states one block of steps
+    at a time.
     """
     if len(cells) not in (1, 2):
         raise ValueError(f"gru_sequence runs one cell or two, not {len(cells)}")
@@ -852,26 +861,22 @@ def gru_sequence(x: Tensor, h0: Tensor, cells, mask: np.ndarray) -> Tensor:
                              f"({cell.input_dim} -> {cell.hidden}) cell")
     parents = (x, h0) + tuple(p for cell in cells for trio in cell.gates() for p in trio)
     recording = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-    skip = mask <= 0.5              # positions that carry the state through
     shape = (batch, length, len(cells), hidden)
     out = np.empty(shape, dtype=np.result_type(x.data, *(p.data for p in cells[0].gates()[0])))
-    # each cell writes its (T, B, H) states into its block of the output
-    cell_bws = [_run_cell(cell, x, h0, skip, k == 1, out[:, :, k].swapaxes(0, 1), recording)
-                for k, cell in enumerate(cells)]
-    keep = mask.astype(out.dtype, copy=False)[:, :, None, None]
-    out *= keep
+    keep = mask.astype(out.dtype, copy=False)
+    bw = _run_cells(cells, x, h0, mask <= 0.5, out, recording)
+    out *= keep[:, :, None, None]
 
     def _bw(g):
-        # through the mask and back to position-major, one block per cell
-        d_states = (g.reshape(shape) * keep).transpose(1, 0, 2, 3)
-        for k in range(len(cell_bws)):
-            cell_bw, cell_bws[k] = cell_bws[k], None  # frees the cell's activations
-            cell_bw(d_states[:, :, k].reshape(length * batch, hidden))
+        nonlocal bw
+        run, bw = bw, None  # frees the activations once it returns
+        run(g.reshape(shape), keep)
 
     return _node(out.reshape(batch * length, len(cells) * hidden), parents, _bw)
 
 
 _XW_BLOCK = 1 << 18  # elements of one block of a cell's input projection
+_STEP_CHUNK = 1 << 14  # elements of one chunk of a GRU pass's step-major scratch
 
 
 def _position_blocks(length: int, width: int) -> list[tuple[int, int]]:
@@ -894,117 +899,201 @@ def _even_ranges(length: int, per_block: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _run_cell(cell: GRUCellParams, x: Tensor, h0: Tensor, skip: np.ndarray, reverse: bool,
-              dest: np.ndarray, recording: bool):
-    """One cell over the whole sequence, its states written to the (T, B, H)
-    ``dest``; returns, when ``recording``, the backward that takes their
-    position-major (T*B, H) gradient, and None otherwise.
+def _mirror(a: np.ndarray, k: int) -> np.ndarray:
+    """Cell ``k``'s view of a position-ordered array in its step order: the
+    second cell walks the positions back to front."""
+    return a[::-1] if k else a
 
-    Both passes project ``x @ W`` one block of positions at a time, blocks
-    taken in the order the cell walks. A pass that records keeps each step's
-    states, gates and ``reset * h`` in (T*B)-row arrays for its backward and
-    copies the states to ``dest``. A pass that records nothing keeps its
-    outputs plus one block: its states go straight to ``dest`` and its gates
-    to one step's scratch, reused at every position."""
+
+def _positions(k: int, length: int, lo: int, hi: int) -> tuple[int, int]:
+    """The positions, ``(first, last)`` in position order, at which cell
+    ``k`` takes its steps ``lo`` to ``hi - 1``."""
+    return (length - hi, length - lo) if k else (lo, hi)
+
+
+def _run_cells(cells, x: Tensor, h0: Tensor, skip: np.ndarray, out: np.ndarray,
+               recording: bool):
+    """Step the cells together over the sequence, their states written to
+    the (B, T, C, H) ``out``; returns, when ``recording``, the backward that
+    takes the gradient of ``out`` and the (B, T) mask, and None otherwise.
+
+    Step buffers are step-major, (step, cell, batch, .), so that a step of
+    both cells is one contiguous block: the states, update | reset packed
+    per cell, the candidate and ``reset * h``; the biases are repeated over
+    the batch. Each cell projects ``x @ W`` one block of positions at a
+    time, the second cell taking the first's blocks last to first, and
+    stages the block in step order in its gate buffers, which each step
+    then turns into its gates. A pass that records keeps every step's
+    states, gates and ``reset * h`` for its backward. A pass that records
+    nothing keeps one block of steps' gates, reused in turn, and its states
+    one chunk of at most ``_STEP_CHUNK`` step elements at a time: it writes
+    each chunk to ``out`` and carries the chunk's last state in row 0 to the
+    next."""
+    count = len(cells)
     batch, hidden = h0.data.shape
     length = skip.shape[1]
-    skip_any = skip.any(axis=0)
     split = 2 * hidden
     width = 3 * hidden
-    gates = cell.gates()
+    dtype = out.dtype
+    # where a cell carries a row's state through, by step, and the steps that have any
+    skip_steps = np.zeros((length, count, batch, 1), dtype=bool) if skip.any() else None
+    if skip_steps is None:
+        skip_any = np.zeros(length, dtype=bool)
+    else:
+        for k in range(count):
+            skip_steps[:, k, :, 0] = _mirror(skip.T, k)
+        skip_any = skip_steps.reshape(length, -1).any(axis=1)
+    per_chunk = max(1, _STEP_CHUNK // max(1, count * batch * hidden))
 
-    def packed():  # W, then U and b split into their update | reset and cand blocks
-        w, u, b = (np.concatenate([p.data for p in trio], axis=-1) for trio in gates)
-        return (w, np.ascontiguousarray(u[:, :split]), np.ascontiguousarray(u[:, split:]),
-                b[:split], b[split:])
+    def packed_w(k):  # W with its gates side by side: update | reset | cand
+        return np.concatenate([p.data for p in cells[k].gates()[0]], axis=1)
 
-    w, u_ur, u_c, b_ur, b_c = packed()
-    dtype = dest.dtype
-    steps = length if recording else 1
-    states = np.empty((length, batch, hidden), dtype) if recording else dest
-    gates_ur = np.empty((steps, batch, split), dtype)  # update | reset
-    gates_c = np.empty((steps, batch, hidden), dtype)  # cand
-    reset_prev = np.empty_like(gates_c)  # reset * h, the candidate's recurrent input
+    def packed_u_ur():  # per cell, U_ur = [U_u | U_r]
+        return [np.concatenate((cell.u_update.data, cell.u_reset.data), axis=1)
+                for cell in cells]
+
+    u_ur = packed_u_ur()
+    u_c = [cell.u_cand.data for cell in cells]
+    # the biases repeated over the batch, so that a step adds them as plain arrays
+    bias = np.concatenate([p.data for cell in cells for p in cell.gates()[2]])
+    bias = bias.reshape(count, 1, width)
+    b_ur = np.empty((count, batch, split), bias.dtype)
+    b_ur[...] = bias[..., :split]
+    b_c = np.empty((count, batch, hidden), bias.dtype)
+    b_c[...] = bias[..., split:]
     blocks = _position_blocks(length, batch * width)
-    xw_buf = np.empty((blocks[0][1], batch, width), dtype)  # the first block is the largest
-    h = h0.data
-    for lo, hi in reversed(blocks) if reverse else blocks:
-        xw = xw_buf[:hi - lo]
-        np.matmul(x.data[lo * batch:hi * batch], w, out=xw.reshape(-1, width))
-        for t in range(hi - 1, lo - 1, -1) if reverse else range(lo, hi):
-            at = t if recording else 0
-            ur = np.matmul(h, u_ur, out=gates_ur[at])
-            ur += xw[t - lo, :, :split]
+    widest = blocks[0][1]  # the first block is the largest
+    # each cell's blocks of positions, in the order it takes them, and the
+    # step at which it projects the next: the second cell takes the first's
+    # blocks last to first
+    pending = [iter(_mirror(blocks, k)) for k in range(count)]
+    next_block = [0] * count
+    xw = np.empty((widest, batch, width), dtype)  # a cell's block of the projection
+    # each step's gates start as its projection, staged at the block's start:
+    # step s is row s of a pass that records, and row s % widest of one that
+    # does not, whose blocks overwrite only rows of steps already taken
+    rows = length if recording else widest
+    gates_ur = np.empty((rows, count, batch, split), dtype)  # update | reset
+    gates_c = np.empty((rows, count, batch, hidden), dtype)  # cand
+    reset_prev = np.empty((length if recording else 1, count, batch, hidden), dtype)
+    through_ur = np.empty((count, batch, split), dtype)  # the recurrent products
+    through_c = np.empty((count, batch, hidden), dtype)
+    chunk = min(widest, per_chunk)
+    states = np.empty(((length if recording else chunk) + 1, count, batch, hidden), dtype)
+    states[0] = h0.data  # row 0 holds the state the next step starts from
+    for lo, hi in _even_ranges(length, chunk):
+        base = 0 if recording else lo  # step s reads row s - base, writes the next
+        for s in range(lo, hi):
+            for k in range(count):
+                if s == next_block[k]:
+                    a, b = next(pending[k])
+                    next_block[k] = s + b - a
+                    block = xw[:b - a]
+                    np.matmul(x.data[a * batch:b * batch], packed_w(k),
+                              out=block.reshape(-1, width))
+                    block = _mirror(block, k)  # in the cell's step order, from step s
+                    row = s % rows
+                    for part in (block[:rows - row], block[rows - row:]):
+                        if len(part):  # the rows up to the last, then from the first
+                            gates_ur[row:row + len(part), k] = part[..., :split]
+                            gates_c[row:row + len(part), k] = part[..., split:]
+                        row = 0
+            h = states[s - base]
+            ur = gates_ur[s % rows]
+            for k in range(count):
+                np.matmul(h[k], u_ur[k], out=through_ur[k])
+            ur += through_ur  # xw + h U rounds as h U + xw
             ur += b_ur
-            _sigmoid(ur, out=ur)
-            update = ur[:, :hidden]
-            rh = np.multiply(ur[:, hidden:], h, out=reset_prev[at])
-            cand = np.matmul(rh, u_c, out=gates_c[at])
-            cand += xw[t - lo, :, split:]
+            _sigmoid(ur, out=ur, scratch=through_ur)
+            rh = np.multiply(ur[..., hidden:], h, out=reset_prev[s if recording else 0])
+            cand = gates_c[s % rows]
+            for k in range(count):
+                np.matmul(rh[k], u_c[k], out=through_c[k])
+            cand += through_c
             cand += b_c
             np.tanh(cand, out=cand)
-            new = np.subtract(cand, h, out=states[t])
-            new *= update
+            new = np.subtract(cand, h, out=states[s - base + 1])
+            new *= ur[..., :hidden]
             new += h
-            if skip_any[t]:
-                np.copyto(new, h, where=skip[:, t:t + 1])
-            h = new
+            if skip_any[s]:
+                np.copyto(new, h, where=skip_steps[s])
+        done = states[lo - base + 1:hi - base + 1]
+        for k in range(count):
+            a, b = _positions(k, length, lo, hi)
+            out[:, a:b, k] = _mirror(done[:, k], k).swapaxes(0, 1)
+        if not recording and hi < length:
+            states[0] = states[hi - lo]
     if not recording:
         return None
-    dest[...] = states
-    order = range(length - 1, -1, -1) if reverse else range(length)
-    rows_total = length * batch
-    states, reset_prev = states.reshape(rows_total, hidden), reset_prev.reshape(rows_total, hidden)
-    gates_ur, gates_c = gates_ur.reshape(rows_total, split), gates_c.reshape(rows_total, hidden)
 
-    def backward_cell(g):
+    def backward_cells(g, keep):
         # packed again, so that no recorded step holds a copy of the weights
-        w, u_ur, u_c, _, _ = packed()
-        prev = np.empty_like(states)  # the state each step started from
-        if reverse:
-            prev[:-batch], prev[-batch:] = states[batch:], h0.data
-        else:
-            prev[batch:], prev[:batch] = states[:-batch], h0.data
-        update, reset = gates_ur[:, :hidden], gates_ur[:, hidden:]
-        # the local derivatives, which do not depend on the incoming gradient
-        to_cand = update * (1.0 - gates_c * gates_c)
-        to_update = (gates_c - prev) * update * (1.0 - update)
-        to_reset = prev * reset * (1.0 - reset)
-        to_prev = 1.0 - update
-        # gradients of the gate pre-activations: update | reset, then cand
-        d_pre = np.empty((rows_total, width), dtype=dtype)
-        d_ur_all, d_c_all = d_pre[:, :split], d_pre[:, split:]
-        zero = np.zeros((), dtype=g.dtype)
-        dh = np.zeros((batch, hidden), dtype=g.dtype)
-        for t in reversed(order):
-            rows = slice(t * batch, (t + 1) * batch)
-            dh += g[rows]
-            d_new = np.where(skip[:, t:t + 1], zero, dh) if skip_any[t] else dh
-            d_cand = np.multiply(d_new, to_cand[rows], out=d_c_all[rows])
-            d_rh = d_cand @ u_c.T
-            d_ur = d_ur_all[rows]
-            np.multiply(d_new, to_update[rows], out=d_ur[:, :hidden])
-            np.multiply(d_rh, to_reset[rows], out=d_ur[:, hidden:])
-            d_prev = d_new * to_prev[rows]
-            d_prev += d_rh * reset[rows]
-            d_prev += d_ur @ u_ur.T
-            if skip_any[t]:
-                np.copyto(dh, d_prev, where=~skip[:, t:t + 1])
-            else:
-                dh = d_prev
-        _accum(h0, dh)
-        if x.requires_grad:
-            _accum(x, d_pre @ w.T)
-        if not any(p.requires_grad for trio in gates for p in trio):
-            return
-        grads = (x.data.T @ d_pre,
-                 np.concatenate([prev.T @ d_ur_all, reset_prev.T @ d_c_all], axis=1),
-                 d_pre.sum(axis=0))
-        for trio, grad in zip(gates, grads):  # each gate its block: update | reset | cand
-            for k, p in enumerate(trio):
-                _accum(p, grad[..., k * hidden:(k + 1) * hidden])
+        u_ur = packed_u_ur()
+        chunk = min(length, per_chunk)
+        d_states = np.empty((chunk, count, batch, hidden), np.result_type(g, keep))
+        d_rh = np.empty((count, batch, hidden), np.result_type(dtype, *u_c))
+        through_ur = np.empty((count, batch, hidden), np.result_type(dtype, *u_ur))
+        zero = np.zeros((), dtype=d_states.dtype)
+        dh = np.zeros((count, batch, hidden), dtype=d_states.dtype)
+        for lo, hi in reversed(_even_ranges(length, per_chunk)):
+            for k in range(count):  # the states' gradient through the mask, step-major
+                first, last = _positions(k, length, lo, hi)
+                np.multiply(_mirror(g[:, first:last, k].swapaxes(0, 1), k),
+                            _mirror(keep[:, first:last].T, k)[..., None],
+                            out=d_states[:hi - lo, k])
+            update, reset = gates_ur[lo:hi, ..., :hidden], gates_ur[lo:hi, ..., hidden:]
+            cand, prev = gates_c[lo:hi], states[lo:hi]
+            # the chunk's local derivatives, which do not depend on the incoming gradient
+            to_prev = 1.0 - update
+            to_cand = update * (1.0 - cand * cand)
+            to_update = (cand - prev) * update * to_prev
+            to_reset = prev * reset * (1.0 - reset)
+            reset = reset.copy()  # contiguous, and kept while the steps overwrite the gates
+            # each step's gate gradients take its gates' place: update | reset, and cand
+            for j in range(hi - lo - 1, -1, -1):
+                s = lo + j
+                dh += d_states[j]
+                d_new = np.where(skip_steps[s], zero, dh) if skip_any[s] else dh
+                d_cand = np.multiply(d_new, to_cand[j], out=gates_c[s])
+                for k in range(count):
+                    np.matmul(d_cand[k], u_c[k].T, out=d_rh[k])
+                d_prev = d_new * to_prev[j]
+                d_prev += d_rh * reset[j]
+                d_ur = gates_ur[s]
+                np.multiply(d_new, to_update[j], out=d_ur[..., :hidden])
+                np.multiply(d_rh, to_reset[j], out=d_ur[..., hidden:])
+                for k in range(count):
+                    np.matmul(d_ur[k], u_ur[k].T, out=through_ur[k])
+                d_prev += through_ur
+                if skip_any[s]:
+                    np.copyto(dh, d_prev, where=~skip_steps[s])
+                else:
+                    dh = d_prev
+        for k in range(count):
+            _accum(h0, dh[k])
+        d_pre = np.empty((length, batch, width), dtype)
+        for k, cell in enumerate(cells):
+            # the cell's gate gradients in position order, as one (T*B, 3H) matrix
+            d_pre[..., :split] = _mirror(gates_ur[:, k], k)
+            d_pre[..., split:] = _mirror(gates_c[:, k], k)
+            d_flat = d_pre.reshape(length * batch, width)
+            if x.requires_grad:
+                _accum(x, d_flat @ packed_w(k).T)
+            gates = cell.gates()
+            if not any(p.requires_grad for trio in gates for p in trio):
+                continue
+            # the state each position started from, and its reset * h, in position order
+            prev = _mirror(states[:length, k], k).reshape(length * batch, hidden)
+            rh = _mirror(reset_prev[:, k], k).reshape(length * batch, hidden)
+            grads = (x.data.T @ d_flat,
+                     np.concatenate([prev.T @ d_flat[:, :split], rh.T @ d_flat[:, split:]],
+                                    axis=1),
+                     d_flat.sum(axis=0))
+            for trio, grad in zip(gates, grads):  # each gate its block: update | reset | cand
+                for i, p in enumerate(trio):
+                    _accum(p, grad[..., i * hidden:(i + 1) * hidden])
 
-    return backward_cell
+    return backward_cells
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ placeholder), ``options`` (one list of exactly 4 strings per question),
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from collections import Counter
@@ -289,13 +290,12 @@ class Batch:
 def pad_block(sequences) -> tuple[np.ndarray, np.ndarray]:
     """Pad id lists into a (N, longest) int64 block (PAD = 0) and its
     float64 {0,1} mask."""
-    width = max(len(s) for s in sequences)
-    ids = np.zeros((len(sequences), width), dtype=np.int64)
-    mask = np.zeros((len(sequences), width))
-    for i, seq in enumerate(sequences):
-        ids[i, :len(seq)] = seq
-        mask[i, :len(seq)] = 1.0
-    return ids, mask
+    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+    held = np.arange(max(lengths)) < lengths[:, None]
+    ids = np.zeros(held.shape, dtype=np.int64)
+    ids[held] = np.fromiter(itertools.chain.from_iterable(sequences), dtype=np.int64,
+                            count=int(lengths.sum()))
+    return ids, held.astype(np.float64)
 
 
 def make_batch(instances, vocab: Vocabulary) -> Batch:

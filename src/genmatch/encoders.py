@@ -151,16 +151,12 @@ def embed_with_chars(word_table: Parameter, char_params: CharEncoderParams,
     """
     batch, length = ids.shape
     word_flat = ad.gather_rows(word_table, ids.T.reshape(-1))
-    distinct: dict[str, int] = {}
+    # the unmasked positions in row-major order, so surfaces are indexed first seen first
+    rows, cols = np.nonzero(mask > 0)
+    tokens = [surfaces[b][t] for b, t in zip(rows.tolist(), cols.tolist())]
+    distinct = {tok: slot for slot, tok in enumerate(dict.fromkeys(tokens))}
     pointer = np.zeros((length, batch), dtype=np.int64)
-    for b in range(batch):
-        row = surfaces[b]
-        for t in range(length):
-            if mask[b, t] <= 0:
-                continue
-            tok = row[t]
-            slot = distinct.setdefault(tok, len(distinct))
-            pointer[t, b] = slot
+    pointer[cols, rows] = [distinct[tok] for tok in tokens]
     char_matrix = char_embed_tokens(list(distinct), char_params, char_vocab)
     flat = ad.concat([word_flat, ad.gather_rows(char_matrix, pointer.reshape(-1))], axis=1)
     return EmbeddedSequence(flat=flat, mask=mask, batch=batch, length=length)

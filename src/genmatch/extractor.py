@@ -68,19 +68,27 @@ def pool_question(encoding: ContextualEncoding, params: ExtractorParams) -> Tens
 
 
 def feasible_span_argmax(start_probs: np.ndarray, end_probs: np.ndarray,
-                         length: int, max_span: int) -> EvidenceSpan:
-    """Maximize start*end over {(s, e): s <= e < s + max_span, e < length};
-    ties prefer the smaller start, then the smaller end."""
-    # one window of max_span ends per start, padded past ``length`` with -inf,
-    # which no probability loses to; argmax takes the first maximum
-    padded = np.full(length + max_span - 1, -np.inf, dtype=end_probs.dtype)
-    padded[:length] = end_probs[:length]
-    windows = np.lib.stride_tricks.sliding_window_view(padded, max_span)[:length]
-    offsets = windows.argmax(axis=1)
-    starts = np.arange(length)
-    s = int(np.argmax(start_probs[:length] * windows[starts, offsets]))
-    e = s + int(offsets[s])
-    return EvidenceSpan(start=s, end=e)
+                         lengths, max_span: int) -> list[EvidenceSpan]:
+    """For each row b of the (B, P) start and end probabilities, maximize
+    start*end over {(s, e): s <= e < s + max_span, e < lengths[b]}; ties
+    prefer the smaller start, then the smaller end. Returns the B spans."""
+    lengths = np.asarray(lengths)
+    if lengths.size and lengths.min() < 1:
+        raise ValueError("every row needs at least one position")
+    batch, width = start_probs.shape
+    valid = np.arange(width) < lengths[:, None]
+    # one window of max_span ends per start, padded past each row's length
+    # with -inf, which no probability loses to; argmax takes the first maximum
+    padded = np.full((batch, width + max_span - 1), -np.inf, dtype=end_probs.dtype)
+    np.copyto(padded[:, :width], end_probs, where=valid)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, max_span, axis=1)[:, :width]
+    offsets = windows.argmax(axis=2)
+    best_end = np.take_along_axis(windows, offsets[..., None], axis=2)[..., 0]
+    # a start past its row's length scores -inf; its window holds no end
+    scores = np.full((batch, width), -np.inf, dtype=np.result_type(start_probs, end_probs))
+    np.multiply(start_probs, best_end, out=scores, where=valid)
+    starts = scores.argmax(axis=1)
+    return [EvidenceSpan(start=int(s), end=int(s + offsets[b, s])) for b, s in enumerate(starts)]
 
 
 def predict_span(passage: ContextualEncoding, question_vector: Tensor,
@@ -96,10 +104,8 @@ def predict_span(passage: ContextualEncoding, question_vector: Tensor,
     end_dist = ad.attention_weights(
         end_query, [(ad.matmul(passage.flat, end.w_memory), passage.mask)],
         end.w_query, end.bias, end.v)
-    lengths = passage.mask.sum(axis=1).astype(int)
-    spans = [feasible_span_argmax(start_dist.data[b], end_dist.data[b],
-                                  int(lengths[b]), max_span)
-             for b in range(passage.batch)]
+    spans = feasible_span_argmax(start_dist.data, end_dist.data,
+                                 passage.mask.sum(axis=1).astype(int), max_span)
     return SpanDistributions(start=start_dist, end=end_dist), spans
 
 
@@ -111,33 +117,33 @@ def oracle_span(passage_tokens, option_tokens,
 
     F1 comparisons are done on cross-multiplied integers, so ties are exact.
     """
+    length = len(passage_tokens)
+    longest = min(max_span, length)
     option_counts = Counter(option_tokens)
-    option_len = len(option_tokens)
-    best = None  # (overlap, denominator, start, end)
-    for s in range(len(passage_tokens)):
-        window_counts: Counter = Counter()
-        overlap = 0
-        for e in range(s, min(len(passage_tokens), s + max_span)):
-            token = passage_tokens[e]
-            window_counts[token] += 1
-            if window_counts[token] <= option_counts.get(token, 0):
-                overlap += 1
-            if overlap == 0:
-                continue
-            denom = (e - s + 1) + option_len
-            if best is None:
-                best = (overlap, denom, s, e)
-                continue
-            b_overlap, b_denom, b_s, b_e = best
-            # F1 = 2*overlap/denom; compare as fractions
-            lhs = overlap * b_denom
-            rhs = b_overlap * denom
-            if lhs > rhs or (lhs == rhs and denom < b_denom):
-                best = (overlap, denom, s, e)
-    if best is None:
+    # one row per option token that the passage holds, so every other token scores 0
+    shared = {tok: i for i, tok in enumerate(option_counts.keys() & set(passage_tokens))}
+    if longest < 1 or not shared:
         return None
-    _, _, s, e = best
-    return EvidenceSpan(start=s, end=e)
+    caps = np.array([option_counts[tok] for tok in shared])
+    ids = np.array([shared.get(tok, -1) for tok in passage_tokens])
+    # prefix[v, i]: occurrences of shared token v among the first i passage tokens
+    prefix = np.zeros((len(shared), length + 1), dtype=np.int64)
+    np.cumsum(ids == np.arange(len(shared))[:, None], axis=1, out=prefix[:, 1:])
+    # the clipped overlap of the span of each length (rows) at each start (columns)
+    lengths = np.arange(1, longest + 1)
+    ends = np.minimum(np.arange(length) + lengths[:, None], length)
+    counts = prefix[:, ends] - prefix[:, None, :length]
+    overlap = np.minimum(counts, caps[:, None, None]).sum(axis=0)
+    overlap[ends - np.arange(length) < lengths[:, None]] = -1  # spans that run past the end
+    starts = overlap.argmax(axis=1)  # each length's first best start
+    best = overlap[lengths - 1, starts]  # at least 1: a shared token spans itself
+    # F1 = 2 * best / (length + len(option)): the shortest length that no
+    # other beats, compared as cross-multiplied integers
+    denom = lengths + len(option_tokens)
+    unbeaten = (best[:, None] * denom[None, :] >= best[None, :] * denom[:, None]).all(axis=1)
+    k = int(unbeaten.argmax())
+    start = int(starts[k])
+    return EvidenceSpan(start=start, end=start + k)
 
 
 def span_loss(distributions: SpanDistributions, targets: list[EvidenceSpan | None]) -> Tensor:

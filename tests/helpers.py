@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -343,11 +344,13 @@ def pack(cell):
             ad.concat([cell.b_update, cell.b_reset, cell.b_cand], axis=0))
 
 
-def packed_gru_sequence(x, h0, packed, mask, reverse=False):
+def packed_gru_sequence(x, h0, packed, mask, reverse=False, blocks=None):
     """Reference for one cell of ``autodiff.gru_sequence``: one tape node that
     runs a packed cell over the position-major (T*B, D) sequence and returns
     its position-major (T*B, H) states, unmasked, with the carried state at
-    masked positions. ``reverse`` runs from the last position to the first."""
+    masked positions. ``reverse`` runs from the last position to the first.
+    The input projection is one product, or one per range of positions in
+    ``blocks``."""
     w_t, u_t, b_t = packed
     batch, hidden = h0.data.shape
     length = mask.shape[1]
@@ -358,7 +361,10 @@ def packed_gru_sequence(x, h0, packed, mask, reverse=False):
     u_ur = np.ascontiguousarray(u_t.data[:, :split])
     u_c = np.ascontiguousarray(u_t.data[:, split:])
     b_ur, b_c = b_t.data[:split], b_t.data[split:]
-    xw = x.data @ w
+    if blocks is None:
+        xw = x.data @ w
+    else:
+        xw = np.concatenate([x.data[lo * batch:hi * batch] @ w for lo, hi in blocks])
     rows_total = length * batch
     states = np.empty((rows_total, hidden), dtype=xw.dtype)
     gates_ur = np.empty((rows_total, split), dtype=xw.dtype)
@@ -509,6 +515,52 @@ def loop_feasible_span_argmax(start_probs, end_probs, length, max_span):
             best = (p, s, s + j)
     p, s, e = best
     return EvidenceSpan(start=s, end=e)
+
+
+def loop_oracle_span(passage_tokens, option_tokens, max_span):
+    """Reference for ``extractor.oracle_span``: a Counter per start, grown one
+    end at a time, and each span's F1 compared as cross-multiplied integers."""
+    option_counts = Counter(option_tokens)
+    option_len = len(option_tokens)
+    best = None  # (overlap, denominator, start, end)
+    for s in range(len(passage_tokens)):
+        window_counts = Counter()
+        overlap = 0
+        for e in range(s, min(len(passage_tokens), s + max_span)):
+            token = passage_tokens[e]
+            window_counts[token] += 1
+            if window_counts[token] <= option_counts.get(token, 0):
+                overlap += 1
+            if overlap == 0:
+                continue
+            denom = (e - s + 1) + option_len
+            if best is None:
+                best = (overlap, denom, s, e)
+                continue
+            b_overlap, b_denom, b_s, b_e = best
+            # F1 = 2*overlap/denom; compare as fractions
+            lhs = overlap * b_denom
+            rhs = b_overlap * denom
+            if lhs > rhs or (lhs == rhs and denom < b_denom):
+                best = (overlap, denom, s, e)
+    if best is None:
+        return None
+    _, _, s, e = best
+    return EvidenceSpan(start=s, end=e)
+
+
+def loop_char_surfaces(surfaces, mask):
+    """Reference for the distinct-surface index of ``encoders.embed_with_chars``:
+    the distinct surfaces first seen first over the unmasked (b, t) in
+    row-major order, and the (T, B) slot of each position (0 where masked)."""
+    batch, length = mask.shape
+    distinct = {}
+    pointer = np.zeros((length, batch), dtype=np.int64)
+    for b in range(batch):
+        for t in range(length):
+            if mask[b, t] > 0:
+                pointer[t, b] = distinct.setdefault(surfaces[b][t], len(distinct))
+    return list(distinct), pointer
 
 
 def composite_generate_answer(passage, question, word_table, params, vocab, max_length):

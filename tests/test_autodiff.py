@@ -945,12 +945,13 @@ def test_gru_sequence_is_bit_identical_to_the_packed_composite(case):
         np.testing.assert_array_equal(grads[name], want, err_msg=name)
 
 
-def composite_gru(x, h0, cells, mask):
+def composite_gru(x, h0, cells, mask, blocks=None):
     """Reference for ``autodiff.gru_sequence``: a packed sequence node per
     cell, the second in reverse, their concat, the mask multiply and the
-    regroup to batch-major."""
+    regroup to batch-major. Each cell projects its input in one product, or
+    in one per range of positions in ``blocks``."""
     batch, length = mask.shape
-    runs = [packed_gru_sequence(x, h0, pack(cell), mask, reverse=k == 1)
+    runs = [packed_gru_sequence(x, h0, pack(cell), mask, reverse=k == 1, blocks=blocks)
             for k, cell in enumerate(cells)]
     keep = mask.T.reshape(-1, 1).astype(runs[0].data.dtype)
     states = ad.mul_const(ad.concat(runs, axis=1), keep)
@@ -993,6 +994,76 @@ def test_gru_sequence_in_position_blocks_is_bit_identical_to_the_packed_composit
             np.testing.assert_array_equal(grads[name], want, err_msg=name)
         else:
             assert grads[name] is want is None, name
+
+
+def gru_and_composite_results(mask, hidden, dim, recorded, blocks=None):
+    """The states and every gradient of ``gru_sequence`` and of the packed
+    composite, two cells over ``mask`` from a trainable ``h0``."""
+    batch, length = mask.shape
+    results = []
+    for op in (ad.gru_sequence, lambda *args: composite_gru(*args, blocks=blocks)):
+        rng = np.random.default_rng(28)
+        cells, store = make_cells(rng, 2, dim, hidden)
+        x = store.create("x", rand(rng, length * batch, dim))
+        h0 = store.create("h0", rand(rng, batch, hidden))
+        readout = rand(rng, batch * length, 2 * hidden)
+        if recorded:
+            states = op(x, h0, cells, mask)
+            backward(tensor_sum(ad.mul_const(states, readout)))
+        else:
+            with no_grad():
+                states = op(x, h0, cells, mask)
+        results.append((states.data, {p.name: p.grad for p in store.all()}))
+    return results
+
+
+def assert_same_states_and_grads(results):
+    (states, grads), (want_states, want_grads) = results
+    np.testing.assert_array_equal(states, want_states)
+    assert len(grads) == 20
+    for name, want in want_grads.items():
+        if want is None:
+            assert grads[name] is None, name
+        else:
+            np.testing.assert_array_equal(grads[name], want, err_msg=name)
+
+
+def test_two_cells_stepping_together_keep_the_bits_where_one_skips_and_the_other_steps():
+    # rows of lengths 7, 2, 5, 1 and 4: at step s the first cell is at
+    # position s and the second at 6 - s, and in most steps one of them
+    # carries a row's state through while the other advances it
+    lengths = np.array([7, 2, 5, 1, 4])
+    mask = (np.arange(7) < lengths[:, None]).astype(float)
+    skip = mask <= 0.5
+    assert any((skip[:, s] != skip[:, 6 - s]).any() for s in range(7))
+    for recorded in (True, False):
+        assert_same_states_and_grads(gru_and_composite_results(mask, 6, 4, recorded))
+
+
+@pytest.mark.parametrize("recorded", [True, False], ids=["recorded", "no_grad"])
+def test_gru_sequence_in_one_position_blocks_keeps_the_bits_of_the_composite(
+        monkeypatch, recorded):
+    # a block per position, so a pass that records nothing carries its
+    # state from block to block through a one-step buffer
+    batch, length = PADDED_MASK.shape
+    monkeypatch.setattr(ad, "_XW_BLOCK", batch * 3 * 5)
+    assert ad._position_blocks(length, batch * 3 * 5) == [(t, t + 1) for t in range(length)]
+    assert_same_states_and_grads(gru_and_composite_results(PADDED_MASK, 5, 6, recorded))
+
+
+def test_the_second_cell_projects_the_first_cells_blocks_of_positions(monkeypatch):
+    # blocks of 2, 2 and 1 positions of 517 rows: the second cell steps
+    # from the last position, yet projects positions (4, 5), (2, 4) and
+    # (0, 2) as the first cell does. Products over the mirrored ranges
+    # (3, 5), (1, 3) and (0, 1) put rows at other offsets in a product and
+    # round some of them otherwise.
+    batch, length, hidden = 517, 5, 25
+    monkeypatch.setattr(ad, "_XW_BLOCK", 2 * batch * 3 * hidden)
+    blocks = ad._position_blocks(length, batch * 3 * hidden)
+    assert blocks == [(0, 2), (2, 4), (4, 5)]
+    mask = np.ones((batch, length))
+    results = gru_and_composite_results(mask, hidden, 25, False, blocks=blocks)
+    assert_same_states_and_grads(results)
 
 
 def test_gru_input_blocks_keep_the_bits_of_the_whole_projection_at_a_char_encoder_shape():

@@ -16,7 +16,13 @@ from genmatch.encoders import (
     init_char_encoder,
 )
 
-from helpers import check_gradients, composite_bigru, composite_mean_pooled, positions
+from helpers import (
+    check_gradients,
+    composite_bigru,
+    composite_mean_pooled,
+    loop_char_surfaces,
+    positions,
+)
 
 
 def make_sequence(rng, batch, length, dim, mask=None):
@@ -340,6 +346,30 @@ def test_embed_with_chars_identical_tokens_share_vectors():
     pos = seq.flat.data.reshape(3, 1, 8)
     np.testing.assert_array_equal(pos[0, 0], pos[2, 0])
     assert not np.array_equal(pos[0, 0], pos[1, 0])
+
+
+def test_embed_with_chars_indexes_surfaces_as_the_loop_does(monkeypatch):
+    # rows of mixed lengths with repeats; a row's surfaces end at its length,
+    # so a read of a padded position would fail
+    rng = np.random.default_rng(12)
+    lengths = np.array([7, 3, 5, 1, 6])
+    batch, length = len(lengths), int(lengths.max())
+    mask = (np.arange(length) < lengths[:, None]).astype(float)
+    words = ["cat", "dog", "a", "act", "tac"]
+    surfaces = [[words[i] for i in rng.integers(0, len(words), size=n)] for n in lengths]
+    seen = []
+
+    def slot_rows(tokens, params, char_vocab):  # row i reads i
+        seen.append(list(tokens))
+        return Tensor(np.arange(len(tokens), dtype=float)[:, None])
+
+    monkeypatch.setattr(encoders, "char_embed_tokens", slot_rows)
+    word_table = Tensor(np.zeros((2, 3)))
+    ids = np.zeros((batch, length), dtype=np.int64)
+    seq = embed_with_chars(word_table, None, None, ids, surfaces, mask)
+    want_tokens, want_pointer = loop_char_surfaces(surfaces, mask)
+    assert seen == [want_tokens]
+    np.testing.assert_array_equal(seq.flat.data[:, 3], want_pointer.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from helpers import (
     check_gradients,
     composite_span_loss,
     loop_feasible_span_argmax,
+    loop_oracle_span,
     positions,
     toy_instances,
 )
@@ -131,10 +132,17 @@ def test_distributions_sum_to_one_on_unmasked():
     assert spans[0].end < 4  # feasibility enforced structurally
 
 
+def argmax_one(start_probs, end_probs, length, max_span):
+    """``feasible_span_argmax`` on one row, as a batch of one."""
+    (span,) = feasible_span_argmax(start_probs[None], end_probs[None], [length], max_span)
+    return span
+
+
+@pytest.mark.filterwarnings("error")
 def test_feasible_span_tie_rules():
     start = np.array([0.5, 0.5])
     end = np.array([0.5, 0.5])
-    span = feasible_span_argmax(start, end, 2, max_span=2)
+    span = argmax_one(start, end, 2, max_span=2)
     assert (span.start, span.end) == (0, 0)
 
 
@@ -152,25 +160,32 @@ def assert_spans_match_the_loop(instances):
                 args = (dists.start.data[b], dists.end.data[b], int(lengths[b]))
                 assert span == loop_feasible_span_argmax(*args, config.max_span)
                 for cap in (1, 30):
-                    assert feasible_span_argmax(*args, cap) == loop_feasible_span_argmax(*args, cap)
+                    assert argmax_one(*args, cap) == loop_feasible_span_argmax(*args, cap)
                 compared += 1
     assert compared == len(instances)
 
 
+@pytest.mark.filterwarnings("error")
 def test_feasible_span_argmax_matches_the_loop_on_the_toy_corpus():
     assert_spans_match_the_loop(toy_instances(n_passages=200, seed=7))
 
 
-def test_feasible_span_argmax_matches_the_loop_on_exam_like_instances():
+def exam_like_instances():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "examgen.py"
     spec = importlib.util.spec_from_file_location("examgen", path)
     examgen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(examgen)
     rng = np.random.default_rng(3)
     records = examgen.make_records(rng, examgen.make_lexicon(rng, size=3000), 24, "span")
-    assert_spans_match_the_loop([inst for r in records for inst in parse_race_record(r)])
+    return [inst for r in records for inst in parse_race_record(r)]
 
 
+@pytest.mark.filterwarnings("error")
+def test_feasible_span_argmax_matches_the_loop_on_exam_like_instances():
+    assert_spans_match_the_loop(exam_like_instances())
+
+
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=35),
        st.integers(min_value=0, max_value=2**30))
@@ -179,8 +194,25 @@ def test_feasible_span_argmax_matches_the_loop_on_ties(length, max_span, seed):
     rng = np.random.default_rng(seed)
     start = rng.choice([0.125, 0.25, 0.5], size=length + 3)
     end = rng.choice([0.125, 0.25, 0.5], size=length + 3)
-    got = feasible_span_argmax(start, end, length, max_span)
+    got = argmax_one(start, end, length, max_span)
     assert got == loop_feasible_span_argmax(start, end, length, max_span)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=6),
+       st.integers(min_value=1, max_value=25), st.integers(min_value=0, max_value=2**30))
+def test_feasible_span_argmax_of_a_batch_matches_the_loop_per_row(lengths, max_span, seed):
+    # rows of mixed lengths, their padding zero like a masked softmax's,
+    # and probabilities from three values, so that most products tie
+    rng = np.random.default_rng(seed)
+    width = max(lengths)
+    held = np.arange(width) < np.array(lengths)[:, None]
+    start = np.where(held, rng.choice([0.125, 0.25, 0.5], size=held.shape), 0.0)
+    end = np.where(held, rng.choice([0.125, 0.25, 0.5], size=held.shape), 0.0)
+    got = feasible_span_argmax(start, end, lengths, max_span)
+    assert got == [loop_feasible_span_argmax(start[b], end[b], n, max_span)
+                   for b, n in enumerate(lengths)]
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +235,23 @@ def brute_force_oracle(passage, option, max_span):
     if best is None:
         return None
     return best[1], best[2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from("abcdef"), max_size=40),
+       st.lists(st.sampled_from("abcdefg"), max_size=6),
+       st.integers(min_value=0, max_value=45))
+def test_oracle_matches_the_loop(passage, option, max_span):
+    # empty passages and options, repeated tokens, spans capped past the passage
+    assert oracle_span(passage, option, max_span) == loop_oracle_span(passage, option, max_span)
+
+
+def test_oracle_matches_the_loop_on_the_toy_corpus_and_exam_like_instances():
+    instances = toy_instances(n_passages=200, seed=7) + exam_like_instances()
+    for inst in instances:
+        for option in inst.option_tokens:
+            assert (oracle_span(inst.passage_tokens, option, 30)
+                    == loop_oracle_span(inst.passage_tokens, option, 30))
 
 
 def test_oracle_verbatim_option_gets_exact_occurrence():

@@ -184,9 +184,6 @@ class ParamStore:
     def all(self) -> list[Parameter]:
         return list(self._params.values())
 
-    def names(self) -> list[str]:
-        return list(self._params.keys())
-
     def __getitem__(self, name: str) -> Parameter:
         return self._params[name]
 

@@ -11,6 +11,10 @@ Padded rows of an embedded sequence are not zeroed: they hold whatever the
 gathers return. Their one reader, ``gru_sequence``, skips them: the state
 passes through a padded position unchanged, the output there is zero, and
 no gradient flows back into a padded input row.
+
+Nothing here draws dropout. ``PipelineModel`` owns it: it drops the
+embedded sequence going into each encode and the states coming out, while
+``final`` keeps the states before dropout.
 """
 
 from __future__ import annotations
@@ -84,9 +88,7 @@ def embed_ids(table: Parameter | Tensor, ids: np.ndarray, mask: np.ndarray) -> E
     return EmbeddedSequence(flat=flat, mask=mask, batch=batch, length=length)
 
 
-def bigru_encode(seq: EmbeddedSequence, params: BiGRUParams,
-                 dropout_rate: float = 0.0,
-                 rng: np.random.Generator | None = None) -> ContextualEncoding:
+def bigru_encode(seq: EmbeddedSequence, params: BiGRUParams) -> ContextualEncoding:
     """Run both directions over the sequence; masked positions neither
     advance the recurrent state nor emit output vectors."""
     if seq.dim != params.forward.input_dim:
@@ -101,9 +103,8 @@ def bigru_encode(seq: EmbeddedSequence, params: BiGRUParams,
     rows = np.stack([2 * (starts + length - 1 - keep[:, ::-1].argmax(axis=1)),
                      2 * (starts + keep.argmax(axis=1)) + 1], axis=1).reshape(-1)
     halves = ad.gather_rows(ad.reshape(states, (2 * batch * length, hidden)), rows)
-    return ContextualEncoding(flat=ad.dropout(states, dropout_rate, rng), mask=seq.mask,
-                              batch=batch, length=length, hidden=hidden,
-                              final=ad.reshape(halves, (batch, 2 * hidden)))
+    return ContextualEncoding(flat=states, mask=seq.mask, batch=batch, length=length,
+                              hidden=hidden, final=ad.reshape(halves, (batch, 2 * hidden)))
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +143,8 @@ def char_embed_tokens(tokens: list[str], params: CharEncoderParams,
 def embed_with_chars(word_table: Parameter, char_params: CharEncoderParams,
                      char_vocab: CharVocabulary, ids: np.ndarray,
                      surfaces: list, mask: np.ndarray) -> EmbeddedSequence:
-    """Word rows concatenated with per-token character features. No
-    dropout: each consumer draws its own.
+    """Word rows concatenated with per-token character features, before
+    any dropout.
 
     Character vectors are computed once per distinct surface form in the
     batch (so out-of-vocabulary words still get their own characters) and
@@ -166,9 +167,7 @@ def embed_with_chars(word_table: Parameter, char_params: CharEncoderParams,
 # evidence indicator channels
 
 
-def encode_with_features(seq: EmbeddedSequence, spans, params: BiGRUParams,
-                         dropout_rate: float = 0.0,
-                         rng: np.random.Generator | None = None) -> ContextualEncoding:
+def encode_with_features(seq: EmbeddedSequence, spans, params: BiGRUParams) -> ContextualEncoding:
     """Append a start and an end indicator channel to each position and
     re-encode. ``spans`` holds one inclusive (start, end) pair per instance,
     inside that instance's unmasked length."""
@@ -184,4 +183,4 @@ def encode_with_features(seq: EmbeddedSequence, spans, params: BiGRUParams,
     flat = ad.concat([seq.flat, Tensor(channels.reshape(-1, 2))], axis=1)
     augmented = EmbeddedSequence(flat=flat, mask=seq.mask, batch=seq.batch,
                                  length=seq.length)
-    return bigru_encode(augmented, params, dropout_rate, rng)
+    return bigru_encode(augmented, params)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from . import autodiff as ad
 from .corpus import Batch, Instance, make_batches
 from .model import PipelineModel
 from .synthesizer import GeneratedAnswer
@@ -22,6 +23,9 @@ RANDOM_FULL_SCALE_ACCURACY = {"middle": 24.6, "high": 25.0, "overall": 24.9}
 SLIDING_WINDOW_FULL_SCALE_ACCURACY = {"middle": 37.3, "high": 30.4, "overall": 32.2}
 
 CHECKPOINT_POLICY = "best-dev"
+
+# how many of a failing batch's instance uids its error message names
+_UIDS_SHOWN = 3
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,20 @@ def standard_meta(kind: str, reference: dict | None = None, **extra) -> dict:
     return meta
 
 
+def reraise_at(exc: Exception, where: str, batch: Batch | None = None) -> None:
+    """Raise ``exc``'s type again, chained from ``exc``, with ``where`` and
+    the first uids of ``batch`` in front of its message, when that type is
+    built from a message alone (``ValueError``, ``NonFiniteError``). Any
+    other type returns, for the caller's bare ``raise`` to pass it on."""
+    if type(exc) not in (ValueError, ad.NonFiniteError):
+        return
+    if batch is not None:
+        more = ", ..." if batch.size > _UIDS_SHOWN else ""
+        uids = ", ".join(inst.uid for inst in batch.instances[:_UIDS_SHOWN])
+        where = f"{where} (instances {uids}{more})"
+    raise type(exc)(f"{where}: {exc}") from exc
+
+
 def batch_answers(model: PipelineModel, batch: Batch,
                   answers: dict[Instance, GeneratedAnswer]) -> list[GeneratedAnswer]:
     """The batch's generated answers, taken from ``answers`` (instance ->
@@ -118,11 +136,15 @@ def predict_records(model: PipelineModel, instances: list[Instance], batch_size:
                     answers: dict[Instance, GeneratedAnswer]) -> list[PredictionRecord]:
     """One prediction per instance, in input order, in batches of
     ``batch_size``; the generated answers come through ``answers`` as
-    ``batch_answers`` gives them."""
+    ``batch_answers`` gives them. An error in a batch names it."""
     records: list[PredictionRecord] = []
-    for batch in make_batches(instances, model.vocab, batch_size):
-        generated = batch_answers(model, batch, answers)
-        chosen = model.predict_batch(batch, generated)
+    for number, batch in enumerate(make_batches(instances, model.vocab, batch_size), 1):
+        try:
+            generated = batch_answers(model, batch, answers)
+            chosen = model.predict_batch(batch, generated)
+        except (ValueError, ad.NonFiniteError) as exc:
+            reraise_at(exc, f"prediction batch {number}", batch)
+            raise
         records.extend(PredictionRecord(uid=inst.uid, predicted_index=int(pick),
                                         gold_index=inst.gold_index,
                                         answer_text=answer.text, subset=inst.subset)

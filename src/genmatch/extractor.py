@@ -21,8 +21,6 @@ from .attention import AttentionParams, additive_attention, init_attention
 from .autodiff import ParamStore, Parameter, Tensor
 from .encoders import ContextualEncoding
 
-DEFAULT_MAX_SPAN = 30
-
 
 @dataclass(frozen=True)
 class EvidenceSpan:
@@ -93,7 +91,7 @@ def feasible_span_argmax(start_probs: np.ndarray, end_probs: np.ndarray,
 
 def predict_span(passage: ContextualEncoding, question_vector: Tensor,
                  params: ExtractorParams,
-                 max_span: int = DEFAULT_MAX_SPAN) -> tuple[SpanDistributions, list[EvidenceSpan]]:
+                 max_span: int) -> tuple[SpanDistributions, list[EvidenceSpan]]:
     """Span distributions plus the per-instance argmax span. The end pass
     needs no context, so it records the attention weights alone."""
     start, end = params.start_attention, params.end_attention
@@ -109,8 +107,7 @@ def predict_span(passage: ContextualEncoding, question_vector: Tensor,
     return SpanDistributions(start=start_dist, end=end_dist), spans
 
 
-def oracle_span(passage_tokens, option_tokens,
-                max_span: int = DEFAULT_MAX_SPAN) -> EvidenceSpan | None:
+def oracle_span(passage_tokens, option_tokens, max_span: int) -> EvidenceSpan | None:
     """Distant-supervision target: the span (length <= max_span) with maximal
     unigram F1 against the option tokens; ties prefer shorter spans, then
     earlier ones. Returns None when no span shares a token with the option.

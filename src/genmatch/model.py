@@ -34,10 +34,8 @@ from .encoders import (
     init_char_encoder,
 )
 from .extractor import EvidenceSpan, init_extractor, pool_question, predict_span, span_loss
-from .selector import bilinear_score, init_bilinear, select_option, selection_loss
+from .selector import MATCHER_PARAM, bilinear_score, init_bilinear, select_option, selection_loss
 from .synthesizer import generate_answer, init_decoder, synthesis_loss
-
-MATCHER_PARAM = "select.w_att"
 
 
 @dataclass
@@ -99,7 +97,7 @@ class PipelineModel:
         the selection loss drifts the extractor's question pooling and
         degrades generation, and the matcher matrix alone is enough."""
         for p in self.parameters():
-            p.requires_grad = p.name == MATCHER_PARAM
+            p.requires_grad = p is self.matcher
 
     # -- embedding and encoding helpers ---------------------------------------
 
@@ -125,13 +123,14 @@ class PipelineModel:
         surfaces = [opt for inst in batch.instances for opt in inst.option_tokens]
         return self._embed(ids, surfaces, mask)
 
-    def _dropped(self, seq: EmbeddedSequence, rng) -> EmbeddedSequence:
-        # identity when rng is None
+    def _dropped(self, seq, rng):
+        """An embedded sequence or an encoding with dropout on its ``flat``
+        rows; identity when rng is None. An encoding's ``final`` is kept."""
         return replace(seq, flat=ad.dropout(seq.flat, self.dims.dropout, rng))
 
     def _encode(self, seq: EmbeddedSequence, params, rng):
         """Input dropout, the BiGRU, output dropout."""
-        return bigru_encode(self._dropped(seq, rng), params, self.dims.dropout, rng)
+        return self._dropped(bigru_encode(self._dropped(seq, rng), params), rng)
 
     # -- extraction -----------------------------------------------------------
 
@@ -150,9 +149,9 @@ class PipelineModel:
 
     def encode_for_synthesis(self, passage: EmbeddedSequence, question: EmbeddedSequence,
                              spans: list[EvidenceSpan], rng=None):
-        passage = encode_with_features(self._dropped(passage, rng),
-                                       [(s.start, s.end) for s in spans],
-                                       self.syn_passage, self.dims.dropout, rng)
+        passage = self._dropped(encode_with_features(self._dropped(passage, rng),
+                                                     [(s.start, s.end) for s in spans],
+                                                     self.syn_passage), rng)
         return passage, self._encode(question, self.syn_question, rng)
 
     def gold_option_ids(self, batch: Batch) -> list[list[int]]:
@@ -177,7 +176,8 @@ class PipelineModel:
         generation_loss = synthesis_loss(syn_passage, syn_question, self.embedding,
                                          self.decoder, self.gold_option_ids(batch))
         total = ad.add(extraction_loss, generation_loss)
-        parts = {"span": extraction_loss.item(), "synthesis": generation_loss.item()}
+        parts = {"span_loss": extraction_loss.item(),
+                 "synthesis_loss": generation_loss.item()}
         return total, parts
 
     def generate(self, batch: Batch):
@@ -203,7 +203,7 @@ class PipelineModel:
     def score_options(self, batch: Batch, answers, rng=None):
         answer_enc = self._encode(self._embed_answers(answers), self.qz_encoder, rng)
         option_enc = self._encode(self._embed_options(batch), self.qz_encoder, rng)
-        return bilinear_score(answer_enc.final, option_enc.final, self.store[MATCHER_PARAM])
+        return bilinear_score(answer_enc.final, option_enc.final, self.matcher)
 
     def selection_stage_loss(self, batch: Batch, answers, rng=None):
         """Selection cross-entropy of the batch's options scored against its

@@ -15,11 +15,13 @@ from . import autodiff as ad
 from .autodiff import ParamStore, Parameter, Tensor
 from .corpus import NUM_OPTIONS
 
+MATCHER_PARAM = "select.w_att"
+
 
 def init_bilinear(store: ParamStore, hidden: int) -> Parameter:
     """The matching matrix starts at zero, which makes every option equally
     likely before the selection stage trains it."""
-    return store.create("select.w_att", ad.zeros(2 * hidden, 2 * hidden))
+    return store.create(MATCHER_PARAM, ad.zeros(2 * hidden, 2 * hidden))
 
 
 def bilinear_score(answer: Tensor, options_flat: Tensor, w_att: Parameter) -> Tensor:

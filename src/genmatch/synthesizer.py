@@ -3,7 +3,10 @@ feature-augmented passage and question encodings.
 
 Each step reads the previous word embedding and the previous context
 vector, produces a new hidden state and attends over the combined memory,
-whose attention keys are projected once per sequence. [hidden ; context]
+whose attention keys are projected once per sequence. The loops pass the
+decoder state as plain tensors: ``initial_state`` gives (hidden, word
+embedding, context), ``decode_step`` gives the next (hidden, context), and
+each loop looks up the next word embedding itself. [hidden ; context]
 is projected to vocabulary logits: at every step when decoding, which is
 greedy and stops at the end token or a length cap, and once for all steps
 when training, which is teacher-forced with mean per-token cross-entropy
@@ -21,8 +24,6 @@ from .attention import AttentionParams, additive_attention, init_attention
 from .autodiff import ParamStore, Parameter, Tensor
 from .corpus import BOS, EOS, PAD, Vocabulary, pad_block
 from .encoders import ContextualEncoding
-
-DEFAULT_MAX_DECODE = 30
 
 
 @dataclass
@@ -49,45 +50,35 @@ def init_decoder(store: ParamStore, embed_dim: int, hidden: int, vocab_size: int
     )
 
 
-@dataclass
-class DecoderState:
-    hidden: Tensor        # (B, Hd)
-    word_embedding: Tensor  # (B, De), embedding of the previously emitted token
-    context: Tensor       # (B, 2H), previous attention context
-
-
-@dataclass
-class DecoderMemory:
-    """Concatenated attention memory: passage (feature-augmented) then
-    question, each with its attention keys, which no decode step changes."""
-
-    parts: list[tuple[Tensor, Tensor, np.ndarray]]
-
-    @classmethod
-    def from_encodings(cls, passage: ContextualEncoding, question: ContextualEncoding,
-                       params: AttentionParams) -> "DecoderMemory":
-        return cls(parts=[(enc.flat, ad.matmul(enc.flat, params.w_memory), enc.mask)
-                          for enc in (passage, question)])
+def decoder_memory(passage: ContextualEncoding, question: ContextualEncoding,
+                   params: AttentionParams) -> list[tuple[Tensor, Tensor, np.ndarray]]:
+    """The attention memory, passage (feature-augmented) then question: one
+    (values, keys, mask) part each, with keys no decode step changes."""
+    return [(enc.flat, ad.matmul(enc.flat, params.w_memory), enc.mask)
+            for enc in (passage, question)]
 
 
 def initial_state(passage: ContextualEncoding, question: ContextualEncoding,
                   word_table: Parameter | Tensor, batch: int,
-                  params: DecoderParams) -> DecoderState:
+                  params: DecoderParams) -> tuple[Tensor, Tensor, Tensor]:
+    """(hidden (B, Hd), start token embedding (B, De), zero context (B, 2H))."""
     pooled = ad.concat([question.mean_pooled(), passage.mean_pooled()], axis=1)
     hidden = ad.tanh(ad.affine(pooled, params.init_w, params.init_b))
     bos = ad.gather_rows(word_table, np.full(batch, BOS, dtype=np.int64))
     context = Tensor(np.zeros((batch, 2 * passage.hidden), dtype=passage.flat.data.dtype))
-    return DecoderState(hidden=hidden, word_embedding=bos, context=context)
+    return hidden, bos, context
 
 
-def decode_step(state: DecoderState, memory: DecoderMemory,
+def decode_step(hidden: Tensor, word_embedding: Tensor, context: Tensor,
+                memory: list[tuple[Tensor, Tensor, np.ndarray]],
                 params: DecoderParams) -> tuple[Tensor, Tensor]:
-    """One step: returns (new hidden, new context). The caller projects the
-    output, picks the next input token and builds the next state."""
-    x = ad.concat([state.word_embedding, state.context], axis=1)
+    """One step from the previous hidden state, emitted token's embedding
+    and context: returns (new hidden, new context). The caller projects the
+    output and picks the next input token."""
+    x = ad.concat([word_embedding, context], axis=1)
     step_mask = np.ones((x.data.shape[0], 1), dtype=x.data.dtype)
-    hidden = ad.gru_sequence(x, state.hidden, (params.gru,), step_mask)
-    context, _ = additive_attention(hidden, memory.parts, params.attention)
+    hidden = ad.gru_sequence(x, hidden, (params.gru,), step_mask)
+    context, _ = additive_attention(hidden, memory, params.attention)
     return hidden, context
 
 
@@ -109,7 +100,7 @@ _LOGIT_BLOCK = 1 << 16
 
 def generate_answer(passage: ContextualEncoding, question: ContextualEncoding,
                     word_table, params: DecoderParams, vocab: Vocabulary,
-                    max_length: int = DEFAULT_MAX_DECODE) -> list[GeneratedAnswer]:
+                    max_length: int) -> list[GeneratedAnswer]:
     """Greedy decoding for a batch; pure function of (parameters, inputs).
 
     Every step projects into one (B, |V|) logits array allocated once per
@@ -125,10 +116,10 @@ def generate_answer(passage: ContextualEncoding, question: ContextualEncoding,
     rows = max(1, _LOGIT_BLOCK // logits.shape[1])
     scratch = np.empty((min(rows, batch), logits.shape[1]), dtype=logits.dtype)
     with ad.no_grad():
-        memory = DecoderMemory.from_encodings(passage, question, params.attention)
-        state = initial_state(passage, question, word_table, batch, params)
+        memory = decoder_memory(passage, question, params.attention)
+        hidden, word, context = initial_state(passage, question, word_table, batch, params)
         for _ in range(max_length):
-            hidden, context = decode_step(state, memory, params)
+            hidden, context = decode_step(hidden, word, context, memory, params)
             np.matmul(np.concatenate([hidden.data, context.data], axis=1), out_w, out=logits)
             logits += out_b
             picks, logp = _greedy_picks(logits, rows, scratch)
@@ -141,9 +132,7 @@ def generate_answer(passage: ContextualEncoding, question: ContextualEncoding,
                     finished[b] = True
             if finished.all():
                 break
-            state = DecoderState(hidden=hidden,
-                                 word_embedding=ad.gather_rows(word_table, picks),
-                                 context=context)
+            word = ad.gather_rows(word_table, picks)
     answers = []
     for ids, lps in zip(emitted, logprobs):
         surface = tuple(vocab.token_for(i) for i in ids if i != EOS)
@@ -195,16 +184,14 @@ def synthesis_loss(passage: ContextualEncoding, question: ContextualEncoding,
     inputs, targets, mask = teacher_targets(target_ids)
     mask = mask.astype(passage.flat.data.dtype, copy=False)
     batch, width = targets.shape
-    memory = DecoderMemory.from_encodings(passage, question, params.attention)
-    state = initial_state(passage, question, word_table, batch, params)
+    memory = decoder_memory(passage, question, params.attention)
+    hidden, word, context = initial_state(passage, question, word_table, batch, params)
     outputs = []
     for t in range(width):
-        hidden, context = decode_step(state, memory, params)
+        hidden, context = decode_step(hidden, word, context, memory, params)
         outputs.append(ad.concat([hidden, context], axis=1))
         if t + 1 < width:
-            state = DecoderState(hidden=hidden,
-                                 word_embedding=ad.gather_rows(word_table, inputs[:, t + 1]),
-                                 context=context)
+            word = ad.gather_rows(word_table, inputs[:, t + 1])
     # one output projection for all L steps, rows step-major (t * B + b)
     logits = ad.affine(ad.concat(outputs, axis=0), params.out_w, params.out_b)
     step_nll = ad.softmax_nll(logits, targets.T.reshape(-1))   # (L*B, 1)

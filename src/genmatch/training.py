@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Adam, clip_global_norm
 from .checkpoint import read_checkpoint, write_checkpoint
 from .corpus import CharVocabulary, EmbeddingTable, Instance, Vocabulary, make_batches
-from .evaluation import EvalReport, batch_answers, predict_records
+from .evaluation import EvalReport, batch_answers, predict_records, reraise_at
 from .extractor import oracle_span
 from .model import ModelDims, PipelineModel, build_model
 from .synthesizer import GeneratedAnswer
@@ -220,10 +220,14 @@ def compute_oracle_spans(instances: list[Instance], max_span: int):
 def _dev_stage_one_loss(model: PipelineModel, dev: list[Instance], spans: dict,
                         config: TrainConfig) -> float:
     total, count = 0.0, 0
-    for batch in make_batches(dev, model.vocab, config.batch_size):
+    for number, batch in enumerate(make_batches(dev, model.vocab, config.batch_size), 1):
         targets = [spans[i] for i in batch.instances]
-        with ad.no_grad():
-            loss, _ = model.stage_one_loss(batch, targets, rng=None)
+        try:
+            with ad.no_grad():
+                loss, _ = model.stage_one_loss(batch, targets, rng=None)
+        except (ValueError, ad.NonFiniteError) as exc:
+            reraise_at(exc, f"dev-loss batch {number}", batch)
+            raise
         total += loss.item() * batch.size
         count += batch.size
     return total / count
@@ -253,13 +257,24 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
     and the seconds its steps spent in the loss's forward, in ``backward``
     and in the norm, clip and Adam step (``forward_s``, ``backward_s``,
     ``optimizer_s``), each summed over the epoch.
+
+    An error in a step or a dev pass is raised again with the stage and
+    epoch (and the step and its batch's uids) in front of its message.
     """
     dropout_rng, shuffle_rng = _seed_streams(seed)
     trainable = model.trainable_parameters()
     optimizer = Adam(trainable, lr=config.lr)
     result = StageResult(model=model)
+
+    def dev_pass(epoch):
+        try:
+            return dev_metric()
+        except (ValueError, ad.NonFiniteError) as exc:
+            reraise_at(exc, f"{stage} epoch {epoch} dev pass")
+            raise
+
     started = time.perf_counter()
-    best = dev_metric()
+    best = dev_pass(0)
     best_epoch = 0
     since_best = 0
     best_is_current = True  # the trainable values are the best epoch's
@@ -277,17 +292,21 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
             for batch in make_batches(train, model.vocab, config.batch_size, epoch_seed):
                 ad.zero_grads(trainable)
                 step_started = time.perf_counter()
-                loss, parts = batch_loss(batch, dropout_rng)
-                forward_done = time.perf_counter()
-                nodes += ad.backward(loss)
-                backward_done = time.perf_counter()
-                norm = ad.global_grad_norm(trainable)
-                scale = clip_global_norm(norm, config.clip_norm)
+                try:
+                    loss, parts = batch_loss(batch, dropout_rng)
+                    forward_done = time.perf_counter()
+                    nodes += ad.backward(loss)
+                    backward_done = time.perf_counter()
+                    norm = ad.global_grad_norm(trainable)
+                    scale = clip_global_norm(norm, config.clip_norm)
+                    post_clip_norm = optimizer.step(scale)
+                except (ValueError, ad.NonFiniteError) as exc:
+                    reraise_at(exc, f"{stage} epoch {epoch} step {steps + 1}", batch)
+                    raise
                 clipped += scale < 1.0
                 norm_sum += norm
                 norm_max = max(norm_max, norm)
-                result.max_post_clip_norm = max(result.max_post_clip_norm,
-                                                optimizer.step(scale))
+                result.max_post_clip_norm = max(result.max_post_clip_norm, post_clip_norm)
                 forward_s += forward_done - step_started
                 backward_s += backward_done - forward_done
                 optimizer_s += time.perf_counter() - backward_done
@@ -297,7 +316,7 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
                 steps += 1
             dev_started = time.perf_counter()
             train_seconds = dev_started - epoch_started
-            metric = dev_metric()
+            metric = dev_pass(epoch)
             entry = {"stage": stage, "epoch": epoch,
                      **{key: total / seen for key, total in sums.items()},
                      metric_name: metric, "clip_rate": clipped / steps,
@@ -354,8 +373,7 @@ def train_synthesis_stage(config: TrainConfig, train: list[Instance],
 
     def batch_loss(batch, rng):
         targets = [spans[i] for i in batch.instances]
-        loss, parts = model.stage_one_loss(batch, targets, rng=rng)
-        return loss, {"span_loss": parts["span"], "synthesis_loss": parts["synthesis"]}
+        return model.stage_one_loss(batch, targets, rng=rng)
 
     return _train_epochs(config, model, train, stage="synthesis", seed=config.seed,
                          batch_loss=batch_loss,

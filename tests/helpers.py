@@ -25,10 +25,9 @@ from genmatch.encoders import bigru_encode, encode_with_features
 from genmatch.extractor import EvidenceSpan, pool_question, predict_span, span_loss
 from genmatch.model import build_model
 from genmatch.synthesizer import (
-    DecoderMemory,
-    DecoderState,
     GeneratedAnswer,
     decode_step,
+    decoder_memory,
     initial_state,
     synthesis_loss,
     teacher_targets,
@@ -183,18 +182,16 @@ def per_step_synthesis_loss(passage, question, word_table, params, target_ids):
     inputs, targets, mask = teacher_targets(target_ids)
     mask = mask.astype(passage.flat.data.dtype, copy=False)
     batch, width = targets.shape
-    state = initial_state(passage, question, word_table, batch, params)
+    hidden, word, context = initial_state(passage, question, word_table, batch, params)
     columns = []
     for t in range(width):
-        memory = DecoderMemory.from_encodings(passage, question, params.attention)
-        hidden, context = decode_step(state, memory, params)
+        memory = decoder_memory(passage, question, params.attention)
+        hidden, context = decode_step(hidden, word, context, memory, params)
         logits = ad.add(ad.matmul(ad.concat([hidden, context], axis=1), params.out_w),
                         params.out_b)
         columns.append(ad.softmax_nll(logits, targets[:, t]))
         if t + 1 < width:
-            state = DecoderState(hidden=hidden,
-                                 word_embedding=ad.gather_rows(word_table, inputs[:, t + 1]),
-                                 context=context)
+            word = ad.gather_rows(word_table, inputs[:, t + 1])
     nll = ad.concat(columns, axis=1)
     per_instance = ad.sum_last(ad.mul_const(nll, mask))
     lengths = mask.sum(axis=1, keepdims=True)
@@ -205,14 +202,13 @@ def embed_twice_stage_one_loss(model, batch, oracle_spans, rng):
     """Reference for ``PipelineModel.stage_one_loss``: extraction and
     synthesis each embed the passage and the question themselves, and each
     consumer draws its input dropout right after its own embedding."""
-    rate = model.dims.dropout
 
     def dropped(seq):
-        return replace(seq, flat=ad.dropout(seq.flat, rate, rng))
+        return replace(seq, flat=ad.dropout(seq.flat, model.dims.dropout, rng))
 
     passage, question = model._embed_batch(batch)
-    ext_passage = bigru_encode(dropped(passage), model.extract_passage, rate, rng)
-    ext_question = bigru_encode(dropped(question), model.qz_encoder, rate, rng)
+    ext_passage = dropped(bigru_encode(dropped(passage), model.extract_passage))
+    ext_question = dropped(bigru_encode(dropped(question), model.qz_encoder))
     distributions, predicted = predict_span(ext_passage,
                                             pool_question(ext_question, model.extractor),
                                             model.extractor, model.dims.max_span)
@@ -220,14 +216,15 @@ def embed_twice_stage_one_loss(model, batch, oracle_spans, rng):
                      for oracle, guess in zip(oracle_spans, predicted)]
     extraction_loss = span_loss(distributions, oracle_spans)
     passage, question = model._embed_batch(batch)
-    syn_passage = encode_with_features(dropped(passage),
-                                       [(s.start, s.end) for s in feature_spans],
-                                       model.syn_passage, rate, rng)
-    syn_question = bigru_encode(dropped(question), model.syn_question, rate, rng)
+    syn_passage = dropped(encode_with_features(dropped(passage),
+                                               [(s.start, s.end) for s in feature_spans],
+                                               model.syn_passage))
+    syn_question = dropped(bigru_encode(dropped(question), model.syn_question))
     generation_loss = synthesis_loss(syn_passage, syn_question, model.embedding,
                                      model.decoder, model.gold_option_ids(batch))
     total = ad.add(extraction_loss, generation_loss)
-    return total, {"span": extraction_loss.item(), "synthesis": generation_loss.item()}
+    return total, {"span_loss": extraction_loss.item(),
+                   "synthesis_loss": generation_loss.item()}
 
 
 def use_five_pass_step(monkeypatch):
@@ -572,10 +569,10 @@ def composite_generate_answer(passage, question, word_table, params, vocab, max_
     logprobs = [[] for _ in range(batch)]
     finished = np.zeros(batch, dtype=bool)
     with ad.no_grad():
-        memory = DecoderMemory.from_encodings(passage, question, params.attention)
-        state = initial_state(passage, question, word_table, batch, params)
+        memory = decoder_memory(passage, question, params.attention)
+        hidden, word, context = initial_state(passage, question, word_table, batch, params)
         for _ in range(max_length):
-            hidden, context = decode_step(state, memory, params)
+            hidden, context = decode_step(hidden, word, context, memory, params)
             logits = ad.add(ad.matmul(ad.concat([hidden, context], axis=1), params.out_w),
                             params.out_b).data
             top = logits.max(axis=1, keepdims=True)
@@ -594,9 +591,7 @@ def composite_generate_answer(passage, question, word_table, params, vocab, max_
                     finished[b] = True
             if finished.all():
                 break
-            state = DecoderState(hidden=hidden,
-                                 word_embedding=ad.gather_rows(word_table, picks),
-                                 context=context)
+            word = ad.gather_rows(word_table, picks)
     answers = []
     for ids, lps in zip(emitted, logprobs):
         surface = tuple(vocab.token_for(i) for i in ids if i != EOS)

@@ -43,7 +43,7 @@ def test_round_trip_is_bit_exact(tmp_path):
     write_checkpoint(path, store.all())
     state = read_checkpoint(path)
     assert set(state) == {"w", "b", "scalar"}
-    for name, p in zip(store.names(), store.all()):
+    for name, p in zip([p.name for p in store.all()], store.all()):
         np.testing.assert_array_equal(state[name], p.data)
         assert state[name].dtype == p.data.dtype
 
@@ -215,7 +215,7 @@ def test_scalar_and_zero_size_parameters_round_trip_bit_exactly(tmp_path, dtype)
     path = tmp_path / "model.ckpt"
     write_checkpoint(path, store.all())
     state = read_checkpoint(path)
-    assert list(state) == store.names()
+    assert list(state) == [p.name for p in store.all()]
     for p in store.all():
         assert state[p.name].shape == p.data.shape
         assert state[p.name].dtype == np.dtype(dtype)

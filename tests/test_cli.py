@@ -286,3 +286,16 @@ def test_errors_exit_nonzero(tmp_path):
     assert main(["baseline", "--kind", "random", "--data", "/nonexistent"]) == 1
     assert main(["train-synthesis", "--data", "/nonexistent",
                  "--out", str(tmp_path / "m")]) == 1
+
+
+def test_a_diverging_step_names_stage_epoch_and_records(toy_dir, tmp_path, capsys):
+    out = tmp_path / "model"
+    rc = main(["train-synthesis", "--data", str(toy_dir), "--out", str(out)]
+              + FAST_TRAIN + ["--set", "lr=1e6", "--set", "clip_norm=1e12"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    train = load_dataset_dir(toy_dir)["train"]
+    assert err.startswith("error: synthesis epoch 1 step ")
+    assert any(inst.uid in err for inst in train)
+    assert err.rstrip().endswith("non-finite value from log")
+    assert not out.exists()

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from genmatch import autodiff as ad
 from genmatch.evaluation import (
     CHECKPOINT_POLICY,
     EvalReport,
@@ -71,3 +72,30 @@ def test_evaluate_table_renders():
     model, _, instances, _ = build_micro_pipeline(n_passages=1)
     table = evaluate(model, instances, batch_size=4).table()
     assert "overall" in table and "accuracy" in table
+
+
+@pytest.mark.parametrize("error, located", [
+    (ad.NonFiniteError("non-finite value from log"), True),
+    (ValueError("bad value"), True),
+    (RuntimeError("other"), False),
+], ids=["non_finite", "value", "runtime"])
+def test_a_failing_prediction_batch_names_itself(monkeypatch, error, located):
+    model, _, instances, _ = build_micro_pipeline()
+    original = model.predict_batch
+    seen = []
+
+    def failing(batch, answers):
+        seen.append(batch)
+        if len(seen) == 2:
+            raise error
+        return original(batch, answers)
+
+    monkeypatch.setattr(model, "predict_batch", failing)
+    with pytest.raises(type(error)) as excinfo:
+        evaluate(model, instances, batch_size=2)
+    if not located:
+        assert excinfo.value is error
+        return
+    uids = ", ".join(inst.uid for inst in seen[1].instances)
+    assert str(excinfo.value) == f"prediction batch 2 (instances {uids}): {error}"
+    assert excinfo.value.__cause__ is error

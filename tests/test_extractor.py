@@ -91,7 +91,7 @@ def test_predict_span_length_one_passage():
     params, _ = extractor(rng, 3)
     passage = make_encoding(rng, 1, 1, 3)
     qv = Tensor(rng.standard_normal((1, 6)))
-    dists, spans = predict_span(passage, qv, params)
+    dists, spans = predict_span(passage, qv, params, max_span=30)
     assert spans[0].start == 0 and spans[0].end == 0
     np.testing.assert_allclose(dists.start.data.sum(), 1.0, atol=1e-6)
 
@@ -125,7 +125,7 @@ def test_distributions_sum_to_one_on_unmasked():
     mask = np.array([[1.0] * 4 + [0.0] * 2, [1.0] * 6])
     passage = make_encoding(rng, 2, 6, 3, mask=mask)
     qv = Tensor(rng.standard_normal((2, 6)))
-    dists, spans = predict_span(passage, qv, params)
+    dists, spans = predict_span(passage, qv, params, max_span=30)
     np.testing.assert_allclose(dists.start.data.sum(axis=1), 1.0, atol=1e-6)
     np.testing.assert_allclose(dists.end.data.sum(axis=1), 1.0, atol=1e-6)
     np.testing.assert_array_equal(dists.start.data[0, 4:], 0.0)
@@ -256,17 +256,17 @@ def test_oracle_matches_the_loop_on_the_toy_corpus_and_exam_like_instances():
 
 def test_oracle_verbatim_option_gets_exact_occurrence():
     passage = "the cat is red . the dog is blue .".split()
-    span = oracle_span(passage, ["red"])
+    span = oracle_span(passage, ["red"], max_span=30)
     assert (span.start, span.end) == (3, 3)
 
 
 def test_oracle_no_overlap_returns_none():
-    assert oracle_span(["a", "b", "c"], ["x", "y"]) is None
+    assert oracle_span(["a", "b", "c"], ["x", "y"], max_span=30) is None
 
 
 def test_oracle_prefers_shortest_then_earliest():
     passage = ["x", "y", "x", "y"]
-    span = oracle_span(passage, ["x", "y"])
+    span = oracle_span(passage, ["x", "y"], max_span=30)
     assert (span.start, span.end) == (0, 1)
 
 
@@ -363,7 +363,7 @@ def test_extractor_gradients_pass_check():
             flat=Tensor(q_data), mask=np.ones((2, 4)), batch=2, length=4, hidden=3,
             final=Tensor(np.zeros((2, 6))))
         qv = pool_question(question, params)
-        dists, _ = predict_span(passage, qv, params)
+        dists, _ = predict_span(passage, qv, params, max_span=30)
         return span_loss(dists, [EvidenceSpan(1, 2), EvidenceSpan(0, 0)])
 
     report = check_gradients(store.all(), loss_fn, tolerance=1e-4)

@@ -26,7 +26,7 @@ def test_stage_one_loss_deterministic_without_dropout():
     first, parts = model.stage_one_loss(batch, targets)
     second, _ = model.stage_one_loss(batch, targets)
     assert first.item() == second.item()
-    assert parts["span"] > 0 and parts["synthesis"] > 0
+    assert parts["span_loss"] > 0 and parts["synthesis_loss"] > 0
 
 
 def test_generate_is_pure_and_respects_cap():
@@ -120,8 +120,8 @@ def test_zero_overlap_instances_contribute_only_synthesis_loss():
     model, config, _, batches = build_micro_pipeline()
     batch = batches[0]
     loss, parts = model.stage_one_loss(batch, [None] * batch.size)
-    assert parts["span"] == 0.0
-    assert loss.item() == pytest.approx(parts["synthesis"])
+    assert parts["span_loss"] == 0.0
+    assert loss.item() == pytest.approx(parts["synthesis_loss"])
     # and gradients still flow for the synthesis side
     ad.zero_grads(model.trainable_parameters())
     ad.backward(loss)
@@ -135,6 +135,41 @@ def test_selection_loss_is_log4_with_zero_matcher():
     answers, _ = model.generate(batch)
     loss = model.selection_stage_loss(batch, answers)
     assert loss.item() == pytest.approx(math.log(4.0), abs=1e-12)
+
+
+def test_selection_scores_draw_dropout_answers_then_options():
+    """``score_options`` and ``selection_stage_loss`` with an rng: input
+    dropout, the shared BiGRU and output dropout for the answers, then the
+    same for the options. The scores read the final states, which are taken
+    before output dropout, but the output draws still advance the rng."""
+    from dataclasses import replace
+
+    from genmatch.selector import bilinear_score, selection_loss
+
+    model, _, _, batches = build_micro_pipeline(dropout=0.3)
+    batch = batches[0]
+    answers, _ = model.generate(batch)
+    matcher = model.store[MATCHER_PARAM]
+    matcher.data[...] = 0.1 * np.random.default_rng(4).standard_normal(matcher.data.shape)
+
+    def by_hand(rng):
+        def dropped(seq):
+            return replace(seq, flat=ad.dropout(seq.flat, model.dims.dropout, rng))
+
+        answer = dropped(encoders.bigru_encode(dropped(model._embed_answers(answers)),
+                                               model.qz_encoder))
+        options = dropped(encoders.bigru_encode(dropped(model._embed_options(batch)),
+                                                model.qz_encoder))
+        return bilinear_score(answer.final, options.final, matcher)
+
+    want_rng, got_rng = np.random.default_rng(11), np.random.default_rng(11)
+    want = by_hand(want_rng)
+    np.testing.assert_array_equal(model.score_options(batch, answers, got_rng).data, want.data)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert not np.array_equal(want.data, model.score_options(batch, answers).data)
+    want_loss = selection_loss(by_hand(want_rng), batch.gold).item()
+    assert model.selection_stage_loss(batch, answers, got_rng).item() == want_loss
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_predict_batch_shapes():
@@ -291,7 +326,7 @@ def test_freeze_partition_covers_all_parameters():
     model, _, _, _ = build_micro_pipeline()
     assert model.freeze_for_selection_stage() is None
     frozen = [p.name for p in model.parameters() if not p.requires_grad]
-    assert set(frozen) == set(model.store.names()) - {MATCHER_PARAM}
+    assert set(frozen) == {p.name for p in model.store.all()} - {MATCHER_PARAM}
     assert [p.name for p in model.trainable_parameters()] == [MATCHER_PARAM]
 
 

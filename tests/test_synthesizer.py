@@ -10,9 +10,8 @@ from genmatch.autodiff import ParamStore, Tensor
 from genmatch.corpus import BOS, EOS, PAD, Vocabulary
 from genmatch.encoders import ContextualEncoding
 from genmatch.synthesizer import (
-    DecoderMemory,
-    DecoderState,
     decode_step,
+    decoder_memory,
     generate_answer,
     initial_state,
     init_decoder,
@@ -223,17 +222,15 @@ def test_attention_weights_sum_to_one_each_step():
     params, table, vocab, _ = setup_decoder(rng)
     passage = make_encoding(rng, 2, 4, 3, mask=np.array([[1.0] * 4, [1, 1, 0, 0]]))
     question = make_encoding(rng, 2, 2, 3)
-    memory = DecoderMemory.from_encodings(passage, question, params.attention)
-    state = initial_state(passage, question, table, 2, params)
+    memory = decoder_memory(passage, question, params.attention)
+    hidden, word, context = initial_state(passage, question, table, 2, params)
     for _ in range(3):
-        hidden, context = decode_step(state, memory, params)
-        again, weights = additive_attention(hidden, memory.parts, params.attention)
+        hidden, context = decode_step(hidden, word, context, memory, params)
+        again, weights = additive_attention(hidden, memory, params.attention)
         np.testing.assert_array_equal(again.data, context.data)
         np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-6)
         np.testing.assert_array_equal(weights.data[1, 2:4], 0.0)
-        state = DecoderState(hidden=hidden,
-                             word_embedding=ad.gather_rows(table, np.array([4, 5])),
-                             context=context)
+        word = ad.gather_rows(table, np.array([4, 5]))
 
 
 def test_hoisted_keys_give_the_context_and_weights_of_keys_projected_each_step():
@@ -241,19 +238,17 @@ def test_hoisted_keys_give_the_context_and_weights_of_keys_projected_each_step()
     params, table, vocab, _ = setup_decoder(rng)
     passage = make_encoding(rng, 2, 4, 3, mask=np.array([[1.0] * 4, [1, 1, 1, 0]]))
     question = make_encoding(rng, 2, 3, 3, mask=np.array([[1.0, 1.0, 0.0], [1.0] * 3]))
-    memory = DecoderMemory.from_encodings(passage, question, params.attention)
-    state = initial_state(passage, question, table, 2, params)
+    memory = decoder_memory(passage, question, params.attention)
+    hidden, word, context = initial_state(passage, question, table, 2, params)
     for step in range(4):
-        hidden, context = decode_step(state, memory, params)
-        _, hoisted_weights = additive_attention(hidden, memory.parts, params.attention)
+        hidden, context = decode_step(hidden, word, context, memory, params)
+        _, hoisted_weights = additive_attention(hidden, memory, params.attention)
         projected_here = [with_keys(enc.flat, enc.mask, params.attention)
                           for enc in (passage, question)]
         inside, inside_weights = additive_attention(hidden, projected_here, params.attention)
         np.testing.assert_array_equal(context.data, inside.data)
         np.testing.assert_array_equal(hoisted_weights.data, inside_weights.data)
-        state = DecoderState(hidden=hidden,
-                             word_embedding=ad.gather_rows(table, np.array([4 + step, 5])),
-                             context=context)
+        word = ad.gather_rows(table, np.array([4 + step, 5]))
 
 
 def test_attention_empty_memory_rejected():
@@ -277,11 +272,11 @@ def test_decode_step_logits_cover_vocabulary_and_are_deterministic():
     params, table, vocab, _ = setup_decoder(rng)
     passage = make_encoding(rng, 2, 3, 3)
     question = make_encoding(rng, 2, 2, 3)
-    memory = DecoderMemory.from_encodings(passage, question, params.attention)
+    memory = decoder_memory(passage, question, params.attention)
     state = initial_state(passage, question, table, 2, params)
 
     def logits():
-        hidden, context = decode_step(state, memory, params)
+        hidden, context = decode_step(*state, memory, params)
         return ad.matmul(ad.concat([hidden, context], axis=1), params.out_w).data
 
     logits_a, logits_b = logits(), logits()
@@ -321,7 +316,7 @@ def test_generation_all_mass_on_eos_gives_empty_surface():
     params.out_b.data[EOS] = 50.0
     passage = make_encoding(rng, 2, 3, 3)
     question = make_encoding(rng, 2, 2, 3)
-    answers = generate_answer(passage, question, table, params, vocab)
+    answers = generate_answer(passage, question, table, params, vocab, max_length=30)
     for ans in answers:
         assert ans.token_ids == (EOS,)
         assert ans.surface_tokens == ()
@@ -355,11 +350,11 @@ def test_greedy_token_logprobs_equal_a_numpy_log_softmax_bit_for_bit():
     answers = generate_answer(passage, question, table, params, vocab, max_length=8)
 
     with ad.no_grad():
-        memory = DecoderMemory.from_encodings(passage, question, params.attention)
-        state = initial_state(passage, question, table, 3, params)
+        memory = decoder_memory(passage, question, params.attention)
+        hidden, word, context = initial_state(passage, question, table, 3, params)
         picked, logprobs = [], []
         for _ in range(8):
-            hidden, context = decode_step(state, memory, params)
+            hidden, context = decode_step(hidden, word, context, memory, params)
             logits = ad.add(ad.matmul(ad.concat([hidden, context], axis=1), params.out_w),
                             params.out_b).data
             shifted = logits - logits.max(axis=1, keepdims=True)
@@ -369,8 +364,7 @@ def test_greedy_token_logprobs_equal_a_numpy_log_softmax_bit_for_bit():
             picks = np.argmax(choice, axis=1)
             picked.append(picks)
             logprobs.append(logp[np.arange(3), picks])
-            state = DecoderState(hidden=hidden, word_embedding=ad.gather_rows(table, picks),
-                                 context=context)
+            word = ad.gather_rows(table, picks)
     picked, logprobs = np.array(picked).T, np.array(logprobs).T
     assert sum(len(a.token_ids) for a in answers) > 3
     for b, answer in enumerate(answers):

@@ -433,6 +433,31 @@ def test_a_stage_leaves_no_snapshot_in_the_temp_directory(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_failing_dev_batch_names_the_stage_epoch_and_batch(monkeypatch):
+    config, train, dev, vocab, char_vocab, table = setup_training(max_epochs=2)
+    per_pass = len(make_batches(dev, vocab, config.batch_size))
+    original = PipelineModel.stage_one_loss
+    dev_batches = []
+
+    def failing(self, batch, targets, rng=None):
+        if rng is None:
+            dev_batches.append(batch)
+            # the first batch of epoch 1's dev pass
+            if len(dev_batches) == per_pass + 1:
+                raise ad.NonFiniteError("non-finite value from log")
+        return original(self, batch, targets, rng)
+
+    monkeypatch.setattr(PipelineModel, "stage_one_loss", failing)
+    with pytest.raises(ad.NonFiniteError) as excinfo:
+        train_synthesis_stage(config, train, dev, vocab, char_vocab, table)
+    batch = dev_batches[-1]
+    uids = ", ".join(inst.uid for inst in batch.instances[:3])
+    more = ", ..." if batch.size > 3 else ""
+    assert str(excinfo.value) == (f"synthesis epoch 1 dev pass: dev-loss batch 1 "
+                                  f"(instances {uids}{more}): non-finite value from log")
+    assert str(excinfo.value.__cause__.__cause__) == "non-finite value from log"
+
+
 def test_config_json_with_retired_keys_at_their_fixed_values_still_loads(tmp_path):
     config, train, dev, vocab, char_vocab, table = setup_training()
     model = build_model(config.dims(vocab, char_vocab), vocab, char_vocab,

@@ -1150,7 +1150,7 @@ def _square_sum(flat: np.ndarray, buf: np.ndarray):
     return _square_sum(flat[:half], buf) + _square_sum(flat[half:], buf)
 
 
-def clip_global_norm(norm: float, threshold: float = 10.0) -> float:
+def clip_global_norm(norm: float, threshold: float) -> float:
     """The scale that brings gradients whose global L2 norm is ``norm`` (from
     ``global_grad_norm``) to at most ``threshold``: 1.0 when it already is.
     ``Adam.step`` applies the scale as it reads the grads. The tiny slack in
@@ -1172,7 +1172,7 @@ class Adam:
     """Bias-corrected Adam (betas 0.9 and 0.999, eps 1e-8) over a fixed
     parameter list; frozen entries are skipped."""
 
-    def __init__(self, params, lr: float = 0.005):
+    def __init__(self, params, lr: float):
         self.params = list(params)
         if not self.params:
             raise ValueError("Adam needs at least one parameter")
@@ -1183,7 +1183,7 @@ class Adam:
         self._scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
         self._blocks: dict[np.dtype, np.ndarray] = {}  # a factored gradient's column block
 
-    def step(self, scale: float = 1.0) -> float:
+    def step(self, scale: float) -> float:
         """One update with every gradient times ``scale`` (the clip's); a
         None grad steps as zeros. Returns the scaled gradients' L2 norm.
 

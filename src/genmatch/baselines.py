@@ -14,7 +14,7 @@ from collections import Counter
 
 import numpy as np
 
-from .corpus import Instance
+from .corpus import NUM_OPTIONS, Instance
 from .evaluation import (
     EvalReport,
     PredictionRecord,
@@ -30,7 +30,7 @@ def random_baseline(instances: list[Instance], seed: int) -> EvalReport:
     """Uniform choice among the 4 options, deterministic under the seed."""
     rng = np.random.default_rng(seed)
     records = [PredictionRecord(uid=inst.uid,
-                                predicted_index=int(rng.integers(0, 4)),
+                                predicted_index=int(rng.integers(0, NUM_OPTIONS)),
                                 gold_index=inst.gold_index, answer_text="",
                                 subset=inst.subset)
                for inst in instances]
@@ -49,7 +49,7 @@ def window_score(passage: tuple[str, ...], bag: set[str], window: int) -> float:
                for start in range(total_len - width + 1))
 
 
-def sliding_window_choice(instance: Instance, window: int = DEFAULT_WINDOW) -> int:
+def sliding_window_choice(instance: Instance, window: int) -> int:
     question = set(instance.question_tokens)
     scores = [window_score(instance.passage_tokens,
                            question | set(option), window)
@@ -57,8 +57,7 @@ def sliding_window_choice(instance: Instance, window: int = DEFAULT_WINDOW) -> i
     return int(np.argmax(scores))  # ties resolve to the lowest index
 
 
-def sliding_window_baseline(instances: list[Instance],
-                            window: int = DEFAULT_WINDOW) -> EvalReport:
+def sliding_window_baseline(instances: list[Instance], window: int) -> EvalReport:
     records = [PredictionRecord(uid=inst.uid,
                                 predicted_index=sliding_window_choice(inst, window),
                                 gold_index=inst.gold_index, answer_text="",

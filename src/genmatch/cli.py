@@ -12,11 +12,11 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .baselines import DEFAULT_WINDOW, random_baseline, sliding_window_baseline
 from .corpus import (
+    OPTION_LETTERS,
     CharVocabulary,
     Vocabulary,
     instance_token_streams,
@@ -28,7 +28,7 @@ from .corpus import (
 )
 from .evaluation import EvalReport, evaluate, predict_records
 from .model_io import load_model_dir, save_model_dir
-from .training import TrainConfig, train_selection_stage, train_synthesis_stage
+from .training import MODEL_KEYS, TrainConfig, train_selection_stage, train_synthesis_stage
 
 log = logging.getLogger("genmatch")
 
@@ -96,13 +96,8 @@ def cmd_train_synthesis(args) -> int:
 def cmd_train_selection(args) -> int:
     model, stage1_config = load_model_dir(args.stage1)
     config = _config_from_args(args, base=stage1_config)
-    # stage two trains the stage-one model as built, so a key that would
-    # build it otherwise cannot change
-    dims = config.dims(model.vocab, model.char_vocab)
-    changed = [f.name for f in fields(dims)
-               if getattr(dims, f.name) != getattr(model.dims, f.name)]
-    if config.vocab_cap != stage1_config.vocab_cap:
-        changed.append("vocab_cap")
+    changed = [key for key in MODEL_KEYS
+               if getattr(config, key) != getattr(stage1_config, key)]
     if changed:
         raise ValueError("cannot change model keys after stage one: "
                          + ", ".join(repr(name) for name in changed))
@@ -141,7 +136,7 @@ def cmd_baseline(args) -> int:
 def cmd_predict(args) -> int:
     model, config = load_model_dir(args.checkpoint)
     for record in predict_records(model, parse_record_file(args.input), config.batch_size, {}):
-        print(f"{record.uid}\t{'ABCD'[record.predicted_index]}\t{record.answer_text}")
+        print(f"{record.uid}\t{OPTION_LETTERS[record.predicted_index]}\t{record.answer_text}")
     return 0
 
 

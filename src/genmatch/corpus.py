@@ -24,8 +24,8 @@ RESERVED_TOKENS = (PAD_TOKEN, UNK_TOKEN, BOS_TOKEN, EOS_TOKEN)
 
 CHAR_PAD, CHAR_UNK = 0, 1
 
-NUM_OPTIONS = 4
-DEFAULT_VOCAB_CAP = 65_000
+OPTION_LETTERS = "ABCD"  # an answer's letter, by option index
+NUM_OPTIONS = len(OPTION_LETTERS)
 
 _RECORD_FIELDS = ("article", "questions", "options", "answers", "id")
 _PUNCT_RE = re.compile(r"([^\w\s])")
@@ -94,14 +94,14 @@ def parse_race_record(document: str | dict, subset: str | None = None) -> list[I
             raise MalformedRecord(f"{doc_id}: question {k} needs exactly {NUM_OPTIONS} options")
         if not all(isinstance(text, str) for text in (question, *opts)):
             raise MalformedRecord(f"{doc_id}: question {k} or one of its options is not a string")
-        if not isinstance(answer, str) or answer not in "ABCD" or len(answer) != 1:
+        if not isinstance(answer, str) or answer not in OPTION_LETTERS or len(answer) != 1:
             raise MalformedRecord(f"{doc_id}: question {k} has invalid answer {answer!r}")
         instances.append(Instance(
             uid=f"{doc_id}:q{k}",
             passage_tokens=passage,
             question_tokens=tuple(tokenize(question)),
             option_tokens=tuple(tuple(tokenize(o)) for o in opts),
-            gold_index=ord(answer) - ord("A"),
+            gold_index=OPTION_LETTERS.index(answer),
             subset=subset,
         ))
     return instances
@@ -128,7 +128,7 @@ class Vocabulary:
             self.index = {tok: i for i, tok in enumerate(self.tokens)}
 
     @classmethod
-    def build(cls, token_streams, cap: int = DEFAULT_VOCAB_CAP) -> "Vocabulary":
+    def build(cls, token_streams, cap: int) -> "Vocabulary":
         if cap < 1:
             raise ValueError("vocabulary cap must be >= 1")
         counts: Counter[str] = Counter()
@@ -223,15 +223,15 @@ class EmbeddingTable:
 
 
 def random_embeddings(vocab: Vocabulary, dim: int, seed: int,
-                      trainable: bool = True) -> EmbeddingTable:
+                      trainable: bool) -> EmbeddingTable:
     rng = np.random.default_rng(seed)
     matrix = rng.uniform(-0.1, 0.1, size=(len(vocab), dim))
     return EmbeddingTable(matrix=matrix, pretrained=np.zeros(len(vocab), dtype=bool),
                           coverage=0.0, trainable=trainable)
 
 
-def load_embeddings(path, vocab: Vocabulary, dim: int = 300, seed: int = 0,
-                    trainable: bool = False) -> EmbeddingTable:
+def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int,
+                    trainable: bool) -> EmbeddingTable:
     """Read ``token v1 ... v<dim>`` lines, overlaying covered vocabulary rows
     onto a seeded random base so the result is deterministic. A covered
     row's values must be finite numbers; an error names ``<path>:<line>``."""
@@ -315,7 +315,7 @@ def make_batch(instances, vocab: Vocabulary) -> Batch:
     )
 
 
-def make_batches(instances, vocab: Vocabulary, batch_size: int = 32,
+def make_batches(instances, vocab: Vocabulary, batch_size: int,
                  shuffle_seed: int | None = None) -> list[Batch]:
     """Chunk instances into padded batches; the final partial batch is kept.
     Shuffling is deterministic under the seed; None keeps input order."""
@@ -375,7 +375,7 @@ def generate_toy_corpus(num_passages: int, seed: int) -> list[dict]:
             opts = [opts[j] for j in order]
             questions.append(question)
             options.append(opts)
-            answers.append("ABCD"[opts.index(color)])
+            answers.append(OPTION_LETTERS[opts.index(color)])
         docs.append({
             "article": article,
             "questions": questions,

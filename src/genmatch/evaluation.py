@@ -95,14 +95,13 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def standard_meta(kind: str, reference: dict | None = None, **extra) -> dict:
-    meta = {"kind": kind, "checkpoint_policy": CHECKPOINT_POLICY}
-    if reference is not None:
-        meta["full_scale_reference_accuracy"] = reference["overall"]
-        meta["full_scale_reference_note"] = (
-            "reported full-data accuracy "
-            f"(middle {reference['middle']}, high {reference['high']}); "
-            "not reproducible at desk scale")
+def standard_meta(kind: str, reference: dict, **extra) -> dict:
+    meta = {"kind": kind, "checkpoint_policy": CHECKPOINT_POLICY,
+            "full_scale_reference_accuracy": reference["overall"],
+            "full_scale_reference_note": (
+                "reported full-data accuracy "
+                f"(middle {reference['middle']}, high {reference['high']}); "
+                "not reproducible at desk scale")}
     meta.update(extra)
     return meta
 
@@ -153,7 +152,7 @@ def predict_records(model: PipelineModel, instances: list[Instance], batch_size:
 
 
 def evaluate(model: PipelineModel, instances: list[Instance],
-             batch_size: int = 32, meta: dict | None = None) -> EvalReport:
+             batch_size: int, meta: dict | None = None) -> EvalReport:
     """Deterministic full-pipeline evaluation (dropout off, input order kept)."""
     records = predict_records(model, instances, batch_size, {})
     base = standard_meta("pipeline", PIPELINE_FULL_SCALE_ACCURACY)

@@ -18,7 +18,8 @@ shared ``qz.*`` encoder included, is the frozen stage-one set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,49 +38,37 @@ from .extractor import EvidenceSpan, init_extractor, pool_question, predict_span
 from .selector import MATCHER_PARAM, bilinear_score, init_bilinear, select_option, selection_loss
 from .synthesizer import generate_answer, init_decoder, synthesis_loss
 
-
-@dataclass
-class ModelDims:
-    """Structural hyperparameters (everything needed to rebuild the graph)."""
-
-    vocab_size: int
-    char_vocab_size: int
-    embed_dim: int
-    char_dim: int
-    char_hidden: int
-    hidden: int
-    dropout: float
-    max_span: int
-    max_decode_len: int
-    fine_tune_embeddings: bool = False
-    precision: str = "float64"
+if TYPE_CHECKING:
+    from .training import TrainConfig
 
 
 class PipelineModel:
-    def __init__(self, dims: ModelDims, vocab: Vocabulary, char_vocab: CharVocabulary,
+    """The pipeline as ``config`` builds it; the word table and the output
+    layer have one row or column per word of ``vocab``."""
+
+    def __init__(self, config: TrainConfig, vocab: Vocabulary, char_vocab: CharVocabulary,
                  embedding_matrix: np.ndarray | None, rng: np.random.Generator,
                  state: dict[str, np.ndarray] | None):
-        self.dims = dims
+        self.config = config
         self.vocab = vocab
         self.char_vocab = char_vocab
-        store = ParamStore(dims.precision, state)
+        store = ParamStore(config.precision, state)
         self.store = store
         self.embedding = store.create(
-            "emb", ad.Initializer((dims.vocab_size, dims.embed_dim), lambda: embedding_matrix),
-            trainable=dims.fine_tune_embeddings)
-        self.char_encoder = init_char_encoder(store, char_vocab, dims.char_dim,
-                                              dims.char_hidden, rng)
-        token_dim = dims.embed_dim + self.char_encoder.feature_dim
+            "emb", ad.Initializer((len(vocab), config.embed_dim), lambda: embedding_matrix),
+            trainable=config.fine_tune_embeddings)
+        self.char_encoder = init_char_encoder(store, char_vocab, config.char_dim,
+                                              config.char_hidden, rng)
+        token_dim = config.embed_dim + self.char_encoder.feature_dim
         self.extract_passage = init_bigru(store, "extract_passage", token_dim,
-                                          dims.hidden, rng)
-        self.qz_encoder = init_bigru(store, "qz", token_dim, dims.hidden, rng)
-        self.extractor = init_extractor(store, dims.hidden, rng)
+                                          config.hidden, rng)
+        self.qz_encoder = init_bigru(store, "qz", token_dim, config.hidden, rng)
+        self.extractor = init_extractor(store, config.hidden, rng)
         self.syn_passage = init_bigru(store, "syn_passage", token_dim + 2,
-                                      dims.hidden, rng)
-        self.syn_question = init_bigru(store, "syn_question", token_dim, dims.hidden, rng)
-        self.decoder = init_decoder(store, dims.embed_dim, dims.hidden,
-                                    dims.vocab_size, rng)
-        self.matcher = init_bilinear(store, dims.hidden)
+                                      config.hidden, rng)
+        self.syn_question = init_bigru(store, "syn_question", token_dim, config.hidden, rng)
+        self.decoder = init_decoder(store, config.embed_dim, config.hidden, len(vocab), rng)
+        self.matcher = init_bilinear(store, config.hidden)
         store.check_state_taken()
 
     # -- parameter bookkeeping ------------------------------------------------
@@ -117,16 +106,16 @@ class PipelineModel:
         return passage, question
 
     def _embed_options(self, batch: Batch):
-        size, _, width = batch.option_ids.shape
-        ids = batch.option_ids.reshape(size * 4, width)
-        mask = batch.option_mask.reshape(size * 4, width)
+        size, options, width = batch.option_ids.shape
+        ids = batch.option_ids.reshape(size * options, width)
+        mask = batch.option_mask.reshape(size * options, width)
         surfaces = [opt for inst in batch.instances for opt in inst.option_tokens]
         return self._embed(ids, surfaces, mask)
 
     def _dropped(self, seq, rng):
         """An embedded sequence or an encoding with dropout on its ``flat``
         rows; identity when rng is None. An encoding's ``final`` is kept."""
-        return replace(seq, flat=ad.dropout(seq.flat, self.dims.dropout, rng))
+        return replace(seq, flat=ad.dropout(seq.flat, self.config.dropout, rng))
 
     def _encode(self, seq: EmbeddedSequence, params, rng):
         """Input dropout, the BiGRU, output dropout."""
@@ -135,7 +124,7 @@ class PipelineModel:
     # -- extraction -----------------------------------------------------------
 
     def encode_for_extraction(self, passage: EmbeddedSequence,
-                              question: EmbeddedSequence, rng=None):
+                              question: EmbeddedSequence, rng):
         return (self._encode(passage, self.extract_passage, rng),
                 self._encode(question, self.qz_encoder, rng))
 
@@ -143,7 +132,7 @@ class PipelineModel:
                       rng=None):
         passage, question = self.encode_for_extraction(passage, question, rng)
         question_vector = pool_question(question, self.extractor)
-        return predict_span(passage, question_vector, self.extractor, self.dims.max_span)
+        return predict_span(passage, question_vector, self.extractor, self.config.max_span)
 
     # -- synthesis ------------------------------------------------------------
 
@@ -158,8 +147,7 @@ class PipelineModel:
         return [self.vocab.ids(inst.option_tokens[inst.gold_index])
                 for inst in batch.instances]
 
-    def stage_one_loss(self, batch: Batch, oracle_spans: list[EvidenceSpan | None],
-                       rng=None):
+    def stage_one_loss(self, batch: Batch, oracle_spans: list[EvidenceSpan | None], rng):
         """Joint extraction + synthesis loss for one batch.
 
         Oracle spans provide the indicator features and the span targets;
@@ -188,7 +176,7 @@ class PipelineModel:
             # rebinding frees the embeddings before decoding
             passage, question = self.encode_for_synthesis(passage, question, spans)
             answers = generate_answer(passage, question, self.embedding, self.decoder,
-                                      self.vocab, self.dims.max_decode_len)
+                                      self.vocab, self.config.max_decode_len)
         return answers, spans
 
     # -- selection ------------------------------------------------------------
@@ -205,7 +193,7 @@ class PipelineModel:
         option_enc = self._encode(self._embed_options(batch), self.qz_encoder, rng)
         return bilinear_score(answer_enc.final, option_enc.final, self.matcher)
 
-    def selection_stage_loss(self, batch: Batch, answers, rng=None):
+    def selection_stage_loss(self, batch: Batch, answers, rng):
         """Selection cross-entropy of the batch's options scored against its
         generated ``answers``."""
         scores = self.score_options(batch, answers, rng)
@@ -218,7 +206,7 @@ class PipelineModel:
             return select_option(self.score_options(batch, answers))
 
 
-def build_model(dims: ModelDims, vocab: Vocabulary, char_vocab: CharVocabulary,
+def build_model(config: TrainConfig, vocab: Vocabulary, char_vocab: CharVocabulary,
                 embedding_matrix: np.ndarray | None, seed: int,
                 state: dict[str, np.ndarray] | None = None) -> PipelineModel:
     """A new model: the word table is ``embedding_matrix`` and every other
@@ -226,4 +214,4 @@ def build_model(dims: ModelDims, vocab: Vocabulary, char_vocab: CharVocabulary,
     exactly the model's parameters, each parameter holds the state's array
     instead, nothing is drawn and ``embedding_matrix`` may be None."""
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    return PipelineModel(dims, vocab, char_vocab, embedding_matrix, rng, state)
+    return PipelineModel(config, vocab, char_vocab, embedding_matrix, rng, state)

@@ -75,8 +75,7 @@ def load_model_dir(path) -> tuple[PipelineModel, TrainConfig]:
         raise ValueError(f"{vocab_path}: {exc}") from None
     state = read_checkpoint(ckpt)
     try:
-        model = build_model(config.dims(vocab, char_vocab), vocab, char_vocab, None,
-                            config.seed, state)
+        model = build_model(config, vocab, char_vocab, None, config.seed, state)
     except (ValueError, NonFiniteError) as exc:
         raise type(exc)(f"{ckpt}: {exc}") from None
     return model, config

@@ -26,7 +26,7 @@ from .checkpoint import read_checkpoint, write_checkpoint
 from .corpus import CharVocabulary, EmbeddingTable, Instance, Vocabulary, make_batches
 from .evaluation import EvalReport, batch_answers, predict_records, reraise_at
 from .extractor import oracle_span
-from .model import ModelDims, PipelineModel, build_model
+from .model import PipelineModel, build_model
 from .synthesizer import GeneratedAnswer
 
 log = logging.getLogger(__name__)
@@ -34,10 +34,12 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class TrainConfig:
-    """Training hyperparameters. The defaults are the reference recipe:
-    Adam at 0.005, L2 gradient clip 10, batches of 32, a 65k-word
-    vocabulary with 300-dim embeddings, GRU hidden size 128, dropout 0.45
-    on embeddings and encoder outputs, and at most 80 epochs."""
+    """Training hyperparameters, and the one holder of the recipe: the model
+    is built from this config, and no function below it defaults one of
+    its values. The defaults are the reference recipe: Adam at 0.005, L2
+    gradient clip 10, batches of 32, a 65k-word vocabulary with 300-dim
+    embeddings, GRU hidden size 128, dropout 0.45 on embeddings and encoder
+    outputs, and at most 80 epochs."""
 
     lr: float = 0.005
     clip_norm: float = 10.0
@@ -68,15 +70,12 @@ class TrainConfig:
         if self.precision not in ("float64", "float32"):
             raise ValueError("precision must be float64 or float32")
 
-    def dims(self, vocab: Vocabulary, char_vocab: CharVocabulary) -> ModelDims:
-        return ModelDims(
-            vocab_size=len(vocab), char_vocab_size=len(char_vocab),
-            embed_dim=self.embed_dim, char_dim=self.char_dim,
-            char_hidden=self.char_hidden, hidden=self.hidden, dropout=self.dropout,
-            max_span=self.max_span, max_decode_len=self.max_decode_len,
-            fine_tune_embeddings=self.fine_tune_embeddings,
-            precision=self.precision,
-        )
+    def dims(self, vocab: Vocabulary, char_vocab: CharVocabulary) -> "TrainConfig":
+        """This config: the model is built from it, sized by the vocabulary
+        it is given. Kept, unused in the package, because the benchmark
+        harness builds its models with ``build_model(config.dims(vocab,
+        char_vocab), ...)``."""
+        return self
 
     def to_payload(self) -> dict:
         return dataclasses.asdict(self)
@@ -119,9 +118,9 @@ class TrainConfig:
         return config
 
     @classmethod
-    def from_file(cls, path, base: "TrainConfig | None" = None) -> "TrainConfig":
-        """A UTF-8 config file laid over ``base`` (default: the defaults);
-        every error names ``<path>:<line>``."""
+    def from_file(cls, path, base: "TrainConfig") -> "TrainConfig":
+        """A UTF-8 config file laid over ``base``; every error names
+        ``<path>:<line>``."""
         data = Path(path).read_bytes()
         try:
             lines = data.decode("utf-8").splitlines()
@@ -131,9 +130,15 @@ class TrainConfig:
             lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
             raise ValueError(f"{path}:{lineno}: not UTF-8: {exc.reason} at byte "
                              f"{exc.start}") from None
-        return (base or cls()).with_lines(
+        return base.with_lines(
             (f"{path}:{lineno}", line) for lineno, line in enumerate(lines, start=1))
 
+
+# The keys that fix the stage-one model: its shapes, precision and word
+# table, its vocabulary's cap, and the dropout and caps its passes read.
+# Stage two trains that model as built, so it cannot change them.
+MODEL_KEYS = ("embed_dim", "char_dim", "char_hidden", "hidden", "dropout", "max_span",
+              "max_decode_len", "fine_tune_embeddings", "precision", "vocab_cap")
 
 # field name -> type name; annotations are postponed, so each type is a string
 _FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
@@ -367,8 +372,7 @@ def train_synthesis_stage(config: TrainConfig, train: list[Instance],
     else:
         table = embeddings.matrix.view()
         table.flags.writeable = False
-    model = build_model(config.dims(vocab, char_vocab), vocab, char_vocab,
-                        table, config.seed)
+    model = build_model(config, vocab, char_vocab, table, config.seed)
     spans = compute_oracle_spans(train + dev, config.max_span)
 
     def batch_loss(batch, rng):

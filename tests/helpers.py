@@ -164,8 +164,7 @@ def build_micro_model(instances, **config_overrides):
                                                              include_options=True))
     table = random_embeddings(vocab, config.embed_dim, seed=config.seed,
                               trainable=config.fine_tune_embeddings)
-    model = build_model(config.dims(vocab, char_vocab), vocab, char_vocab,
-                        table.matrix, seed=config.seed)
+    model = build_model(config, vocab, char_vocab, table.matrix, seed=config.seed)
     batches = make_batches(instances, vocab, config.batch_size)
     return model, config, instances, batches
 
@@ -204,14 +203,14 @@ def embed_twice_stage_one_loss(model, batch, oracle_spans, rng):
     consumer draws its input dropout right after its own embedding."""
 
     def dropped(seq):
-        return replace(seq, flat=ad.dropout(seq.flat, model.dims.dropout, rng))
+        return replace(seq, flat=ad.dropout(seq.flat, model.config.dropout, rng))
 
     passage, question = model._embed_batch(batch)
     ext_passage = dropped(bigru_encode(dropped(passage), model.extract_passage))
     ext_question = dropped(bigru_encode(dropped(question), model.qz_encoder))
     distributions, predicted = predict_span(ext_passage,
                                             pool_question(ext_question, model.extractor),
-                                            model.extractor, model.dims.max_span)
+                                            model.extractor, model.config.max_span)
     feature_spans = [oracle if oracle is not None else guess
                      for oracle, guess in zip(oracle_spans, predicted)]
     extraction_loss = span_loss(distributions, oracle_spans)
@@ -248,7 +247,7 @@ def use_five_pass_step(monkeypatch):
             for p in self.params:
                 p.grad *= scale
             post_clip_norm = squared_norm(self.params)
-            super().step()
+            super().step(1.0)
             return post_clip_norm
 
     monkeypatch.setattr(ad, "zero_grads", zero_filled_grads)

@@ -18,7 +18,12 @@ import pytest
 
 from genmatch import autodiff as ad
 from genmatch.autodiff import ParamStore, Tensor
-from genmatch.baselines import random_baseline, sliding_window_baseline, window_score
+from genmatch.baselines import (
+    DEFAULT_WINDOW,
+    random_baseline,
+    sliding_window_baseline,
+    window_score,
+)
 from genmatch.corpus import (
     CharVocabulary,
     Vocabulary,
@@ -176,7 +181,7 @@ def test_criterion_1_gradient_correctness():
     targets = oracle_targets(batch, config.max_span)
 
     def pipeline_loss():
-        loss, _ = model.stage_one_loss(batch, targets)
+        loss, _ = model.stage_one_loss(batch, targets, None)
         return loss
 
     report = check_gradients(model.trainable_parameters(), pipeline_loss,
@@ -249,7 +254,7 @@ def test_criterion_4_random_baseline():
 
 def test_criterion_5_sliding_window(toy_run):
     instances = [inst for split in toy_run["splits"].values() for inst in split]
-    sw = sliding_window_baseline(instances)
+    sw = sliding_window_baseline(instances, DEFAULT_WINDOW)
     rand = random_baseline(instances, seed=3)
     margin = sw.accuracy - rand.accuracy
     rng = np.random.default_rng(5)
@@ -365,7 +370,7 @@ def test_criterion_8_optional_full_data_smoke():
         table = load_embeddings(glove, vocab, dim=config.embed_dim, seed=1,
                                 trainable=config.fine_tune_embeddings)
     else:
-        table = random_embeddings(vocab, config.embed_dim, seed=1)
+        table = random_embeddings(vocab, config.embed_dim, seed=1, trainable=True)
     stage1 = train_synthesis_stage(config, train, dev, vocab, char_vocab, table)
     stage2 = train_selection_stage(config, stage1.model, train, dev)
     accuracy = evaluate(stage1.model, dev, config.batch_size).accuracy

@@ -480,7 +480,7 @@ def softmax_step_runs(make_x, dense, clip, steps=3, out_cols=61):
     w = store.create("w", rand(rng, 96, out_cols))
     b = store.create("b", rand(rng, out_cols))
     params = [h, w, b]
-    opt = Adam(params)
+    opt = Adam(params, lr=0.005)
     norms, post = [], []
     for _ in range(steps):
         zero_grads(params)
@@ -557,7 +557,7 @@ def test_a_step_on_factors_spanning_many_blocks_forms_no_whole_gradient(monkeypa
     store = ParamStore()
     w = store.create("w", 0.01 * rand(rng, cols, out))
     b = store.create("b", np.zeros(out))
-    opt = Adam([w, b])
+    opt = Adam([w, b], lr=0.005)
     loss = ad.mean(ad.softmax_nll(ad.affine(Tensor(rand(rng, rows, cols)), w, b),
                                   rng.integers(0, out, rows)))
 
@@ -1125,7 +1125,7 @@ def test_clip_rescales_to_threshold():
     scale = clip_global_norm(global_grad_norm([p]), 10.0)
     np.testing.assert_array_equal(p.grad, [30.0, 40.0])  # left for Adam to scale
     np.testing.assert_allclose(p.grad * scale, [6.0, 8.0])
-    assert Adam([p]).step(scale) <= 10.0 + 1e-9
+    assert Adam([p], lr=0.005).step(scale) <= 10.0 + 1e-9
 
 
 @settings(max_examples=40, deadline=None)
@@ -1141,7 +1141,7 @@ def test_clip_is_idempotent(grads, threshold):
     p.grad = p.grad * scale
     assert clip_global_norm(global_grad_norm([p]), threshold) == 1.0
     p.grad = given_grad
-    assert Adam([p]).step(scale) <= threshold + 1e-9
+    assert Adam([p], lr=0.005).step(scale) <= threshold + 1e-9
 
 
 def gradient_layouts(dtype):
@@ -1195,25 +1195,22 @@ def test_adam_first_step_analytic():
     p = store.create("theta", np.zeros(1))
     opt = Adam([p], lr=0.005)
     p.grad = np.array([2.0])
-    opt.step()
+    opt.step(1.0)
     expected = -0.005 * (2.0 / (2.0 + 1e-8))
     np.testing.assert_allclose(p.data, [expected], rtol=1e-12)
 
 
-def test_adam_defaults_and_empty_param_error():
-    store = ParamStore()
-    p = store.create("p", np.zeros(1))
-    assert Adam([p]).lr == 0.005
+def test_adam_rejects_an_empty_parameter_list():
     with pytest.raises(ValueError):
-        Adam([])
+        Adam([], lr=0.005)
 
 
 def test_adam_skips_frozen_parameters():
     store = ParamStore()
     frozen = store.create("emb", np.ones((2, 2)), trainable=False)
-    opt = Adam([frozen])
+    opt = Adam([frozen], lr=0.005)
     frozen.grad = np.full((2, 2), 3.0)
-    opt.step()
+    opt.step(1.0)
     np.testing.assert_array_equal(frozen.data, np.ones((2, 2)))
 
 
@@ -1228,11 +1225,11 @@ def test_adam_step_applies_its_scale_as_pre_scaled_grads_would():
     for prescale in (False, True):
         store = ParamStore()
         params = [store.create(f"p{i}", v.copy()) for i, v in enumerate(values)]
-        opt = Adam(params)
+        opt = Adam(params, lr=0.005)
         norms = []
         for _ in range(3):
             set_grads(params, [g * scale if prescale else g for g in grads])
-            norms.append(opt.step() if prescale else opt.step(scale))
+            norms.append(opt.step(1.0) if prescale else opt.step(scale))
         runs.append(([p.data for p in params], norms))
     (data, norms), (want_data, want_norms) = runs
     for got, want in zip(data, want_data):
@@ -1249,13 +1246,13 @@ def test_adam_steps_a_missing_grad_as_zeros():
     start = rand(rng, 4, 3)
     store = ParamStore()
     missing, zeroed = store.create("missing", start.copy()), store.create("zeroed", start.copy())
-    opt_missing, opt_zeroed = Adam([missing]), Adam([zeroed])
+    opt_missing, opt_zeroed = Adam([missing], lr=0.005), Adam([zeroed], lr=0.005)
     for step in range(4):
         grad = rand(rng, 4, 3) if step < 2 else None
         missing.grad = grad
         zeroed.grad = np.zeros((4, 3)) if grad is None else grad.copy()
         before = missing.data.copy()
-        assert opt_missing.step() == opt_zeroed.step()
+        assert opt_missing.step(1.0) == opt_zeroed.step(1.0)
         np.testing.assert_array_equal(missing.data, zeroed.data)
         assert not np.array_equal(missing.data, before)  # momentum keeps it moving
     np.testing.assert_array_equal(opt_missing._m["missing"], opt_zeroed._m["zeroed"])
@@ -1275,10 +1272,10 @@ def test_a_parameter_reached_once_holds_the_ops_gradient_array():
 def test_adam_zero_gradients_leave_parameters_unchanged():
     store = ParamStore()
     p = store.create("p", np.array([1.0, -2.0]))
-    opt = Adam([p])
+    opt = Adam([p], lr=0.005)
     zero_grads([p])
     for _ in range(3):
-        opt.step()
+        opt.step(1.0)
     np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
 

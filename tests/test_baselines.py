@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genmatch.baselines import (
+    DEFAULT_WINDOW,
     random_baseline,
     sliding_window_baseline,
     sliding_window_choice,
@@ -64,7 +65,7 @@ def test_disjoint_options_fall_back_to_first():
                     question_tokens=("?",),
                     option_tokens=(("a",), ("b",), ("c",), ("d",)),
                     gold_index=1)
-    assert sliding_window_choice(inst) == 0
+    assert sliding_window_choice(inst, DEFAULT_WINDOW) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -80,12 +81,12 @@ def test_window_scores_match_brute_force(passage, bag_tokens, window):
 
 def test_sliding_window_beats_random_on_toy_data():
     insts = toy_instances(60, seed=5)
-    sw = sliding_window_baseline(insts)
+    sw = sliding_window_baseline(insts, DEFAULT_WINDOW)
     rand = random_baseline(insts, seed=5)
     assert sw.accuracy >= rand.accuracy + 0.20
 
 
 def test_reports_recount_consistently():
     insts = toy_instances(10)
-    report = sliding_window_baseline(insts)
+    report = sliding_window_baseline(insts, DEFAULT_WINDOW)
     assert report.accuracy == report.recount()

@@ -199,14 +199,24 @@ def test_stage_two_rejects_changed_model_keys_and_takes_training_keys(
     # keys that build the model are fixed by stage one; saving a changed one
     # would record a model that was never trained
     stage1, _ = trained_dirs
-    rc = main(["train-selection", "--data", str(toy_dir), "--stage1", str(stage1),
-               "--out", str(tmp_path / "x"), "--set", "max_decode_len=2",
-               "--set", "dropout=0.3", "--set", "vocab_cap=9"])
-    assert rc == 1
-    err = capsys.readouterr().err
-    for key in ("max_decode_len", "dropout", "vocab_cap"):
-        assert repr(key) in err
-    assert not (tmp_path / "x").exists()
+    # a value other than stage one's for each key, in the order the error names them
+    changes = {"embed_dim": "4", "char_dim": "3", "char_hidden": "3", "hidden": "16",
+               "dropout": "0.3", "max_span": "5", "max_decode_len": "2",
+               "fine_tune_embeddings": "false", "precision": "float32", "vocab_cap": "9"}
+
+    def rejected(keys):
+        sets = [arg for key in keys for arg in ("--set", f"{key}={changes[key]}")]
+        rc = main(["train-selection", "--data", str(toy_dir), "--stage1", str(stage1),
+                   "--out", str(tmp_path / "x")] + sets)
+        assert rc == 1
+        assert not (tmp_path / "x").exists()
+        return capsys.readouterr().err.splitlines()[-1]
+
+    for key in changes:
+        assert rejected([key]) == f"error: cannot change model keys after stage one: {key!r}"
+    assert rejected(reversed(list(changes))) == (
+        "error: cannot change model keys after stage one: "
+        + ", ".join(repr(key) for key in changes))
     out = tmp_path / "model"
     assert main(["train-selection", "--data", str(toy_dir), "--stage1", str(stage1),
                  "--out", str(out), "--set", "lr=0.01", "--set", "max_epochs=1"]) == 0

@@ -3,9 +3,11 @@
 Every public function, class and method of the package must be referenced
 from the package itself or from the benchmark harness, so that each one is
 on a path the pipeline or its measurement runs. The same holds for every
-parameter with a default: some call in the package or the harness passes it.
-And every field of a package dataclass is read by name there, so that no
-value is computed that nothing reads.
+parameter with a default: some call in the package or the harness passes it,
+and some call leaves it out, so that the default is a value a caller uses
+rather than one every caller restates. And every field of a package
+dataclass is read by name there, so that no value is computed that nothing
+reads.
 """
 
 import ast
@@ -63,14 +65,17 @@ def test_every_public_definition_is_used_outside_the_tests():
     assert unused == [], "only tests call these; delete them or move them to tests/helpers.py"
 
 
-def defaulted_parameters() -> dict[tuple[str, str], tuple[int | None, str]]:
+def package_trees() -> list[tuple[str, ast.Module]]:
+    return [(path.name, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def defaulted_parameters(trees) -> dict[tuple[str, str], tuple[int | None, str]]:
     """(callable name, parameter) -> (its position in a call, or None when
     it is keyword-only; the file that defines it), for every parameter with
-    a default. A method's position skips ``self``/``cls``; ``__init__`` is
-    called through its class name."""
+    a default in ``trees`` ((file name, tree) pairs). A method's position
+    skips ``self``/``cls``; ``__init__`` is called through its class name."""
     found = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for path, tree in trees:
         methods = {id(item): node.name for node in ast.walk(tree)
                    if isinstance(node, ast.ClassDef) for item in node.body}
         for node in ast.walk(tree):
@@ -82,19 +87,21 @@ def defaulted_parameters() -> dict[tuple[str, str], tuple[int | None, str]]:
                          for d in node.decorator_list)
             skip = 1 if id(node) in methods and not static else 0
             for arg in positional[len(positional) - len(node.args.defaults):]:
-                found[(name, arg.arg)] = (positional.index(arg) - skip, path.name)
+                found[(name, arg.arg)] = (positional.index(arg) - skip, path)
             for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
                 if default is not None:
-                    found[(name, arg.arg)] = (None, path.name)
+                    found[(name, arg.arg)] = (None, path)
     return found
 
 
-def passed_parameters() -> set[tuple[str, str | int]]:
-    """(callee name, keyword) and (callee name, positional count) for every
-    call in the package and the harness; ``*``/``**`` pass everything.
-    ``super().__init__(...)`` calls the first base class."""
-    passed = set()
-    for tree in pipeline_trees():
+def calls(trees, callables: set[str]) -> list[tuple[str, int, set[str], bool]]:
+    """(callee name, positional count, keywords, whether a ``*``/``**``
+    argument is there) for every call in ``trees``. ``super().__init__(...)``
+    calls the first base class. A call whose first positional argument names
+    one of ``callables``, as ``timed(evaluate, model, instances)`` does, is
+    also a call of that callable with the remaining arguments."""
+    found = []
+    for tree in trees:
         supers = {id(call): cls.bases[0].id for cls in ast.walk(tree)
                   if isinstance(cls, ast.ClassDef) and cls.bases
                   and isinstance(cls.bases[0], ast.Name)
@@ -103,26 +110,34 @@ def passed_parameters() -> set[tuple[str, str | int]]:
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            name = supers.get(id(node), name)
-            if any(isinstance(a, ast.Starred) for a in node.args) or \
-                    any(k.arg is None for k in node.keywords):
-                passed.add((name, "*"))
-            passed.add((name, len(node.args)))
-            passed.update((name, k.arg) for k in node.keywords)
-    return passed
+            name = supers.get(id(node), callee_name(node.func))
+            keywords = {k.arg for k in node.keywords if k.arg is not None}
+            starred = any(isinstance(a, ast.Starred) for a in node.args) or \
+                any(k.arg is None for k in node.keywords)
+            found.append((name, len(node.args), keywords, starred))
+            if node.args and callee_name(node.args[0]) in callables:
+                found.append((callee_name(node.args[0]), len(node.args) - 1, keywords, starred))
+    return found
+
+
+def callee_name(node: ast.expr) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def pipeline_calls(parameters) -> list[tuple[str, int, set[str], bool]]:
+    return calls(pipeline_trees(), {name for name, _ in parameters})
 
 
 def test_every_defaulted_parameter_is_passed_outside_the_tests():
-    parameters = defaulted_parameters()
+    parameters = defaulted_parameters(package_trees())
     assert ("embed_with_chars", "mask") not in parameters
-    assert ("stage_one_loss", "rng") in parameters
-    passed = passed_parameters()
-    most = {}
-    for name, key in passed:
-        if isinstance(key, int):
-            most[name] = max(most.get(name, 0), key)
+    assert ("evaluate", "meta") in parameters
+    passed, most = set(), {}
+    for name, positional, keywords, starred in pipeline_calls(parameters):
+        if starred:  # ``*``/``**`` pass everything
+            passed.add((name, "*"))
+        passed.update((name, keyword) for keyword in keywords)
+        most[name] = max(most.get(name, 0), positional)
     dead = sorted(f"{path}: {name}({param})"
                   for (name, param), (position, path) in parameters.items()
                   if name not in ALLOWED
@@ -131,15 +146,74 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
     assert dead == [], "no call outside the tests passes these; drop the parameter or its default"
 
 
+def restated_defaults(parameters, found_calls) -> list[str]:
+    """The defaulted ``parameters`` that every call of their callable in
+    ``found_calls`` passes, by keyword or by position, when there is at
+    least one such call; a ``*``/``**`` call counts as leaving it out.
+
+    Calls are matched by name alone, so a default escapes when another
+    callable of the same name is called without it: ``Vocabulary.build``
+    would keep a ``cap`` default every caller passes, because
+    ``CharVocabulary.build`` takes no cap."""
+    by_name: dict[str, list] = {}
+    for name, positional, keywords, starred in found_calls:
+        by_name.setdefault(name, []).append((positional, keywords, starred))
+
+    def passed(param, position, call):
+        positional, keywords, starred = call
+        return not starred and (param in keywords
+                                or position is not None and positional > position)
+
+    return sorted(f"{path}: {name}({param})"
+                  for (name, param), (position, path) in parameters.items()
+                  if name in by_name
+                  and all(passed(param, position, call) for call in by_name[name]))
+
+
+def test_no_default_restates_a_value_every_call_passes():
+    parameters = defaulted_parameters(package_trees())
+    restated = restated_defaults(parameters, pipeline_calls(parameters))
+    assert restated == [], ("every call outside the tests passes these; drop the default "
+                            "and let the callers say the value")
+
+
+def test_the_default_guard_names_a_default_every_call_passes():
+    source = ast.parse(
+        "def timed(fn, *args):\n"
+        "    return fn(*args)\n"
+        "def run(x, scale=1.0, *, log=None):\n"
+        "    return x * scale\n"
+        "def evaluate(model, meta=None):\n"
+        "    return model\n"
+        "def keep(x, flag=False):\n"
+        "    return x\n"
+        "def never(x=1):\n"
+        "    return x\n"
+        "class Opt:\n"
+        "    def __init__(self, params, lr=0.1):\n"
+        "        self.lr = lr\n"
+        "    def step(self, scale=1.0):\n"
+        "        return scale\n"
+        "run(1, 2.0)\n"
+        "run(x=1, scale=3.0, log=print)\n"
+        "timed(run, 3, 4.0)\n"
+        "evaluate(1, meta={})\n"
+        "timed(evaluate, 2)\n"
+        "keep(1, True)\n"
+        "keep(*[1, True])\n"
+        "Opt([], lr=0.2).step(0.5)\n")
+    parameters = defaulted_parameters([("m.py", source)])
+    found = calls([source], {name for name, _ in parameters})
+    assert restated_defaults(parameters, found) == [
+        "m.py: Opt(lr)", "m.py: run(scale)", "m.py: step(scale)"]
+
+
 UNREAD_FIELDS_ALLOWED = {
     # the eval report is to carry each answer's summed token log-prob
     # (ROADMAP item 8); generation records it today
     "GeneratedAnswer.token_logprobs",
     # the benchmark harness builds its tables with ``trainable=``
     "EmbeddingTable.trainable",
-    # ``TrainConfig.dims(vocab, char_vocab)`` keeps its signature for the
-    # benchmark harness, which calls it
-    "ModelDims.char_vocab_size",
 }
 
 
@@ -170,9 +244,9 @@ def unread_fields(package_trees, reader_trees) -> list[str]:
 
 
 def test_every_dataclass_field_is_read_outside_the_tests():
-    package = [(path.name, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
+    package = package_trees()
     fields = dataclass_fields(package)
-    assert "Instance.passage_tokens" in fields and "ModelDims.precision" in fields
+    assert "Instance.passage_tokens" in fields and "TrainConfig.precision" in fields
     unread = unread_fields(package, list(pipeline_trees()))
     assert unread == [], "nothing reads these fields; stop computing them and delete them"
 

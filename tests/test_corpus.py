@@ -121,13 +121,9 @@ def test_vocabulary_lexicographic_tie_break():
     assert vocab.ids(["y"])[0] == UNK
 
 
-def test_vocabulary_default_cap_matches_config():
-    assert corpus.DEFAULT_VOCAB_CAP == 65_000
-
-
 def test_vocabulary_rejects_empty_corpus():
     with pytest.raises(ValueError):
-        Vocabulary.build([])
+        Vocabulary.build([], cap=65_000)
 
 
 @settings(max_examples=30, deadline=None)
@@ -152,11 +148,11 @@ def test_char_vocabulary_sorted_and_unk():
 
 
 def test_load_embeddings_covered_and_oov(tmp_path):
-    vocab = Vocabulary.build([["the", "dog"]])
+    vocab = Vocabulary.build([["the", "dog"]], cap=65_000)
     vec_file = tmp_path / "vecs.txt"
     values = " ".join(str(0.1 * i) for i in range(300))
     vec_file.write_text(f"the {values}\n")
-    table = load_embeddings(vec_file, vocab, dim=300, seed=3)
+    table = load_embeddings(vec_file, vocab, dim=300, seed=3, trainable=False)
     the_id = vocab.ids(["the"])[0]
     dog_id = vocab.ids(["dog"])[0]
     assert table.matrix.shape == (len(vocab), 300)
@@ -164,53 +160,53 @@ def test_load_embeddings_covered_and_oov(tmp_path):
     assert table.pretrained[the_id] and not table.pretrained[dog_id]
     assert np.all(np.abs(table.matrix[dog_id]) <= 0.1)
     # seeded: same file and seed reproduces the OOV rows
-    again = load_embeddings(vec_file, vocab, dim=300, seed=3)
+    again = load_embeddings(vec_file, vocab, dim=300, seed=3, trainable=False)
     np.testing.assert_array_equal(table.matrix, again.matrix)
     assert table.coverage == pytest.approx(1 / len(vocab))
     assert table.trainable is False
 
 
 def test_load_embeddings_arity_error(tmp_path):
-    vocab = Vocabulary.build([["the"]])
+    vocab = Vocabulary.build([["the"]], cap=65_000)
     vec_file = tmp_path / "vecs.txt"
     vec_file.write_text("the " + " ".join(["0.0"] * 299) + "\n")
     with pytest.raises(EmbeddingFormatError):
-        load_embeddings(vec_file, vocab, dim=300)
+        load_embeddings(vec_file, vocab, dim=300, seed=0, trainable=False)
 
 
 def test_load_embeddings_non_numeric_value_names_file_and_line(tmp_path):
-    vocab = Vocabulary.build([["the", "dog"]])
+    vocab = Vocabulary.build([["the", "dog"]], cap=65_000)
     vec_file = tmp_path / "vecs.txt"
     vec_file.write_text("the 0.5 0.25\ndog 0.5 abc\n")
     with pytest.raises(EmbeddingFormatError) as info:
-        load_embeddings(vec_file, vocab, dim=2)
+        load_embeddings(vec_file, vocab, dim=2, seed=0, trainable=False)
     assert str(info.value) == f"{vec_file}:2: could not convert string to float: 'abc'"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
 def test_load_embeddings_non_finite_value_names_file_and_line(tmp_path, value):
-    vocab = Vocabulary.build([["red"]])
+    vocab = Vocabulary.build([["red"]], cap=65_000)
     vec_file = tmp_path / "vecs.txt"
     vec_file.write_text(f"red {value} 1 2\n")
     with pytest.raises(EmbeddingFormatError) as info:
-        load_embeddings(vec_file, vocab, dim=3)
+        load_embeddings(vec_file, vocab, dim=3, seed=0, trainable=False)
     assert str(info.value) == f"{vec_file}:1: non-finite value {value!r}"
 
 
 def test_load_embeddings_line_that_is_not_utf8_names_file_and_line(tmp_path):
-    vocab = Vocabulary.build([["the", "dog"]])
+    vocab = Vocabulary.build([["the", "dog"]], cap=65_000)
     vec_file = tmp_path / "vecs.txt"
     vec_file.write_bytes(b"the 0.5 0.25\n\xff\xfe 0.5 0.25\n")
     with pytest.raises(EmbeddingFormatError) as info:
-        load_embeddings(vec_file, vocab, dim=2)
+        load_embeddings(vec_file, vocab, dim=2, seed=0, trainable=False)
     assert str(info.value).startswith(f"{vec_file}:2: ")
     assert "can't decode byte 0xff" in str(info.value)
 
 
 def test_load_embeddings_unreadable_file(tmp_path):
-    vocab = Vocabulary.build([["the"]])
+    vocab = Vocabulary.build([["the"]], cap=65_000)
     with pytest.raises(OSError):
-        load_embeddings(tmp_path / "missing.txt", vocab, dim=300)
+        load_embeddings(tmp_path / "missing.txt", vocab, dim=300, seed=0, trainable=False)
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +221,14 @@ def toy_instances(n=33):
 
 def test_batch_sizes_keep_final_partial():
     insts = toy_instances(33)
-    vocab = Vocabulary.build(instance_token_streams(insts))
+    vocab = Vocabulary.build(instance_token_streams(insts), cap=65_000)
     batches = make_batches(insts, vocab, batch_size=32)
     assert [b.size for b in batches] == [32, 1]
 
 
 def test_batch_padding_and_masks():
     insts = toy_instances(8)
-    vocab = Vocabulary.build(instance_token_streams(insts))
+    vocab = Vocabulary.build(instance_token_streams(insts), cap=65_000)
     batch = make_batches(insts, vocab, batch_size=8)[0]
     lengths = [len(i.passage_tokens) for i in insts]
     assert batch.passage_ids.shape[1] == max(lengths)
@@ -245,7 +241,7 @@ def test_batch_padding_and_masks():
 
 def test_batch_shuffle_deterministic_under_seed():
     insts = toy_instances(20)
-    vocab = Vocabulary.build(instance_token_streams(insts))
+    vocab = Vocabulary.build(instance_token_streams(insts), cap=65_000)
     first = make_batches(insts, vocab, batch_size=7, shuffle_seed=5)
     second = make_batches(insts, vocab, batch_size=7, shuffle_seed=5)
     assert [[i.uid for i in b.instances] for b in first] == \
@@ -360,7 +356,7 @@ def test_load_dataset_dir_missing():
 
 
 def test_random_embeddings_within_bounds():
-    vocab = Vocabulary.build([["a", "b"]])
-    table = random_embeddings(vocab, dim=8, seed=1)
+    vocab = Vocabulary.build([["a", "b"]], cap=65_000)
+    table = random_embeddings(vocab, dim=8, seed=1, trainable=True)
     assert np.all(np.abs(table.matrix) <= 0.1)
     assert table.trainable

@@ -23,8 +23,8 @@ def test_stage_one_loss_deterministic_without_dropout():
     model, config, _, batches = build_micro_pipeline()
     batch = batches[0]
     targets = oracle_targets(batch, config.max_span)
-    first, parts = model.stage_one_loss(batch, targets)
-    second, _ = model.stage_one_loss(batch, targets)
+    first, parts = model.stage_one_loss(batch, targets, None)
+    second, _ = model.stage_one_loss(batch, targets, None)
     assert first.item() == second.item()
     assert parts["span_loss"] > 0 and parts["synthesis_loss"] > 0
 
@@ -113,13 +113,13 @@ def test_identical_options_get_identical_vectors():
     vectors = enc.final.data
     np.testing.assert_array_equal(vectors[0], vectors[1])
     assert not np.array_equal(vectors[0], vectors[2])
-    assert vectors.shape[1] == 2 * model.dims.hidden
+    assert vectors.shape[1] == 2 * model.config.hidden
 
 
 def test_zero_overlap_instances_contribute_only_synthesis_loss():
     model, config, _, batches = build_micro_pipeline()
     batch = batches[0]
-    loss, parts = model.stage_one_loss(batch, [None] * batch.size)
+    loss, parts = model.stage_one_loss(batch, [None] * batch.size, None)
     assert parts["span_loss"] == 0.0
     assert loss.item() == pytest.approx(parts["synthesis_loss"])
     # and gradients still flow for the synthesis side
@@ -133,7 +133,7 @@ def test_selection_loss_is_log4_with_zero_matcher():
     batch = batches[0]
     np.testing.assert_array_equal(model.store[MATCHER_PARAM].data, 0.0)
     answers, _ = model.generate(batch)
-    loss = model.selection_stage_loss(batch, answers)
+    loss = model.selection_stage_loss(batch, answers, None)
     assert loss.item() == pytest.approx(math.log(4.0), abs=1e-12)
 
 
@@ -154,7 +154,7 @@ def test_selection_scores_draw_dropout_answers_then_options():
 
     def by_hand(rng):
         def dropped(seq):
-            return replace(seq, flat=ad.dropout(seq.flat, model.dims.dropout, rng))
+            return replace(seq, flat=ad.dropout(seq.flat, model.config.dropout, rng))
 
         answer = dropped(encoders.bigru_encode(dropped(model._embed_answers(answers)),
                                                model.qz_encoder))
@@ -302,15 +302,15 @@ def test_a_nan_written_into_any_parameter_is_caught_downstream():
         saved = param.data.copy()
         param.data[...] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(ad.NonFiniteError):
-            model.stage_one_loss(batch, targets)
-            model.selection_stage_loss(batch, answers)
+            model.stage_one_loss(batch, targets, None)
+            model.selection_stage_loss(batch, answers, None)
         param.data[...] = saved
 
 
 def test_float32_model_computes_in_float32():
     model, config, _, batches = build_micro_pipeline(precision="float32")
     batch = batches[0]
-    loss, _ = model.stage_one_loss(batch, oracle_targets(batch, config.max_span))
+    loss, _ = model.stage_one_loss(batch, oracle_targets(batch, config.max_span), None)
     assert loss.data.dtype == np.float32
     ad.zero_grads(model.trainable_parameters())
     ad.backward(loss)
@@ -348,7 +348,8 @@ def test_frozen_parameters_stay_out_of_the_gradient_bookkeeping():
     out_b = model.store["decoder.out_b"]
     out_b.requires_grad = False
     assert out_b not in model.trainable_parameters()
-    loss, _ = model.stage_one_loss(batches[0], oracle_targets(batches[0], config.max_span))
+    targets = oracle_targets(batches[0], config.max_span)
+    loss, _ = model.stage_one_loss(batches[0], targets, None)
     ad.backward(loss)
     assert out_b.grad is None and model.embedding.grad is stale
 
@@ -367,7 +368,7 @@ def test_full_pipeline_gradients_on_micro_shapes():
         model.store[MATCHER_PARAM].data.shape)
 
     def loss_fn():
-        stage_one, _ = model.stage_one_loss(batch, targets)
+        stage_one, _ = model.stage_one_loss(batch, targets, None)
         scores = model.score_options(batch, answers)
         from genmatch.selector import selection_loss
         return ad.add(stage_one, selection_loss(scores, batch.gold))

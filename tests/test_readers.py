@@ -57,11 +57,15 @@ VECTORS = b"".join(f"{word} {i}.5 -{i}.25 1e-{i}\n".encode()
                    for i, word in enumerate(["red", "dog", "the", "blue", "zebra"]))
 CONFIG = (b"# a comment\nhidden=8\nlr = 0.01\n\nfine_tune_embeddings=true  # trailing\n"
           b"precision=float32\ndropout=0.1\n")
-VOCAB = Vocabulary.build([["red", "dog", "the", "blue"]])
+VOCAB = Vocabulary.build([["red", "dog", "the", "blue"]], cap=65_000)
 
 
 def read_vectors(path):
-    return load_embeddings(path, VOCAB, dim=3, seed=1)
+    return load_embeddings(path, VOCAB, dim=3, seed=1, trainable=False)
+
+
+def read_config(path):
+    return TrainConfig.from_file(path, base=TrainConfig())
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +88,7 @@ def test_the_unmutated_inputs_parse(scratch, checkpoint):
     for name, valid, read in (("record.json", RECORD, parse_record_file),
                               ("vectors.txt", VECTORS, read_vectors),
                               ("model.ckpt", checkpoint, read_checkpoint),
-                              ("train.cfg", CONFIG, TrainConfig.from_file)):
+                              ("train.cfg", CONFIG, read_config)):
         (scratch / name).write_bytes(valid)
         assert read(scratch / name)
 
@@ -114,4 +118,4 @@ def test_checkpoints_parse_or_name_the_file(scratch, checkpoint, data):
 @given(st.data())
 def test_config_files_parse_or_name_the_file(scratch, data):
     parses_or_names_the_file(scratch / "train.cfg", data.draw(mutated(CONFIG)),
-                             TrainConfig.from_file, ValueError)
+                             read_config, ValueError)

@@ -41,7 +41,7 @@ def make_encoding(rng, batch, length, hidden, mask=None):
 
 
 def vocab_fixture():
-    return Vocabulary.build([["red", "blue", "green", "dog"]])
+    return Vocabulary.build([["red", "blue", "green", "dog"]], cap=65_000)
 
 
 def with_keys(flat, mask, params):
@@ -341,7 +341,7 @@ def test_greedy_token_logprobs_equal_a_numpy_log_softmax_bit_for_bit():
     # the decoder reads the log-probability of each pick alone; it must be
     # the very value the full log-softmax array holds there
     rng = np.random.default_rng(33)
-    vocab = Vocabulary.build([[f"w{i}" for i in range(300)]])
+    vocab = Vocabulary.build([[f"w{i}" for i in range(300)]], cap=65_000)
     params, table, vocab, _ = setup_decoder(rng, hidden=4, embed=5, vocab=vocab)
     params.out_w.data *= 4.0
     passage = make_encoding(rng, 3, 5, 4, mask=np.array([[1.0] * 5, [1.0] * 3 + [0.0] * 2,
@@ -374,7 +374,7 @@ def test_greedy_token_logprobs_equal_a_numpy_log_softmax_bit_for_bit():
 
 
 def greedy_case(rng):
-    vocab = Vocabulary.build([[f"w{i}" for i in range(300)]])
+    vocab = Vocabulary.build([[f"w{i}" for i in range(300)]], cap=65_000)
     params, table, vocab, _ = setup_decoder(rng, hidden=4, embed=5, vocab=vocab)
     params.out_w.data *= 4.0
     passage = make_encoding(rng, 5, 5, 4, mask=np.array([[1.0] * 5, [1.0] * 3 + [0.0] * 2,
@@ -448,7 +448,7 @@ def test_synthesis_loss_decreases_under_adam_on_one_instance():
         loss = loss_fn()
         losses.append(loss.item())
         ad.backward(loss)
-        opt.step()
+        opt.step(1.0)
     assert losses[-1] < losses[0]
 
 
@@ -457,7 +457,7 @@ def test_synthesis_loss_matches_the_per_step_composite(dtype):
     # one projection for all steps and keys projected once reorder sums
     # only, so the loss and every gradient agree with the per-step form
     rng = np.random.default_rng(34)
-    vocab = Vocabulary.build([[f"w{i}" for i in range(40)]])
+    vocab = Vocabulary.build([[f"w{i}" for i in range(40)]], cap=65_000)
     store = ParamStore(dtype)
     table = store.create("emb", rng.standard_normal((len(vocab), 5)) * 0.3)
     params = init_decoder(store, 5, 4, len(vocab), rng)

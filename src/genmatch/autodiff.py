@@ -7,12 +7,16 @@ None until an op hands it one, the first gradient is kept by reference, and
 a None grad reads as zero wherever a grad is read (the gradient norm and
 ``Adam.step``).
 
-``affine`` hands its weight the gradient ``x.T @ g`` as its two factors,
-which at a large output (a vocabulary-wide projection) are far smaller
+An op keeps for its backward only what that backward reads, in the
+smallest form it reads it in. ``affine_softmax_nll``, the vocabulary-wide
+output layer, computes its logits, their softmax and then the logits'
+gradient in one (N, V) buffer, and hands its weight the gradient
+``x.T @ g`` as its two factors, which at a large output are far smaller
 than the product. The gradient norm and ``Adam.step`` build the product one
 column block at a time into one reused buffer; any other read of ``grad``,
 and a second gradient into the same weight, forms it whole once, bit for
-bit as ``x.T @ g``.
+bit as ``x.T @ g``. ``dropout`` keeps its mask as one bool per element, and
+a recorded GRU pass recomputes each step's ``reset * h`` in its backward.
 
 ``backward`` frees the graph as it runs: once an op node's backward has
 run, the node drops its closure, its parents and its grad, so the pass
@@ -95,9 +99,9 @@ class Tensor:
 
     @property
     def grad(self) -> np.ndarray | None:
-        """The gradient array, or None. A weight gradient that ``affine``
-        handed over as its factors is formed whole at the first read, as
-        ``x.T @ g`` bit for bit, and kept."""
+        """The gradient array, or None. A weight gradient that
+        ``affine_softmax_nll`` handed over as its factors is formed whole at
+        the first read, as ``x.T @ g`` bit for bit, and kept."""
         if type(self._grad) is _Product:
             self._grad = self._grad.dense()
         return self._grad
@@ -220,9 +224,11 @@ def _node(data: np.ndarray, parents: tuple, backward, checked: bool = True) -> T
 
 class _Product:
     """A (K, M) weight gradient ``x.T @ g`` held as its two factors, an
-    ``affine`` op's (N, K) input ``x`` and the (N, M) gradient ``g`` of its
-    output: N * (K + M) elements instead of K * M. Both are arrays that
-    nothing writes once the backward that made them has run."""
+    ``affine_softmax_nll`` op's (N, K) input ``x`` and the (N, M) gradient
+    ``g`` of its logits: N * (K + M) elements instead of K * M. ``g`` is the
+    op's one logits-sized buffer, which held the logits and then their
+    softmax. Both are arrays that nothing writes once the backward that made
+    them has run."""
 
     __slots__ = ("x", "g")
 
@@ -252,23 +258,26 @@ class _Product:
             yield lo, hi, np.matmul(self.x.T, self.g[:, lo:hi], out=block)
 
 
-def _accum(t: Tensor, g) -> None:
+def _accum(t: Tensor, g, owned: bool = False) -> None:
     """Add ``g``, an array or a ``_Product``, into ``t.grad`` without
     writing any array someone else holds.
 
     The first gradient is kept by reference (it may be another node's grad,
     a read-only broadcast view, or a product's factors), the second sum is
-    a fresh array that ``t`` owns, and later ones add into it in place. The
-    rule is the same for inner nodes and parameters. A product that meets
-    another gradient is formed whole first. A gradient of another dtype
-    takes the allocating path, so type promotion, the order of the adds and
-    every value are the same as summing the dense arrays with ``+``.
+    a fresh array that ``t`` owns, and later ones add into it in place.
+    ``owned`` says that ``g`` is a fresh array that the calling op made and
+    holds nowhere else: ``t`` then owns it as its first gradient, and the
+    second adds into it in place. The rule is the same for inner nodes and
+    parameters. A product that meets another gradient is formed whole
+    first. A gradient of another dtype takes the allocating path, so type
+    promotion, the order of the adds and every value are the same as
+    summing the dense arrays with ``+`` (``a += b`` rounds as ``a + b``).
     """
     if not t.requires_grad:
         return
     if t._grad is None:
         t._grad = g
-        t._owns_grad = False
+        t._owns_grad = owned and _may_own(t)
         return
     if type(g) is _Product:
         g = g.dense()
@@ -276,8 +285,13 @@ def _accum(t: Tensor, g) -> None:
         t._grad += g
     else:
         t._grad = t.grad + g
-        # a plain leaf's grad goes back to its caller, who may keep it
-        t._owns_grad = t._backward is not None or isinstance(t, Parameter)
+        t._owns_grad = _may_own(t)
+
+
+def _may_own(t: Tensor) -> bool:
+    """Whether ``t`` may add into its grad in place: a plain leaf's grad
+    goes back to its caller, who may keep it."""
+    return t._backward is not None or isinstance(t, Parameter)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -396,26 +410,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), _bw)
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for a (N, K) ``x``, a (K, M) ``w`` and a bias ``b`` that
-    broadcasts over the rows: one output array, the bias added into the
-    product in place and checked once. Values and gradients equal
-    ``add(matmul(x, w), b)`` bit for bit."""
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ValueError("affine expects 2-D operands")
-    if x.data.shape[1] != w.data.shape[0]:
-        raise ValueError(f"affine shape mismatch: {x.data.shape} @ {w.data.shape}")
-    data = x.data @ w.data
-    data += b.data
-
-    def _bw(g):
-        _accum(b, _unbroadcast(g, b.data.shape))
-        _accum(x, g @ w.data.T)
-        _accum(w, _Product(x.data, g))  # kept as its factors; see ``_Product``
-
-    return _node(data, (x, w, b), _bw)
-
-
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise ValueError("concat of empty list")
@@ -482,24 +476,82 @@ def softmax_nll(a: Tensor, targets: np.ndarray) -> Tensor:
     """Negative log-softmax of the (N, V) logits at one target column per
     row: out[i, 0] = -log(softmax(a)[i, targets[i]]).
 
-    Only the (N, V) softmax is kept for the backward, g * (p - onehot),
-    evaluated as g * p with g subtracted at each target, written into the
-    softmax's own array: nothing else holds it, and the node is run once.
+    The op works in one copy of the logits, which becomes their softmax and
+    then, in the backward, their gradient; see ``_softmax_nll_in_place``.
     """
     idx = np.asarray(targets, dtype=np.int64)
-    rows = np.arange(a.data.shape[0])
-    y = a.data - a.data.max(axis=-1, keepdims=True)
-    p = np.exp(y)
-    y -= np.log(p.sum(axis=-1, keepdims=True))  # y is now the log-softmax of a
-    data = -y[rows, idx][:, None]
-    np.exp(y, out=p)
+    p = a.data.copy()
+    data = _softmax_nll_in_place(p, idx)
 
     def _bw(g):
-        grad = np.multiply(p, g, out=p)
-        grad[rows, idx] -= g[:, 0]
-        _accum(a, grad)
+        _accum(a, _softmax_nll_grad(p, idx, g))
 
     return _node(data, (a,), _bw)
+
+
+def affine_softmax_nll(x: Tensor, w: Tensor, b: Tensor, targets: np.ndarray) -> Tensor:
+    """The output layer: ``softmax_nll`` of the logits ``x @ w + b`` for a
+    (N, K) ``x``, a (K, V) ``w`` and a bias ``b`` that broadcasts over the
+    rows, in one (N, V) buffer. Values and gradients equal
+    ``softmax_nll(add(matmul(x, w), b), targets)`` bit for bit.
+
+    The bias is added into the product in place and the logits are checked
+    once; the buffer then becomes their softmax, the one activation the
+    backward reads, and in the backward their gradient ``g``. The weight's
+    gradient is kept as the factors of ``x.T @ g`` (see ``_Product``).
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ValueError("affine_softmax_nll expects 2-D operands")
+    if x.data.shape[1] != w.data.shape[0]:
+        raise ValueError(f"affine_softmax_nll shape mismatch: {x.data.shape} @ {w.data.shape}")
+    idx = np.asarray(targets, dtype=np.int64)
+    buf = x.data @ w.data
+    buf += b.data
+    check_finite(buf, "affine_softmax_nll")
+    data = _softmax_nll_in_place(buf, idx)
+
+    def _bw(g):
+        grad = _softmax_nll_grad(buf, idx, g)
+        _accum(b, _unbroadcast(grad, b.data.shape))
+        _accum(x, grad @ w.data.T)
+        _accum(w, _Product(x.data, grad))  # kept as its factors; see ``_Product``
+
+    return _node(data, (x, w, b), _bw)
+
+
+_EXP_SUM_BLOCK = 1 << 16  # elements of one row block of a softmax's exp-sum scratch
+
+
+def _softmax_nll_in_place(buf: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Turn the (N, V) logits ``buf`` into their softmax in place and return
+    the (N, 1) negative log-softmax at the ``idx`` columns.
+
+    The arithmetic is ``y = a - max``, ``y -= log(sum(exp(y)))``, the pick,
+    then ``exp(y)``. Each row's exp-sum is taken in row blocks of at most
+    ``_EXP_SUM_BLOCK`` elements through a small scratch, each row summed as
+    one contiguous row, so the sums are those of the whole (N, V)
+    exponential bit for bit without making it."""
+    rows, cols = buf.shape
+    buf -= buf.max(axis=-1, keepdims=True)
+    per_block = max(1, _EXP_SUM_BLOCK // max(1, cols))
+    scratch = np.empty((min(per_block, rows), cols), buf.dtype)
+    sums = np.empty((rows, 1), buf.dtype)
+    for lo in range(0, rows, per_block):
+        part = buf[lo:lo + per_block]
+        sums[lo:lo + per_block] = np.exp(part, out=scratch[:len(part)]).sum(axis=-1, keepdims=True)
+    buf -= np.log(sums)  # buf is now the log-softmax
+    data = -buf[np.arange(rows), idx][:, None]
+    np.exp(buf, out=buf)
+    return data
+
+
+def _softmax_nll_grad(p: np.ndarray, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The logits' gradient g * (p - onehot) from the (N, 1) ``g``, evaluated
+    as g * p with g subtracted at each target, written into the softmax
+    ``p`` itself: nothing else holds it, and the node is run once."""
+    grad = np.multiply(p, g, out=p)
+    grad[np.arange(p.shape[0]), idx] -= g[:, 0]
+    return grad
 
 
 def masked_softmax(a: Tensor, mask: np.ndarray) -> Tensor:
@@ -580,14 +632,23 @@ def mean(a: Tensor) -> Tensor:
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity when ``rng`` is None (eval) or rate is 0."""
+    """Inverted dropout; identity when ``rng`` is None (eval) or rate is 0.
+
+    The output is ``a * mask`` with ``mask = kept / (1 - rate)``; the node
+    keeps ``kept``, one bool per element, and rebuilds the mask from it when
+    its backward runs."""
     if rng is None or rate <= 0.0:
         return a
     if rate >= 1.0:
         raise ValueError("dropout rate must be < 1")
     keep = 1.0 - rate
-    mask = (rng.random(a.data.shape) < keep).astype(a.data.dtype) / keep
-    return mul_const(a, mask)
+    kept = rng.random(a.data.shape) < keep
+    data = a.data * (kept.astype(a.data.dtype) / keep)
+
+    def _bw(g):
+        _accum(a, g * (kept.astype(a.data.dtype) / keep))
+
+    return _node(data, (a,), _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -841,9 +902,10 @@ def gru_sequence(x: Tensor, h0: Tensor, cells, mask: np.ndarray) -> Tensor:
     same), so the two agree bit for bit wherever BLAS returns the same
     matrix products.
 
-    A pass that records nothing keeps its outputs plus one block: it
-    projects its input and keeps its gates and states one block of steps
-    at a time.
+    A pass that records keeps every step's gates and states for its
+    backward, which recomputes each step's ``reset * h`` from them. A pass
+    that records nothing keeps its outputs plus one block: it projects its
+    input and keeps its gates and states one block of steps at a time.
     """
     if len(cells) not in (1, 2):
         raise ValueError(f"gru_sequence runs one cell or two, not {len(cells)}")
@@ -916,16 +978,18 @@ def _run_cells(cells, x: Tensor, h0: Tensor, skip: np.ndarray, out: np.ndarray,
 
     Step buffers are step-major, (step, cell, batch, .), so that a step of
     both cells is one contiguous block: the states, update | reset packed
-    per cell, the candidate and ``reset * h``; the biases are repeated over
-    the batch. Each cell projects ``x @ W`` one block of positions at a
-    time, the second cell taking the first's blocks last to first, and
-    stages the block in step order in its gate buffers, which each step
-    then turns into its gates. A pass that records keeps every step's
-    states, gates and ``reset * h`` for its backward. A pass that records
-    nothing keeps one block of steps' gates, reused in turn, and its states
-    one chunk of at most ``_STEP_CHUNK`` step elements at a time: it writes
-    each chunk to ``out`` and carries the chunk's last state in row 0 to the
-    next."""
+    per cell and the candidate; the biases are repeated over the batch, and
+    a step's ``reset * h`` goes to a one-step scratch. Each cell projects
+    ``x @ W`` one block of positions at a time, the second cell taking the
+    first's blocks last to first, and stages the block in step order in its
+    gate buffers, which each step then turns into its gates. A pass that
+    records keeps every step's states and gates; its backward recomputes
+    every ``reset * h`` from them, the same multiply on the same values,
+    before its steps overwrite the reset gates with their gradients. A pass
+    that records nothing keeps one block of steps' gates, reused in turn,
+    and its states one chunk of at most ``_STEP_CHUNK`` step elements at a
+    time: it writes each chunk to ``out`` and carries the chunk's last state
+    in row 0 to the next."""
     count = len(cells)
     batch, hidden = h0.data.shape
     length = skip.shape[1]
@@ -972,7 +1036,7 @@ def _run_cells(cells, x: Tensor, h0: Tensor, skip: np.ndarray, out: np.ndarray,
     rows = length if recording else widest
     gates_ur = np.empty((rows, count, batch, split), dtype)  # update | reset
     gates_c = np.empty((rows, count, batch, hidden), dtype)  # cand
-    reset_prev = np.empty((length if recording else 1, count, batch, hidden), dtype)
+    reset_h = np.empty((count, batch, hidden), dtype)  # a step's reset * h
     through_ur = np.empty((count, batch, split), dtype)  # the recurrent products
     through_c = np.empty((count, batch, hidden), dtype)
     chunk = min(widest, per_chunk)
@@ -1002,7 +1066,7 @@ def _run_cells(cells, x: Tensor, h0: Tensor, skip: np.ndarray, out: np.ndarray,
             ur += through_ur  # xw + h U rounds as h U + xw
             ur += b_ur
             _sigmoid(ur, out=ur, scratch=through_ur)
-            rh = np.multiply(ur[..., hidden:], h, out=reset_prev[s if recording else 0])
+            rh = np.multiply(ur[..., hidden:], h, out=reset_h)
             cand = gates_c[s % rows]
             for k in range(count):
                 np.matmul(rh[k], u_c[k], out=through_c[k])
@@ -1026,6 +1090,11 @@ def _run_cells(cells, x: Tensor, h0: Tensor, skip: np.ndarray, out: np.ndarray,
     def backward_cells(g, keep):
         # packed again, so that no recorded step holds a copy of the weights
         u_ur = packed_u_ur()
+        to_params = [any(p.requires_grad for trio in cell.gates() for p in trio)
+                     for cell in cells]
+        # every step's reset * h, as the forward computed it, before the steps
+        # below overwrite the reset gates
+        rh_all = np.multiply(gates_ur[..., hidden:], states[:length]) if any(to_params) else None
         chunk = min(length, per_chunk)
         d_states = np.empty((chunk, count, batch, hidden), np.result_type(g, keep))
         d_rh = np.empty((count, batch, hidden), np.result_type(dtype, *u_c))
@@ -1075,18 +1144,18 @@ def _run_cells(cells, x: Tensor, h0: Tensor, skip: np.ndarray, out: np.ndarray,
             d_pre[..., split:] = _mirror(gates_c[:, k], k)
             d_flat = d_pre.reshape(length * batch, width)
             if x.requires_grad:
-                _accum(x, d_flat @ packed_w(k).T)
-            gates = cell.gates()
-            if not any(p.requires_grad for trio in gates for p in trio):
+                _accum(x, d_flat @ packed_w(k).T, owned=True)
+            if not to_params[k]:
                 continue
             # the state each position started from, and its reset * h, in position order
             prev = _mirror(states[:length, k], k).reshape(length * batch, hidden)
-            rh = _mirror(reset_prev[:, k], k).reshape(length * batch, hidden)
+            rh = _mirror(rh_all[:, k], k).reshape(length * batch, hidden)
             grads = (x.data.T @ d_flat,
                      np.concatenate([prev.T @ d_flat[:, :split], rh.T @ d_flat[:, split:]],
                                     axis=1),
                      d_flat.sum(axis=0))
-            for trio, grad in zip(gates, grads):  # each gate its block: update | reset | cand
+            # each gate its block: update | reset | cand
+            for trio, grad in zip(cell.gates(), grads):
                 for i, p in enumerate(trio):
                     _accum(p, grad[..., i * hidden:(i + 1) * hidden])
 

@@ -63,7 +63,7 @@ def initial_state(passage: ContextualEncoding, question: ContextualEncoding,
                   params: DecoderParams) -> tuple[Tensor, Tensor, Tensor]:
     """(hidden (B, Hd), start token embedding (B, De), zero context (B, 2H))."""
     pooled = ad.concat([question.mean_pooled(), passage.mean_pooled()], axis=1)
-    hidden = ad.tanh(ad.affine(pooled, params.init_w, params.init_b))
+    hidden = ad.tanh(ad.add(ad.matmul(pooled, params.init_w), params.init_b))
     bos = ad.gather_rows(word_table, np.full(batch, BOS, dtype=np.int64))
     context = Tensor(np.zeros((batch, 2 * passage.hidden), dtype=passage.flat.data.dtype))
     return hidden, bos, context
@@ -192,9 +192,9 @@ def synthesis_loss(passage: ContextualEncoding, question: ContextualEncoding,
         outputs.append(ad.concat([hidden, context], axis=1))
         if t + 1 < width:
             word = ad.gather_rows(word_table, inputs[:, t + 1])
-    # one output projection for all L steps, rows step-major (t * B + b)
-    logits = ad.affine(ad.concat(outputs, axis=0), params.out_w, params.out_b)
-    step_nll = ad.softmax_nll(logits, targets.T.reshape(-1))   # (L*B, 1)
+    # one output layer for all L steps, rows step-major (t * B + b)
+    step_nll = ad.affine_softmax_nll(ad.concat(outputs, axis=0), params.out_w,
+                                     params.out_b, targets.T.reshape(-1))   # (L*B, 1)
     # to instance-major rows, b * L + t
     by_instance = np.arange(width * batch).reshape(width, batch).T.ravel()
     nll = ad.reshape(ad.gather_rows(step_nll, by_instance), (batch, width))

@@ -66,6 +66,17 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def traced_held(fn):
+    """``fn()`` and the bytes of the memory numpy and Python allocated
+    during it that are still alive when it returns: what its result holds."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 # ---------------------------------------------------------------------------
 # gradient checking: central differences against ``backward``, the
 # contract every tape op is held to

@@ -41,6 +41,7 @@ from helpers import (
     repeat_rows,
     slice_cols,
     sum_groups,
+    traced_held,
     traced_peak,
 )
 
@@ -196,9 +197,9 @@ GRADIENT_CASES = {
     "mul": lambda a, b, w: ad.mul(a, b),
     "mul_const": lambda a, b, w: ad.mul_const(a, np.arange(1.0, 5.0)[:, None]),
     "matmul": lambda a, b, w: ad.matmul(a, w),
-    # the bias: sums of w's row pairs
-    "affine": lambda a, b, w: ad.affine(
-        a, w, ad.reshape(sum_groups(ad.reshape(w, (18, 1)), 6), (3,))),
+    # the bias: sums of w's row pairs; repeated ids
+    "affine_softmax_nll": lambda a, b, w: ad.affine_softmax_nll(
+        a, w, ad.reshape(sum_groups(ad.reshape(w, (18, 1)), 6), (3,)), np.array([2, 0, 2, 1])),
     "concat_cols": lambda a, b, w: ad.concat([a, b], axis=1),
     "concat_rows": lambda a, b, w: ad.concat([a, b], axis=0),
     "sigmoid": lambda a, b, w: ad.sigmoid(a),
@@ -306,7 +307,8 @@ FINITE_CASES = {
     "mul": lambda x: ad.mul(x, x),
     "mul_const": lambda x: ad.mul_const(x, 2.0),
     "matmul": lambda x: ad.matmul(x, Tensor(np.ones((6, 3)))),
-    "affine": lambda x: ad.affine(x, Tensor(np.ones((6, 3))), Tensor(np.zeros(3))),
+    "affine_softmax_nll": lambda x: ad.affine_softmax_nll(x, Tensor(np.ones((6, 3))),
+                                                          Tensor(np.zeros(3)), IDX % 3),
     "concat": lambda x: ad.concat([x, x], axis=1),
     "sigmoid": lambda x: ad.sigmoid(x),
     "tanh": lambda x: ad.tanh(x),
@@ -370,11 +372,14 @@ OVERFLOW_CASES = {
     "mul_const": lambda h: ad.mul_const(h, 10.0),
     "matmul": lambda h: ad.matmul(h, Tensor(np.ones((2, 1)))),
     # a finite product that overflows only with the bias
-    "affine": lambda h: ad.affine(h, Tensor([[0.5], [0.5]]), Tensor([1e308])),
+    "affine_softmax_nll": lambda h: ad.affine_softmax_nll(h, Tensor([[0.5], [0.5]]),
+                                                          Tensor([1e308]), np.array([0])),
     "log": lambda h: ad.log(ad.mul_const(h, 0.0)),
     "softmax_nll": lambda h: ad.softmax_nll(Tensor([[1e308, -1e308]]), np.array([1])),
     "tensor_sum": lambda h: ad.tensor_sum(h),
     "sum_last": lambda h: ad.sum_last(h),
+    # the kept element doubles
+    "dropout": lambda h: ad.dropout(h, 0.5, np.random.default_rng(0)),
     "gru_sequence": lambda h: ad.gru_sequence(
         ad.concat([h, Tensor(np.zeros((1, 4)))], axis=1), Tensor(np.ones((1, 2))),
         [_huge_cell()], np.ones((1, 1))),
@@ -425,31 +430,93 @@ def test_softmax_nll_is_the_negative_log_softmax_at_the_targets():
     np.testing.assert_allclose(a.grad, (np.exp(log_p) - onehot) / 5, rtol=1e-12, atol=1e-18)
 
 
+def composite_output_layer(x, w, b, targets):
+    """Reference for ``autodiff.affine_softmax_nll``: the product, the bias
+    add and the softmax NLL as three tape ops."""
+    return ad.softmax_nll(ad.add(matmul(x, w), b), targets)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_affine_is_add_of_matmul_bit_for_bit(dtype):
+def test_affine_softmax_nll_is_the_composite_bit_for_bit(dtype):
     rng = np.random.default_rng(21)
     store = ParamStore(dtype)
     x = store.create("x", rand(rng, 7, 5))
     w = store.create("w", rand(rng, 5, 300))
     b = store.create("b", rand(rng, 300))
-    upstream = rand(rng, 7, 300).astype(dtype)
+    targets = np.array([7, 299, 7, 0, 7, 150, 3])
+    upstream = rand(rng, 7, 1).astype(dtype)
 
-    def run(forward):
+    def run(op):
         zero_grads([x, w, b])
-        out = forward()
+        out = op(x, w, b, targets)
         backward(tensor_sum(ad.mul_const(out, upstream)))
         return out.data, [p.grad.copy() for p in (x, w, b)]
 
-    got, got_grads = run(lambda: ad.affine(x, w, b))
-    want, want_grads = run(lambda: ad.add(ad.matmul(x, w), b))
+    got, got_grads = run(ad.affine_softmax_nll)
+    want, want_grads = run(composite_output_layer)
     assert got.dtype == want.dtype == dtype
-    np.testing.assert_array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
     for g, ref in zip(got_grads, want_grads):
-        np.testing.assert_array_equal(g, ref)
+        assert g.dtype == dtype and g.tobytes() == ref.tobytes()
 
 
-# ``affine``'s weight gradient as factors: the dense reference is the
-# composite ``add(matmul(x, w), b)``, whose backward forms ``x.T @ g`` whole
+@pytest.mark.parametrize("cols", [1, 300, 70_000], ids=["one_col", "row_blocks", "row_per_block"])
+def test_softmax_nll_in_row_blocks_sums_each_row_as_the_whole_exponential(cols):
+    # one column, many rows to a block, and fewer than one row to a block
+    rng = np.random.default_rng(20)
+    logits = rand(rng, 5, cols) * 6.0
+    targets = rng.integers(0, cols, 5)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    p = logits.copy()
+    nll = ad._softmax_nll_in_place(p, targets)
+    assert nll.tobytes() == (-log_p[np.arange(5), targets][:, None]).tobytes()
+    assert p.tobytes() == np.exp(log_p).tobytes()
+
+
+def test_dropout_is_mul_const_of_its_mask_bit_for_bit():
+    rng = np.random.default_rng(19)
+    a = ParamStore().create("a", rand(rng, 9, 40))
+    upstream = rand(rng, 9, 40)
+    keep = 1.0 - 0.45
+    results = []
+    for op in (lambda: ad.dropout(a, 0.45, np.random.default_rng(3)),
+               lambda: ad.mul_const(a, (np.random.default_rng(3).random(a.data.shape) < keep)
+                                    .astype(a.data.dtype) / keep)):
+        zero_grads([a])
+        out = op()
+        backward(tensor_sum(ad.mul_const(out, upstream)))
+        results.append((out.data.tobytes(), a.grad.tobytes()))
+    assert results[0] == results[1]
+
+
+def test_the_output_layer_forward_holds_one_logits_sized_buffer():
+    # the parent's composite held the product, the biased logits and a copy
+    # for the softmax; the op's peak is its one buffer and a small scratch
+    rng = np.random.default_rng(18)
+    rows, cols, vocab = 64, 16, 4096
+    store = ParamStore()
+    x = store.create("x", rand(rng, rows, cols))
+    w = store.create("w", rand(rng, cols, vocab))
+    b = store.create("b", rand(rng, vocab))
+    targets = rng.integers(0, vocab, rows)
+    bound = 1.5 * rows * vocab * 8
+    _, peak = traced_peak(lambda: ad.affine_softmax_nll(x, w, b, targets))
+    assert peak < bound, peak
+    _, composite_peak = traced_peak(lambda: composite_output_layer(x, w, b, targets))
+    assert composite_peak > bound, composite_peak
+
+
+def test_a_recorded_dropout_holds_one_byte_per_element_for_its_mask():
+    a = ParamStore().create("a", np.random.default_rng(17).standard_normal((256, 1024)))
+    out, held = traced_held(lambda: ad.dropout(a, 0.45, np.random.default_rng(0)))
+    assert out.requires_grad
+    # the output, one bool per element, and the node's few small objects
+    assert 0 <= held - out.data.nbytes - a.data.size < 4096, held
+
+
+# ``affine_softmax_nll``'s weight gradient as factors: the dense reference
+# is the composite, whose ``matmul`` forms ``x.T @ g`` whole
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -460,7 +527,7 @@ def test_a_weight_gradient_kept_as_factors_reads_as_x_t_g_bit_for_bit(dtype):
     w = store.create("w", rand(rng, 5, 300))
     b = store.create("b", rand(rng, 300))
     x = ad.tanh(h)
-    backward(tensor_sum(ad.softmax_nll(ad.affine(x, w, b), rng.integers(0, 300, 7))))
+    backward(tensor_sum(ad.affine_softmax_nll(x, w, b, rng.integers(0, 300, 7))))
     factors = w._grad
     assert type(factors) is ad._Product and factors.x is x.data
     assert factors.g.shape == (7, 300) and factors.g.dtype == dtype
@@ -472,8 +539,8 @@ def test_a_weight_gradient_kept_as_factors_reads_as_x_t_g_bit_for_bit(dtype):
 
 def softmax_step_runs(make_x, dense, clip, steps=3, out_cols=61):
     """Parameters, pre-clip norms and post-clip norms of ``steps`` steps of
-    backward, norm, clip and Adam on the NLL of a softmax over ``affine``
-    (or, with ``dense``, over the composite)."""
+    backward, norm, clip and Adam on ``affine_softmax_nll`` (or, with
+    ``dense``, on the composite)."""
     rng = np.random.default_rng(23)
     store = ParamStore()
     h = store.create("h", rand(rng, 12, 96))
@@ -482,11 +549,10 @@ def softmax_step_runs(make_x, dense, clip, steps=3, out_cols=61):
     params = [h, w, b]
     opt = Adam(params, lr=0.005)
     norms, post = [], []
+    op = composite_output_layer if dense else ad.affine_softmax_nll
     for _ in range(steps):
         zero_grads(params)
-        x = make_x(h)
-        logits = ad.add(matmul(x, w), b) if dense else ad.affine(x, w, b)
-        backward(ad.mean(ad.softmax_nll(logits, rng.integers(0, out_cols, 12))))
+        backward(ad.mean(op(make_x(h), w, b, rng.integers(0, out_cols, 12))))
         norms.append(global_grad_norm(params))
         post.append(opt.step(clip_global_norm(norms[-1], clip)))
     return [p.data for p in params], norms, post
@@ -534,16 +600,17 @@ def test_a_second_gradient_into_factors_adds_to_the_whole_product_bit_for_bit():
     ad._accum(second, ad._Product(x, g))
     assert first.grad.tobytes() == ((x.T @ g) + other).tobytes()
     assert second.grad.tobytes() == (other + (x.T @ g)).tobytes()
-    # two affine ops on one weight, against the composites
+    # two output layers on one weight, against the composites
     store = ParamStore()
     h = store.create("h", rand(rng, 5, 4))
     w = store.create("w", rand(rng, 4, 9))
     b = store.create("b", rand(rng, 9))
-    upstream = rand(rng, 5, 9)
+    upstream = rand(rng, 5, 1)
+    targets = rng.integers(0, 9, 5)
     grads = []
-    for op in (ad.affine, lambda x, w, b: ad.add(matmul(x, w), b)):
+    for op in (ad.affine_softmax_nll, composite_output_layer):
         zero_grads([h, w, b])
-        twice = ad.add(op(h, w, b), op(ad.tanh(h), w, b))
+        twice = ad.add(op(h, w, b, targets), op(ad.tanh(h), w, b, targets))
         backward(tensor_sum(ad.mul_const(twice, upstream)))
         grads.append(w.grad)
     assert grads[0].tobytes() == grads[1].tobytes()
@@ -558,8 +625,8 @@ def test_a_step_on_factors_spanning_many_blocks_forms_no_whole_gradient(monkeypa
     w = store.create("w", 0.01 * rand(rng, cols, out))
     b = store.create("b", np.zeros(out))
     opt = Adam([w, b], lr=0.005)
-    loss = ad.mean(ad.softmax_nll(ad.affine(Tensor(rand(rng, rows, cols)), w, b),
-                                  rng.integers(0, out, rows)))
+    loss = ad.mean(ad.affine_softmax_nll(Tensor(rand(rng, rows, cols)), w, b,
+                                         rng.integers(0, out, rows)))
 
     def step():
         backward(loss)
@@ -653,6 +720,23 @@ def test_a_tensor_consumed_twice_leaves_the_upstream_grad_untouched():
     np.testing.assert_array_equal(u_seen["held"], weights.data + weights.data)
     assert u_seen["held"] is not doubled_seen["held"]
     assert v_seen["held"] is not joint_seen["held"]
+
+
+def test_an_owned_first_gradient_takes_the_second_in_place_except_at_a_plain_leaf():
+    rng = np.random.default_rng(9)
+    first, second = rand(rng, 3, 4), rand(rng, 3, 4)
+    want = (first + second).tobytes()
+    param = ParamStore().create("p", np.zeros((3, 4)))
+    leaf = Tensor(np.zeros((3, 4)), requires_grad=True)
+    for t, owner in ((param, True), (leaf, False)):
+        handed = first.copy()
+        ad._accum(t, handed, owned=True)
+        ad._accum(t, second)
+        # ``a += b`` rounds as ``a + b``; a plain leaf's grad goes back to its
+        # caller, who may keep the array, so it is not written
+        assert (t.grad is handed) is owner
+        assert t.grad.tobytes() == want
+        assert handed.tobytes() == (want if owner else first.tobytes())
 
 
 def test_backward_frees_the_activations_of_the_graph_it_ran():
@@ -1098,6 +1182,24 @@ def test_a_gru_sequence_under_no_grad_keeps_its_output_plus_one_block(monkeypatc
     # one step's gates, each far smaller than the output
     assert out.data.nbytes == batch * length * 2 * hidden * 8
     assert peak < out.data.nbytes + 8 * (1 << 12) * 8, (peak, out.data.nbytes)
+
+
+def test_a_recorded_gru_sequence_keeps_no_reset_times_h_buffer():
+    rng = np.random.default_rng(29)
+    batch, length, dim, hidden = 16, 200, 32, 32
+    cells, store = make_cells(rng, 2, dim, hidden)
+    x = store.create("x", rand(rng, length * batch, dim))
+    h0 = store.create("h0", np.zeros((batch, hidden)))
+    mask = np.ones((batch, length))
+    out, held = traced_held(lambda: ad.gru_sequence(x, h0, cells, mask))
+    assert out.requires_grad
+    # one (T, C, B, H) array: the size of the states, or of the candidate gates
+    step_array = length * 2 * batch * hidden * 8
+    # the output, the update | reset and candidate gates, the states from h0 on
+    kept = out.data.nbytes + 2 * step_array + step_array + (length + 1) * 2 * batch * hidden * 8
+    assert kept <= held < kept + step_array // 2, (held, kept)
+    backward(tensor_sum(ad.mul_const(out, rand(rng, *out.data.shape))))
+    assert all(p.grad is not None for p in store.all())
 
 
 # ---------------------------------------------------------------------------

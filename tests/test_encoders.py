@@ -175,16 +175,17 @@ def test_bigru_backward_accumulates_into_the_sequence_once_per_direction(monkeyp
     calls = []
     real_accum = ad._accum
 
-    def counting_accum(t, g):
+    def counting_accum(t, g, owned=False):
         if t is flat:
-            calls.append(g.shape)
-        real_accum(t, g)
+            calls.append(g)
+        real_accum(t, g, owned)
 
     loss = loss_fn()
     monkeypatch.setattr(ad, "_accum", counting_accum)
     ad.backward(loss)
     monkeypatch.undo()
-    assert calls == [(length * batch, dim)] * 2
+    assert [g.shape for g in calls] == [(length * batch, dim)] * 2
+    assert flat.grad is calls[0]  # the second direction adds into the first's array
     report = check_gradients([flat], loss_fn, tolerance=1e-4, max_elements_per_param=12)
     assert report.passed, report.summary()
 

@@ -275,18 +275,22 @@ def test_history_entries_record_the_pre_clip_norm_of_one_norm_pass_per_step(monk
 
 
 def test_no_activation_of_a_step_is_alive_at_the_clip_or_the_optimizer_step(monkeypatch):
-    logits = []
+    # the attention weights of every decoder step and every pooling: no
+    # gradient keeps them, unlike the output layer's input and softmax,
+    # which ``decoder.out_w``'s gradient keeps as its factors by design
+    weights = []
     checked = []
-    softmax_nll = ad.softmax_nll
+    attention_weights = ad.attention_weights
     norm = ad.global_grad_norm
 
-    def recording_nll(a, targets):
-        logits.append(weakref.ref(a.data))
-        return softmax_nll(a, targets)
+    def recording_weights(*args):
+        out = attention_weights(*args)
+        weights.append(weakref.ref(out.data))
+        return out
 
     def check_released():
-        assert logits and [ref() for ref in logits] == [None] * len(logits)
-        checked.append(len(logits))
+        assert weights and all(ref() is None for ref in weights)
+        checked.append(len(weights))
 
     def checking_norm(params):
         check_released()
@@ -297,7 +301,7 @@ def test_no_activation_of_a_step_is_alive_at_the_clip_or_the_optimizer_step(monk
             check_released()
             return super().step(scale)
 
-    monkeypatch.setattr(ad, "softmax_nll", recording_nll)
+    monkeypatch.setattr(ad, "attention_weights", recording_weights)
     monkeypatch.setattr(ad, "global_grad_norm", checking_norm)
     monkeypatch.setattr(training, "Adam", CheckingAdam)
     config, train, dev, vocab, char_vocab, table = setup_training(max_epochs=1)

@@ -195,10 +195,9 @@ class ParamStore:
 # Ops that cannot turn finite inputs into a non-finite output, so their
 # results are not checked: every input was checked when it was made (a
 # parameter that Adam wrote in place is caught by the first checking op that
-# reads it). concat, reshape and gather_rows only move values and neg negates
-# them; tanh, sigmoid and masked_softmax are bounded.
-_UNCHECKED_OPS = ("concat", "reshape", "gather_rows", "neg", "tanh", "sigmoid",
-                  "masked_softmax")
+# reads it). concat, reshape and gather_rows only move values; tanh, sigmoid
+# and masked_softmax are bounded.
+_UNCHECKED_OPS = ("concat", "reshape", "gather_rows", "tanh", "sigmoid", "masked_softmax")
 
 
 def _node(data: np.ndarray, parents: tuple, backward, checked: bool = True) -> Tensor:
@@ -367,13 +366,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accum(b, _unbroadcast(g, b.data.shape))
 
     return _node(data, (a, b), _bw)
-
-
-def neg(a: Tensor) -> Tensor:
-    def _bw(g):
-        _accum(a, -g)
-
-    return _node(-a.data, (a,), _bw, checked=False)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -617,16 +609,6 @@ def tensor_sum(a: Tensor) -> Tensor:
     return _node(data, (a,), _bw)
 
 
-def sum_last(a: Tensor) -> Tensor:
-    """Sum along the last axis, keeping the axis: (B, M) -> (B, 1)."""
-    data = a.data.sum(axis=-1, keepdims=True)
-
-    def _bw(g):
-        _accum(a, np.broadcast_to(g, a.data.shape))
-
-    return _node(data, (a,), _bw)
-
-
 def mean(a: Tensor) -> Tensor:
     return mul_const(tensor_sum(a), 1.0 / a.data.size)
 
@@ -739,7 +721,8 @@ def weighted_sum(weights: Tensor, memories) -> Tensor:
     row-group sum; then an add per part after the first) rounds. The forward
     multiplies block by block into one reused (k, T_i, M) buffer; the
     backward does the composite's arithmetic in its order, part 1 first, and
-    computes no gradient for constant weights, such as a mask that pools.
+    computes no gradient for a constant input: weights such as a mask that
+    pools, or a memory such as a frozen encoding.
     """
     batch, width = weights.data.shape
     lengths = [memory.data.shape[0] // batch for memory in memories]
@@ -765,16 +748,18 @@ def weighted_sum(weights: Tensor, memories) -> Tensor:
         out = part if out is None else np.add(out, part, out=out)
 
     def _bw(g):
-        d_weights = np.empty_like(weights.data)
+        d_weights = np.empty_like(weights.data) if weights.requires_grad else None
         offset = 0
         for memory, length in zip(memories, lengths):
             w = weights.data[:, offset:offset + length]
-            _accum(memory, (g[:, None, :] * w[:, :, None]).reshape(memory.data.shape))
-            if weights.requires_grad:
+            if memory.requires_grad:
+                _accum(memory, (g[:, None, :] * w[:, :, None]).reshape(memory.data.shape))
+            if d_weights is not None:
                 blocks = memory.data.reshape(batch, length, memory.data.shape[1])
                 d_weights[:, offset:offset + length] = (g[:, None, :] * blocks).sum(axis=2)
             offset += length
-        _accum(weights, d_weights)
+        if d_weights is not None:
+            _accum(weights, d_weights)
 
     # the weights last, so that backward's depth-first search meets them first
     return _node(out, tuple(memories) + (weights,), _bw)
@@ -875,7 +860,7 @@ def gru_cell(x: Tensor, h_prev: Tensor, params: GRUCellParams) -> Tensor:
                         params.b_reset))
     cand = tanh(add(add(matmul(x, params.w_cand), matmul(mul(reset, h_prev), params.u_cand)),
                     params.b_cand))
-    return add(h_prev, mul(update, add(cand, neg(h_prev))))
+    return add(h_prev, mul(update, add(cand, mul_const(h_prev, -1.0))))
 
 
 def gru_sequence(x: Tensor, h0: Tensor, cells, mask: np.ndarray) -> Tensor:

@@ -278,7 +278,7 @@ class Batch:
     passage_mask: np.ndarray
     question_ids: np.ndarray   # (B, Q)
     question_mask: np.ndarray
-    option_ids: np.ndarray     # (B, 4, K)
+    option_ids: np.ndarray     # (B*4, K), instance-major
     option_mask: np.ndarray
     gold: np.ndarray           # (B,)
 
@@ -302,15 +302,12 @@ def make_batch(instances, vocab: Vocabulary) -> Batch:
     instances = tuple(instances)
     p_ids, p_mask = pad_block([vocab.ids(i.passage_tokens) for i in instances])
     q_ids, q_mask = pad_block([vocab.ids(i.question_tokens) for i in instances])
-    opts = [vocab.ids(opt) for i in instances for opt in i.option_tokens]
-    o_ids, o_mask = pad_block(opts)
-    k = o_ids.shape[1]
+    o_ids, o_mask = pad_block([vocab.ids(opt) for i in instances for opt in i.option_tokens])
     return Batch(
         instances=instances,
         passage_ids=p_ids, passage_mask=p_mask,
         question_ids=q_ids, question_mask=q_mask,
-        option_ids=o_ids.reshape(len(instances), NUM_OPTIONS, k),
-        option_mask=o_mask.reshape(len(instances), NUM_OPTIONS, k),
+        option_ids=o_ids, option_mask=o_mask,
         gold=np.array([i.gold_index for i in instances], dtype=np.int64),
     )
 

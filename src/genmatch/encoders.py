@@ -28,22 +28,12 @@ from .autodiff import ParamStore, Parameter, Tensor
 from .corpus import CharVocabulary, pad_block
 
 
-@dataclass
-class BiGRUParams:
-    forward: ad.GRUCellParams
-    backward: ad.GRUCellParams
-
-    @property
-    def hidden(self) -> int:
-        return self.forward.hidden
-
-
 def init_bigru(store: ParamStore, prefix: str, input_dim: int, hidden: int,
-               rng: np.random.Generator) -> BiGRUParams:
-    return BiGRUParams(
-        forward=ad.init_gru_cell(store, f"{prefix}.fwd", input_dim, hidden, rng),
-        backward=ad.init_gru_cell(store, f"{prefix}.bwd", input_dim, hidden, rng),
-    )
+               rng: np.random.Generator) -> tuple[ad.GRUCellParams, ad.GRUCellParams]:
+    """A BiGRU encoder: its forward and backward cells, as ``gru_sequence``
+    takes them."""
+    return (ad.init_gru_cell(store, f"{prefix}.fwd", input_dim, hidden, rng),
+            ad.init_gru_cell(store, f"{prefix}.bwd", input_dim, hidden, rng))
 
 
 @dataclass
@@ -88,14 +78,14 @@ def embed_ids(table: Parameter | Tensor, ids: np.ndarray, mask: np.ndarray) -> E
     return EmbeddedSequence(flat=flat, mask=mask, batch=batch, length=length)
 
 
-def bigru_encode(seq: EmbeddedSequence, params: BiGRUParams) -> ContextualEncoding:
-    """Run both directions over the sequence; masked positions neither
-    advance the recurrent state nor emit output vectors."""
-    if seq.dim != params.forward.input_dim:
-        raise ValueError(f"input dim {seq.dim} != encoder dim {params.forward.input_dim}")
-    batch, length, hidden = seq.batch, seq.length, params.hidden
+def bigru_encode(seq: EmbeddedSequence, cells) -> ContextualEncoding:
+    """Run the (forward, backward) ``cells`` over the sequence; masked
+    positions neither advance the recurrent state nor emit output vectors."""
+    if seq.dim != cells[0].input_dim:
+        raise ValueError(f"input dim {seq.dim} != encoder dim {cells[0].input_dim}")
+    batch, length, hidden = seq.batch, seq.length, cells[0].hidden
     zero = Tensor(np.zeros((batch, hidden), dtype=seq.flat.data.dtype))
-    states = ad.gru_sequence(seq.flat, zero, (params.forward, params.backward), seq.mask)
+    states = ad.gru_sequence(seq.flat, zero, cells, seq.mask)
     # going forward the state ends at the last unmasked position, going backward
     # at the first; row 2*(b*T + t) of the (B*T*2, H) view is (b, t)'s forward half
     keep = seq.mask > 0.5
@@ -114,11 +104,11 @@ def bigru_encode(seq: EmbeddedSequence, params: BiGRUParams) -> ContextualEncodi
 @dataclass
 class CharEncoderParams:
     table: Parameter          # (char vocab, char dim)
-    gru: BiGRUParams
+    gru: tuple[ad.GRUCellParams, ad.GRUCellParams]  # forward, backward
 
     @property
     def feature_dim(self) -> int:
-        return 2 * self.gru.hidden
+        return 2 * self.gru[0].hidden
 
 
 def init_char_encoder(store: ParamStore, char_vocab: CharVocabulary, char_dim: int,
@@ -167,7 +157,7 @@ def embed_with_chars(word_table: Parameter, char_params: CharEncoderParams,
 # evidence indicator channels
 
 
-def encode_with_features(seq: EmbeddedSequence, spans, params: BiGRUParams) -> ContextualEncoding:
+def encode_with_features(seq: EmbeddedSequence, spans, cells) -> ContextualEncoding:
     """Append a start and an end indicator channel to each position and
     re-encode. ``spans`` holds one inclusive (start, end) pair per instance,
     inside that instance's unmasked length."""
@@ -183,4 +173,4 @@ def encode_with_features(seq: EmbeddedSequence, spans, params: BiGRUParams) -> C
     flat = ad.concat([seq.flat, Tensor(channels.reshape(-1, 2))], axis=1)
     augmented = EmbeddedSequence(flat=flat, mask=seq.mask, batch=seq.batch,
                                  length=seq.length)
-    return bigru_encode(augmented, params)
+    return bigru_encode(augmented, cells)

@@ -106,20 +106,17 @@ class PipelineModel:
         return passage, question
 
     def _embed_options(self, batch: Batch):
-        size, options, width = batch.option_ids.shape
-        ids = batch.option_ids.reshape(size * options, width)
-        mask = batch.option_mask.reshape(size * options, width)
         surfaces = [opt for inst in batch.instances for opt in inst.option_tokens]
-        return self._embed(ids, surfaces, mask)
+        return self._embed(batch.option_ids, surfaces, batch.option_mask)
 
     def _dropped(self, seq, rng):
         """An embedded sequence or an encoding with dropout on its ``flat``
         rows; identity when rng is None. An encoding's ``final`` is kept."""
         return replace(seq, flat=ad.dropout(seq.flat, self.config.dropout, rng))
 
-    def _encode(self, seq: EmbeddedSequence, params, rng):
+    def _encode(self, seq: EmbeddedSequence, cells, rng):
         """Input dropout, the BiGRU, output dropout."""
-        return self._dropped(bigru_encode(self._dropped(seq, rng), params), rng)
+        return self._dropped(bigru_encode(self._dropped(seq, rng), cells), rng)
 
     # -- extraction -----------------------------------------------------------
 

@@ -32,9 +32,10 @@ def bilinear_score(answer: Tensor, options_flat: Tensor, w_att: Parameter) -> Te
     batch = answer.data.shape[0]
     if options_flat.data.shape[0] != batch * NUM_OPTIONS:
         raise ValueError("expected 4 option vectors per instance")
-    # each instance's projected answer, once per option
+    # each instance's projected answer, once per option, weighs that option's features
     projected = ad.gather_rows(ad.matmul(answer, w_att), np.repeat(np.arange(batch), NUM_OPTIONS))
-    return ad.reshape(ad.sum_last(ad.mul(projected, options_flat)), (batch, NUM_OPTIONS))
+    features = ad.reshape(options_flat, (batch * NUM_OPTIONS * dim, 1))
+    return ad.reshape(ad.weighted_sum(projected, [features]), (batch, NUM_OPTIONS))
 
 
 def select_option(scores: Tensor) -> np.ndarray:

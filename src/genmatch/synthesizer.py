@@ -195,9 +195,8 @@ def synthesis_loss(passage: ContextualEncoding, question: ContextualEncoding,
     # one output layer for all L steps, rows step-major (t * B + b)
     step_nll = ad.affine_softmax_nll(ad.concat(outputs, axis=0), params.out_w,
                                      params.out_b, targets.T.reshape(-1))   # (L*B, 1)
-    # to instance-major rows, b * L + t
+    # to instance-major rows, b * L + t, each instance's summed under its mask
     by_instance = np.arange(width * batch).reshape(width, batch).T.ravel()
-    nll = ad.reshape(ad.gather_rows(step_nll, by_instance), (batch, width))
-    per_instance = ad.sum_last(ad.mul_const(nll, mask))        # (B, 1)
+    per_instance = ad.weighted_sum(Tensor(mask), [ad.gather_rows(step_nll, by_instance)])
     lengths = mask.sum(axis=1, keepdims=True)
     return ad.mean(ad.mul_const(per_instance, 1.0 / lengths))

@@ -203,7 +203,7 @@ def per_step_synthesis_loss(passage, question, word_table, params, target_ids):
         if t + 1 < width:
             word = ad.gather_rows(word_table, inputs[:, t + 1])
     nll = ad.concat(columns, axis=1)
-    per_instance = ad.sum_last(ad.mul_const(nll, mask))
+    per_instance = sum_last(ad.mul_const(nll, mask))
     lengths = mask.sum(axis=1, keepdims=True)
     return ad.mean(ad.mul_const(per_instance, 1.0 / lengths))
 
@@ -267,8 +267,8 @@ def use_five_pass_step(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# row movers and the row-group sum that the engine's composites used; the
-# engine moves rows with ``gather_rows`` and sums with ``weighted_sum``
+# row movers and the sums that the engine's composites used; the engine
+# moves rows with ``gather_rows`` and sums with ``weighted_sum``
 
 
 def repeat_rows(a, times):
@@ -288,6 +288,16 @@ def sum_groups(a, group):
 
     def _bw(g):
         ad._accum(a, np.repeat(g, group, axis=0))
+
+    return ad._node(data, (a,), _bw)
+
+
+def sum_last(a):
+    """Sum along the last axis, keeping the axis: (B, M) -> (B, 1)."""
+    data = a.data.sum(axis=-1, keepdims=True)
+
+    def _bw(g):
+        ad._accum(a, np.broadcast_to(g, a.data.shape))
 
     return ad._node(data, (a,), _bw)
 

@@ -41,6 +41,7 @@ from helpers import (
     repeat_rows,
     slice_cols,
     sum_groups,
+    sum_last,
     traced_held,
     traced_peak,
 )
@@ -193,7 +194,6 @@ MASK = np.array([[1, 1, 0, 1, 0, 1]] * 4, dtype=float)
 IDX = np.array([0, 2, 1, 3])
 GRADIENT_CASES = {
     "add": lambda a, b, w: ad.add(a, b),
-    "neg": lambda a, b, w: ad.neg(a),
     "mul": lambda a, b, w: ad.mul(a, b),
     "mul_const": lambda a, b, w: ad.mul_const(a, np.arange(1.0, 5.0)[:, None]),
     "matmul": lambda a, b, w: ad.matmul(a, w),
@@ -214,7 +214,7 @@ GRADIENT_CASES = {
     "sum_groups": lambda a, b, w: sum_groups(a, 2),
     "regroup_rows": lambda a, b, w: regroup_rows(a, 2, 2),
     "tensor_sum": lambda a, b, w: ad.mul(ad.tensor_sum(a), ad.tensor_sum(ad.tanh(b))),
-    "sum_last": lambda a, b, w: ad.sum_last(ad.mul(a, b)),
+    "sum_last": lambda a, b, w: sum_last(ad.mul(a, b)),
     "mean": lambda a, b, w: ad.mul(ad.mean(a), ad.mean(ad.tanh(b))),
     "dropout": lambda a, b, w: ad.dropout(a, 0.5, np.random.default_rng(3)),
     # keys of 2 and 4 positions; w serves as W_q, and row-group sums of w*w
@@ -286,7 +286,7 @@ def test_every_tape_op_has_a_central_difference_check():
     ops = tape_ops()
     references = reference_ops()
     assert {"add", "masked_softmax", "mean", "gru_sequence"} <= ops
-    assert {"slice_cols", "sum_groups", "regroup_rows", "repeat_rows"} <= references
+    assert {"slice_cols", "sum_groups", "sum_last", "regroup_rows", "repeat_rows"} <= references
     # a wrong reference backward fails its own check, not only a bit-identity test
     assert sorted((ops | references) - covered) == [], "tape ops without a gradient check"
     assert sorted(covered - ops - references) == [], \
@@ -303,7 +303,6 @@ def _gru_cells(count):
 
 FINITE_CASES = {
     "add": lambda x: ad.add(x, x),
-    "neg": lambda x: ad.neg(x),
     "mul": lambda x: ad.mul(x, x),
     "mul_const": lambda x: ad.mul_const(x, 2.0),
     "matmul": lambda x: ad.matmul(x, Tensor(np.ones((6, 3)))),
@@ -318,7 +317,6 @@ FINITE_CASES = {
     "gather_rows": lambda x: ad.gather_rows(x, np.array([0, 1])),
     "reshape": lambda x: ad.reshape(x, (2, 12)),
     "tensor_sum": lambda x: ad.tensor_sum(x),
-    "sum_last": lambda x: ad.sum_last(x),
     "mean": lambda x: ad.mean(x),
     "dropout": lambda x: ad.dropout(x, 0.5, np.random.default_rng(0)),
     "gru_cell": lambda x: ad.gru_cell(x, Tensor(np.zeros((4, 2))), _gru_cells(1)[0]),
@@ -377,7 +375,6 @@ OVERFLOW_CASES = {
     "log": lambda h: ad.log(ad.mul_const(h, 0.0)),
     "softmax_nll": lambda h: ad.softmax_nll(Tensor([[1e308, -1e308]]), np.array([1])),
     "tensor_sum": lambda h: ad.tensor_sum(h),
-    "sum_last": lambda h: ad.sum_last(h),
     # the kept element doubles
     "dropout": lambda h: ad.dropout(h, 0.5, np.random.default_rng(0)),
     "gru_sequence": lambda h: ad.gru_sequence(
@@ -488,6 +485,41 @@ def test_dropout_is_mul_const_of_its_mask_bit_for_bit():
         backward(tensor_sum(ad.mul_const(out, upstream)))
         results.append((out.data.tobytes(), a.grad.tobytes()))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("rows", [1, 129])
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 127, 128, 129, 300, 1000])
+def test_a_one_part_weighted_sum_is_the_sum_of_a_product_bit_for_bit(width, rows, dtype):
+    # the decoder loss's masked sum and the matcher's dot products: one memory
+    # of one column, ``width`` rows per weight row; widths on both sides of
+    # numpy's 8-element unrolled sum and its 128-element pairwise blocks
+    rng = np.random.default_rng(width)
+    store = ParamStore(dtype)
+    w = store.create("w", rand(rng, rows, width))
+    m = store.create("m", rand(rng, rows, width))
+    upstream = rand(rng, rows, 1).astype(dtype)
+    results = []
+    for reduce in (lambda: ad.weighted_sum(w, [ad.reshape(m, (rows * width, 1))]),
+                   lambda: sum_last(mul(w, m))):
+        zero_grads([w, m])
+        out = reduce()
+        backward(tensor_sum(ad.mul_const(out, upstream)))
+        results.append((out.data, w.grad, m.grad))
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_weighted_sum_forms_no_gradient_for_a_constant_memory():
+    # the memory's gradient, 1e200 * 1e200, would overflow: it is not formed
+    weights = Tensor([[1e200, 1e200]], requires_grad=True)
+    memory = Tensor([[1e-300], [1e-300]])
+    loss = ad.mul_const(ad.weighted_sum(weights, [memory]), 1e200)
+    with np.errstate(over="raise"):
+        backward(loss)
+    assert memory.grad is None
+    assert weights.grad.tolist() == [[1e200 * 1e-300] * 2]
 
 
 def test_the_output_layer_forward_holds_one_logits_sized_buffer():
@@ -779,7 +811,7 @@ def test_backward_returns_the_number_of_op_nodes_it_ran():
 
 
 def test_gradients_added_onto_read_only_broadcast_views_stay_correct():
-    # tensor_sum and sum_last hand back read-only broadcast views; a tensor
+    # tensor_sum and the reference sum_last hand back read-only broadcast views; a tensor
     # taking three gradients must copy the view, then add into its own array
     rng = np.random.default_rng(8)
     store = ParamStore()
@@ -789,7 +821,7 @@ def test_gradients_added_onto_read_only_broadcast_views_stay_correct():
     def loss_fn():
         u = ad.tanh(a)
         total = tensor_sum(u)
-        rows = ad.sum_last(u)
+        rows = sum_last(u)
         squared = ad.mul(total, total)       # the tensor_sum result has two consumers
         return ad.add(ad.add(squared, tensor_sum(rows)), tensor_sum(ad.mul(u, w)))
 

@@ -47,8 +47,8 @@ def test_length_one_sequence_concatenates_both_directions():
     params, _ = encoder(rng, 3, 4)
     seq = make_sequence(rng, 2, 1, 3)
     enc = bigru_encode(seq, params)
-    fwd = ad.gru_cell(seq.flat, Tensor(np.zeros((2, 4))), params.forward)
-    bwd = ad.gru_cell(seq.flat, Tensor(np.zeros((2, 4))), params.backward)
+    fwd = ad.gru_cell(seq.flat, Tensor(np.zeros((2, 4))), params[0])
+    bwd = ad.gru_cell(seq.flat, Tensor(np.zeros((2, 4))), params[1])
     np.testing.assert_array_equal(positions(enc)[:, 0, :4], fwd.data)
     np.testing.assert_array_equal(positions(enc)[:, 0, 4:], bwd.data)
     np.testing.assert_array_equal(enc.final.data, np.hstack([fwd.data, bwd.data]))
@@ -65,8 +65,7 @@ def test_reversing_input_swaps_direction_halves():
     renc = bigru_encode(revseq, params)
     # Swapping the direction parameters on the reversed input reproduces the
     # original encoding with halves exchanged and positions reversed.
-    swapped = type(params)(forward=params.backward, backward=params.forward)
-    senc = bigru_encode(revseq, swapped)
+    senc = bigru_encode(revseq, params[::-1])
     orig = positions(enc)[0]
     mirrored = positions(senc)[0][::-1]
     np.testing.assert_allclose(orig[:, :4], mirrored[:, 4:], atol=1e-12)
@@ -221,7 +220,7 @@ def test_bigru_encode_is_bit_identical_to_the_composite_reference(reader):
 
     def reference():
         zero = Tensor(np.zeros((batch, 4)))
-        return composite_bigru(flat, zero, (params.forward, params.backward), mask)
+        return composite_bigru(flat, zero, params, mask)
 
     (states, final, grads), (want_states, want_final, want_grads) = run(encode), run(reference)
     np.testing.assert_array_equal(states, want_states)
@@ -464,8 +463,7 @@ def run_over_padding(dtype, fill, encode, width):
     final_readout = rng.standard_normal(enc.final.data.shape).astype(dtype)
     ad.backward(ad.add(tensor_sum(ad.mul_const(enc.flat, readout)),
                        tensor_sum(ad.mul_const(enc.final, final_readout))))
-    grads = [p.grad for cell in (params.forward, params.backward)
-             for trio in cell.gates() for p in trio]
+    grads = [p.grad for cell in params for trio in cell.gates() for p in trio]
     return enc, x.grad, grads
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from genmatch import autodiff as ad
 from genmatch.autodiff import ParamStore, Tensor
+from genmatch.corpus import NUM_OPTIONS
 from genmatch.selector import (
     bilinear_score,
     init_bilinear,
@@ -14,7 +15,7 @@ from genmatch.selector import (
     selection_loss,
 )
 
-from helpers import check_gradients
+from helpers import check_gradients, sum_last
 
 
 def matcher(hidden=1, store=None):
@@ -141,3 +142,36 @@ def test_matcher_gradient_passes_tight_check():
 
     report = check_gradients([w_att], loss_fn, tolerance=1e-6)
     assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("frozen_options", [False, True], ids=["options", "frozen_options"])
+@pytest.mark.parametrize("hidden", [1, 3, 4, 5, 64, 65, 128])
+def test_bilinear_score_is_the_sum_of_a_product_bit_for_bit(hidden, frozen_options, dtype):
+    # the composite it replaced: each instance's projected answer once per
+    # option, times the options, summed along the features
+    rng = np.random.default_rng(hidden)
+    batch = 3
+    w_att, store = matcher(hidden, ParamStore(dtype))
+    w_att.data[...] = rng.standard_normal(w_att.data.shape)
+    answer = store.create("answer", rng.standard_normal((batch, 2 * hidden)))
+    options = store.create("options", rng.standard_normal((batch * NUM_OPTIONS, 2 * hidden)),
+                           trainable=not frozen_options)
+    upstream = rng.standard_normal((batch, NUM_OPTIONS)).astype(dtype)
+
+    def composite():
+        projected = ad.gather_rows(ad.matmul(answer, w_att),
+                                   np.repeat(np.arange(batch), NUM_OPTIONS))
+        return ad.reshape(sum_last(ad.mul(projected, options)), (batch, NUM_OPTIONS))
+
+    results = []
+    for score in (lambda: bilinear_score(answer, options, w_att), composite):
+        ad.zero_grads(store.all())
+        out = score()
+        ad.backward(ad.tensor_sum(ad.mul_const(out, upstream)))
+        results.append([out.data] + [p.grad for p in store.all()])
+    assert (results[0][-1] is None) == (results[1][-1] is None) == frozen_options
+    for got, want in zip(*results):
+        if want is not None:
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()

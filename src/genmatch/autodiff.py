@@ -15,8 +15,10 @@ gradient in one (N, V) buffer, and hands its weight the gradient
 than the product. The gradient norm and ``Adam.step`` build the product one
 column block at a time into one reused buffer; any other read of ``grad``,
 and a second gradient into the same weight, forms it whole once, bit for
-bit as ``x.T @ g``. ``dropout`` keeps its mask as one bool per element, and
-a recorded GRU pass recomputes each step's ``reset * h`` in its backward.
+bit as ``x.T @ g``. ``dropout`` keeps its mask as one bool per element, a
+recorded GRU pass recomputes each step's ``reset * h`` in its backward,
+``attention_weights`` rebuilds its tanh there, and ``concat`` keeps only
+the parts that take a gradient.
 
 ``backward`` frees the graph as it runs: once an op node's backward has
 run, the node drops its closure, its parents and its grad, so the pass
@@ -403,19 +405,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
+    """Join the tensors along ``axis``; the node keeps only the parts that
+    take a gradient, so a constant part is not held for the backward."""
     if not tensors:
         raise ValueError("concat of empty list")
-    parts = tuple(tensors)
-    sizes = [t.data.shape[axis] for t in parts]
-    data = np.concatenate([t.data for t in parts], axis=axis)
-    offsets = np.cumsum([0] + sizes)
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+    parts = [(t, lo, hi) for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:])
+             if t.requires_grad]
 
     def _bw(g):
-        for t, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            piece = g[lo:hi] if axis == 0 else g[:, lo:hi]
-            _accum(t, piece)
+        for t, lo, hi in parts:
+            _accum(t, g[lo:hi] if axis == 0 else g[:, lo:hi])
 
-    return _node(data, parts, _bw, checked=False)
+    return _node(data, tuple(t for t, _, _ in parts), _bw, checked=False)
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray | None = None,
@@ -645,6 +648,25 @@ def _instances_per_block(length: int, width: int) -> int:
     return max(1, _ATTENTION_BLOCK // max(1, length * width))
 
 
+def _attention_tanh(keys: np.ndarray, queried: np.ndarray, bias: np.ndarray, length: int,
+                    checked: bool = False) -> np.ndarray:
+    """One part's (B*T, A) ``tanh(keys[b*T + t] + queried[b] + bias)``,
+    computed block by block; ``checked`` checks each block before its tanh,
+    which would hide an overflow."""
+    batch, proj = queried.shape
+    blocks = keys.reshape(batch, length, proj)
+    th = np.empty_like(blocks, dtype=np.result_type(blocks, queried, bias))
+    step = _instances_per_block(length, proj)
+    for lo in range(0, batch, step):
+        pre = np.add(blocks[lo:lo + step], queried[lo:lo + step, None, :],
+                     out=th[lo:lo + step])
+        pre += bias
+        if checked:
+            check_finite(pre, "attention_weights")
+        np.tanh(pre, out=pre)
+    return th.reshape(batch * length, proj)
+
+
 def attention_weights(query: Tensor, parts, w_query: Tensor, bias: Tensor, v: Tensor) -> Tensor:
     """Additive attention weights of a (B, S) query over one or more memory
     parts: the masked softmax, jointly over every part's positions, of the
@@ -656,32 +678,24 @@ def attention_weights(query: Tensor, parts, w_query: Tensor, bias: Tensor, v: Te
 
     The forward computes ``query W_q`` once, each part's tanh block by block
     into one (B, T_i, A) array, and then one score product over all of the
-    part's rows. The backward does the arithmetic of the composite it
-    replaces (per part: the repeated query projection, the two adds, the
-    tanh, the score product and a reshape; then a concat and the masked
-    softmax) in that composite's order, part 1 first, so every value and
-    gradient equals the composite's bit for bit.
+    part's rows; it then drops the tanh, so the node keeps the weights and
+    ``query W_q`` but no (B, T_i, A) array. The backward rebuilds each
+    part's tanh with the forward's own blocks and adds, and then does the
+    arithmetic of the composite it replaces (per part: the repeated query
+    projection, the two adds, the tanh, the score product and a reshape;
+    then a concat and the masked softmax) in that composite's order, part 1
+    first, so every value and gradient equals the composite's bit for bit.
     """
     batch = query.data.shape[0]
     proj = w_query.data.shape[1]
     queried = query.data @ w_query.data
-    tanhs, scores = [], []
+    scores = []
     for keys, mask in parts:
         length = mask.shape[1]
         if keys.data.shape != (batch * length, proj):
             raise ValueError(f"keys of shape {keys.data.shape} do not fit a {mask.shape} mask "
                              f"and {proj} attention units")
-        blocks = keys.data.reshape(batch, length, proj)
-        th = np.empty_like(blocks, dtype=np.result_type(blocks, queried, bias.data))
-        step = _instances_per_block(length, proj)
-        for lo in range(0, batch, step):
-            pre = np.add(blocks[lo:lo + step], queried[lo:lo + step, None, :],
-                         out=th[lo:lo + step])
-            pre += bias.data
-            check_finite(pre, "attention_weights")  # the tanh would hide an overflow
-            np.tanh(pre, out=pre)
-        flat = th.reshape(batch * length, proj)
-        tanhs.append(flat)
+        flat = _attention_tanh(keys.data, queried, bias.data, length, checked=True)
         scores.append((flat @ v.data).reshape(batch, length))
     scores = np.concatenate(scores, axis=1)
     check_finite(scores, "attention_weights")
@@ -691,8 +705,10 @@ def attention_weights(query: Tensor, parts, w_query: Tensor, bias: Tensor, v: Te
         d_logits = _softmax_grad(g, y)
         to_query = query.requires_grad or w_query.requires_grad
         offset = 0
-        for (keys, _), flat in zip(parts, tanhs):
-            length = flat.shape[0] // batch
+        for keys, mask in parts:
+            length = mask.shape[1]
+            # the values the forward checked, rebuilt by the same blocks and adds
+            flat = _attention_tanh(keys.data, queried, bias.data, length)
             d_logit = d_logits[:, offset:offset + length].reshape(batch * length, 1)
             offset += length
             d_pre = d_logit @ v.data.T

@@ -157,10 +157,13 @@ def embed_with_chars(word_table: Parameter, char_params: CharEncoderParams,
 # evidence indicator channels
 
 
-def encode_with_features(seq: EmbeddedSequence, spans, cells) -> ContextualEncoding:
-    """Append a start and an end indicator channel to each position and
-    re-encode. ``spans`` holds one inclusive (start, end) pair per instance,
-    inside that instance's unmasked length."""
+def add_span_channels(seq: EmbeddedSequence, spans) -> EmbeddedSequence:
+    """The sequence with a start and an end indicator channel appended to
+    each position, as the synthesis encoder reads it. ``spans`` holds one
+    inclusive (start, end) pair per instance, inside that instance's
+    unmasked length. The channels are a constant part of the concat, so a
+    recorded result keeps only ``seq`` for its backward, and one made under
+    ``no_grad`` keeps nothing: ``seq`` is freed with its last reference."""
     if len(spans) != seq.batch:
         raise ValueError(f"{len(spans)} spans for a batch of {seq.batch}")
     lengths = seq.mask.sum(axis=1).astype(np.int64)
@@ -171,6 +174,4 @@ def encode_with_features(seq: EmbeddedSequence, spans, cells) -> ContextualEncod
         channels[start, b, 0] = 1.0
         channels[end, b, 1] = 1.0
     flat = ad.concat([seq.flat, Tensor(channels.reshape(-1, 2))], axis=1)
-    augmented = EmbeddedSequence(flat=flat, mask=seq.mask, batch=seq.batch,
-                                 length=seq.length)
-    return bigru_encode(augmented, cells)
+    return EmbeddedSequence(flat=flat, mask=seq.mask, batch=seq.batch, length=seq.length)

@@ -28,9 +28,9 @@ from .autodiff import ParamStore
 from .corpus import EOS_TOKEN, Batch, CharVocabulary, Vocabulary, pad_block
 from .encoders import (
     EmbeddedSequence,
+    add_span_channels,
     bigru_encode,
     embed_with_chars,
-    encode_with_features,
     init_bigru,
     init_char_encoder,
 )
@@ -133,12 +133,17 @@ class PipelineModel:
 
     # -- synthesis ------------------------------------------------------------
 
+    def _with_spans(self, passage: EmbeddedSequence, spans: list[EvidenceSpan], rng=None):
+        """The embedded passage after its input dropout, with the spans'
+        indicator channels: what the synthesis passage BiGRU reads."""
+        return add_span_channels(self._dropped(passage, rng), [(s.start, s.end) for s in spans])
+
     def encode_for_synthesis(self, passage: EmbeddedSequence, question: EmbeddedSequence,
-                             spans: list[EvidenceSpan], rng=None):
-        passage = self._dropped(encode_with_features(self._dropped(passage, rng),
-                                                     [(s.start, s.end) for s in spans],
-                                                     self.syn_passage), rng)
-        return passage, self._encode(question, self.syn_question, rng)
+                             rng=None):
+        """The synthesis encodings of a ``_with_spans`` passage, which has
+        had its input dropout, and of the embedded question."""
+        return (self._dropped(bigru_encode(passage, self.syn_passage), rng),
+                self._encode(question, self.syn_question, rng))
 
     def gold_option_ids(self, batch: Batch) -> list[list[int]]:
         return [self.vocab.ids(inst.option_tokens[inst.gold_index])
@@ -156,8 +161,8 @@ class PipelineModel:
         feature_spans = [oracle if oracle is not None else guess
                          for oracle, guess in zip(oracle_spans, predicted)]
         extraction_loss = span_loss(distributions, oracle_spans)
-        syn_passage, syn_question = self.encode_for_synthesis(passage, question,
-                                                              feature_spans, rng)
+        syn_passage, syn_question = self.encode_for_synthesis(
+            self._with_spans(passage, feature_spans, rng), question, rng)
         generation_loss = synthesis_loss(syn_passage, syn_question, self.embedding,
                                          self.decoder, self.gold_option_ids(batch))
         total = ad.add(extraction_loss, generation_loss)
@@ -170,8 +175,10 @@ class PipelineModel:
         with ad.no_grad():
             passage, question = self._embed_batch(batch)
             _, spans = self.predict_spans(passage, question)
-            # rebinding frees the embeddings before decoding
-            passage, question = self.encode_for_synthesis(passage, question, spans)
+            # each rebinding frees what it replaces: the plain passage before
+            # the synthesis BiGRU, the embeddings before decoding
+            passage = self._with_spans(passage, spans)
+            passage, question = self.encode_for_synthesis(passage, question)
             answers = generate_answer(passage, question, self.embedding, self.decoder,
                                       self.vocab, self.config.max_decode_len)
         return answers, spans

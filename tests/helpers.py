@@ -21,7 +21,7 @@ from genmatch.corpus import (
     parse_race_record,
     random_embeddings,
 )
-from genmatch.encoders import bigru_encode, encode_with_features
+from genmatch.encoders import add_span_channels, bigru_encode
 from genmatch.extractor import EvidenceSpan, pool_question, predict_span, span_loss
 from genmatch.model import build_model
 from genmatch.synthesizer import (
@@ -74,6 +74,50 @@ def traced_held(fn):
         result = fn()
         return result, tracemalloc.get_traced_memory()[0]
     finally:
+        tracemalloc.stop()
+
+
+def phase_peaks(fn, targets):
+    """``fn()`` and, for each ``(owner, name)`` in ``targets``, the traced
+    memory in MB (2**20 bytes) alive when ``owner.name`` was entered, at its
+    peak while it ran, and alive when it returned: ``{name: (start, peak,
+    end)}`` for its call with the highest peak. Memory is counted from the
+    start of ``fn``, so a model built before it is not in the figures; a
+    phase's peak covers the phases it calls."""
+    frames: list[list[float]] = []
+    phases: dict[str, tuple[float, float, float]] = {}
+
+    def fold_peak():
+        # tracemalloc keeps one peak, so each enter and exit folds it into
+        # every open phase and starts it afresh
+        current, peak = tracemalloc.get_traced_memory()
+        for frame in frames:
+            frame[1] = max(frame[1], peak)
+        tracemalloc.reset_peak()
+        return current
+
+    def wrap(name, original):
+        def phase(*args, **kwargs):
+            start = fold_peak()
+            frames.append([start, start])
+            try:
+                return original(*args, **kwargs)
+            finally:
+                end = fold_peak()
+                _, peak = frames.pop()
+                if name not in phases or peak / 2**20 > phases[name][1]:
+                    phases[name] = (start / 2**20, peak / 2**20, end / 2**20)
+        return phase
+
+    originals = [(owner, name, vars(owner)[name]) for owner, name in targets]
+    tracemalloc.start()
+    try:
+        for owner, name, original in originals:
+            setattr(owner, name, wrap(name, original))
+        return fn(), phases
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)
         tracemalloc.stop()
 
 
@@ -226,9 +270,8 @@ def embed_twice_stage_one_loss(model, batch, oracle_spans, rng):
                      for oracle, guess in zip(oracle_spans, predicted)]
     extraction_loss = span_loss(distributions, oracle_spans)
     passage, question = model._embed_batch(batch)
-    syn_passage = dropped(encode_with_features(dropped(passage),
-                                               [(s.start, s.end) for s in feature_spans],
-                                               model.syn_passage))
+    syn_passage = dropped(bigru_encode(add_span_channels(
+        dropped(passage), [(s.start, s.end) for s in feature_spans]), model.syn_passage))
     syn_question = dropped(bigru_encode(dropped(question), model.syn_question))
     generation_loss = synthesis_loss(syn_passage, syn_question, model.embedding,
                                      model.decoder, model.gold_option_ids(batch))

@@ -41,6 +41,7 @@ from helpers import (
     repeat_rows,
     slice_cols,
     sum_groups,
+    phase_peaks,
     sum_last,
     traced_held,
     traced_peak,
@@ -545,6 +546,42 @@ def test_a_recorded_dropout_holds_one_byte_per_element_for_its_mask():
     assert out.requires_grad
     # the output, one bool per element, and the node's few small objects
     assert 0 <= held - out.data.nbytes - a.data.size < 4096, held
+
+
+def test_a_recorded_concat_keeps_only_the_parts_that_take_a_gradient():
+    rng = np.random.default_rng(19)
+    a = ParamStore().create("a", rand(rng, 6, 3))
+    constant = Tensor(rand(rng, 6, 2))
+    gone = weakref.ref(constant.data)
+    out = ad.concat([a, constant], axis=1)
+    del constant
+    assert out.requires_grad and out._parents == (a,)
+    assert gone() is None
+    ad.backward(ad.tensor_sum(ad.mul_const(out, np.arange(30.0).reshape(6, 5))))
+    np.testing.assert_array_equal(a.grad, np.arange(30.0).reshape(6, 5)[:, :3])
+
+
+def test_phase_peaks_reads_each_phase_and_folds_inner_peaks_into_outer_ones():
+    mb = 2**20
+
+    class Phases:
+        def inner(self):
+            np.ones(2 * mb // 8)  # freed on return
+            return np.ones(mb // 8)
+
+        def outer(self):
+            kept = self.inner()
+            kept2 = self.inner()
+            return kept, kept2
+
+    held, phases = phase_peaks(lambda: Phases().outer(),
+                               [(Phases, "inner"), (Phases, "outer")])
+    assert vars(Phases)["inner"].__name__ == "inner"  # restored
+    start, peak, end = phases["inner"]  # the second call has the higher peak
+    assert 1 <= start < 1.01 and 3 <= peak < 3.01 and 2 <= end < 2.01
+    start, peak, end = phases["outer"]  # its peak was reached inside the second inner
+    assert 0 <= start < 0.01 and 3 <= peak < 3.01 and 2 <= end < 2.01
+    assert len(held) == 2
 
 
 # ``affine_softmax_nll``'s weight gradient as factors: the dense reference

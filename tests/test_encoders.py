@@ -8,10 +8,10 @@ from genmatch.corpus import CharVocabulary
 from genmatch.encoders import (
     ContextualEncoding,
     EmbeddedSequence,
+    add_span_channels,
     bigru_encode,
     char_embed_tokens,
     embed_with_chars,
-    encode_with_features,
     init_bigru,
     init_char_encoder,
 )
@@ -376,31 +376,30 @@ def test_embed_with_chars_indexes_surfaces_as_the_loop_does(monkeypatch):
 # evidence feature channels
 
 
-def feature_channels(monkeypatch, seq, spans):
-    """The (B, T, 2) indicator channels ``encode_with_features`` appends,
-    read off the augmented sequence it hands to ``bigru_encode``."""
-    seen = []
-    monkeypatch.setattr(encoders, "bigru_encode", lambda augmented, *rest: seen.append(augmented))
-    params, _ = encoder(np.random.default_rng(0), seq.dim + 2, 2)
-    encode_with_features(seq, spans, params)
-    (augmented,) = seen
+def encode_with_features(seq, spans, params):
+    return bigru_encode(add_span_channels(seq, spans), params)
+
+
+def feature_channels(seq, spans):
+    """The (B, T, 2) indicator channels ``add_span_channels`` appends."""
+    augmented = add_span_channels(seq, spans)
     np.testing.assert_array_equal(augmented.flat.data[:, :seq.dim], seq.flat.data)
     channels = augmented.flat.data[:, seq.dim:]
     return channels.reshape(seq.length, seq.batch, 2).transpose(1, 0, 2)
 
 
-def test_feature_indicators_basic_span(monkeypatch):
+def test_feature_indicators_basic_span():
     seq = make_sequence(np.random.default_rng(15), 1, 5, 3)
-    channels = feature_channels(monkeypatch, seq, [(1, 3)])
+    channels = feature_channels(seq, [(1, 3)])
     np.testing.assert_array_equal(channels[..., 0], [[0, 1, 0, 0, 0]])
     np.testing.assert_array_equal(channels[..., 1], [[0, 0, 0, 1, 0]])
 
 
-def test_feature_indicators_single_token_span(monkeypatch):
+def test_feature_indicators_single_token_span():
     # two rows, so the channels must land at row t*B + b of the position-major block
     mask = np.array([[1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 0.0, 0.0]])
     seq = make_sequence(np.random.default_rng(16), 2, 5, 3, mask)
-    channels = feature_channels(monkeypatch, seq, [(2, 2), (0, 2)])
+    channels = feature_channels(seq, [(2, 2), (0, 2)])
     np.testing.assert_array_equal(channels[..., 0], [[0, 0, 1, 0, 0], [1, 0, 0, 0, 0]])
     np.testing.assert_array_equal(channels[..., 1], [[0, 0, 1, 0, 0], [0, 0, 1, 0, 0]])
 

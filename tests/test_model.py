@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -37,6 +38,27 @@ def test_generate_is_pure_and_respects_cap():
     assert answers_a == answers_b
     assert [(s.start, s.end) for s in spans_a] == [(s.start, s.end) for s in spans_b]
     assert all(len(a.token_ids) <= config.max_decode_len for a in answers_a)
+
+
+def test_generate_frees_the_plain_passage_before_the_synthesis_encoder(monkeypatch):
+    model, _, _, batches = build_micro_pipeline()
+    embed_batch, gru_sequence = model._embed_batch, ad.gru_sequence
+    plain, alive = [], []
+
+    def embedded(batch):
+        passage, question = embed_batch(batch)
+        plain.append(weakref.ref(passage.flat.data))
+        return passage, question
+
+    def encoded(x, h0, cells, mask):
+        if cells is model.syn_passage:
+            alive.append(plain[-1]() is not None)
+        return gru_sequence(x, h0, cells, mask)
+
+    monkeypatch.setattr(model, "_embed_batch", embedded)
+    monkeypatch.setattr(ad, "gru_sequence", encoded)
+    model.generate(batches[0])
+    assert alive == [False]
 
 
 def test_batch_composition_does_not_change_predictions():

@@ -27,6 +27,7 @@ from helpers import (
     per_step_synthesis_loss,
     reachable_op_nodes,
     positions,
+    phase_peaks,
     sum_groups,
 )
 
@@ -184,6 +185,25 @@ def test_attention_ops_are_bit_identical_to_the_composite(lengths, budget, share
     for name, grad in want[2].items():
         assert (grad is None) == (name == "attn.w_memory"), name  # the keys are given
         np.testing.assert_array_equal(got[2][name], grad, err_msg=name)
+
+
+def test_recorded_attention_weights_hold_no_tanh():
+    rng = np.random.default_rng(43)
+    store = ParamStore()
+    batch, length, proj = 4, 64, 32
+    params = init_attention(store, "attn", memory_dim=4, query_dim=8, proj_dim=proj, rng=rng)
+    memory = store.create("memory", rng.standard_normal((batch * length, 4)))
+    keys = store.create("keys", rng.standard_normal((batch * length, proj)))
+    query = store.create("query", rng.standard_normal((batch, 8)))
+    (_, weights), phases = phase_peaks(
+        lambda: additive_attention(query, [(memory, keys, np.ones((batch, length)))], params),
+        [(ad, "attention_weights")])
+    assert weights.requires_grad
+    start, peak, end = phases["attention_weights"]
+    # the forward builds one (B, T, A) tanh; once it returns, the node holds
+    # the weights, ``query W_q`` and a few small objects
+    tanh_mb = batch * length * proj * 8 / 2**20
+    assert end - start < tanh_mb <= peak - start, phases
 
 
 def test_attention_records_two_tape_ops():

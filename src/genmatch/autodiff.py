@@ -550,11 +550,12 @@ def _softmax_nll_grad(p: np.ndarray, idx: np.ndarray, g: np.ndarray) -> np.ndarr
 
 
 def masked_softmax(a: Tensor, mask: np.ndarray) -> Tensor:
-    """Softmax along the last axis over positions where ``mask`` is 1,
+    """Softmax along the last axis over positions where ``mask`` is True,
     stabilized by max subtraction; masked entries get 0 mass.
 
-    ``mask`` is a constant {0,1} array broadcastable to ``a``. A fully
-    masked row is an error (the distribution would be undefined).
+    ``mask`` is a constant bool array broadcastable to ``a``, True at real
+    tokens. A fully masked row is an error (the distribution would be
+    undefined).
     """
     y = _masked_softmax(a.data, mask)
 
@@ -565,10 +566,9 @@ def masked_softmax(a: Tensor, mask: np.ndarray) -> Tensor:
 
 
 def _masked_softmax(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    keep = mask > 0.5
-    if not np.all(keep.any(axis=-1)):
+    if not np.all(mask.any(axis=-1)):
         raise ValueError("masked_softmax: a row is fully masked")
-    logits = x + np.where(keep, 0.0, -np.inf).astype(x.dtype, copy=False)
+    logits = x + np.where(mask, 0.0, -np.inf).astype(x.dtype, copy=False)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -673,8 +673,9 @@ def attention_weights(query: Tensor, parts, w_query: Tensor, bias: Tensor, v: Te
     scores ``v . tanh(keys[b*T + t] + query[b] W_q + bias)``.
 
     ``parts`` lists (keys, mask) pairs: a part's batch-major (B*T_i, A) keys
-    and its (B, T_i) mask. Returns the (B, sum T_i) weights, which carry zero
-    mass on masked positions and sum to 1 over each row.
+    and its (B, T_i) bool mask, True at real tokens. Returns the (B, sum T_i)
+    weights, which carry zero mass on masked positions and sum to 1 over
+    each row.
 
     The forward computes ``query W_q`` once, each part's tanh block by block
     into one (B, T_i, A) array, and then one score product over all of the
@@ -882,11 +883,12 @@ def gru_cell(x: Tensor, h_prev: Tensor, params: GRUCellParams) -> Tensor:
 def gru_sequence(x: Tensor, h0: Tensor, cells, mask: np.ndarray) -> Tensor:
     """Run one or two GRU cells over a position-major (T*B, D) sequence from
     the (B, H) state ``h0``; returns the states batch-major, (B*T, H * cells)
-    with row ``b*T + t``, multiplied by the (B, T) ``mask``.
+    with row ``b*T + t``, multiplied by the (B, T) bool ``mask``, True at
+    real tokens.
 
     ``cells`` holds one ``GRUCellParams`` (a decoder's) or two (an encoder's
     forward and backward cells, the second run from the last position to the
-    first, its states right of the first's). Where the mask is 0 a cell
+    first, its states right of the first's). Where the mask is False a cell
     carries its state through bit for bit and the output reads 0. The cells
     step together: at step s the first is at position s and the second at
     position T-1-s, and every elementwise op of a step is one numpy call
@@ -923,14 +925,13 @@ def gru_sequence(x: Tensor, h0: Tensor, cells, mask: np.ndarray) -> Tensor:
     recording = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     shape = (batch, length, len(cells), hidden)
     out = np.empty(shape, dtype=np.result_type(x.data, *(p.data for p in cells[0].gates()[0])))
-    keep = mask.astype(out.dtype, copy=False)
-    bw = _run_cells(cells, x, h0, mask <= 0.5, out, recording)
-    out *= keep[:, :, None, None]
+    bw = _run_cells(cells, x, h0, ~mask, out, recording)
+    out *= mask[:, :, None, None]
 
     def _bw(g):
         nonlocal bw
         run, bw = bw, None  # frees the activations once it returns
-        run(g.reshape(shape), keep)
+        run(g.reshape(shape), mask)
 
     return _node(out.reshape(batch * length, len(cells) * hidden), parents, _bw)
 
@@ -975,7 +976,8 @@ def _run_cells(cells, x: Tensor, h0: Tensor, skip: np.ndarray, out: np.ndarray,
                recording: bool):
     """Step the cells together over the sequence, their states written to
     the (B, T, C, H) ``out``; returns, when ``recording``, the backward that
-    takes the gradient of ``out`` and the (B, T) mask, and None otherwise.
+    takes the gradient of ``out`` and the (B, T) bool mask, and None
+    otherwise.
 
     Step buffers are step-major, (step, cell, batch, .), so that a step of
     both cells is one contiguous block: the states, update | reset packed
@@ -1088,7 +1090,7 @@ def _run_cells(cells, x: Tensor, h0: Tensor, skip: np.ndarray, out: np.ndarray,
     if not recording:
         return None
 
-    def backward_cells(g, keep):
+    def backward_cells(g, mask):
         # packed again, so that no recorded step holds a copy of the weights
         u_ur = packed_u_ur()
         to_params = [any(p.requires_grad for trio in cell.gates() for p in trio)
@@ -1097,7 +1099,7 @@ def _run_cells(cells, x: Tensor, h0: Tensor, skip: np.ndarray, out: np.ndarray,
         # below overwrite the reset gates
         rh_all = np.multiply(gates_ur[..., hidden:], states[:length]) if any(to_params) else None
         chunk = min(length, per_chunk)
-        d_states = np.empty((chunk, count, batch, hidden), np.result_type(g, keep))
+        d_states = np.empty((chunk, count, batch, hidden), np.result_type(g, dtype))
         d_rh = np.empty((count, batch, hidden), np.result_type(dtype, *u_c))
         through_ur = np.empty((count, batch, hidden), np.result_type(dtype, *u_ur))
         zero = np.zeros((), dtype=d_states.dtype)
@@ -1106,7 +1108,7 @@ def _run_cells(cells, x: Tensor, h0: Tensor, skip: np.ndarray, out: np.ndarray,
             for k in range(count):  # the states' gradient through the mask, step-major
                 first, last = _positions(k, length, lo, hi)
                 np.multiply(_mirror(g[:, first:last, k].swapaxes(0, 1), k),
-                            _mirror(keep[:, first:last].T, k)[..., None],
+                            _mirror(mask[:, first:last].T, k)[..., None],
                             out=d_states[:hi - lo, k])
             update, reset = gates_ur[lo:hi, ..., :hidden], gates_ur[lo:hi, ..., hidden:]
             cand, prev = gates_c[lo:hi], states[lo:hi]

@@ -55,12 +55,19 @@ def _emit_report(report: EvalReport, report_path: str | None) -> None:
         log.info("wrote %s", report_path)
 
 
-def _pick_split(splits: dict, requested: str):
+def _pick_split(data: str, requested: str):
+    """The records of split ``requested`` of the dataset directory ``data``;
+    an error names both when the split is missing or holds no records."""
+    splits = load_dataset_dir(data)
     if requested in splits:
-        return splits[requested]
-    if requested == "test" and "all" in splits:
-        return splits["all"]
-    raise ValueError(f"split {requested!r} not found (have {sorted(splits)})")
+        instances = splits[requested]
+    elif requested == "test" and "all" in splits:
+        instances = splits["all"]
+    else:
+        raise ValueError(f"{data}: split {requested!r} not found (have {sorted(splits)})")
+    if not instances:
+        raise ValueError(f"{data}: split {requested!r} holds no records")
+    return instances
 
 
 def cmd_gen_toy(args) -> int:
@@ -113,9 +120,8 @@ def cmd_train_selection(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    instances = _pick_split(args.data, args.split)
     model, config = load_model_dir(args.checkpoint)
-    splits = load_dataset_dir(args.data)
-    instances = _pick_split(splits, args.split)
     report = evaluate(model, instances, config.batch_size,
                       meta={"split": args.split, "data": str(args.data)})
     _emit_report(report, args.report)
@@ -123,8 +129,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    splits = load_dataset_dir(args.data)
-    instances = _pick_split(splits, args.split)
+    if args.kind == "sliding-window" and args.window < 1:
+        raise ValueError(f"--window must be at least 1, got {args.window}")
+    instances = _pick_split(args.data, args.split)
     if args.kind == "random":
         report = random_baseline(instances, seed=args.seed)
     else:

@@ -271,7 +271,7 @@ def load_embeddings(path, vocab: Vocabulary, dim: int, seed: int,
 
 @dataclass
 class Batch:
-    """Padded id matrices plus {0,1} masks; masks are 1 exactly on real tokens."""
+    """Padded id matrices, each with its bool mask, True at real tokens."""
 
     instances: tuple[Instance, ...]
     passage_ids: np.ndarray    # (B, P)
@@ -288,14 +288,14 @@ class Batch:
 
 
 def pad_block(sequences) -> tuple[np.ndarray, np.ndarray]:
-    """Pad id lists into a (N, longest) int64 block (PAD = 0) and its
-    float64 {0,1} mask."""
+    """Pad id lists into a (N, longest) int64 block (PAD = 0) and its bool
+    mask, True at real tokens."""
     lengths = np.array([len(s) for s in sequences], dtype=np.int64)
     held = np.arange(max(lengths)) < lengths[:, None]
     ids = np.zeros(held.shape, dtype=np.int64)
     ids[held] = np.fromiter(itertools.chain.from_iterable(sequences), dtype=np.int64,
                             count=int(lengths.sum()))
-    return ids, held.astype(np.float64)
+    return ids, held
 
 
 def make_batch(instances, vocab: Vocabulary) -> Batch:

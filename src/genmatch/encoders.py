@@ -38,16 +38,15 @@ def init_bigru(store: ParamStore, prefix: str, input_dim: int, hidden: int,
 
 @dataclass
 class EmbeddedSequence:
-    """Per-position input vectors; masked rows hold unread values."""
+    """Per-position input vectors and the bool mask, True at real tokens;
+    rows at padded positions hold unread values."""
 
     flat: Tensor              # (T*B, D), position-major
     mask: np.ndarray          # (B, T)
-    batch: int
-    length: int
 
     @property
-    def dim(self) -> int:
-        return self.flat.data.shape[1]
+    def length(self) -> int:
+        return self.mask.shape[1]
 
 
 @dataclass
@@ -55,46 +54,41 @@ class ContextualEncoding:
     """Per-position forward/backward state concatenations plus final states."""
 
     flat: Tensor              # (B*T, 2H), batch-major
-    mask: np.ndarray          # (B, T)
-    batch: int
-    length: int
-    hidden: int
+    mask: np.ndarray          # (B, T), bool, True at real tokens
     final: Tensor             # (B, 2H), the state each direction ends in
 
     def mean_pooled(self) -> Tensor:
         """Mean over each row's unmasked positions: (B, 2H)."""
-        mask = self.mask.astype(self.flat.data.dtype, copy=False)
-        counts = mask.sum(axis=1)
+        weights = self.mask.astype(self.flat.data.dtype)
+        counts = weights.sum(axis=1)
         if np.any(counts <= 0):
             raise ValueError("masked mean over an empty sequence")
-        return ad.mul_const(ad.weighted_sum(Tensor(mask), [self.flat]), (1.0 / counts)[:, None])
+        return ad.mul_const(ad.weighted_sum(Tensor(weights), [self.flat]), (1.0 / counts)[:, None])
 
 
 def embed_ids(table: Parameter | Tensor, ids: np.ndarray, mask: np.ndarray) -> EmbeddedSequence:
     """Gather embedding rows for padded (B, T) ids into a position-major
     flat sequence."""
-    batch, length = ids.shape
-    flat = ad.gather_rows(table, ids.T.reshape(-1))
-    return EmbeddedSequence(flat=flat, mask=mask, batch=batch, length=length)
+    return EmbeddedSequence(flat=ad.gather_rows(table, ids.T.reshape(-1)), mask=mask)
 
 
 def bigru_encode(seq: EmbeddedSequence, cells) -> ContextualEncoding:
     """Run the (forward, backward) ``cells`` over the sequence; masked
     positions neither advance the recurrent state nor emit output vectors."""
-    if seq.dim != cells[0].input_dim:
-        raise ValueError(f"input dim {seq.dim} != encoder dim {cells[0].input_dim}")
-    batch, length, hidden = seq.batch, seq.length, cells[0].hidden
+    if seq.flat.data.shape[1] != cells[0].input_dim:
+        raise ValueError(f"input dim {seq.flat.data.shape[1]} != encoder dim "
+                         f"{cells[0].input_dim}")
+    (batch, length), hidden = seq.mask.shape, cells[0].hidden
     zero = Tensor(np.zeros((batch, hidden), dtype=seq.flat.data.dtype))
     states = ad.gru_sequence(seq.flat, zero, cells, seq.mask)
     # going forward the state ends at the last unmasked position, going backward
     # at the first; row 2*(b*T + t) of the (B*T*2, H) view is (b, t)'s forward half
-    keep = seq.mask > 0.5
     starts = np.arange(batch) * length
-    rows = np.stack([2 * (starts + length - 1 - keep[:, ::-1].argmax(axis=1)),
-                     2 * (starts + keep.argmax(axis=1)) + 1], axis=1).reshape(-1)
+    rows = np.stack([2 * (starts + length - 1 - seq.mask[:, ::-1].argmax(axis=1)),
+                     2 * (starts + seq.mask.argmax(axis=1)) + 1], axis=1).reshape(-1)
     halves = ad.gather_rows(ad.reshape(states, (2 * batch * length, hidden)), rows)
-    return ContextualEncoding(flat=states, mask=seq.mask, batch=batch, length=length,
-                              hidden=hidden, final=ad.reshape(halves, (batch, 2 * hidden)))
+    return ContextualEncoding(flat=states, mask=seq.mask,
+                              final=ad.reshape(halves, (batch, 2 * hidden)))
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +134,16 @@ def embed_with_chars(word_table: Parameter, char_params: CharEncoderParams,
     batch (so out-of-vocabulary words still get their own characters) and
     gathered back per position.
     """
-    batch, length = ids.shape
     word_flat = ad.gather_rows(word_table, ids.T.reshape(-1))
     # the unmasked positions in row-major order, so surfaces are indexed first seen first
-    rows, cols = np.nonzero(mask > 0)
+    rows, cols = np.nonzero(mask)
     tokens = [surfaces[b][t] for b, t in zip(rows.tolist(), cols.tolist())]
     distinct = {tok: slot for slot, tok in enumerate(dict.fromkeys(tokens))}
-    pointer = np.zeros((length, batch), dtype=np.int64)
+    pointer = np.zeros(ids.T.shape, dtype=np.int64)
     pointer[cols, rows] = [distinct[tok] for tok in tokens]
     char_matrix = char_embed_tokens(list(distinct), char_params, char_vocab)
     flat = ad.concat([word_flat, ad.gather_rows(char_matrix, pointer.reshape(-1))], axis=1)
-    return EmbeddedSequence(flat=flat, mask=mask, batch=batch, length=length)
+    return EmbeddedSequence(flat=flat, mask=mask)
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +157,15 @@ def add_span_channels(seq: EmbeddedSequence, spans) -> EmbeddedSequence:
     unmasked length. The channels are a constant part of the concat, so a
     recorded result keeps only ``seq`` for its backward, and one made under
     ``no_grad`` keeps nothing: ``seq`` is freed with its last reference."""
-    if len(spans) != seq.batch:
-        raise ValueError(f"{len(spans)} spans for a batch of {seq.batch}")
-    lengths = seq.mask.sum(axis=1).astype(np.int64)
-    channels = np.zeros((seq.length, seq.batch, 2), dtype=seq.flat.data.dtype)
+    batch, length = seq.mask.shape
+    if len(spans) != batch:
+        raise ValueError(f"{len(spans)} spans for a batch of {batch}")
+    lengths = seq.mask.sum(axis=1)
+    channels = np.zeros((length, batch, 2), dtype=seq.flat.data.dtype)
     for b, ((start, end), n) in enumerate(zip(spans, lengths)):
         if not 0 <= start <= end < n:
             raise ValueError(f"span ({start}, {end}) invalid for length {n}")
         channels[start, b, 0] = 1.0
         channels[end, b, 1] = 1.0
     flat = ad.concat([seq.flat, Tensor(channels.reshape(-1, 2))], axis=1)
-    return EmbeddedSequence(flat=flat, mask=seq.mask, batch=seq.batch, length=seq.length)
+    return EmbeddedSequence(flat=flat, mask=seq.mask)

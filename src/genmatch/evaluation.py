@@ -8,6 +8,7 @@ predictions yield byte-identical reports, and render a small human table.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import autodiff as ad
@@ -106,18 +107,22 @@ def standard_meta(kind: str, reference: dict, **extra) -> dict:
     return meta
 
 
-def reraise_at(exc: Exception, where: str, batch: Batch | None = None) -> None:
-    """Raise ``exc``'s type again, chained from ``exc``, with ``where`` and
-    the first uids of ``batch`` in front of its message, when that type is
-    built from a message alone (``ValueError``, ``NonFiniteError``). Any
-    other type returns, for the caller's bare ``raise`` to pass it on."""
-    if type(exc) not in (ValueError, ad.NonFiniteError):
-        return
-    if batch is not None:
-        more = ", ..." if batch.size > _UIDS_SHOWN else ""
-        uids = ", ".join(inst.uid for inst in batch.instances[:_UIDS_SHOWN])
-        where = f"{where} (instances {uids}{more})"
-    raise type(exc)(f"{where}: {exc}") from exc
+@contextmanager
+def raised_at(where: str, batch: Batch | None = None):
+    """Raise a ``ValueError`` or ``NonFiniteError`` from the block again as
+    its own type, chained from it, with ``where`` and the first uids of
+    ``batch`` in front of its message. Any other exception, a subclass of
+    those two included, passes through as it is."""
+    try:
+        yield
+    except (ValueError, ad.NonFiniteError) as exc:
+        if type(exc) not in (ValueError, ad.NonFiniteError):
+            raise
+        if batch is not None:
+            more = ", ..." if batch.size > _UIDS_SHOWN else ""
+            uids = ", ".join(inst.uid for inst in batch.instances[:_UIDS_SHOWN])
+            where = f"{where} (instances {uids}{more})"
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def batch_answers(model: PipelineModel, batch: Batch,
@@ -138,12 +143,9 @@ def predict_records(model: PipelineModel, instances: list[Instance], batch_size:
     ``batch_answers`` gives them. An error in a batch names it."""
     records: list[PredictionRecord] = []
     for number, batch in enumerate(make_batches(instances, model.vocab, batch_size), 1):
-        try:
+        with raised_at(f"prediction batch {number}", batch):
             generated = batch_answers(model, batch, answers)
             chosen = model.predict_batch(batch, generated)
-        except (ValueError, ad.NonFiniteError) as exc:
-            reraise_at(exc, f"prediction batch {number}", batch)
-            raise
         records.extend(PredictionRecord(uid=inst.uid, predicted_index=int(pick),
                                         gold_index=inst.gold_index,
                                         answer_text=answer.text, subset=inst.subset)

@@ -60,8 +60,7 @@ def init_extractor(store: ParamStore, hidden: int, rng: np.random.Generator) -> 
 
 def pool_question(encoding: ContextualEncoding, params: ExtractorParams) -> Tensor:
     """Attention-pool the question states with a learned query vector."""
-    scores = ad.reshape(ad.matmul(encoding.flat, params.pool_query),
-                        (encoding.batch, encoding.length))
+    scores = ad.reshape(ad.matmul(encoding.flat, params.pool_query), encoding.mask.shape)
     return ad.weighted_sum(ad.masked_softmax(scores, encoding.mask), [encoding.flat])
 
 
@@ -103,7 +102,7 @@ def predict_span(passage: ContextualEncoding, question_vector: Tensor,
         end_query, [(ad.matmul(passage.flat, end.w_memory), passage.mask)],
         end.w_query, end.bias, end.v)
     spans = feasible_span_argmax(start_dist.data, end_dist.data,
-                                 passage.mask.sum(axis=1).astype(int), max_span)
+                                 passage.mask.sum(axis=1), max_span)
     return SpanDistributions(start=start_dist, end=end_dist), spans
 
 

@@ -65,7 +65,7 @@ def initial_state(passage: ContextualEncoding, question: ContextualEncoding,
     pooled = ad.concat([question.mean_pooled(), passage.mean_pooled()], axis=1)
     hidden = ad.tanh(ad.add(ad.matmul(pooled, params.init_w), params.init_b))
     bos = ad.gather_rows(word_table, np.full(batch, BOS, dtype=np.int64))
-    context = Tensor(np.zeros((batch, 2 * passage.hidden), dtype=passage.flat.data.dtype))
+    context = Tensor(np.zeros((batch, passage.flat.data.shape[1]), dtype=passage.flat.data.dtype))
     return hidden, bos, context
 
 
@@ -76,7 +76,7 @@ def decode_step(hidden: Tensor, word_embedding: Tensor, context: Tensor,
     and context: returns (new hidden, new context). The caller projects the
     output and picks the next input token."""
     x = ad.concat([word_embedding, context], axis=1)
-    step_mask = np.ones((x.data.shape[0], 1), dtype=x.data.dtype)
+    step_mask = np.ones((x.data.shape[0], 1), dtype=bool)
     hidden = ad.gru_sequence(x, hidden, (params.gru,), step_mask)
     context, _ = additive_attention(hidden, memory, params.attention)
     return hidden, context
@@ -106,7 +106,7 @@ def generate_answer(passage: ContextualEncoding, question: ContextualEncoding,
     Every step projects into one (B, |V|) logits array allocated once per
     call and adds the output bias in place; the rest of the step's logit
     work runs in row blocks of ``_LOGIT_BLOCK`` elements."""
-    batch = passage.batch
+    batch = len(passage.mask)
     emitted: list[list[int]] = [[] for _ in range(batch)]
     logprobs: list[list[float]] = [[] for _ in range(batch)]
     finished = np.zeros(batch, dtype=bool)
@@ -182,7 +182,7 @@ def synthesis_loss(passage: ContextualEncoding, question: ContextualEncoding,
     """Teacher-forced mean per-token cross-entropy of the gold sequence,
     averaged per instance and then over the batch."""
     inputs, targets, mask = teacher_targets(target_ids)
-    mask = mask.astype(passage.flat.data.dtype, copy=False)
+    weights = mask.astype(passage.flat.data.dtype)
     batch, width = targets.shape
     memory = decoder_memory(passage, question, params.attention)
     hidden, word, context = initial_state(passage, question, word_table, batch, params)
@@ -197,6 +197,6 @@ def synthesis_loss(passage: ContextualEncoding, question: ContextualEncoding,
                                      params.out_b, targets.T.reshape(-1))   # (L*B, 1)
     # to instance-major rows, b * L + t, each instance's summed under its mask
     by_instance = np.arange(width * batch).reshape(width, batch).T.ravel()
-    per_instance = ad.weighted_sum(Tensor(mask), [ad.gather_rows(step_nll, by_instance)])
-    lengths = mask.sum(axis=1, keepdims=True)
+    per_instance = ad.weighted_sum(Tensor(weights), [ad.gather_rows(step_nll, by_instance)])
+    lengths = weights.sum(axis=1, keepdims=True)
     return ad.mean(ad.mul_const(per_instance, 1.0 / lengths))

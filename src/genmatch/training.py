@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import Adam, clip_global_norm
 from .checkpoint import read_checkpoint, write_checkpoint
 from .corpus import CharVocabulary, EmbeddingTable, Instance, Vocabulary, make_batches
-from .evaluation import EvalReport, batch_answers, predict_records, reraise_at
+from .evaluation import EvalReport, batch_answers, predict_records, raised_at
 from .extractor import oracle_span
 from .model import PipelineModel, build_model
 from .synthesizer import GeneratedAnswer
@@ -65,6 +65,8 @@ class TrainConfig:
                      "char_dim", "char_hidden", "patience"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name} must be positive")
+        if self.seed < 0:
+            raise ValueError("config field seed must be non-negative")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if self.precision not in ("float64", "float32"):
@@ -227,12 +229,8 @@ def _dev_stage_one_loss(model: PipelineModel, dev: list[Instance], spans: dict,
     total, count = 0.0, 0
     for number, batch in enumerate(make_batches(dev, model.vocab, config.batch_size), 1):
         targets = [spans[i] for i in batch.instances]
-        try:
-            with ad.no_grad():
-                loss, _ = model.stage_one_loss(batch, targets, rng=None)
-        except (ValueError, ad.NonFiniteError) as exc:
-            reraise_at(exc, f"dev-loss batch {number}", batch)
-            raise
+        with raised_at(f"dev-loss batch {number}", batch), ad.no_grad():
+            loss, _ = model.stage_one_loss(batch, targets, rng=None)
         total += loss.item() * batch.size
         count += batch.size
     return total / count
@@ -272,11 +270,8 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
     result = StageResult(model=model)
 
     def dev_pass(epoch):
-        try:
+        with raised_at(f"{stage} epoch {epoch} dev pass"):
             return dev_metric()
-        except (ValueError, ad.NonFiniteError) as exc:
-            reraise_at(exc, f"{stage} epoch {epoch} dev pass")
-            raise
 
     started = time.perf_counter()
     best = dev_pass(0)
@@ -297,7 +292,7 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
             for batch in make_batches(train, model.vocab, config.batch_size, epoch_seed):
                 ad.zero_grads(trainable)
                 step_started = time.perf_counter()
-                try:
+                with raised_at(f"{stage} epoch {epoch} step {steps + 1}", batch):
                     loss, parts = batch_loss(batch, dropout_rng)
                     forward_done = time.perf_counter()
                     nodes += ad.backward(loss)
@@ -305,9 +300,6 @@ def _train_epochs(config: TrainConfig, model: PipelineModel, train: list[Instanc
                     norm = ad.global_grad_norm(trainable)
                     scale = clip_global_norm(norm, config.clip_norm)
                     post_clip_norm = optimizer.step(scale)
-                except (ValueError, ad.NonFiniteError) as exc:
-                    reraise_at(exc, f"{stage} epoch {epoch} step {steps + 1}", batch)
-                    raise
                 clipped += scale < 1.0
                 norm_sum += norm
                 norm_max = max(norm_max, norm)

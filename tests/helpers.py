@@ -226,7 +226,7 @@ def build_micro_model(instances, **config_overrides):
 
 def positions(encoding):
     """(B, T, 2H) view of a contextual encoding's values."""
-    return encoding.flat.data.reshape(encoding.batch, encoding.length, 2 * encoding.hidden)
+    return encoding.flat.data.reshape(*encoding.mask.shape, -1)
 
 
 def per_step_synthesis_loss(passage, question, word_table, params, target_ids):
@@ -362,9 +362,10 @@ def regroup_rows(a, outer, inner):
 def composite_mean_pooled(encoding):
     """Reference for ``ContextualEncoding.mean_pooled``: the mask multiply,
     the row-group sum and the 1/count multiply."""
-    counts = encoding.mask.sum(axis=1)
-    col = encoding.mask.reshape(-1, 1).astype(encoding.flat.data.dtype)
-    total = sum_groups(ad.mul_const(encoding.flat, col), encoding.length)
+    weights = encoding.mask.astype(encoding.flat.data.dtype)
+    counts = weights.sum(axis=1)
+    total = sum_groups(ad.mul_const(encoding.flat, weights.reshape(-1, 1)),
+                       encoding.mask.shape[1])
     return ad.mul_const(total, (1.0 / counts)[:, None])
 
 
@@ -414,7 +415,7 @@ def packed_gru_sequence(x, h0, packed, mask, reverse=False, blocks=None):
     w_t, u_t, b_t = packed
     batch, hidden = h0.data.shape
     length = mask.shape[1]
-    skip = mask <= 0.5
+    skip = ~mask
     skip_any = skip.any(axis=0)
     split = 2 * hidden
     w = w_t.data
@@ -618,7 +619,7 @@ def loop_char_surfaces(surfaces, mask):
     pointer = np.zeros((length, batch), dtype=np.int64)
     for b in range(batch):
         for t in range(length):
-            if mask[b, t] > 0:
+            if mask[b, t]:
                 pointer[t, b] = distinct.setdefault(surfaces[b][t], len(distinct))
     return list(distinct), pointer
 
@@ -626,7 +627,7 @@ def loop_char_surfaces(surfaces, mask):
 def composite_generate_answer(passage, question, word_table, params, vocab, max_length):
     """Reference for ``synthesizer.generate_answer``: each step's logits are
     a tape matmul and a tape bias add, a fresh array, reduced whole."""
-    batch = passage.batch
+    batch = len(passage.mask)
     rows = np.arange(batch)
     emitted = [[] for _ in range(batch)]
     logprobs = [[] for _ in range(batch)]

@@ -110,7 +110,7 @@ def test_criterion_1_gradient_correctness():
     encoder = init_bigru(store, "enc", 3 + 4, 4, rng)
     ids = np.array([[4, 5, 6, 4], [5, 6, 0, 0]])
     surfaces = [["ab", "ba", "cab", "ab"], ["ba", "cab", "", ""]]
-    mask = np.array([[1.0] * 4, [1.0, 1.0, 0.0, 0.0]])
+    mask = np.array([[True] * 4, [True, True, False, False]])
     readout = rng.random((8, 8))
 
     def encoder_loss():
@@ -130,8 +130,7 @@ def test_criterion_1_gradient_correctness():
     q_data = rng.standard_normal((2 * 3, 6))
 
     def enc(data, batch, length):
-        return ContextualEncoding(flat=Tensor(data), mask=np.ones((batch, length)),
-                                  batch=batch, length=length, hidden=3,
+        return ContextualEncoding(flat=Tensor(data), mask=np.ones((batch, length), dtype=bool),
                                   final=Tensor(np.zeros((batch, 6))))
 
     def extractor_loss():
@@ -298,9 +297,8 @@ def test_criterion_6_span_oracle_and_predictor():
     for length in range(1, 13):
         for _ in range(5):
             data = rng.standard_normal((length, 4))
-            passage = ContextualEncoding(
-                flat=Tensor(data), mask=np.ones((1, length)), batch=1, length=length,
-                hidden=2, final=Tensor(np.zeros((1, 4))))
+            passage = ContextualEncoding(flat=Tensor(data), mask=np.ones((1, length), dtype=bool),
+                                         final=Tensor(np.zeros((1, 4))))
             qv = Tensor(rng.standard_normal((1, 4)))
             dists, spans = predict_span(passage, qv, extractor, max_span=4)
             want = brute_force_argmax(dists.start.data[0], dists.end.data[0],
@@ -321,7 +319,7 @@ def test_criterion_7_exact_invariants(toy_run, tmp_path):
     log4_exact = selection_loss(scores, np.array([0, 1, 2])).item() == pytest.approx(
         math.log(4.0), rel=0, abs=1e-15)
 
-    uniform = ad.masked_softmax(Tensor([[5.0, 5.0, 5.0, 5.0]]), np.ones((1, 4))).data
+    uniform = ad.masked_softmax(Tensor([[5.0, 5.0, 5.0, 5.0]]), np.ones((1, 4), bool)).data
     softmax_exact = np.array_equal(uniform, np.full((1, 4), 0.25))
 
     clip_ok = (toy_run["stage1"].max_post_clip_norm <= 10.0 + 1e-9

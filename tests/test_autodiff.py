@@ -54,7 +54,7 @@ def rand(rng, *shape):
 
 def softmax(a):
     """``masked_softmax`` with nothing masked: the softmax along the last axis."""
-    return masked_softmax(a, np.ones(a.data.shape))
+    return masked_softmax(a, np.ones(a.data.shape, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +87,14 @@ def test_softmax_rows_sum_to_one_even_for_large_magnitudes(values):
 
 
 def test_masked_softmax_zero_mass_on_masked_positions():
-    mask = np.array([[1.0, 0.0, 1.0]])
+    mask = np.array([[True, False, True]])
     out = masked_softmax(Tensor([[5.0, 100.0, 5.0]]), mask)
     np.testing.assert_allclose(out.data, [[0.5, 0.0, 0.5]])
 
 
 def test_masked_softmax_rejects_fully_masked_row():
     with pytest.raises(ValueError):
-        masked_softmax(Tensor([[1.0, 2.0]]), np.array([[0.0, 0.0]]))
+        masked_softmax(Tensor([[1.0, 2.0]]), np.array([[False, False]]))
 
 
 def test_shape_mismatch_raises():
@@ -191,7 +191,7 @@ def test_no_grad_suppresses_recording():
 # One central-difference case per tape op, the engine's and those of the
 # reference composites in tests/helpers.py. Each builds its output from the
 # (4, 6) leaves ``a`` and ``b`` and the (6, 3) leaf ``w``.
-MASK = np.array([[1, 1, 0, 1, 0, 1]] * 4, dtype=float)
+MASK = np.array([[1, 1, 0, 1, 0, 1]] * 4, dtype=bool)
 IDX = np.array([0, 2, 1, 3])
 GRADIENT_CASES = {
     "add": lambda a, b, w: ad.add(a, b),
@@ -322,9 +322,9 @@ FINITE_CASES = {
     "dropout": lambda x: ad.dropout(x, 0.5, np.random.default_rng(0)),
     "gru_cell": lambda x: ad.gru_cell(x, Tensor(np.zeros((4, 2))), _gru_cells(1)[0]),
     "gru_sequence": lambda x: ad.gru_sequence(x, Tensor(np.zeros((2, 2))), _gru_cells(2),
-                                              np.ones((2, 2))),
+                                              np.ones((2, 2), dtype=bool)),
     "attention_weights": lambda x: ad.attention_weights(
-        Tensor(np.ones((2, 1))), [(ad.reshape(x, (8, 3)), np.ones((2, 4)))],
+        Tensor(np.ones((2, 1))), [(ad.reshape(x, (8, 3)), np.ones((2, 4), dtype=bool))],
         Tensor(np.ones((1, 3))), Tensor(np.zeros(3)), Tensor(np.ones((3, 1)))),
     "weighted_sum": lambda x: ad.weighted_sum(Tensor(np.full((2, 6), 0.5)),
                                               [ad.reshape(x, (12, 2))]),
@@ -380,10 +380,11 @@ OVERFLOW_CASES = {
     "dropout": lambda h: ad.dropout(h, 0.5, np.random.default_rng(0)),
     "gru_sequence": lambda h: ad.gru_sequence(
         ad.concat([h, Tensor(np.zeros((1, 4)))], axis=1), Tensor(np.ones((1, 2))),
-        [_huge_cell()], np.ones((1, 1))),
+        [_huge_cell()], np.ones((1, 1), dtype=bool)),
     # in the pre-activation, whose overflow the tanh would hide
     "attention_weights": lambda h: ad.attention_weights(
-        Tensor([[1.0]]), [(ad.reshape(h, (2, 1)), np.ones((1, 2)))], Tensor([[1e308]]),
+        Tensor([[1.0]]), [(ad.reshape(h, (2, 1)), np.ones((1, 2), dtype=bool))],
+        Tensor([[1e308]]),
         Tensor(np.zeros(1)), Tensor([[1.0]])),
     "weighted_sum": lambda h: ad.weighted_sum(Tensor([[1.0, 1.0]]), [ad.reshape(h, (2, 1))]),
 }
@@ -392,7 +393,7 @@ OVERFLOW_CASES = {
 def test_attention_scores_that_overflow_name_the_op():
     # each tanh lies in [-1, 1], so only v can overflow a score
     with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError) as excinfo:
-        ad.attention_weights(Tensor([[1.0]]), [(Tensor([[1.0, 1.0]]), np.ones((1, 1)))],
+        ad.attention_weights(Tensor([[1.0]]), [(Tensor([[1.0, 1.0]]), np.ones((1, 1), bool))],
                              Tensor([[1.0, 1.0]]), Tensor(np.zeros(2)),
                              Tensor([[1e308], [1e308]]))
     assert str(excinfo.value) == "non-finite value from attention_weights"
@@ -950,13 +951,13 @@ def gru_cell_loop(x, h0, cell, mask, reverse):
     h = Tensor(h0)
     for t in (reversed(range(length)) if reverse else range(length)):
         step = gru_cell(Tensor(x[t * batch:(t + 1) * batch]), h, cell)
-        h = Tensor(np.where(mask[:, t:t + 1] > 0.5, step.data, h.data))
+        h = Tensor(np.where(mask[:, t:t + 1], step.data, h.data))
         states[t] = h.data
     return np.concatenate(states, axis=0)
 
 
 # right-padded rows of lengths 5, 3 and 1
-PADDED_MASK = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 0, 0, 0, 0]], dtype=float)
+PADDED_MASK = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 0, 0, 0, 0]], dtype=bool)
 
 
 def make_cells(rng, count, input_dim, hidden):
@@ -983,7 +984,7 @@ def test_gru_sequence_matches_a_gru_cell_loop(count):
     for k, loop in enumerate(loops):
         np.testing.assert_allclose(states[:, :, k], loop.reshape(length, batch, 5).swapaxes(0, 1)
                                    * PADDED_MASK[:, :, None], rtol=1e-12, atol=1e-12)
-    for b, n in enumerate(PADDED_MASK.sum(axis=1).astype(int)):
+    for b, n in enumerate(PADDED_MASK.sum(axis=1)):
         np.testing.assert_array_equal(states[b, n:], 0.0)  # padded positions read zero
         # the state each cell carries to its end is at its last unmasked position
         np.testing.assert_allclose(states[b, n - 1, 0], loops[0][(length - 1) * batch + b],
@@ -1062,7 +1063,7 @@ def two_decoder_steps(reference):
     xs = [store.create(f"x{t}", rand(rng, 2, 3)) for t in range(2)]
     h0 = store.create("h0", rand(rng, 2, 4))
     readouts = [rand(rng, 2, 4) for _ in range(2)]
-    ones = np.ones((2, 1))
+    ones = np.ones((2, 1), dtype=bool)
 
     def loss_fn():
         if reference:
@@ -1186,8 +1187,8 @@ def test_two_cells_stepping_together_keep_the_bits_where_one_skips_and_the_other
     # position s and the second at 6 - s, and in most steps one of them
     # carries a row's state through while the other advances it
     lengths = np.array([7, 2, 5, 1, 4])
-    mask = (np.arange(7) < lengths[:, None]).astype(float)
-    skip = mask <= 0.5
+    mask = np.arange(7) < lengths[:, None]
+    skip = ~mask
     assert any((skip[:, s] != skip[:, 6 - s]).any() for s in range(7))
     for recorded in (True, False):
         assert_same_states_and_grads(gru_and_composite_results(mask, 6, 4, recorded))
@@ -1214,7 +1215,7 @@ def test_the_second_cell_projects_the_first_cells_blocks_of_positions(monkeypatc
     monkeypatch.setattr(ad, "_XW_BLOCK", 2 * batch * 3 * hidden)
     blocks = ad._position_blocks(length, batch * 3 * hidden)
     assert blocks == [(0, 2), (2, 4), (4, 5)]
-    mask = np.ones((batch, length))
+    mask = np.ones((batch, length), dtype=bool)
     results = gru_and_composite_results(mask, hidden, 25, False, blocks=blocks)
     assert_same_states_and_grads(results)
 
@@ -1230,7 +1231,7 @@ def test_gru_input_blocks_keep_the_bits_of_the_whole_projection_at_a_char_encode
     cells, _ = make_cells(rng, 2, 16, hidden)
     x = Tensor(rand(rng, length * batch, 16))
     h0 = Tensor(np.zeros((batch, hidden)))
-    mask = np.ones((batch, length))
+    mask = np.ones((batch, length), dtype=bool)
     with no_grad():
         got = ad.gru_sequence(x, h0, cells, mask).data
         want = composite_gru(x, h0, cells, mask).data
@@ -1244,7 +1245,7 @@ def test_a_gru_sequence_under_no_grad_keeps_its_output_plus_one_block(monkeypatc
     cells, _ = make_cells(rng, 2, dim, hidden)
     x = Tensor(rand(rng, length * batch, dim))
     h0 = Tensor(np.zeros((batch, hidden)))
-    mask = np.ones((batch, length))
+    mask = np.ones((batch, length), dtype=bool)
     with no_grad():
         out, peak = traced_peak(lambda: ad.gru_sequence(x, h0, cells, mask))
     # besides the output: a block of the projection, the packed weights and
@@ -1259,7 +1260,7 @@ def test_a_recorded_gru_sequence_keeps_no_reset_times_h_buffer():
     cells, store = make_cells(rng, 2, dim, hidden)
     x = store.create("x", rand(rng, length * batch, dim))
     h0 = store.create("h0", np.zeros((batch, hidden)))
-    mask = np.ones((batch, length))
+    mask = np.ones((batch, length), dtype=bool)
     out, held = traced_held(lambda: ad.gru_sequence(x, h0, cells, mask))
     assert out.requires_grad
     # one (T, C, B, H) array: the size of the states, or of the candidate gates

@@ -79,6 +79,26 @@ def test_baseline_commands(toy_dir, tmp_path, capsys):
     assert rand["meta"]["kind"] == "random-baseline"
 
 
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_sliding_window_baseline_rejects_a_window_below_one(toy_dir, capsys, window):
+    assert main(["baseline", "--kind", "sliding-window", "--data", str(toy_dir),
+                 "--window", window]) == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == f"error: --window must be at least 1, got {window}"
+
+
+@pytest.mark.parametrize("layout", ["empty_dir", "empty_test_split"])
+def test_eval_and_baseline_on_a_split_with_no_records_name_the_directory_and_split(
+        trained_dirs, tmp_path, capsys, layout):
+    _, stage2 = trained_dirs
+    data = tmp_path / "data"
+    (data / "test" if layout == "empty_test_split" else data).mkdir(parents=True)
+    for command in (["eval", "--checkpoint", str(stage2)], ["baseline", "--kind", "random"]):
+        assert main(command + ["--data", str(data)]) == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == f"error: {data}: split 'test' holds no records"
+
+
 def test_predict_prints_letter_and_answer(trained_dirs, toy_dir, capsys):
     _, stage2 = trained_dirs
     record = sorted((toy_dir / "test").glob("*.json"))[0]
@@ -253,8 +273,9 @@ def test_config_line_that_is_not_utf8_names_file_and_line(tmp_path, capsys):
     assert f"error: {cfg}:2: not UTF-8" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["hiden = 8", "hidden = abc", "fine_tune_embeddings = maybe"],
-                         ids=["unknown_key", "bad_int", "bad_bool"])
+@pytest.mark.parametrize("line", ["hiden = 8", "hidden = abc", "fine_tune_embeddings = maybe",
+                                  "seed = -1"],
+                         ids=["unknown_key", "bad_int", "bad_bool", "negative_seed"])
 def test_bad_config_value_names_file_and_line(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"# stage one\nhidden = 8\n{line}\n")
@@ -268,7 +289,8 @@ def test_bad_config_value_names_file_and_line(tmp_path, capsys, line):
     ("hiden=8", "unknown config key 'hiden'"),
     ("hidden=abc", "needs an integer"),
     ("hidden", "expected key=value"),
-], ids=["unknown_key", "bad_int", "no_equals"])
+    ("seed=-1", "config field seed must be non-negative"),
+], ids=["unknown_key", "bad_int", "no_equals", "negative_seed"])
 def test_bad_set_item_names_the_set_item(tmp_path, capsys, item, detail):
     rc = main(["train-synthesis", "--data", str(tmp_path), "--out", str(tmp_path / "m"),
                "--set", "max_epochs=1", "--set", item])

@@ -232,11 +232,13 @@ def test_batch_padding_and_masks():
     batch = make_batches(insts, vocab, batch_size=8)[0]
     lengths = [len(i.passage_tokens) for i in insts]
     assert batch.passage_ids.shape[1] == max(lengths)
+    assert {m.dtype for m in (batch.passage_mask, batch.question_mask, batch.option_mask)} == {
+        np.dtype(bool)}
     for row, inst in enumerate(insts):
         assert batch.passage_mask[row].sum() == len(inst.passage_tokens)
         assert batch.question_mask[row].sum() == len(inst.question_tokens)
-        # mask is 1 exactly on non-pad positions
-        assert np.all((batch.passage_ids[row] != 0) == (batch.passage_mask[row] == 1.0))
+        # the mask is True exactly on non-pad positions
+        assert np.all((batch.passage_ids[row] != 0) == batch.passage_mask[row])
 
 
 def test_batch_shuffle_deterministic_under_seed():

@@ -26,11 +26,10 @@ from helpers import (
 
 
 def make_sequence(rng, batch, length, dim, mask=None):
-    mask = mask if mask is not None else np.ones((batch, length))
+    mask = mask if mask is not None else np.ones((batch, length), dtype=bool)
     data = rng.standard_normal((length * batch, dim))
     data *= mask.T.reshape(-1, 1)
-    return EmbeddedSequence(flat=Tensor(data), mask=mask.astype(float),
-                            batch=batch, length=length)
+    return EmbeddedSequence(flat=Tensor(data), mask=mask)
 
 
 def encoder(rng, dim, hidden, store=None, prefix="enc"):
@@ -58,9 +57,9 @@ def test_reversing_input_swaps_direction_halves():
     rng = np.random.default_rng(1)
     params, _ = encoder(rng, 3, 4)
     data = rng.standard_normal((3, 3))  # one instance, 3 positions
-    fwdseq = EmbeddedSequence(flat=Tensor(data), mask=np.ones((1, 3)), batch=1, length=3)
-    revseq = EmbeddedSequence(flat=Tensor(data[::-1].copy()), mask=np.ones((1, 3)),
-                              batch=1, length=3)
+    mask = np.ones((1, 3), dtype=bool)
+    fwdseq = EmbeddedSequence(flat=Tensor(data), mask=mask)
+    revseq = EmbeddedSequence(flat=Tensor(data[::-1].copy()), mask=mask)
     enc = bigru_encode(fwdseq, params)
     renc = bigru_encode(revseq, params)
     # Swapping the direction parameters on the reversed input reproduces the
@@ -87,12 +86,11 @@ def test_masked_padding_does_not_change_unmasked_outputs():
     params, _ = encoder(rng, 3, 4)
     length = 5
     data = rng.standard_normal((length, 3))
-    full = EmbeddedSequence(flat=Tensor(data.copy()), mask=np.ones((1, length)),
-                            batch=1, length=length)
+    full = EmbeddedSequence(flat=Tensor(data.copy()), mask=np.ones((1, length), dtype=bool))
     padded_data = np.vstack([data, rng.standard_normal((2, 3))])
-    mask = np.array([[1.0] * length + [0.0, 0.0]])
+    mask = np.array([[True] * length + [False, False]])
     padded_data *= mask.T
-    padded = EmbeddedSequence(flat=Tensor(padded_data), mask=mask, batch=1, length=length + 2)
+    padded = EmbeddedSequence(flat=Tensor(padded_data), mask=mask)
     enc_full = bigru_encode(full, params)
     enc_padded = bigru_encode(padded, params)
     np.testing.assert_array_equal(positions(enc_full)[0],
@@ -123,7 +121,7 @@ def test_dim_mismatch_rejected():
 def test_encoder_gradients_pass_check():
     rng = np.random.default_rng(6)
     params, store = encoder(rng, 3, 4)
-    mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    mask = np.array([[True, True, False], [True, True, True]])
     seq = make_sequence(rng, 2, 3, 3, mask=mask)
     readout = rng.random((2 * 3, 8))
 
@@ -163,12 +161,12 @@ def test_bigru_backward_accumulates_into_the_sequence_once_per_direction(monkeyp
     batch, length, dim = 2, 50, 3
     params, store = encoder(rng, dim, 2)
     flat = store.create("seq", rng.standard_normal((length * batch, dim)))
-    mask = np.ones((batch, length))
-    mask[0, 40:] = 0.0
+    mask = np.ones((batch, length), dtype=bool)
+    mask[0, 40:] = False
     readout = rng.random((batch * length, 4))
 
     def loss_fn():
-        seq = EmbeddedSequence(flat=flat, mask=mask, batch=batch, length=length)
+        seq = EmbeddedSequence(flat=flat, mask=mask)
         return tensor_sum(ad.mul_const(bigru_encode(seq, params).flat, readout))
 
     calls = []
@@ -199,7 +197,7 @@ def test_bigru_encode_is_bit_identical_to_the_composite_reference(reader):
     params, store = encoder(rng, dim, 4)
     for p in store.all():  # nonzero biases, so every gate gradient is exercised
         p.data[...] = 0.5 * rng.standard_normal(p.data.shape)
-    mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 0, 0, 0, 0]], dtype=float)
+    mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 0, 0, 0, 0]], dtype=bool)
     flat = store.create("seq", rng.standard_normal((length * batch, dim)) * mask.T.reshape(-1, 1))
     readouts = [rng.standard_normal((batch * length, 8)), rng.standard_normal((batch, 8)),
                 rng.standard_normal((length * batch, dim))]
@@ -214,7 +212,7 @@ def test_bigru_encode_is_bit_identical_to_the_composite_reference(reader):
         return states.data, final.data, {p.name: p.grad for p in store.all()}
 
     def encode():
-        seq = EmbeddedSequence(flat=flat, mask=mask, batch=batch, length=length)
+        seq = EmbeddedSequence(flat=flat, mask=mask)
         enc = bigru_encode(seq, params)
         return enc.flat, enc.final
 
@@ -234,18 +232,16 @@ def test_bigru_encode_is_bit_identical_to_the_composite_reference(reader):
 # mean pooling
 
 
-def right_padded(rng, batch, length, dtype):
+def right_padded(rng, batch, length):
     """A (B, T) mask of right-padded rows, the first full length."""
     lengths = rng.integers(1, length + 1, size=batch)
     lengths[0] = length
-    return (np.arange(length)[None, :] < lengths[:, None]).astype(dtype)
+    return np.arange(length)[None, :] < lengths[:, None]
 
 
 def pooled_encoding(flat, mask):
-    batch, length = mask.shape
-    hidden = flat.data.shape[1] // 2
-    return ContextualEncoding(flat=flat, mask=mask, batch=batch, length=length, hidden=hidden,
-                              final=Tensor(np.zeros((batch, 2 * hidden), flat.data.dtype)))
+    return ContextualEncoding(flat=flat, mask=mask, final=Tensor(
+        np.zeros((len(mask), flat.data.shape[1]), flat.data.dtype)))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -253,7 +249,7 @@ def pooled_encoding(flat, mask):
 def test_mean_pooled_is_bit_identical_to_the_composite(shape, dtype):
     batch, length, hidden = shape
     rng = np.random.default_rng(length)
-    mask = right_padded(rng, batch, length, dtype)
+    mask = right_padded(rng, batch, length)
     store = ParamStore(dtype)
     flat = store.create("flat", rng.standard_normal((batch * length, 2 * hidden)))
     upstream = rng.standard_normal((batch, 2 * hidden)).astype(dtype)
@@ -270,7 +266,7 @@ def test_mean_pooled_is_bit_identical_to_the_composite(shape, dtype):
 
 def test_mean_pooled_gradients_match_central_differences():
     rng = np.random.default_rng(18)
-    mask = right_padded(rng, 4, 6, np.float64)
+    mask = right_padded(rng, 4, 6)
     store = ParamStore()
     flat = store.create("flat", rng.standard_normal((4 * 6, 6)))
     readout = rng.standard_normal((4, 6))
@@ -283,7 +279,7 @@ def test_mean_pooled_gradients_match_central_differences():
 
 
 def test_mean_pooled_rejects_a_row_with_no_unmasked_position():
-    mask = np.array([[1.0, 1.0], [0.0, 0.0]])
+    mask = np.array([[True, True], [False, False]])
     with pytest.raises(ValueError, match="empty sequence"):
         pooled_encoding(Tensor(np.ones((4, 2))), mask).mean_pooled()
 
@@ -340,9 +336,9 @@ def test_embed_with_chars_identical_tokens_share_vectors():
     params = init_char_encoder(store, cv, char_dim=3, char_hidden=2, rng=rng)
     ids = np.array([[4, 5, 4]])
     surfaces = [["cat", "dog", "cat"]]
-    mask = np.ones((1, 3))
+    mask = np.ones((1, 3), dtype=bool)
     seq = embed_with_chars(word_table, params, cv, ids, surfaces, mask)
-    assert seq.dim == 4 + 4
+    assert seq.flat.data.shape[1] == 4 + 4
     pos = seq.flat.data.reshape(3, 1, 8)
     np.testing.assert_array_equal(pos[0, 0], pos[2, 0])
     assert not np.array_equal(pos[0, 0], pos[1, 0])
@@ -354,7 +350,7 @@ def test_embed_with_chars_indexes_surfaces_as_the_loop_does(monkeypatch):
     rng = np.random.default_rng(12)
     lengths = np.array([7, 3, 5, 1, 6])
     batch, length = len(lengths), int(lengths.max())
-    mask = (np.arange(length) < lengths[:, None]).astype(float)
+    mask = np.arange(length) < lengths[:, None]
     words = ["cat", "dog", "a", "act", "tac"]
     surfaces = [[words[i] for i in rng.integers(0, len(words), size=n)] for n in lengths]
     seen = []
@@ -383,9 +379,9 @@ def encode_with_features(seq, spans, params):
 def feature_channels(seq, spans):
     """The (B, T, 2) indicator channels ``add_span_channels`` appends."""
     augmented = add_span_channels(seq, spans)
-    np.testing.assert_array_equal(augmented.flat.data[:, :seq.dim], seq.flat.data)
-    channels = augmented.flat.data[:, seq.dim:]
-    return channels.reshape(seq.length, seq.batch, 2).transpose(1, 0, 2)
+    dim = seq.flat.data.shape[1]
+    np.testing.assert_array_equal(augmented.flat.data[:, :dim], seq.flat.data)
+    return augmented.flat.data[:, dim:].reshape(*seq.mask.T.shape, 2).transpose(1, 0, 2)
 
 
 def test_feature_indicators_basic_span():
@@ -397,7 +393,7 @@ def test_feature_indicators_basic_span():
 
 def test_feature_indicators_single_token_span():
     # two rows, so the channels must land at row t*B + b of the position-major block
-    mask = np.array([[1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 1.0, 0.0, 0.0]])
+    mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=bool)
     seq = make_sequence(np.random.default_rng(16), 2, 5, 3, mask)
     channels = feature_channels(seq, [(2, 2), (0, 2)])
     np.testing.assert_array_equal(channels[..., 0], [[0, 0, 1, 0, 0], [1, 0, 0, 0, 0]])
@@ -407,7 +403,7 @@ def test_feature_indicators_single_token_span():
 def test_feature_indicators_reject_invalid():
     rng = np.random.default_rng(17)
     params, _ = encoder(rng, 3 + 2, 4)
-    mask = np.array([[1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0]])
+    mask = np.array([[1, 1, 1, 1, 1, 0, 0]], dtype=bool)
     seq = make_sequence(rng, 1, 7, 3, mask)
     with pytest.raises(ValueError):
         encode_with_features(seq, [(3, 1)], params)
@@ -438,9 +434,9 @@ def test_feature_length_mismatch_rejected():
         encode_with_features(seq, [(0, 1), (0, 1)], params)
 
 
-PADDING_MASK = np.array([[1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
-                         [1.0, 1.0, 1.0, 0.0, 0.0, 0.0],
-                         [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+PADDING_MASK = np.array([[1, 1, 1, 1, 1, 1],
+                         [1, 1, 1, 0, 0, 0],
+                         [1, 0, 0, 0, 0, 0]], dtype=bool)
 
 
 def run_over_padding(dtype, fill, encode, width):
@@ -453,11 +449,10 @@ def run_over_padding(dtype, fill, encode, width):
     batch, length = PADDING_MASK.shape
     params = init_bigru(ParamStore(dtype), "enc", 5, 4, rng)
     data = rng.standard_normal((length * batch, width)).astype(dtype)
-    padded = PADDING_MASK.T.reshape(-1) == 0
+    padded = ~PADDING_MASK.T.reshape(-1)
     data[padded] = fill
     x = Tensor(data, requires_grad=True)
-    enc = encode(EmbeddedSequence(flat=x, mask=PADDING_MASK, batch=batch, length=length),
-                 params)
+    enc = encode(EmbeddedSequence(flat=x, mask=PADDING_MASK), params)
     readout = rng.standard_normal(enc.flat.data.shape).astype(dtype)
     final_readout = rng.standard_normal(enc.final.data.shape).astype(dtype)
     ad.backward(ad.add(tensor_sum(ad.mul_const(enc.flat, readout)),
@@ -474,7 +469,7 @@ def run_over_padding(dtype, fill, encode, width):
 def test_padded_input_rows_are_never_read(dtype, encode, width):
     # embeddings leave their padded rows as the gathers return them: the
     # encoders read none of them, forward or backward
-    padded = PADDING_MASK.T.reshape(-1) == 0
+    padded = ~PADDING_MASK.T.reshape(-1)
     signs = np.where(np.arange(padded.sum() * width) % 2, 1.0, -1.0)
     large = (1e30 * signs).astype(dtype).reshape(-1, width)
     zero_enc, zero_dx, zero_grads = run_over_padding(dtype, 0.0, encode, width)

@@ -78,7 +78,9 @@ def test_evaluate_table_renders():
     (ad.NonFiniteError("non-finite value from log"), True),
     (ValueError("bad value"), True),
     (RuntimeError("other"), False),
-], ids=["non_finite", "value", "runtime"])
+    # a subclass is built from more than a message, so it passes through as it is
+    (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), False),
+], ids=["non_finite", "value", "runtime", "value_subclass"])
 def test_a_failing_prediction_batch_names_itself(monkeypatch, error, located):
     model, _, instances, _ = build_micro_pipeline()
     original = model.predict_batch

@@ -37,12 +37,11 @@ from helpers import (
 
 
 def make_encoding(rng, batch, length, hidden, mask=None):
-    mask = mask if mask is not None else np.ones((batch, length))
+    mask = mask if mask is not None else np.ones((batch, length), dtype=bool)
     data = rng.standard_normal((batch * length, 2 * hidden))
     data *= mask.reshape(-1, 1)
-    return ContextualEncoding(
-        flat=Tensor(data), mask=mask.astype(float), batch=batch, length=length,
-        hidden=hidden, final=Tensor(np.zeros((batch, 2 * hidden))))
+    return ContextualEncoding(flat=Tensor(data), mask=mask,
+                              final=Tensor(np.zeros((batch, 2 * hidden))))
 
 
 def extractor(rng, hidden, store=None):
@@ -74,12 +73,12 @@ def test_pool_uniform_scores_gives_mean():
 def test_pool_weights_respect_mask():
     rng = np.random.default_rng(2)
     params, _ = extractor(rng, 2)
-    mask = np.array([[1.0, 1.0, 0.0]])
+    mask = np.array([[True, True, False]])
     enc = make_encoding(rng, 1, 3, 2, mask=mask)
     pooled = pool_question(enc, params)
     assert np.all(np.isfinite(pooled.data))
     with pytest.raises(ValueError):
-        pool_question(make_encoding(rng, 1, 2, 2, mask=np.zeros((1, 2))), params)
+        pool_question(make_encoding(rng, 1, 2, 2, mask=np.zeros((1, 2), dtype=bool)), params)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +121,7 @@ def test_predict_span_argmax_matches_brute_force(length, max_span, seed):
 def test_distributions_sum_to_one_on_unmasked():
     rng = np.random.default_rng(4)
     params, _ = extractor(rng, 3)
-    mask = np.array([[1.0] * 4 + [0.0] * 2, [1.0] * 6])
+    mask = np.array([[True] * 4 + [False] * 2, [True] * 6])
     passage = make_encoding(rng, 2, 6, 3, mask=mask)
     qv = Tensor(rng.standard_normal((2, 6)))
     dists, spans = predict_span(passage, qv, params, max_span=30)
@@ -351,17 +350,15 @@ def test_span_loss_is_bit_identical_to_the_composite(targets, dtype):
 def test_extractor_gradients_pass_check():
     rng = np.random.default_rng(5)
     params, store = extractor(rng, 3)
-    mask = np.array([[1.0] * 5, [1.0] * 3 + [0.0] * 2])
+    mask = np.array([[True] * 5, [True] * 3 + [False] * 2])
     enc_data = rng.standard_normal((2 * 5, 6)) * mask.reshape(-1, 1)
     q_data = rng.standard_normal((2 * 4, 6))
 
     def loss_fn():
-        passage = ContextualEncoding(
-            flat=Tensor(enc_data), mask=mask, batch=2, length=5, hidden=3,
-            final=Tensor(np.zeros((2, 6))))
-        question = ContextualEncoding(
-            flat=Tensor(q_data), mask=np.ones((2, 4)), batch=2, length=4, hidden=3,
-            final=Tensor(np.zeros((2, 6))))
+        passage = ContextualEncoding(flat=Tensor(enc_data), mask=mask,
+                                     final=Tensor(np.zeros((2, 6))))
+        question = ContextualEncoding(flat=Tensor(q_data), mask=np.ones((2, 4), dtype=bool),
+                                      final=Tensor(np.zeros((2, 6))))
         qv = pool_question(question, params)
         dists, _ = predict_span(passage, qv, params, max_span=30)
         return span_loss(dists, [EvidenceSpan(1, 2), EvidenceSpan(0, 0)])

@@ -25,7 +25,7 @@ def matcher(hidden=1, store=None):
 
 def probabilities(scores):
     """The softmax of (B, 4) scores."""
-    return ad.masked_softmax(scores, np.ones(scores.data.shape)).data
+    return ad.masked_softmax(scores, np.ones(scores.data.shape, dtype=bool)).data
 
 
 def score_case(answer_rows, option_rows, w=None, hidden=1):

@@ -33,12 +33,11 @@ from helpers import (
 
 
 def make_encoding(rng, batch, length, hidden, mask=None):
-    mask = mask if mask is not None else np.ones((batch, length))
+    mask = mask if mask is not None else np.ones((batch, length), dtype=bool)
     data = rng.standard_normal((batch * length, 2 * hidden))
     data *= mask.reshape(-1, 1)
-    return ContextualEncoding(
-        flat=Tensor(data), mask=mask.astype(float), batch=batch, length=length,
-        hidden=hidden, final=Tensor(np.zeros((batch, 2 * hidden))))
+    return ContextualEncoding(flat=Tensor(data), mask=mask,
+                              final=Tensor(np.zeros((batch, 2 * hidden))))
 
 
 def vocab_fixture():
@@ -77,7 +76,7 @@ def test_attention_single_unmasked_position_returns_it():
     rng = np.random.default_rng(1)
     store = ParamStore()
     params = init_attention(store, "attn", 4, 3, 2, rng)
-    mask = np.array([[0.0, 1.0, 0.0]])
+    mask = np.array([[False, True, False]])
     memory = make_encoding(rng, 1, 3, 2, mask=mask)
     out, weights = additive_attention(Tensor(rng.standard_normal((1, 3))),
                                       [with_keys(memory.flat, memory.mask, params)], params)
@@ -113,7 +112,7 @@ def test_attention_one_memory_is_bit_identical_to_the_single_softmax_composite()
     params = init_attention(store, "attn", memory_dim=4, query_dim=3, proj_dim=5, rng=rng)
     memory = store.create("memory", rng.standard_normal((2 * 4, 4)))
     query = store.create("query", rng.standard_normal((2, 3)))
-    mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+    mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0]], dtype=bool)
     readout = rng.standard_normal((2, 4))
 
     def composite():
@@ -152,7 +151,7 @@ def attention_grads(attend, lengths, budget, monkeypatch, shared_query, second_c
         mask = (np.arange(length)[None, :] < rng.integers(1, length + 1, size=(batch, 1)))
         memories.append((store.create(f"memory{k}", rng.standard_normal((batch * length, 4))),
                          store.create(f"keys{k}", rng.standard_normal((batch * length, 6))),
-                         mask.astype(float)))
+                         mask))
     readout = Tensor(rng.standard_normal((batch, 4)))
     context, weights = attend(query, memories, params)
     loss = ad.add(ad.tensor_sum(ad.mul(context, readout)),
@@ -196,7 +195,8 @@ def test_recorded_attention_weights_hold_no_tanh():
     keys = store.create("keys", rng.standard_normal((batch * length, proj)))
     query = store.create("query", rng.standard_normal((batch, 8)))
     (_, weights), phases = phase_peaks(
-        lambda: additive_attention(query, [(memory, keys, np.ones((batch, length)))], params),
+        lambda: additive_attention(query, [(memory, keys, np.ones((batch, length), bool))],
+                                   params),
         [(ad, "attention_weights")])
     assert weights.requires_grad
     start, peak, end = phases["attention_weights"]
@@ -213,7 +213,8 @@ def test_attention_records_two_tape_ops():
     memory = store.create("memory", rng.standard_normal((2 * 3, 4)))
     keys = store.create("keys", rng.standard_normal((2 * 3, 2)))
     query = store.create("query", rng.standard_normal((2, 3)))
-    context, weights = additive_attention(query, [(memory, keys, np.ones((2, 3)))], params)
+    context, weights = additive_attention(query, [(memory, keys, np.ones((2, 3), bool))],
+                                          params)
     assert context._parents[-1] is weights
     assert reachable_op_nodes(context) == 2
 
@@ -222,8 +223,8 @@ def test_attention_two_memories_share_one_softmax():
     rng = np.random.default_rng(31)
     store = ParamStore()
     params = init_attention(store, "attn", memory_dim=4, query_dim=3, proj_dim=2, rng=rng)
-    passage = make_encoding(rng, 2, 4, 2, mask=np.array([[1.0] * 4, [1, 1, 0, 0]]))
-    question = make_encoding(rng, 2, 2, 2, mask=np.array([[1.0, 1.0], [1.0, 0.0]]))
+    passage = make_encoding(rng, 2, 4, 2, mask=np.array([[1] * 4, [1, 1, 0, 0]], dtype=bool))
+    question = make_encoding(rng, 2, 2, 2, mask=np.array([[1, 1], [1, 0]], dtype=bool))
     context, weights = additive_attention(
         Tensor(rng.standard_normal((2, 3))),
         [with_keys(passage.flat, passage.mask, params),
@@ -240,7 +241,7 @@ def test_attention_two_memories_share_one_softmax():
 def test_attention_weights_sum_to_one_each_step():
     rng = np.random.default_rng(3)
     params, table, vocab, _ = setup_decoder(rng)
-    passage = make_encoding(rng, 2, 4, 3, mask=np.array([[1.0] * 4, [1, 1, 0, 0]]))
+    passage = make_encoding(rng, 2, 4, 3, mask=np.array([[1] * 4, [1, 1, 0, 0]], dtype=bool))
     question = make_encoding(rng, 2, 2, 3)
     memory = decoder_memory(passage, question, params.attention)
     hidden, word, context = initial_state(passage, question, table, 2, params)
@@ -256,8 +257,8 @@ def test_attention_weights_sum_to_one_each_step():
 def test_hoisted_keys_give_the_context_and_weights_of_keys_projected_each_step():
     rng = np.random.default_rng(32)
     params, table, vocab, _ = setup_decoder(rng)
-    passage = make_encoding(rng, 2, 4, 3, mask=np.array([[1.0] * 4, [1, 1, 1, 0]]))
-    question = make_encoding(rng, 2, 3, 3, mask=np.array([[1.0, 1.0, 0.0], [1.0] * 3]))
+    passage = make_encoding(rng, 2, 4, 3, mask=np.array([[1] * 4, [1, 1, 1, 0]], dtype=bool))
+    question = make_encoding(rng, 2, 3, 3, mask=np.array([[1, 1, 0], [1] * 3], dtype=bool))
     memory = decoder_memory(passage, question, params.attention)
     hidden, word, context = initial_state(passage, question, table, 2, params)
     for step in range(4):
@@ -279,8 +280,8 @@ def test_attention_empty_memory_rejected():
     with pytest.raises(ValueError):
         additive_attention(query, [], params)
     with pytest.raises(ValueError):
-        additive_attention(query, [with_keys(Tensor(np.zeros((0, 4))), np.zeros((1, 0)), params)],
-                           params)
+        empty = with_keys(Tensor(np.zeros((0, 4))), np.zeros((1, 0), bool), params)
+        additive_attention(query, [empty], params)
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +312,9 @@ def test_decoder_two_step_gradients_pass_check():
     q_data = rng.standard_normal((1 * 2, 6))
 
     def loss_fn():
-        passage = ContextualEncoding(flat=Tensor(p_data), mask=np.ones((1, 3)), batch=1,
-                                     length=3, hidden=3,
+        passage = ContextualEncoding(flat=Tensor(p_data), mask=np.ones((1, 3), dtype=bool),
                                      final=Tensor(np.zeros((1, 6))))
-        question = ContextualEncoding(flat=Tensor(q_data), mask=np.ones((1, 2)), batch=1,
-                                      length=2, hidden=3,
+        question = ContextualEncoding(flat=Tensor(q_data), mask=np.ones((1, 2), dtype=bool),
                                       final=Tensor(np.zeros((1, 6))))
         return synthesis_loss(passage, question, table, params,
                               [vocab.ids(["red", "dog"])])
@@ -364,8 +363,8 @@ def test_greedy_token_logprobs_equal_a_numpy_log_softmax_bit_for_bit():
     vocab = Vocabulary.build([[f"w{i}" for i in range(300)]], cap=65_000)
     params, table, vocab, _ = setup_decoder(rng, hidden=4, embed=5, vocab=vocab)
     params.out_w.data *= 4.0
-    passage = make_encoding(rng, 3, 5, 4, mask=np.array([[1.0] * 5, [1.0] * 3 + [0.0] * 2,
-                                                         [1.0] * 4 + [0.0]]))
+    passage = make_encoding(rng, 3, 5, 4, mask=np.array([[1] * 5, [1] * 3 + [0] * 2,
+                                                         [1] * 4 + [0]], dtype=bool))
     question = make_encoding(rng, 3, 2, 4)
     answers = generate_answer(passage, question, table, params, vocab, max_length=8)
 
@@ -397,9 +396,9 @@ def greedy_case(rng):
     vocab = Vocabulary.build([[f"w{i}" for i in range(300)]], cap=65_000)
     params, table, vocab, _ = setup_decoder(rng, hidden=4, embed=5, vocab=vocab)
     params.out_w.data *= 4.0
-    passage = make_encoding(rng, 5, 5, 4, mask=np.array([[1.0] * 5, [1.0] * 3 + [0.0] * 2,
-                                                         [1.0] * 4 + [0.0], [1.0] * 5,
-                                                         [1.0] + [0.0] * 4]))
+    passage = make_encoding(rng, 5, 5, 4, mask=np.array([[1] * 5, [1] * 3 + [0] * 2,
+                                                         [1] * 4 + [0], [1] * 5,
+                                                         [1] + [0] * 4], dtype=bool))
     question = make_encoding(rng, 5, 2, 4)
     return passage, question, table, params, vocab
 
@@ -453,11 +452,9 @@ def test_synthesis_loss_decreases_under_adam_on_one_instance():
     q_data = rng.standard_normal((1 * 2, 6))
 
     def loss_fn():
-        passage = ContextualEncoding(flat=Tensor(p_data), mask=np.ones((1, 3)), batch=1,
-                                     length=3, hidden=3,
+        passage = ContextualEncoding(flat=Tensor(p_data), mask=np.ones((1, 3), dtype=bool),
                                      final=Tensor(np.zeros((1, 6))))
-        question = ContextualEncoding(flat=Tensor(q_data), mask=np.ones((1, 2)), batch=1,
-                                      length=2, hidden=3,
+        question = ContextualEncoding(flat=Tensor(q_data), mask=np.ones((1, 2), dtype=bool),
                                       final=Tensor(np.zeros((1, 6))))
         return synthesis_loss(passage, question, table, params, [[4, 5]])
 
@@ -481,18 +478,17 @@ def test_synthesis_loss_matches_the_per_step_composite(dtype):
     store = ParamStore(dtype)
     table = store.create("emb", rng.standard_normal((len(vocab), 5)) * 0.3)
     params = init_decoder(store, 5, 4, len(vocab), rng)
-    p_mask = np.array([[1.0] * 6, [1.0] * 4 + [0.0] * 2, [1.0] * 5 + [0.0]])
+    p_mask = np.array([[1] * 6, [1] * 4 + [0] * 2, [1] * 5 + [0]], dtype=bool)
     p_flat = store.create("passage", rng.standard_normal((3 * 6, 8)) * p_mask.reshape(-1, 1))
     q_flat = store.create("question", rng.standard_normal((3 * 3, 8)))
     targets = [[4, 9, 9, 17], [30], [5, 4, 12]]  # uneven lengths, a repeated id
 
-    def encoding(flat, mask, length):
-        return ContextualEncoding(flat=flat, mask=mask.astype(dtype), batch=3, length=length,
-                                  hidden=4, final=Tensor(np.zeros((3, 8), dtype)))
+    def encoding(flat, mask):
+        return ContextualEncoding(flat=flat, mask=mask, final=Tensor(np.zeros((3, 8), dtype)))
 
     def run(loss_fn):
         ad.zero_grads(store.all())
-        loss = loss_fn(encoding(p_flat, p_mask, 6), encoding(q_flat, np.ones((3, 3)), 3),
+        loss = loss_fn(encoding(p_flat, p_mask), encoding(q_flat, np.ones((3, 3), dtype=bool)),
                        table, params, targets)
         ad.backward(loss)
         return loss.item(), {p.name: p.grad.copy() for p in store.all()}

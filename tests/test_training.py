@@ -96,6 +96,9 @@ def test_config_rejects_bad_values():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(precision="float16")
+    # numpy's SeedSequence takes no negative seed, and its own error names no key
+    with pytest.raises(ValueError, match="^config field seed must be non-negative$"):
+        TrainConfig(seed=-1)
 
 
 def test_synthesis_stage_trains_and_logs():
